@@ -119,7 +119,7 @@ def _write_fig6_json():
         from repro.passes import CompileStats
 
         specs = [
-            TaskSpec("compile-time", key=cell, params=(3,))
+            TaskSpec("compile-time", key=cell, params=(3, "greedy"))
             for cell in missing
         ]
         for res in run_tasks(specs, jobs=jobs):

@@ -34,6 +34,7 @@ import os
 import random
 import time
 
+import numpy
 from conftest import register_lazy_report
 
 from repro import fpir as F
@@ -43,7 +44,11 @@ from repro.interp import (
     clear_compile_cache,
     compile_expr,
     evaluate_reference,
-    numpy_available,
+)
+from repro.interp.array_backend import (
+    clear_array_compile_cache,
+    compile_expr_array,
+    prepare_env,
 )
 from repro.ir import builders as h
 from repro.ir.types import I16, U8
@@ -80,15 +85,7 @@ def _clear_array_cache():
     # clear the closure program/kernel memos, the numpy rows clear the
     # ndarray programs (kernel resolution is shared infrastructure and
     # stays warm, as it does in any real process).
-    from repro.interp.array_backend import clear_array_compile_cache
-
     clear_array_compile_cache()
-
-
-def _numpy_compile():
-    from repro.interp.array_backend import compile_expr_array
-
-    return compile_expr_array
 
 
 # ----------------------------------------------------------------------
@@ -137,23 +134,20 @@ def test_verifier_throughput():
         },
         "closure": {"points": n, "seconds": _best_time(closure)},
     }
-    if numpy_available():
-        compile_array = _numpy_compile()
-        from repro.interp.array_backend import prepare_env
+    # check_equivalence pre-converts the grid once per check when the
+    # resolved backend is the ndarray one (both sides share the env);
+    # the row mirrors that.
+    variables = [h.var(name, I16) for name in names]
+    env_nd = prepare_env(env, variables)
 
-        # check_equivalence pre-converts the grid once per check when the
-        # resolved backend is the ndarray one (both sides share the env);
-        # the row mirrors that.
-        variables = [h.var(name, I16) for name in names]
-        env_nd = prepare_env(env, variables)
+    def ndarray():
+        _clear_array_cache()
+        assert (
+            compile_expr_array(lhs)(env_nd, n)
+            == compile_expr_array(rhs)(env_nd, n)
+        )
 
-        def ndarray():
-            _clear_array_cache()
-            assert (
-                compile_array(lhs)(env_nd, n) == compile_array(rhs)(env_nd, n)
-            )
-
-        rows["numpy"] = {"points": n, "seconds": _best_time(ndarray)}
+    rows["numpy"] = {"points": n, "seconds": _best_time(ndarray)}
     for row in rows.values():
         row["points_per_s"] = row["points"] / row["seconds"]
 
@@ -161,12 +155,11 @@ def test_verifier_throughput():
         "closure_vs_reference": (
             rows["closure"]["points_per_s"]
             / rows["reference"]["points_per_s"]
-        )
-    }
-    if "numpy" in rows:
-        speedups["numpy_vs_closure"] = (
+        ),
+        "numpy_vs_closure": (
             rows["numpy"]["points_per_s"] / rows["closure"]["points_per_s"]
-        )
+        ),
+    }
     _RESULTS["verifier_rounding_mul_shr"] = {
         "grid_points": n,
         "backends": rows,
@@ -175,10 +168,9 @@ def test_verifier_throughput():
     assert speedups["closure_vs_reference"] >= 3.0, (
         f"closure vs reference {speedups['closure_vs_reference']:.1f}x < 3x"
     )
-    if "numpy_vs_closure" in speedups:
-        assert speedups["numpy_vs_closure"] >= 10.0, (
-            f"numpy vs closure {speedups['numpy_vs_closure']:.1f}x < 10x"
-        )
+    assert speedups["numpy_vs_closure"] >= 10.0, (
+        f"numpy vs closure {speedups['numpy_vs_closure']:.1f}x < 10x"
+    )
 
 
 def test_verify_rule_end_to_end():
@@ -233,21 +225,17 @@ def _fingerprint_rows(variables, pool, n_tests, ref_pool_cap=None):
         },
         "closure": {"candidates": len(pool), "seconds": _best_time(closure)},
     }
-    if numpy_available():
-        compile_array = _numpy_compile()
-        from repro.interp.array_backend import prepare_env
+    # synthesize_lift pre-converts the shared test vectors once per
+    # search when the resolved backend is the ndarray one; the row
+    # mirrors that (the closure rows keep plain lists, as they must).
+    env_nd = prepare_env(env, variables)
 
-        # synthesize_lift pre-converts the shared test vectors once per
-        # search when the resolved backend is the ndarray one; the row
-        # mirrors that (the closure rows keep plain lists, as they must).
-        env_nd = prepare_env(env, variables)
+    def ndarray():
+        _clear_array_cache()
+        for e in pool:
+            compile_expr_array(e)(env_nd, n_tests)
 
-        def ndarray():
-            _clear_array_cache()
-            for e in pool:
-                compile_array(e)(env_nd, n_tests)
-
-        rows["numpy"] = {"candidates": len(pool), "seconds": _best_time(ndarray)}
+    rows["numpy"] = {"candidates": len(pool), "seconds": _best_time(ndarray)}
     for row in rows.values():
         row["candidates_per_s"] = row["candidates"] / row["seconds"]
     return rows
@@ -262,13 +250,12 @@ def test_sygus_fingerprint_throughput():
             "closure_vs_reference": (
                 rows["closure"]["candidates_per_s"]
                 / rows["reference"]["candidates_per_s"]
-            )
-        }
-        if "numpy" in rows:
-            speedups["numpy_vs_closure"] = (
+            ),
+            "numpy_vs_closure": (
                 rows["numpy"]["candidates_per_s"]
                 / rows["closure"]["candidates_per_s"]
-            )
+            ),
+        }
         out["rows"][str(n_tests)] = {
             "n_tests": n_tests,
             "backends": rows,
@@ -281,24 +268,18 @@ def test_sygus_fingerprint_throughput():
         f"sygus closure speedup {narrow['closure_vs_reference']:.1f}x < 2x"
     )
     wide = out["rows"]["2048"]["speedups"]
-    if "numpy_vs_closure" in wide:
-        assert wide["numpy_vs_closure"] >= 5.0, (
-            f"sygus numpy speedup {wide['numpy_vs_closure']:.1f}x < 5x"
-        )
+    assert wide["numpy_vs_closure"] >= 5.0, (
+        f"sygus numpy speedup {wide['numpy_vs_closure']:.1f}x < 5x"
+    )
 
 
 # ----------------------------------------------------------------------
 # Snapshot + report
 # ----------------------------------------------------------------------
 def test_write_snapshot():
-    numpy_version = None
-    if numpy_available():
-        import numpy
-
-        numpy_version = numpy.__version__
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "numpy_version": numpy_version,
+        "numpy_version": numpy.__version__,
         **_RESULTS,
     }
     path = os.environ.get("BENCH_INTERP_JSON", "BENCH_interp.json")

@@ -20,7 +20,7 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-figure reproductions.
 """
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 from . import analysis  # noqa: F401
 from . import fabric  # noqa: F401

@@ -45,12 +45,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import nullcontext
 
 from . import targets as T
 from .lifting import LIFT_STRATEGIES
 from .passes import PassVerificationError
 from .pipeline import LLVMCompileError, llvm_compile, rake_compile
+from .session import CompilerSession
 from .workloads import WORKLOADS, by_name
 
 
@@ -72,31 +72,16 @@ def _add_eval_backend_arg(p) -> None:
                    default=None, dest="eval_backend",
                    help="expression-evaluation backend: 'closure' (one "
                         "Python closure per node), 'numpy' (one ndarray "
-                        "op per node; needs numpy), or 'auto' (default: "
+                        "op per node), or 'auto' (default: "
                         "dispatch per call on the lane count)")
 
 
-def _eval_backend_from_args(args):
-    """Apply ``--eval-backend`` process-wide; returns the chosen name.
-
-    Setting the process default covers incidental ``evaluate()`` calls
-    (e.g. the fig7 ablation checks); sweep APIs additionally take the
-    name explicitly so it lands in fabric params and cache keys.
-    """
-    backend = getattr(args, "eval_backend", None)
-    if backend is not None:
-        from .interp import set_default_backend
-
-        set_default_backend(backend)
-    return backend
-
-
 def _add_fabric_args(p) -> None:
-    """``--jobs`` / ``--cache`` / ``--cache-dir`` for sweep commands."""
+    """``--jobs`` / ``--cache`` / ``--cache-dir`` for sweep commands
+    and the daemon."""
     p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker processes for the sweep (default 1: "
-                        "run in-process, exactly the pre-fabric "
-                        "behaviour)")
+                   help="worker processes for the sweep (serve: forked "
+                        "after warm-up); default 1 runs in-process")
     p.add_argument("--cache", action="store_true",
                    help="persist per-cell results in the content-"
                         "addressed cache and reuse them across runs")
@@ -108,16 +93,6 @@ def _add_fabric_args(p) -> None:
                         "was given")
 
 
-def _fabric_from_args(args):
-    """(jobs, cache-or-None) from the shared fabric options."""
-    cache = None
-    if (args.cache or args.cache_dir) and not args.no_cache:
-        from .fabric import ResultCache
-
-        cache = ResultCache(root=args.cache_dir)
-    return args.jobs, cache
-
-
 def _add_report_arg(p) -> None:
     """``--report FILE`` for commands that can emit a run report."""
     p.add_argument("--report", metavar="FILE", dest="report",
@@ -125,39 +100,6 @@ def _add_report_arg(p) -> None:
                         "+ rulebase fingerprints, phase timings, "
                         "metrics snapshot, span summary, cache stats); "
                         "compare two with 'python -m repro report diff'")
-
-
-def _report_tools(args):
-    """``(clock, metrics)`` when ``--report`` was given, else Nones.
-
-    The observability objects exist only when the artifact was
-    requested, so a plain run pays nothing — the disabled-path
-    overhead contract.
-    """
-    if not getattr(args, "report", None):
-        return None, None
-    from .observe import MetricsRegistry, PhaseClock
-
-    return PhaseClock(), MetricsRegistry()
-
-
-def _phase(clock, name: str):
-    """A timed phase when a clock exists, else a free no-op context."""
-    return clock.phase(name) if clock is not None else nullcontext()
-
-
-def _write_report(args, command: str, clock=None, metrics=None,
-                  tracer=None, cache=None, extra=None) -> None:
-    """Emit the ``--report`` artifact if one was requested."""
-    if not getattr(args, "report", None):
-        return
-    from .observe import RunReport
-
-    RunReport.collect(
-        command, clock=clock, metrics=metrics, tracer=tracer,
-        cache=cache, extra=extra,
-    ).write(args.report)
-    print(f"wrote run report to {args.report}")
 
 
 def _target_list(name: str):
@@ -184,7 +126,7 @@ def _print_stats(prog, compiler: str) -> None:
 
 
 def cmd_compile(args) -> int:
-    from .session import CompilerSession, compile_listing
+    from .session import compile_listing
 
     wl = by_name(args.workload)
     session = CompilerSession.from_args(args)
@@ -264,8 +206,6 @@ def cmd_compile(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from .session import CompilerSession
-
     session = CompilerSession.from_args(args)
     jobs, cache = session.jobs, session.cache
     eval_backend = session.eval_backend
@@ -349,12 +289,10 @@ def cmd_rules(args) -> int:
                 tag = "" if r.source == "hand" else f"   [{r.source}]"
                 print(f"   {r.name:<40} {r.lhs} -> {r.rhs}{tag}")
     print(f"total: {total} rules")
-    clock, registry = _report_tools(args)
+    session = CompilerSession.from_args(args)
     if args.verify:
         from .verify import batch_verify_rules
 
-        jobs, cache = _fabric_from_args(args)
-        eval_backend = _eval_backend_from_args(args)
         failures = 0
         checked = 0
         # Only lifting rules have full executable semantics on both
@@ -366,11 +304,13 @@ def cmd_rules(args) -> int:
             ("lifting-hand", "lifting (hand)", HAND_RULES),
             ("lifting-synth", "lifting (synthesized)", SYNTHESIZED_RULES),
         ]
-        with _phase(clock, "verify-rules"):
+        with session.phase("verify-rules"):
             verify_results = batch_verify_rules(
-                [b[0] for b in batches], jobs=jobs, cache=cache,
-                max_type_combos=6, max_const_samples=4, max_points=400,
-                eval_backend=eval_backend, metrics=registry,
+                [b[0] for b in batches], jobs=session.jobs,
+                cache=session.cache, max_type_combos=6,
+                max_const_samples=4, max_points=400,
+                eval_backend=session.eval_backend,
+                metrics=session.metrics,
             )
         results = iter(verify_results)
         for _label, display, rules in batches:
@@ -389,19 +329,17 @@ def cmd_rules(args) -> int:
         print(f"verification: {checked} rules checked, "
               + ("all OK" if not failures
                  else f"{failures} FAILED"))
-        _write_report(args, "rules", clock=clock, metrics=registry,
-                      cache=cache,
-                      extra={"rules_checked": checked,
-                             "verify_failures": failures})
+        session.write_report(args.report, "rules",
+                             extra={"rules_checked": checked,
+                                    "verify_failures": failures})
         return 1 if failures else 0
-    _write_report(args, "rules", clock=clock, metrics=registry,
-                  extra={"rules_total": total})
+    session.write_report(args.report, "rules",
+                         extra={"rules_total": total})
     return 0
 
 
 def cmd_coverage(args) -> int:
     from .evaluation.coverage import run_coverage
-    from .session import CompilerSession
 
     session = CompilerSession.from_args(args)
     jobs, cache = session.jobs, session.cache
@@ -472,15 +410,16 @@ def _lint_backend(args) -> int:
     """
     from .lint import apply_ratchet, lint_all_targets, run_machine_lint
 
-    clock, registry = _report_tools(args)
-    jobs, cache = _fabric_from_args(args)
+    session = CompilerSession.from_args(args)
     machine_report = None
     target_report = None
     diagnostics = []
     extra = {}
     if args.machine:
-        with _phase(clock, "machine-lint"):
-            machine_report = run_machine_lint(jobs=jobs, cache=cache)
+        with session.phase("machine-lint"):
+            machine_report = run_machine_lint(
+                jobs=session.jobs, cache=session.cache
+            )
         diagnostics.extend(machine_report.diagnostics)
         extra["machine_cells"] = len(machine_report.cells)
         extra["machine_cell_failures"] = len(machine_report.failures)
@@ -491,7 +430,7 @@ def _lint_backend(args) -> int:
             machine_report.emitted_mnemonics()
             if machine_report is not None else None
         )
-        with _phase(clock, "target-lint"):
+        with session.phase("target-lint"):
             target_report = lint_all_targets(emitted=emitted)
         diagnostics.extend(target_report.diagnostics)
         extra["isa_specs"] = sum(target_report.spec_counts.values())
@@ -515,8 +454,7 @@ def _lint_backend(args) -> int:
     warnings = [d for d in diagnostics if d.severity == "warning"]
     extra["lint_errors"] = len(errors)
     extra["lint_warnings"] = len(warnings)
-    _write_report(args, "lint", clock=clock, metrics=registry,
-                  cache=cache, extra=extra)
+    session.write_report(args.report, "lint", extra=extra)
 
     if machine_report is not None and machine_report.failures:
         # A cell that failed to compile was never linted; that must
@@ -541,23 +479,22 @@ def cmd_lint(args) -> int:
     if args.machine or args.targets:
         return _lint_backend(args)
 
-    clock, registry = _report_tools(args)
+    session = CompilerSession.from_args(args)
     fires = None
-    lint_cache = None
     if args.coverage:
         # Cross-check L105 shadowing claims against reality: a rule that
         # fires in the suite sweep is demonstrably not shadowed.
         from .evaluation.coverage import run_coverage
 
-        jobs, lint_cache = _fabric_from_args(args)
-        with _phase(clock, "coverage-sweep"):
+        with session.phase("coverage-sweep"):
             cov = run_coverage(
-                targets=_target_list("all"), jobs=jobs, cache=lint_cache
+                targets=_target_list("all"), jobs=session.jobs,
+                cache=session.cache,
             )
         fires = {r.name: r.fires for r in cov.rows}
-        if registry is not None:
-            registry.merge_snapshot(cov.metrics.to_dict())
-    with _phase(clock, "lint"):
+        if session.metrics is not None:
+            session.metrics.merge_snapshot(cov.metrics.to_dict())
+    with session.phase("lint"):
         report = lint_all_rulebases(coverage_fires=fires)
 
     if args.format == "json":
@@ -567,10 +504,9 @@ def cmd_lint(args) -> int:
     else:
         print(report.format_text())
 
-    _write_report(args, "lint", clock=clock, metrics=registry,
-                  cache=lint_cache,
-                  extra={"lint_errors": len(report.errors),
-                         "lint_warnings": len(report.warnings)})
+    session.write_report(args.report, "lint",
+                         extra={"lint_errors": len(report.errors),
+                                "lint_warnings": len(report.warnings)})
 
     if report.errors:
         return 1
@@ -603,18 +539,16 @@ def cmd_synthesize(args) -> int:
         print("valid workloads: " + ", ".join(WORKLOADS), file=sys.stderr)
         return 2
     wls = [by_name(n) for n in names]
-    jobs, cache = _fabric_from_args(args)
-    eval_backend = _eval_backend_from_args(args)
-    clock, registry = _report_tools(args)
-    with _phase(clock, "synthesize"):
+    session = CompilerSession.from_args(args)
+    with session.phase("synthesize"):
         run = synthesize_lifting_rules(
             workloads=wls,
             max_lhs_size=args.max_lhs_size,
             max_candidates=args.max_candidates,
-            jobs=jobs,
-            cache=cache,
-            eval_backend=eval_backend,
-            metrics=registry,
+            jobs=session.jobs,
+            cache=session.cache,
+            eval_backend=session.eval_backend,
+            metrics=session.metrics,
         )
     print(run.summary())
     for rule in run.rules:
@@ -625,11 +559,10 @@ def cmd_synthesize(args) -> int:
         with open(args.out, "w") as fh:
             fh.write(dump_rules(run.rules))
         print(f"wrote {len(run.rules)} rules to {args.out}")
-    _write_report(args, "synthesize", clock=clock, metrics=registry,
-                  cache=cache,
-                  extra={"corpus_size": run.corpus_size,
-                         "synthesized_pairs": len(run.pairs),
-                         "verified_rules": len(run.rules)})
+    session.write_report(args.report, "synthesize",
+                         extra={"corpus_size": run.corpus_size,
+                                "synthesized_pairs": len(run.pairs),
+                                "verified_rules": len(run.rules)})
     return 0
 
 
@@ -726,7 +659,6 @@ def cmd_serve(args) -> int:
     import asyncio
 
     from .serve import ServeDaemon
-    from .session import CompilerSession
 
     session = CompilerSession.from_args(args)
     daemon = ServeDaemon(
@@ -1000,10 +932,6 @@ def main(argv=None) -> int:
                         "print it)")
     p.add_argument("--unix", metavar="PATH",
                    help="serve on a unix socket instead of TCP")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker processes, forked after warm-up "
-                        "(default 1: run batches on the warm daemon "
-                        "state itself)")
     p.add_argument("--batch-window-ms", type=float, default=2.0,
                    metavar="MS", dest="batch_window_ms",
                    help="how long to wait for concurrent requests to "
@@ -1017,17 +945,11 @@ def main(argv=None) -> int:
                    help="also serve GET /metrics (Prometheus text "
                         "exposition) and /healthz on this HTTP port "
                         "(0: pick a free port)")
-    p.add_argument("--cache", action="store_true",
-                   help="persist request results in the content-"
-                        "addressed cache (shared with sweep runs)")
-    p.add_argument("--cache-dir", metavar="DIR",
-                   help="cache directory (implies --cache)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="force caching off")
     p.add_argument("--trace", metavar="FILE",
                    help="on shutdown, write a Chrome trace of every "
                         "batch (worker spans merged onto the daemon "
                         "timeline)")
+    _add_fabric_args(p)
     _add_report_arg(p)
     p.set_defaults(fn=cmd_serve)
 

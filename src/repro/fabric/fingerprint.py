@@ -149,10 +149,8 @@ def eval_backend_fingerprint(backend: Optional[str] = None) -> str:
     backends are property-tested lane-exact, but a backend bug would
     otherwise poison the cache for every backend at once, and numpy
     results additionally depend on the installed NumPy build.  ``None``
-    and ``"auto"`` resolve through
-    :func:`repro.interp.effective_backend` (so a host without numpy
-    keys as ``closure``), and any numpy-capable backend mixes in
-    ``numpy.__version__``.
+    resolves through :func:`repro.interp.effective_backend`, and any
+    numpy-capable backend mixes in ``numpy.__version__``.
     """
     from ..interp import effective_backend
 

@@ -87,25 +87,11 @@ def resolve_rule(label: str, rule_name: str):
 # ----------------------------------------------------------------------
 # coverage — one (workload, target) compile with rule telemetry
 # ----------------------------------------------------------------------
-def _strategy_param(rest) -> str:
-    """Params tuples grew a trailing lift-strategy member in PR 6;
-    older specs (and tests) omit it, meaning greedy."""
-    return rest[0] if rest else "greedy"
-
-
-def _backend_param(rest, index: int = 0) -> str:
-    """Params tuples grew a trailing eval-backend member in PR 8; older
-    specs (and tests) omit it, meaning the closure backend (the only
-    backend those specs could have run under)."""
-    return rest[index] if len(rest) > index else "closure"
-
-
 def _coverage_parts(spec: TaskSpec) -> Tuple[str, ...]:
     from ..workloads import by_name
 
     wl_name, target_name = spec.key
-    use_synthesized, *rest = spec.params
-    lift_strategy = _strategy_param(rest)
+    use_synthesized, lift_strategy = spec.params
     return (
         expr_fingerprint(by_name(wl_name).expr),
         target_name,
@@ -130,8 +116,7 @@ def _run_coverage_cell(spec: TaskSpec) -> dict:
     from ..workloads import by_name
 
     wl_name, target_name = spec.key
-    use_synthesized, *rest = spec.params
-    lift_strategy = _strategy_param(rest)
+    use_synthesized, lift_strategy = spec.params
     wl = by_name(wl_name)
     registry = MetricsRegistry()
     trace = _worker_trace(metrics=registry)
@@ -163,12 +148,12 @@ def _run_compile_cell(spec: TaskSpec) -> dict:
     from ..session import compile_cell
 
     wl_name, target_name = spec.key
-    use_synthesized, *rest = spec.params
+    use_synthesized, lift_strategy = spec.params
     return compile_cell(
         wl_name,
         target_name,
         use_synthesized=use_synthesized,
-        lift_strategy=_strategy_param(rest),
+        lift_strategy=lift_strategy,
     )
 
 
@@ -188,12 +173,12 @@ def _run_machinelint_cell(spec: TaskSpec) -> dict:
     from ..lint.machinelint import machine_cell
 
     wl_name, target_name = spec.key
-    use_synthesized, *rest = spec.params
+    use_synthesized, lift_strategy = spec.params
     return machine_cell(
         wl_name,
         target_name,
         use_synthesized=use_synthesized,
-        lift_strategy=_strategy_param(rest),
+        lift_strategy=lift_strategy,
     )
 
 
@@ -202,7 +187,7 @@ def _run_machinelint_cell(spec: TaskSpec) -> dict:
 # ----------------------------------------------------------------------
 def _verify_parts(spec: TaskSpec) -> Tuple[str, ...]:
     label, rule_name = spec.key
-    backend = _backend_param(spec.params[4:])
+    *_budget, backend = spec.params
     return (
         rule_fingerprint(resolve_rule(label, rule_name)),
         eval_backend_fingerprint(backend),
@@ -216,14 +201,16 @@ def _run_verify_rule(spec: TaskSpec) -> dict:
     from .. import verify as verify_mod
 
     label, rule_name = spec.key
-    seed, max_type_combos, max_const_samples, max_points, *rest = spec.params
+    seed, max_type_combos, max_const_samples, max_points, backend = (
+        spec.params
+    )
     report = verify_mod.verify_rule(
         resolve_rule(label, rule_name),
         seed=seed,
         max_type_combos=max_type_combos,
         max_const_samples=max_const_samples,
         max_points=max_points,
-        backend=_backend_param(rest),
+        backend=backend,
     )
     wo = worker_observation()
     if wo is not None:
@@ -258,12 +245,12 @@ def _run_compile_time_cell(spec: TaskSpec) -> dict:
     from ..workloads import by_name
 
     wl_name, target_name = spec.key
-    repeats, *rest = spec.params
+    repeats, lift_strategy = spec.params
     r = measure_one(
         by_name(wl_name),
         target_by_name(target_name),
         repeats=repeats,
-        lift_strategy=_strategy_param(rest),
+        lift_strategy=lift_strategy,
     )
     # The timed compiles themselves stay uninstrumented (observation
     # overhead is part of what Figure 6 measures); the *measurements*
@@ -291,8 +278,7 @@ def _runtime_parts(spec: TaskSpec) -> Tuple[str, ...]:
     from ..workloads import by_name
 
     wl_name, target_name = spec.key
-    with_rake, leave_one_out, *rest = spec.params
-    lift_strategy = _strategy_param(rest)
+    _with_rake, leave_one_out, lift_strategy, backend = spec.params
     wl = by_name(wl_name)
     exclude = (f"synth:{wl.name}",) if leave_one_out else ()
     return (
@@ -304,7 +290,7 @@ def _runtime_parts(spec: TaskSpec) -> Tuple[str, ...]:
             exclude_sources=exclude,
             lift_strategy=lift_strategy,
         ),
-        eval_backend_fingerprint(_backend_param(rest, 1)),
+        eval_backend_fingerprint(backend),
     )
 
 
@@ -315,14 +301,14 @@ def _run_runtime_cell(spec: TaskSpec) -> dict:
     from ..workloads import by_name
 
     wl_name, target_name = spec.key
-    with_rake, leave_one_out, *rest = spec.params
+    with_rake, leave_one_out, lift_strategy, backend = spec.params
     r = run_one(
         by_name(wl_name),
         target_by_name(target_name),
         with_rake=with_rake,
         leave_one_out=leave_one_out,
-        lift_strategy=_strategy_param(rest),
-        eval_backend=_backend_param(rest, 1),
+        lift_strategy=lift_strategy,
+        eval_backend=backend,
         trace=_worker_trace(),
     )
     return {
@@ -395,11 +381,11 @@ def corpus_for(workload_names: Tuple[str, ...], max_lhs_size: int):
 
 def _synth_parts(spec: TaskSpec) -> Tuple[str, ...]:
     (index,) = spec.key
-    workload_names, max_lhs_size, _max_rhs_size, *rest = spec.params
+    workload_names, max_lhs_size, _max_rhs_size, backend = spec.params
     entry = corpus_for(workload_names, max_lhs_size)[int(index)]
     return (
         expr_fingerprint(entry.expr),
-        eval_backend_fingerprint(_backend_param(rest)),
+        eval_backend_fingerprint(backend),
     )
 
 
@@ -417,10 +403,10 @@ def _run_synthesize_lift(spec: TaskSpec) -> dict:
     from ..trs.serialize import SerializationError, dump_expr
 
     (index,) = spec.key
-    workload_names, max_lhs_size, max_rhs_size, *rest = spec.params
+    workload_names, max_lhs_size, max_rhs_size, backend = spec.params
     entry = corpus_for(workload_names, max_lhs_size)[int(index)]
     result = synthesize_lift(
-        entry.expr, max_size=max_rhs_size, backend=_backend_param(rest)
+        entry.expr, max_size=max_rhs_size, backend=backend
     )
     wo = worker_observation()
     if wo is not None:

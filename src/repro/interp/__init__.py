@@ -9,8 +9,7 @@ Backends with identical exact-integer semantics:
 * :mod:`.compiled` — the closure backend: one Python closure per node,
   exact unbounded-int semantics at any width, always available;
 * :mod:`.array_backend` — the NumPy backend: one ndarray op per node
-  over int64/object lane blocks (import is gated on numpy being
-  installed; ``auto`` degrades to ``closure`` without it);
+  over int64/object lane blocks;
 * :func:`evaluate_reference` — the original recursive tree-walk,
   retained as the executable specification both compiled backends are
   property-tested against.
@@ -37,6 +36,5 @@ from .backend import (  # noqa: F401
     effective_backend,
     get_default_backend,
     maybe_prepare_env,
-    numpy_available,
     set_default_backend,
 )

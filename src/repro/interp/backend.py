@@ -6,13 +6,12 @@ Two compiled backends share the flat register-program model:
   per distinct hash-consed node, exact unbounded-int semantics at every
   width.  Always available; the differential reference.
 * ``numpy`` — :mod:`repro.interp.array_backend`: one ndarray op per node
-  over int64/object lane blocks.  Requires NumPy; lane-exact with the
-  closure backend (property-tested), dramatically faster once a call
-  carries more than a handful of lanes.
+  over int64/object lane blocks.  Lane-exact with the closure backend
+  (property-tested), dramatically faster once a call carries more than
+  a handful of lanes.
 * ``auto`` — compile both lazily and dispatch per call on the lane
   count: the ndarray program's fixed per-op overhead (~µs) loses to
   closures below :data:`AUTO_LANES_THRESHOLD` lanes and wins above it.
-  When NumPy is missing, ``auto`` degrades to ``closure``.
 
 The process-wide default is ``auto`` and can be overridden with the
 ``REPRO_EVAL_BACKEND`` environment variable, :func:`set_default_backend`
@@ -31,7 +30,6 @@ from .evaluator import Value
 __all__ = [
     "BACKENDS",
     "AUTO_LANES_THRESHOLD",
-    "numpy_available",
     "get_default_backend",
     "set_default_backend",
     "effective_backend",
@@ -45,22 +43,6 @@ BACKENDS = ("closure", "numpy", "auto")
 #: this lane count.  Calibrated against ``benchmarks/bench_interp.py``:
 #: below ~64 lanes the ndarray program's constant per-op cost dominates.
 AUTO_LANES_THRESHOLD = 64
-
-_NUMPY_AVAILABLE: Optional[bool] = None
-
-
-def numpy_available() -> bool:
-    """True when the numpy backend can be imported in this process."""
-    global _NUMPY_AVAILABLE
-    if _NUMPY_AVAILABLE is None:
-        try:
-            import numpy  # noqa: F401
-
-            _NUMPY_AVAILABLE = True
-        except ImportError:  # pragma: no cover - image always has numpy
-            _NUMPY_AVAILABLE = False
-    return _NUMPY_AVAILABLE
-
 
 def _validate(name: str) -> str:
     if name not in BACKENDS:
@@ -86,17 +68,13 @@ def set_default_backend(name: str) -> str:
 
 
 def effective_backend(backend: Optional[str] = None) -> str:
-    """Resolve ``backend`` (or the default) to what will actually run.
+    """Resolve ``backend`` (or the default) to the name that will run.
 
-    ``None`` means "use the process default".  ``auto``/``numpy`` degrade
-    to ``closure`` when NumPy is missing, so the returned name is always
-    executable; ``auto`` stays ``auto`` (it is a real dispatch policy,
-    not an alias) and is what cache fingerprints record.
+    ``None`` means "use the process default".  ``auto`` stays ``auto``
+    (it is a real dispatch policy, not an alias) and is what cache
+    fingerprints record.
     """
-    name = _validate(backend) if backend is not None else _DEFAULT_BACKEND
-    if name in ("numpy", "auto") and not numpy_available():
-        return "closure"
-    return name
+    return _validate(backend) if backend is not None else _DEFAULT_BACKEND
 
 
 class _AutoCompiled:

@@ -21,10 +21,12 @@ cache stats; ``python -m repro report diff A B`` compares two of them
 and exits non-zero on regression.
 
 The contract is *opt-in, near-zero overhead when off*: the hot paths
-(:mod:`repro.trs.rewriter`, :mod:`repro.passes.manager`) take an optional
+(:mod:`repro.trs.rewriter`, the lowerer) take an optional
 ``Observation`` and select instrumented code paths only when one is
 present; the default (``None``) path is byte-identical to the
-uninstrumented pipeline.
+uninstrumented pipeline.  :mod:`repro.passes.manager` times every pass
+by its span either way — on the observation's tracer, or on a private
+one when there is none to record into.
 """
 
 from .metrics import (
@@ -38,7 +40,6 @@ from .metrics import (
 from .observation import Observation
 from .provenance import Provenance, ProvenanceEntry
 from .report import (
-    PhaseClock,
     RunReport,
     diff_reports,
     format_diff,
@@ -54,7 +55,6 @@ __all__ = [
     "MetricsRegistry",
     "NullTracer",
     "Observation",
-    "PhaseClock",
     "Provenance",
     "ProvenanceEntry",
     "QUANTILE_RELATIVE_ERROR",

@@ -188,29 +188,16 @@ class Histogram:
         """Arithmetic mean of the observed samples (0.0 when empty)."""
         return self.total / self.count if self.count else 0.0
 
-    def _sketched(self) -> int:
-        """How many samples the bucket maps cover (< count after merging
-        a legacy summary-only snapshot)."""
-        return (
-            sum(self.buckets.values())
-            + sum(self.neg_buckets.values())
-            + self.zeros
-        )
-
     def quantile(self, q: float) -> Optional[float]:
         """Estimate the ``q``-quantile (``0 <= q <= 1``) of the stream.
 
         Walks the sketch in value order (negative buckets descending,
         zeros, positive buckets ascending) to the sample of rank
-        ``q * (n - 1)`` and returns that bucket's mid-point
+        ``q * (count - 1)`` and returns that bucket's mid-point
         representative, clamped to the observed ``[min, max]`` — so the
         estimate is within :data:`QUANTILE_RELATIVE_ERROR` of the true
         quantile.  ``q = 0`` / ``q = 1`` return the exact observed
-        ``min`` / ``max``.  Returns ``None`` for an empty histogram.  After
-        merging a *legacy* snapshot (no bucket data) the sketch may
-        cover only part of ``count``; the walk then degrades gracefully
-        to the covered sub-stream (and to ``mean`` if nothing at all is
-        sketched).
+        ``min`` / ``max``.  Returns ``None`` for an empty histogram.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile fraction out of range: {q}")
@@ -220,10 +207,7 @@ class Histogram:
             return self.min
         if q == 1.0:
             return self.max
-        n = self._sketched()
-        if not n:  # summary-only legacy data: best remaining estimate
-            return self._clamp(self.mean)
-        rank = q * (n - 1)
+        rank = q * (self.count - 1)
         cum = 0
         for i in sorted(self.neg_buckets, reverse=True):
             cum += self.neg_buckets[i]
@@ -378,10 +362,7 @@ class MetricsRegistry:
         sample stream.  This is how the execution fabric aggregates
         per-worker registries back into one sweep-wide registry (workers
         can't share the parent's instruments, so they ship snapshots
-        instead).  Legacy snapshots without bucket data still merge
-        their summary stats; the affected histogram's quantiles then
-        cover only the sketched sub-stream (see
-        :meth:`Histogram.quantile`).
+        instead).
         """
         for c in snapshot.get("counters", ()):
             self.counter(c["name"], **c["labels"]).inc(c["value"])
@@ -398,13 +379,13 @@ class MetricsRegistry:
                 inst.min = h["min"]
             if inst.max is None or h["max"] > inst.max:
                 inst.max = h["max"]
-            for i, n in h.get("buckets", {}).items():
+            for i, n in h["buckets"].items():
                 i = int(i)
                 inst.buckets[i] = inst.buckets.get(i, 0) + n
-            for i, n in h.get("neg_buckets", {}).items():
+            for i, n in h["neg_buckets"].items():
                 i = int(i)
                 inst.neg_buckets[i] = inst.neg_buckets.get(i, 0) + n
-            inst.zeros += h.get("zeros", 0)
+            inst.zeros += h["zeros"]
 
     def to_prometheus(self, prefix: str = "repro_") -> str:
         """Render every instrument in the Prometheus text exposition.

@@ -6,7 +6,8 @@ captures *what ran and how fast* —
 
 * environment + rulebase fingerprints (so two reports are comparable
   only when they measured the same thing),
-* per-phase wall clock (:class:`PhaseClock`),
+* per-phase wall clock (the root spans of a phase
+  :class:`~repro.observe.tracer.Tracer`),
 * the full :class:`~repro.observe.metrics.MetricsRegistry` snapshot,
 * a span summary with the critical path (:func:`span_summary`),
 * result-cache hit/miss/store counts.
@@ -44,13 +45,11 @@ import json
 import platform
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
     "DiffEntry",
-    "PhaseClock",
     "RunReport",
     "SCHEMA_VERSION",
     "diff_reports",
@@ -74,19 +73,15 @@ _HIGHER_MARKERS = ("speedup", "hit", "coverage", "verified")
 
 def environment_info() -> Dict[str, Any]:
     """The environment facts that make two reports comparable (or not)."""
-    try:
-        import numpy
+    import numpy
 
-        numpy_version: Optional[str] = numpy.__version__
-    except ImportError:
-        numpy_version = None
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
         "machine": platform.machine(),
         "executable": sys.executable,
-        "numpy": numpy_version,
+        "numpy": numpy.__version__,
     }
 
 
@@ -106,39 +101,6 @@ def fingerprint_info() -> Dict[str, Any]:
     for name in sorted(ALL_TARGETS):
         rulebase[name] = pipeline_rules_fingerprint(name)
     return {"repro_version": repro_version(), "rulebase": rulebase}
-
-
-class PhaseClock:
-    """A stopwatch that accumulates named wall-clock phases.
-
-    Usage::
-
-        clock = PhaseClock()
-        with clock.phase("compile"):
-            ...
-        with clock.phase("verify"):
-            ...
-        report.phases = clock.phases
-    """
-
-    def __init__(self) -> None:
-        #: completed phases, in execution order
-        self.phases: List[Dict[str, Any]] = []
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Time the ``with`` block and record it under ``name``."""
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.phases.append(
-                {"name": name, "seconds": time.perf_counter() - t0}
-            )
-
-    def total_seconds(self) -> float:
-        """Sum of all recorded phase durations."""
-        return sum(p["seconds"] for p in self.phases)
 
 
 def span_summary(tracer) -> Dict[str, Any]:
@@ -245,7 +207,7 @@ class RunReport:
         cls,
         command: str,
         argv: Optional[List[str]] = None,
-        clock: Optional[PhaseClock] = None,
+        phases=None,
         metrics=None,
         tracer=None,
         cache=None,
@@ -253,10 +215,13 @@ class RunReport:
     ) -> "RunReport":
         """Assemble a report from the run's live observability objects.
 
-        ``metrics`` is a :class:`~repro.observe.MetricsRegistry` (or
-        ``None``), ``tracer`` a :class:`~repro.observe.Tracer`, ``cache``
-        a :class:`~repro.fabric.ResultCache`; all are optional — absent
-        legs produce empty sections, never errors.
+        ``phases`` is the run's phase :class:`~repro.observe.Tracer`:
+        each closed root span becomes one ``{"name", "seconds"}`` entry.
+        ``metrics`` is a :class:`~repro.observe.MetricsRegistry`,
+        ``tracer`` the :class:`~repro.observe.Tracer` the span summary
+        is built from, ``cache`` a :class:`~repro.fabric.ResultCache`;
+        all are optional — absent legs produce empty sections, never
+        errors.
         """
         cache_stats: Dict[str, Any] = {}
         if cache is not None:
@@ -271,7 +236,11 @@ class RunReport:
             created_unix=time.time(),
             env=environment_info(),
             fingerprints=fingerprint_info(),
-            phases=list(clock.phases) if clock is not None else [],
+            phases=[
+                {"name": sp.name, "seconds": sp.duration_us / 1e6}
+                for sp in (phases.spans if phases is not None else ())
+                if sp.depth == 0 and sp.closed
+            ],
             metrics=metrics.to_dict() if metrics is not None else {},
             spans=span_summary(tracer),
             cache=cache_stats,

@@ -4,9 +4,9 @@ PITCHFORK's online path is a short, fixed sequence — canonicalize, lift,
 lower, downstream backend passes — that used to be hard-wired into
 ``pipeline.py``.  This module turns it into data: a :class:`PassManager`
 runs an ordered list of :class:`Pass` objects over an expression, timing
-each one and recording rewrite counts and node counts into a
-:class:`CompileStats`, which the compiled program carries and the CLI and
-benchmarks can print.
+each one by its tracer span and recording rewrite counts and node counts
+into a :class:`CompileStats`, which the compiled program carries and the
+CLI and benchmarks can print.
 
 The manager is deliberately generic: a pass is anything with a ``name``
 and a ``run(expr, ctx)`` method returning the transformed expression.
@@ -16,9 +16,10 @@ the lifted FPIR form) travels in a :class:`PassContext`.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+from ..observe.tracer import Tracer
 
 __all__ = [
     "Pass",
@@ -79,9 +80,9 @@ class PassContext:
     extras: Dict[str, Any] = field(default_factory=dict)
     #: running rewrite-application counter, incremented by passes
     rewrites: int = 0
-    #: optional :class:`~repro.observe.Observation`; when set, the manager
-    #: opens a tracer span per pass and passes thread rule telemetry and
-    #: provenance into it (None = the zero-overhead default)
+    #: optional :class:`~repro.observe.Observation`; when set, passes
+    #: thread rule telemetry and provenance into it and the manager's
+    #: spans go on its tracer (None = the uninstrumented default)
     observe: Optional[Any] = None
 
 
@@ -212,50 +213,57 @@ class PassManager:
     ) -> Tuple[Any, CompileStats]:
         """Run every pass in order; returns (result, stats).
 
-        When ``ctx.observe`` carries an
-        :class:`~repro.observe.Observation`, each pass additionally runs
-        inside a tracer span (named ``pass:<name>``) whose args record
-        the same numbers as its :class:`PassStats` row, and per-pass wall
-        time is folded into the observation's metrics.
+        The run is one ``compile`` span and every pass one nested
+        ``pass:<name>`` span whose args record its node counts and
+        rewrites.  Those spans are the only clock: each
+        :class:`PassStats` time and :attr:`CompileStats.total_seconds`
+        are read off them.  They go on ``ctx.observe``'s tracer when it
+        records (and the per-pass times also feed its ``pass_seconds``
+        histogram); otherwise on a private :class:`Tracer` that lives
+        for this run only.
         """
         ctx = ctx if ctx is not None else PassContext()
         obs = ctx.observe
+        tracer = (
+            obs.tracer if obs is not None and obs.tracer.enabled
+            else Tracer()
+        )
         verify = self.verify_each
-        if verify:
-            # A pre-broken input is the caller's bug, not the first
-            # pass's; check it separately so blame lands correctly.
-            self._check(expr, "<input>")
-        stats: List[PassStats] = []
-        t_start = time.perf_counter()
-        for p in self.passes:
-            nodes_in = expr.size
-            rewrites_before = ctx.rewrites
-            if obs is None:
-                t0 = time.perf_counter()
-                expr = p.run(expr, ctx)
-                seconds = time.perf_counter() - t0
-            else:
-                with obs.tracer.span(
+        stats = CompileStats()
+        with tracer.span(
+            "compile", target=getattr(ctx.target, "name", None),
+            nodes=expr.size,
+        ) as root:
+            if verify:
+                # A pre-broken input is the caller's bug, not the first
+                # pass's; check it separately so blame lands correctly.
+                self._check(expr, "<input>")
+            for p in self.passes:
+                nodes_in = expr.size
+                rewrites_before = ctx.rewrites
+                with tracer.span(
                     f"pass:{p.name}", nodes_in=nodes_in
                 ) as span:
-                    t0 = time.perf_counter()
                     expr = p.run(expr, ctx)
-                    seconds = time.perf_counter() - t0
                     span.args["nodes_out"] = expr.size
                     span.args["rewrites"] = ctx.rewrites - rewrites_before
-                obs.metrics.histogram(
-                    "pass_seconds", stage=p.name
-                ).observe(seconds)
-            if verify:
-                self._check(expr, p.name)
-            stats.append(
-                PassStats(
-                    name=p.name,
-                    seconds=seconds,
-                    rewrites=ctx.rewrites - rewrites_before,
-                    nodes_in=nodes_in,
-                    nodes_out=expr.size,
+                seconds = span.duration_us / 1e6
+                if obs is not None:
+                    obs.metrics.histogram(
+                        "pass_seconds", stage=p.name
+                    ).observe(seconds)
+                if verify:
+                    self._check(expr, p.name)
+                stats.passes.append(
+                    PassStats(
+                        name=p.name,
+                        seconds=seconds,
+                        rewrites=span.args["rewrites"],
+                        nodes_in=nodes_in,
+                        nodes_out=span.args["nodes_out"],
+                    )
                 )
-            )
-        total = time.perf_counter() - t_start
-        return expr, CompileStats(passes=stats, total_seconds=total)
+        stats.total_seconds = root.duration_us / 1e6
+        # Fold the per-pass breakdown into the root span.
+        root.args["stats"] = stats.to_dict()
+        return expr, stats

@@ -198,24 +198,17 @@ class PitchforkCompiler:
         """Run the pass pipeline on ``expr``.
 
         ``trace`` opts into observability: pass an
-        :class:`~repro.observe.Observation` and the compile runs inside a
-        root tracer span, every pass in a nested span, every rule firing
-        is counted, and instruction provenance is recorded (see
+        :class:`~repro.observe.Observation` and the compile's root span
+        and per-pass spans land on its tracer, every rule firing is
+        counted, and instruction provenance is recorded (see
         :meth:`CompiledProgram.explain`).  ``None`` (default) keeps the
-        pipeline on its uninstrumented, zero-overhead path.
+        rewriters on their uninstrumented paths; the spans that time the
+        passes then go on a private tracer.
         """
         ctx = PassContext(
             target=self.target, var_bounds=var_bounds, observe=trace
         )
-        if trace is None:
-            lowered, stats = self.passes.run(expr, ctx)
-        else:
-            with trace.tracer.span(
-                "compile", target=self.target.name, nodes=expr.size
-            ) as span:
-                lowered, stats = self.passes.run(expr, ctx)
-            # Fold the per-pass breakdown into the trace's root span.
-            span.args["stats"] = stats.to_dict()
+        lowered, stats = self.passes.run(expr, ctx)
         return CompiledProgram(
             source=expr,
             lifted=ctx.extras.get("lifted"),

@@ -72,6 +72,9 @@ __all__ = ["ServeDaemon"]
 #: queue sentinel that tells the dispatch loop to drain and exit
 _STOP = object()
 
+#: longest request line (bytes) a connection's stream reader accepts
+LINE_LIMIT = 2 ** 16
+
 
 @dataclass
 class _PendingRequest:
@@ -97,20 +100,15 @@ class ServeDaemon:
         trace_path: Optional[str] = None,
         warm_targets: Optional[List[str]] = None,
     ):
-        from ..observe import MetricsRegistry, PhaseClock
+        from ..observe import MetricsRegistry, Tracer
 
         self.session = session if session is not None else CompilerSession()
         if self.session.metrics is None:
             self.session.metrics = MetricsRegistry()
-        if self.session.clock is None:
-            self.session.clock = PhaseClock()
+        if report_path and self.session.phase_tracer is None:
+            self.session.phase_tracer = Tracer()
         self.metrics = self.session.metrics
-        self.clock = self.session.clock
-        self.tracer = None
-        if trace_path:
-            from ..observe import Tracer
-
-            self.tracer = Tracer()
+        self.tracer = Tracer() if trace_path else None
         self.batch_window_s = batch_window_s
         self.max_batch = max(1, max_batch)
         self.report_path = report_path
@@ -130,7 +128,8 @@ class ServeDaemon:
         self._writers: set = set()
         self._draining = False
         self._stopped = asyncio.Event()
-        self._serve_phase = None
+        #: holds the ``serve`` report phase open until shutdown
+        self._serving = contextlib.ExitStack()
         self.requests_served = 0
         self.batches_run = 0
         #: (host, port) after start(); None for unix sockets
@@ -152,18 +151,18 @@ class ServeDaemon:
         ``metrics_port=0``) bind an ephemeral port; read the chosen one
         from :attr:`address` / :attr:`metrics_address`.
         """
-        with self.clock.phase("warm-up"):
+        with self.session.phase("warm-up"):
             summary = self.session.warm_up(targets=self.warm_targets)
             # Fork workers only now, so they inherit the warm indexes.
             self.session.ensure_pool()
         if unix is not None:
             self._server = await asyncio.start_unix_server(
-                self._on_connection, path=unix
+                self._on_connection, path=unix, limit=LINE_LIMIT
             )
             self.unix_path = unix
         else:
             self._server = await asyncio.start_server(
-                self._on_connection, host, port
+                self._on_connection, host, port, limit=LINE_LIMIT
             )
             self.address = self._server.sockets[0].getsockname()[:2]
         if metrics_port is not None:
@@ -174,8 +173,7 @@ class ServeDaemon:
                 self._metrics_server.sockets[0].getsockname()[:2]
             )
         self._dispatcher = asyncio.create_task(self._dispatch_loop())
-        self._serve_phase = self.clock.phase("serve")
-        self._serve_phase.__enter__()
+        self._serving.enter_context(self.session.phase("serve"))
         return summary
 
     async def run(
@@ -265,8 +263,7 @@ class ServeDaemon:
         # 5. release the pool + pump, finalize observability artifacts
         self.session.close()
         self._pump.shutdown(wait=True)
-        if self._serve_phase is not None:
-            self._serve_phase.__exit__(None, None, None)
+        self._serving.close()
         if self.trace_path and self.tracer is not None:
             self.tracer.write_chrome_trace(self.trace_path)
             print(f"wrote Chrome trace to {self.trace_path}", flush=True)
@@ -297,6 +294,18 @@ class ServeDaemon:
             while True:
                 try:
                     line = await reader.readline()
+                except ValueError:
+                    # Past LINE_LIMIT the rest of the line is still
+                    # unread, so the stream cannot be resynchronised:
+                    # answer once, then close this connection.
+                    self._account("<malformed>", "bad-request",
+                                  time.monotonic())
+                    await self._write(writer, write_lock, error_reply(
+                        None, "bad-request",
+                        f"request line exceeds the {LINE_LIMIT}-byte "
+                        f"limit; closing the connection",
+                    ))
+                    break
                 except (ConnectionResetError, OSError):
                     break
                 if not line:

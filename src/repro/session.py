@@ -1,18 +1,15 @@
 """Reusable warm compiler session shared by the CLI and the daemon.
 
-Every ``python -m repro`` command used to assemble the same run context
-by hand — fabric knobs (``--jobs``/``--cache``), the eval backend, the
-optional report clock + metrics registry — and every fresh process paid
-the same cold start: imports, rule-registry loads, discrimination-tree
-index builds.  A :class:`CompilerSession` bundles both:
+A :class:`CompilerSession` bundles what every ``python -m repro``
+command needs and what a fresh process otherwise pays for cold:
 
 * **run context** — ``jobs``, an optional
   :class:`~repro.fabric.ResultCache`, an optional
-  :class:`~repro.observe.MetricsRegistry`/:class:`~repro.observe.PhaseClock`
-  pair (present exactly when a ``--report`` artifact was requested), an
-  optional :class:`~repro.observe.Tracer`, and the process-default eval
+  :class:`~repro.observe.MetricsRegistry` and phase
+  :class:`~repro.observe.Tracer` (both present exactly when a
+  ``--report`` artifact was requested), and the process-default eval
   backend.  :meth:`CompilerSession.from_args` builds it once from the
-  shared CLI options, replacing the per-command re-derivation.
+  shared CLI options for every command.
 * **warm state** — :meth:`warm_up` pre-builds the compiler for each
   requested target (rule engines + discrimination-tree indexes, cached
   process-wide by :func:`repro.pipeline.pitchfork_compile`) and runs one
@@ -103,15 +100,14 @@ class CompilerSession:
         jobs: int = 1,
         cache=None,
         metrics=None,
-        tracer=None,
-        clock=None,
+        phase_tracer=None,
         eval_backend: Optional[str] = None,
     ):
         self.jobs = jobs
         self.cache = cache
         self.metrics = metrics
-        self.tracer = tracer
-        self.clock = clock
+        #: root spans are the report's phases; never handed to run_tasks
+        self.phase_tracer = phase_tracer
         self.eval_backend = eval_backend
         self._pool = None
         self._warmed = False
@@ -121,13 +117,13 @@ class CompilerSession:
     def from_args(cls, args) -> "CompilerSession":
         """Build the session from the shared CLI options.
 
-        Handles the three historical helper trios in one place: fabric
-        options (``--jobs``/``--cache``/``--cache-dir``/``--no-cache``),
-        the eval backend (``--eval-backend``, applied process-wide so
-        incidental ``evaluate()`` calls see it too), and the report
-        tools (clock + registry exist exactly when ``--report`` was
-        given — the disabled-path-pays-nothing contract).  Options a
-        command does not define simply default.
+        Covers the fabric options (``--jobs``/``--cache``/
+        ``--cache-dir``/``--no-cache``), the eval backend
+        (``--eval-backend``, applied process-wide so incidental
+        ``evaluate()`` calls see it too), and the report tools (phase
+        tracer + registry exist exactly when ``--report`` was given —
+        the disabled-path-pays-nothing contract).  Options a command
+        does not define simply default.
         """
         cache = None
         if (
@@ -142,16 +138,16 @@ class CompilerSession:
             from .interp import set_default_backend
 
             set_default_backend(backend)
-        clock = metrics = None
+        phase_tracer = metrics = None
         if getattr(args, "report", None):
-            from .observe import MetricsRegistry, PhaseClock
+            from .observe import MetricsRegistry, Tracer
 
-            clock, metrics = PhaseClock(), MetricsRegistry()
+            phase_tracer, metrics = Tracer(), MetricsRegistry()
         return cls(
             jobs=getattr(args, "jobs", 1),
             cache=cache,
             metrics=metrics,
-            clock=clock,
+            phase_tracer=phase_tracer,
             eval_backend=backend,
         )
 
@@ -259,15 +255,17 @@ class CompilerSession:
             jobs=self.jobs,
             cache=self.cache,
             metrics=self.metrics,
-            tracer=tracer if tracer is not None else self.tracer,
+            tracer=tracer,
             pool=self.ensure_pool(),
         )
 
     # -- observability -------------------------------------------------
     def phase(self, name: str):
-        """A timed report phase when a clock exists, else a free no-op."""
+        """A report phase — one root span on the phase tracer — when a
+        report was requested, else a free no-op."""
         return (
-            self.clock.phase(name) if self.clock is not None
+            self.phase_tracer.span(name)
+            if self.phase_tracer is not None
             else nullcontext()
         )
 
@@ -280,9 +278,9 @@ class CompilerSession:
 
         RunReport.collect(
             command,
-            clock=self.clock,
+            phases=self.phase_tracer,
             metrics=self.metrics,
-            tracer=tracer if tracer is not None else self.tracer,
+            tracer=tracer,
             cache=self.cache,
             extra=extra,
         ).write(path)

@@ -157,22 +157,6 @@ class TestInvalidation:
         assert run_tasks([greedy], cache=cache)[0].cached
         assert run_tasks([egraph], cache=cache)[0].cached
 
-    def test_legacy_params_tuple_means_greedy(self):
-        # Pre-PR-6 specs omit the strategy member; they must still run
-        # and produce exactly the explicit-greedy result.  (Their cache
-        # keys differ — the key embeds the raw params tuple — so this is
-        # a behavioural guarantee, not key aliasing.)
-        legacy = run_tasks(
-            [TaskSpec("coverage", ("add", "arm-neon"), (True,))]
-        )[0]
-        explicit = run_tasks(
-            [TaskSpec("coverage", ("add", "arm-neon"), (True, "greedy"))]
-        )[0]
-        assert legacy.ok and explicit.ok
-        # Counters (rule fires, index hits) are deterministic; the
-        # pass_seconds histograms are wall clock, so compare counters.
-        assert legacy.value["counters"] == explicit.value["counters"]
-
     def test_eval_backend_is_a_semantic_input(self):
         # Closure and numpy evaluation are proven lane-exact, but the
         # numpy tier's arithmetic is pinned to the installed numpy, so
@@ -209,21 +193,6 @@ class TestInvalidation:
         assert run_tasks([npy], cache=cache)[0].cached
         # Lane-exactness: both backends reach the same verdict.
         assert first.value == second.value
-
-    def test_legacy_verify_params_mean_closure(self):
-        # Pre-PR-8 specs omit the backend member; they must still run
-        # and produce exactly the explicit-closure verdict.
-        budget = (0, 2, 2, 50)
-        legacy = run_tasks(
-            [TaskSpec("verify-rule", ("lifting-hand", "lift-widening-add"),
-                      budget)]
-        )[0]
-        explicit = run_tasks(
-            [TaskSpec("verify-rule", ("lifting-hand", "lift-widening-add"),
-                      budget + ("closure",))]
-        )[0]
-        assert legacy.ok and explicit.ok
-        assert legacy.value == explicit.value
 
     def test_expr_fingerprint_distinguishes_types(self):
         assert expr_fingerprint(h.var("x", I16)) != expr_fingerprint(
@@ -330,7 +299,7 @@ class TestConcurrentAccess:
 class TestSchedulerIntegration:
     def test_cacheable_task_round_trip(self, tmp_path):
         cache = ResultCache(root=str(tmp_path))
-        spec = TaskSpec("coverage", ("add", "arm-neon"), (True,))
+        spec = TaskSpec("coverage", ("add", "arm-neon"), (True, "greedy"))
         first = run_tasks([spec], cache=cache)[0]
         assert first.ok and not first.cached and cache.stores == 1
         second = run_tasks([spec], cache=cache)[0]
@@ -342,7 +311,7 @@ class TestSchedulerIntegration:
         # interpreter: content addressing must line up bit-for-bit.
         cache = ResultCache(root=str(tmp_path))
         seeded = run_tasks(
-            [TaskSpec("coverage", ("add", "arm-neon"), (True,))],
+            [TaskSpec("coverage", ("add", "arm-neon"), (True, "greedy"))],
             cache=cache,
         )[0]
         assert not seeded.cached
@@ -350,7 +319,7 @@ class TestSchedulerIntegration:
             "from repro.fabric import ResultCache, TaskSpec, run_tasks;"
             f"c = ResultCache(root={str(tmp_path)!r});"
             "r = run_tasks([TaskSpec('coverage', ('add', 'arm-neon'),"
-            " (True,))], cache=c)[0];"
+            " (True, 'greedy'))], cache=c)[0];"
             "print('cached' if r.cached else 'recomputed')"
         )
         out = subprocess.run(
@@ -364,7 +333,7 @@ class TestSchedulerIntegration:
 
     def test_corrupt_entry_is_a_miss_not_a_crash(self, tmp_path):
         cache = ResultCache(root=str(tmp_path))
-        spec = TaskSpec("coverage", ("add", "arm-neon"), (True,))
+        spec = TaskSpec("coverage", ("add", "arm-neon"), (True, "greedy"))
         baseline = run_tasks([spec], cache=cache)[0]
         (entry,) = _entry_files(tmp_path)
         with open(entry, "w") as fh:
@@ -375,7 +344,7 @@ class TestSchedulerIntegration:
 
     def test_mismatched_entry_key_is_a_miss(self, tmp_path):
         cache = ResultCache(root=str(tmp_path))
-        spec = TaskSpec("coverage", ("add", "arm-neon"), (True,))
+        spec = TaskSpec("coverage", ("add", "arm-neon"), (True, "greedy"))
         run_tasks([spec], cache=cache)
         (entry,) = _entry_files(tmp_path)
         payload = json.load(open(entry))
@@ -387,7 +356,7 @@ class TestSchedulerIntegration:
 
     def test_noncacheable_kind_never_touches_the_cache(self, tmp_path):
         cache = ResultCache(root=str(tmp_path))
-        spec = TaskSpec("compile-time", ("add", "arm-neon"), (1,))
+        spec = TaskSpec("compile-time", ("add", "arm-neon"), (1, "greedy"))
         run_tasks([spec], cache=cache)
         assert cache.stores == 0 and cache.misses == 0
         assert _entry_files(tmp_path) == []

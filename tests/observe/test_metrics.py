@@ -180,30 +180,6 @@ class TestMergeSnapshot:
         assert ha.neg_buckets == hb.neg_buckets
         assert ha.zeros == hb.zeros
 
-    def test_legacy_snapshot_without_buckets_still_merges(self):
-        """Pre-sketch snapshots (summary stats only) must not crash and
-        must keep exact count/total/min/max."""
-        a = MetricsRegistry()
-        legacy = {
-            "counters": [],
-            "histograms": [
-                {
-                    "name": "h",
-                    "labels": {},
-                    "count": 3,
-                    "total": 6.0,
-                    "min": 1.0,
-                    "max": 3.0,
-                    "mean": 2.0,
-                }
-            ],
-        }
-        a.merge_snapshot(legacy)
-        h = a.histogram("h")
-        assert h.count == 3 and h.total == 6.0
-        # Quantiles degrade to the clamped mean, never crash.
-        assert h.quantile(0.5) == 2.0
-
     def test_label_value_str_coercion_collision(self):
         """``labels={"n": 1}`` and ``{"n": "1"}`` are the SAME instrument
         — documented behaviour so snapshots survive JSON transport."""

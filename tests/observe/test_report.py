@@ -7,7 +7,6 @@ import pytest
 
 from repro.observe import (
     MetricsRegistry,
-    PhaseClock,
     RunReport,
     Tracer,
     diff_reports,
@@ -20,10 +19,10 @@ from repro.observe.report import SCHEMA_VERSION, environment_info
 
 def _sample_report(tmp_path, name="r.json"):
     """Build, write and re-load a small but fully populated report."""
-    clock = PhaseClock()
-    with clock.phase("compile"):
+    phases = Tracer()
+    with phases.span("compile"):
         pass
-    with clock.phase("verify"):
+    with phases.span("verify"):
         pass
     reg = MetricsRegistry()
     reg.counter("rule_fired", rule="a").inc(3)
@@ -35,7 +34,7 @@ def _sample_report(tmp_path, name="r.json"):
     rep = RunReport.collect(
         "coverage",
         argv=["coverage", "--jobs", "4"],
-        clock=clock,
+        phases=phases,
         metrics=reg,
         tracer=tr,
         extra={"dead_rules": 2},

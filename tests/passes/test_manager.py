@@ -156,3 +156,46 @@ class TestCompileStatsOnPrograms:
         ]
         assert prog.stats["lift"].rewrites > 0
         assert prog.compile_seconds == prog.stats.total_seconds
+
+    def test_traced_stats_are_read_off_the_spans(self):
+        # One clock: every per-pass time and the compile total are the
+        # durations of the spans the trace records, not a second timer.
+        from repro.observe import Observation
+        from repro.pipeline import pitchfork_compile
+        from repro.targets import ARM
+        from repro.workloads import by_name
+
+        wl = by_name("sobel3x3")
+        obs = Observation()
+        prog = pitchfork_compile(
+            wl.expr, ARM, var_bounds=wl.var_bounds, trace=obs
+        )
+        spans = {sp.name: sp for sp in obs.tracer.spans}
+        for p in prog.stats.passes:
+            assert p.seconds == spans[f"pass:{p.name}"].duration_us / 1e6
+            hist = obs.metrics.histogram("pass_seconds", stage=p.name)
+            assert hist.total == p.seconds
+        assert prog.compile_seconds == spans["compile"].duration_us / 1e6
+        assert prog.stats.total_seconds == prog.compile_seconds
+
+    def test_quiet_compile_times_on_a_private_tracer(self):
+        # A NullTracer records nothing, yet the stats are still timed
+        # (by spans on a private tracer) and feed the histogram.
+        from repro.observe import Observation
+        from repro.pipeline import pitchfork_compile
+        from repro.targets import ARM
+        from repro.workloads import by_name
+
+        wl = by_name("sobel3x3")
+        obs = Observation.quiet()
+        prog = pitchfork_compile(
+            wl.expr, ARM, var_bounds=wl.var_bounds, trace=obs
+        )
+        assert obs.tracer.spans == []
+        assert all(p.seconds > 0 for p in prog.stats.passes)
+        assert prog.compile_seconds >= sum(
+            p.seconds for p in prog.stats.passes
+        )
+        for p in prog.stats.passes:
+            hist = obs.metrics.histogram("pass_seconds", stage=p.name)
+            assert hist.total == p.seconds

@@ -16,6 +16,7 @@ import pytest
 from repro.__main__ import main
 from repro.fabric import ResultCache
 from repro.serve import ServeClient, ServeDaemon, ServeError
+from repro.serve.daemon import LINE_LIMIT
 from repro.session import CompilerSession
 
 
@@ -170,6 +171,24 @@ class TestErrors:
         assert reply["ok"] is False
         assert reply["id"] is None
         assert reply["error"]["code"] == "bad-request"
+
+    def test_oversize_line_gets_one_reply_then_close(self, served):
+        # A line past the stream limit cannot be resynchronised: one
+        # null-id bad-request naming the limit, then the connection
+        # closes; other connections keep being served.
+        port = served["daemon"].address[1]
+        with ServeClient(port=port) as c:
+            c.send({"id": 1, "op": "ping",
+                    "params": {"pad": "x" * 70_000}})
+            reply = c.recv()
+            assert reply["ok"] is False
+            assert reply["id"] is None
+            assert reply["error"]["code"] == "bad-request"
+            assert str(LINE_LIMIT) in reply["error"]["message"]
+            with pytest.raises(ConnectionError):
+                c.recv()
+        with ServeClient(port=port) as c:
+            assert c.ping()["pong"] is True
 
     def test_expired_deadline_is_refused_not_executed(self, client):
         # 1 microsecond always expires inside the 20ms batch window.

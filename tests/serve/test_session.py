@@ -17,7 +17,7 @@ class TestFromArgs:
     def test_bare_args_give_inline_session(self):
         s = CompilerSession.from_args(_args())
         assert s.jobs == 1 and s.cache is None
-        assert s.metrics is None and s.clock is None
+        assert s.metrics is None and s.phase_tracer is None
 
     def test_cache_flag_opens_a_cache(self, tmp_path):
         s = CompilerSession.from_args(
@@ -34,10 +34,10 @@ class TestFromArgs:
 
     def test_report_arg_creates_the_observability_pair(self):
         s = CompilerSession.from_args(_args(report="out.json"))
-        assert s.metrics is not None and s.clock is not None
+        assert s.metrics is not None and s.phase_tracer is not None
         # ...and its absence costs nothing (the disabled-path contract).
         s2 = CompilerSession.from_args(_args(report=None))
-        assert s2.metrics is None and s2.clock is None
+        assert s2.metrics is None and s2.phase_tracer is None
 
 
 class TestWarmUp:

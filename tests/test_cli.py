@@ -260,6 +260,33 @@ class TestRunReports:
         assert any(e["ph"] == "M" for e in events)
         assert any(e["name"] == "task:coverage" for e in events)
 
+    @pytest.mark.parametrize("argv, phases, extra", [
+        (["rules"], [], ["rules_total"]),
+        (["rules", "--verify"], ["verify-rules"],
+         ["rules_checked", "verify_failures"]),
+        (["lint"], ["lint"], ["lint_errors", "lint_warnings"]),
+        (["lint", "--targets"], ["target-lint"],
+         ["isa_specs", "lint_errors", "lint_warnings"]),
+        (["lint", "--machine"], ["machine-lint"],
+         ["contained_cells", "lint_errors", "lint_warnings",
+          "machine_cell_failures", "machine_cells",
+          "register_pressure"]),
+        (["synthesize", "add", "--max-candidates", "5"], ["synthesize"],
+         ["corpus_size", "synthesized_pairs", "verified_rules"]),
+    ])
+    def test_session_report_phases_and_extra(self, tmp_path, capsys,
+                                             argv, phases, extra):
+        # Every command's report phases are the root spans of the
+        # session's phase tracer, with the command's own extra keys.
+        path = tmp_path / "r.json"
+        assert main(argv + ["--report", str(path)]) == 0
+        assert f"wrote run report to {path}" in capsys.readouterr().out
+        doc = json.loads(path.read_text())
+        assert doc["command"] == argv[0]
+        assert [p["name"] for p in doc["phases"]] == phases
+        assert all(p["seconds"] > 0 for p in doc["phases"])
+        assert sorted(doc["extra"]) == extra
+
     def test_report_show(self, tmp_path, capsys):
         path = self._emit(tmp_path)
         capsys.readouterr()
