@@ -136,10 +136,13 @@ class EGraphLiftPass(LiftPass):
     :class:`Lifter` built with ``strategy="egraph"`` and additionally
     exposes the saturation shape via ``ctx.extras["egraph"]``.
 
-    ``scorer(term, var_bounds)`` (optional) ranks extraction candidates;
-    the pipeline passes its lowered-simulated-cycles scorer so extraction
-    picks the candidate that actually lowers best, with the greedy result
-    as the never-worse anchor.
+    ``scorer`` (optional) ranks extraction candidates: each run calls
+    ``scorer(var_bounds)`` once and scores every candidate of that lift
+    with the callable it returns.  The pipeline passes its
+    lowered-simulated-cycles scorer, which lowers all of one run's
+    candidates through one bounds analyzer and one set of lowering
+    memos, so extraction picks the candidate that actually lowers best,
+    with the greedy result as the never-worse anchor.
     """
 
     def __init__(self, lifter: Lifter, scorer=None):
@@ -151,10 +154,7 @@ class EGraphLiftPass(LiftPass):
         self.scorer = scorer
 
     def run(self, expr: Expr, ctx: PassContext) -> Expr:
-        scorer = None
-        if self.scorer is not None:
-            bounds = ctx.var_bounds
-            scorer = lambda term: self.scorer(term, bounds)  # noqa: E731
+        scorer = None if self.scorer is None else self.scorer(ctx.var_bounds)
         result = self.lifter.rewrite(
             expr, BoundsAnalyzer(ctx.var_bounds), obs=ctx.observe,
             scorer=scorer,

@@ -26,7 +26,7 @@ from ..targets import Target, TargetOp, is_lowered
 from ..trs.rewriter import RewriteEngine
 from ..trs.rule import Rule
 
-__all__ = ["Lowerer", "LowerPass", "LoweringError"]
+__all__ = ["Lowerer", "LowerMemos", "LowerPass", "LoweringError"]
 
 
 def _find_fpir(expr: E.Expr) -> Optional[E.Expr]:
@@ -46,6 +46,26 @@ def _find_fpir(expr: E.Expr) -> Optional[E.Expr]:
 
 class LoweringError(RuntimeError):
     """The expression could not be fully lowered for this target."""
+
+
+class LowerMemos:
+    """Per-node memos that several lowerings under one analyzer share.
+
+    Constant folding, the TRS pass, definitional expansion and generic
+    residue mapping are each pure per node for a fixed rulebase and
+    bounds analyzer, so lowering many near-identical trees (the e-graph
+    lift's candidates) through one set of memos does each subtree's work
+    once.  An entry is written only after its step completed, so a
+    lowering that raises leaves only valid entries behind.
+    """
+
+    __slots__ = ("fold", "rewrite", "expand", "residue")
+
+    def __init__(self) -> None:
+        self.fold: Dict[E.Expr, E.Expr] = {}
+        self.rewrite: Dict[E.Expr, E.Expr] = {}
+        self.expand: Dict[E.Expr, E.Expr] = {}
+        self.residue: Dict[E.Expr, E.Expr] = {}
 
 
 class Lowerer:
@@ -93,6 +113,7 @@ class Lowerer:
         expr: E.Expr,
         analyzer: Optional[BoundsAnalyzer] = None,
         obs=None,
+        memos: Optional[LowerMemos] = None,
     ) -> Tuple[E.Expr, Dict[str, int]]:
         """Lower; also return counters (rule applications, iterations).
 
@@ -100,6 +121,11 @@ class Lowerer:
         definitional expansion — are pure for a fixed context, so each
         keeps a memo dict alive across the (up to 64) iterations: regions
         that already converged are never re-traversed.
+
+        ``memos`` shares those memos, and one for the residue mapping,
+        with earlier lowerings under the same ``analyzer``; the counters
+        then cover only work no earlier lowering did.  Without it each
+        call starts fresh and maps the residue per occurrence.
 
         ``obs`` is an optional :class:`~repro.observe.Observation`: rule
         firings, memo-cache hit rates, lowering iterations and the
@@ -109,11 +135,14 @@ class Lowerer:
             analyzer if analyzer is not None else BoundsAnalyzer()
         )
         stats = {"rewrites": 0, "iterations": 0, "expansions": 0}
-        fold_memo: Dict[E.Expr, E.Expr] = {}
-        rewrite_memo: Dict[E.Expr, E.Expr] = (
-            {} if obs is None else obs.memo("lower")
-        )
-        expand_memo: Dict[E.Expr, E.Expr] = {}
+        if memos is not None:
+            fold_memo = memos.fold
+            rewrite_memo = memos.rewrite
+            expand_memo = memos.expand
+        else:
+            fold_memo = {}
+            rewrite_memo = {} if obs is None else obs.memo("lower")
+            expand_memo = {}
 
         def expand_fpir(n: E.Expr) -> Optional[E.Expr]:
             if isinstance(n, FPIRInstr):
@@ -164,14 +193,19 @@ class Lowerer:
             obs.metrics.histogram(
                 "lowering_iterations", target=self.target.name
             ).observe(stats["iterations"])
-        return self._map_residue(current, obs=obs), stats
+        return self._map_residue(current, obs=obs, memos=memos), stats
 
     # ------------------------------------------------------------------
-    def _map_residue(self, expr: E.Expr, obs=None) -> E.Expr:
-        """Generic-map all remaining core IR nodes, bottom-up."""
+    def _map_residue(
+        self, expr: E.Expr, obs=None, memos: Optional[LowerMemos] = None
+    ) -> E.Expr:
+        """Generic-map all remaining core IR nodes, bottom-up (through
+        ``memos`` when given, else once per occurrence)."""
+        inherit = None if obs is None else obs.provenance.inherit
         expr = fold_constants(
             expr,
-            on_rebuild=None if obs is None else obs.provenance.inherit,
+            memo=None if memos is None else memos.fold,
+            on_rebuild=inherit,
         )
         mapper = self.target.generic
 
@@ -191,11 +225,12 @@ class Lowerer:
                 obs.expansion("generic", out.spec.name, node, out)
                 return out
 
-        lowered = transform_bottom_up(
-            expr,
-            map_node,
-            on_rebuild=None if obs is None else obs.provenance.inherit,
-        )
+        if memos is None:
+            lowered = transform_bottom_up(expr, map_node, on_rebuild=inherit)
+        else:
+            lowered = transform_bottom_up_memo(
+                expr, map_node, memos.residue, on_rebuild=inherit
+            )
         if not is_lowered(lowered):
             bad = next(
                 n

@@ -26,13 +26,14 @@ from .ir.expr import Expr
 from .lifting.canonicalize import CanonicalizePass
 from .lifting.lifter import EGraphLiftPass, LIFT_STRATEGIES, Lifter, LiftPass
 from .machine.llvm_baseline import LLVMBaseline, LLVMCompileError
-from .machine.lowerer import Lowerer, LowerPass
+from .machine.lowerer import LowerMemos, Lowerer, LoweringError, LowerPass
 from .machine.backend_passes import BackendPass, run_backend_passes
 from .machine.program import AsmLine, format_explained, linearize
 from .machine.simulator import CostBreakdown, cost_cycles, simulate
 from .observe import Observation
 from .passes import CompileStats, PassContext, PassManager
-from .targets import Target
+from .targets import Target, UnsupportedType
+from .trs.rewriter import RewriteError
 
 __all__ = [
     "CompiledProgram",
@@ -174,20 +175,32 @@ class PitchforkCompiler:
             verify_each=verify_each,
         )
 
-    def _cycle_scorer(self, term, var_bounds):
-        """Score one lift-extraction candidate: simulated cycles of its
-        lowering for this compiler's target (None if it cannot lower).
+    def _cycle_scorer(self, var_bounds):
+        """The scorer for one lift's extraction candidates: each term
+        scores the simulated cycles of its lowering for this compiler's
+        target (None if it cannot lower).
 
         This is what makes the e-graph strategy target-aware: the
         target-agnostic cost is only a proxy, so the K cheapest extracted
         forms are judged by the cycle model the evaluation actually
-        reports, with the greedy form as the never-worse anchor.
+        reports, with the greedy form as the never-worse anchor.  The
+        candidates share most subtrees, so all of one lift's lowerings
+        go through one analyzer and one :class:`LowerMemos`, which die
+        with the scorer.
         """
-        try:
-            lowered = self.lowerer.lower(term, BoundsAnalyzer(var_bounds))
-        except Exception:
-            return None
-        return cost_cycles(lowered, self.target).total
+        analyzer = BoundsAnalyzer(var_bounds)
+        memos = LowerMemos()
+
+        def score(term):
+            try:
+                lowered, _ = self.lowerer.lower_with_stats(
+                    term, analyzer, memos=memos
+                )
+            except (LoweringError, RewriteError, UnsupportedType):
+                return None
+            return cost_cycles(lowered, self.target).total
+
+        return score
 
     def compile(
         self,

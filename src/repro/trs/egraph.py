@@ -197,8 +197,14 @@ class EGraph:
         self, cost_fn: Callable[[Expr], Cost] = cost
     ) -> Dict[int, Tuple[Cost, Expr, int]]:
         """Lowest-cost concrete term per e-class, by fixed-point
-        relaxation; maps root cid -> (cost, term, e-node index)."""
+        relaxation; maps root cid -> (cost, term, e-node index).
+
+        An e-node whose children's best terms are the same as on its
+        last visit is skipped: it would rebuild the same term at the
+        same cost, which the strict ``<`` already rejected or stored.
+        """
         best: Dict[int, Tuple[Cost, Expr, int]] = {}
+        visited: Dict[int, List[Expr]] = {}
         changed = True
         while changed:
             changed = False
@@ -211,8 +217,9 @@ class EGraph:
                         ok = False
                         break
                     kids.append(b[1])
-                if not ok:
+                if not ok or visited.get(nid) == kids:
                     continue
+                visited[nid] = kids
                 term = (
                     en.template
                     if not en.child_cids
@@ -246,10 +253,16 @@ class EGraph:
         with a cheaper-or-equal cost, and cyclic derivations strictly grow
         the node-count cost component, so the relaxation converges;
         ``max_passes`` is a defensive cap only.
+
+        An (e-node, child combo) pair is tried once per call: its term
+        is then in its class's ``seen`` set, which only grows, or it
+        lost to a full class whose K-th cost is no higher, and that
+        cost only falls.
         """
         tops: Dict[int, List[Tuple[Cost, Expr]]] = {}
         seen: Dict[int, set] = {}
         builder: Dict[Expr, int] = {}
+        tried: set = set()
 
         def insert(cid: int, term: Expr, nid: int) -> bool:
             s = seen.setdefault(cid, set())
@@ -288,7 +301,10 @@ class EGraph:
                     itertools.product(*lists), max_combos
                 )
                 for combo in combos:
-                    term = en.template.with_children(list(combo))
+                    if (nid, combo) in tried:
+                        continue
+                    tried.add((nid, combo))
+                    term = en.template.with_children(combo)
                     if insert(cid, term, nid):
                         changed = True
             if not changed:
@@ -357,8 +373,14 @@ class EGraph:
         children's current best terms, applies every index candidate, and
         unions the outputs in.  Stops when an iteration adds no new
         equality (saturated) or when a budget trips.
+
+        ``rule.apply`` is pure for a fixed ``ctx``, so the rewrites each
+        concretized term admits are computed once per call and replayed
+        when a later iteration concretizes the same term; applications
+        are still counted, and budgets checked, one at a time.
         """
         ctx = ctx if ctx is not None else RuleContext()
+        matches: Dict[Expr, List[Tuple[Rule, Expr]]] = {}
         apps = 0
         saturated = False
         iters = 0
@@ -394,10 +416,14 @@ class EGraph:
                 # strategy exists to escape.
                 terms = (rep,) if rep is en.template else (rep, en.template)
                 for term in terms:
-                    for rule in index.candidates(term):
-                        out = rule.apply(term, ctx)
-                        if out is None:
-                            continue
+                    found = matches.get(term)
+                    if found is None:
+                        found = matches[term] = [
+                            (rule, out)
+                            for rule in index.candidates(term)
+                            if (out := rule.apply(term, ctx)) is not None
+                        ]
+                    for rule, out in found:
                         apps += 1
                         out_cid = self.add(out, reason=(rule, term, out))
                         if self.find(out_cid) != self.find(cid):

@@ -8,15 +8,18 @@ e-graph strategy is anchored to greedy and never returns an agnostically
 costlier term.
 """
 
+import itertools
+
 import pytest
 
+from repro.analysis import BoundsAnalyzer, BoundsContext
 from repro.ir import builders as h
 from repro.ir import expr as E
 from repro.ir.types import U8, U16
 from repro.lifting import Lifter
 from repro.lifting.canonicalize import canonicalize
 from repro.trs.costs import cost
-from repro.trs.egraph import EGraph, EGraphLifter
+from repro.trs.egraph import EGraph, EGraphLifter, SaturationStats
 from repro.workloads import WORKLOADS, by_name
 
 
@@ -166,3 +169,200 @@ class TestEGraphLifter:
     def test_strategy_validation(self):
         with pytest.raises(ValueError):
             Lifter(strategy="quantum")
+
+
+# -- from-scratch reference loops -------------------------------------
+# best_terms, top_terms and saturate as they were before they learned to
+# skip work already done (unchanged child terms, tried child combos,
+# terms matched in an earlier iteration).  The incremental versions must
+# return exactly what these do.
+
+
+def _ref_best_terms(g, cost_fn=cost):
+    best = {}
+    changed = True
+    while changed:
+        changed = False
+        for nid, en in enumerate(g._enodes):
+            kids = []
+            ok = True
+            for ccid in en.child_cids:
+                b = best.get(g.find(ccid))
+                if b is None:
+                    ok = False
+                    break
+                kids.append(b[1])
+            if not ok:
+                continue
+            term = (
+                en.template
+                if not en.child_cids
+                else en.template.with_children(kids)
+            )
+            c = cost_fn(term)
+            cid = g.find(en.cid)
+            cur = best.get(cid)
+            if cur is None or c < cur[0]:
+                best[cid] = (c, term, nid)
+                changed = True
+    return best
+
+
+def _ref_top_terms(g, k, cost_fn=cost, max_passes=12, max_combos=24):
+    tops, seen, builder = {}, {}, {}
+
+    def insert(cid, term, nid):
+        s = seen.setdefault(cid, set())
+        if term in s:
+            return False
+        c = cost_fn(term)
+        lst = tops.setdefault(cid, [])
+        if len(lst) >= k and not (c < lst[-1][0]):
+            return False
+        s.add(term)
+        builder.setdefault(term, nid)
+        lst.append((c, term))
+        lst.sort(key=lambda pair: pair[0])
+        del lst[k:]
+        return True
+
+    for _ in range(max_passes):
+        changed = False
+        for nid, en in enumerate(g._enodes):
+            cid = g.find(en.cid)
+            if not en.child_cids:
+                if insert(cid, en.template, nid):
+                    changed = True
+                continue
+            lists = []
+            ok = True
+            for ccid in en.child_cids:
+                lst = tops.get(g.find(ccid))
+                if not lst:
+                    ok = False
+                    break
+                lists.append([t for _, t in lst])
+            if not ok:
+                continue
+            combos = itertools.islice(itertools.product(*lists), max_combos)
+            for combo in combos:
+                term = en.template.with_children(list(combo))
+                if insert(cid, term, nid):
+                    changed = True
+        if not changed:
+            break
+    return tops, builder
+
+
+def _ref_saturate(g, index, ctx, max_iters=6, max_enodes=3000,
+                  max_apps=12000, cost_fn=cost):
+    apps = 0
+    saturated = False
+    iters = 0
+    for _ in range(max_iters):
+        iters += 1
+        changed = False
+        best = _ref_best_terms(g, cost_fn)
+        exhausted = False
+        for nid in range(len(g._enodes)):
+            en = g._enodes[nid]
+            kids = []
+            ok = True
+            for ccid in en.child_cids:
+                b = best.get(g.find(ccid))
+                if b is None:
+                    ok = False
+                    break
+                kids.append(b[1])
+            if not ok:
+                continue
+            rep = (
+                en.template
+                if not en.child_cids
+                else en.template.with_children(kids)
+            )
+            cid = g.find(en.cid)
+            terms = (rep,) if rep is en.template else (rep, en.template)
+            for term in terms:
+                for rule in index.candidates(term):
+                    out = rule.apply(term, ctx)
+                    if out is None:
+                        continue
+                    apps += 1
+                    out_cid = g.add(out, reason=(rule, term, out))
+                    if g.find(out_cid) != g.find(cid):
+                        g.union(cid, out_cid)
+                        changed = True
+                    if apps >= max_apps or len(g._enodes) >= max_enodes:
+                        exhausted = True
+                        break
+                if exhausted:
+                    break
+            if exhausted:
+                break
+        g.rebuild()
+        if exhausted:
+            break
+        if not changed:
+            saturated = True
+            break
+    return SaturationStats(iters, len(g._enodes), g.n_classes(), apps,
+                           saturated)
+
+
+def _seeded_graph(lifter, name):
+    """The e-graph EGraphLifter saturates for a suite kernel: its
+    canonical form unioned with greedy's fixed point; plus the lift's
+    bounds context."""
+    wl = by_name(name)
+    expr = canonicalize(wl.expr)
+    ctx = BoundsContext(BoundsAnalyzer(wl.var_bounds))
+    greedy = lifter.engine.rewrite(expr, ctx).expr
+    g = EGraph()
+    root = g.add(expr)
+    g.union(root, g.add(greedy))
+    g.rebuild()
+    return g, ctx
+
+
+def _shape(g):
+    return (
+        [(en.template, en.child_cids, en.reason) for en in g._enodes],
+        [g.find(c) for c in range(len(g._parent))],
+    )
+
+
+def _stats(s):
+    return (s.iterations, s.enodes, s.eclasses, s.applications, s.saturated)
+
+
+class TestIncrementalMatchesFromScratch:
+    @pytest.fixture(scope="class")
+    def lifter(self):
+        return Lifter()
+
+    @pytest.mark.parametrize("name", WORKLOADS)
+    def test_saturate_and_extraction(self, lifter, name):
+        index = lifter.engine.index
+        g, ctx = _seeded_graph(lifter, name)
+        ref, ref_ctx = _seeded_graph(lifter, name)
+        stats = g.saturate(index, ctx)
+        assert _stats(stats) == _stats(_ref_saturate(ref, index, ref_ctx))
+        assert _shape(g) == _shape(ref)
+
+        assert g.best_terms() == _ref_best_terms(g)
+        tops, builder = g.top_terms(8)
+        ref_tops, ref_builder = _ref_top_terms(g, 8)
+        assert tops == ref_tops
+        assert builder == ref_builder
+
+    @pytest.mark.parametrize("name", WORKLOADS)
+    def test_budget_tripping_saturate(self, lifter, name):
+        index = lifter.engine.index
+        g, ctx = _seeded_graph(lifter, name)
+        ref, ref_ctx = _seeded_graph(lifter, name)
+        stats = g.saturate(index, ctx, max_apps=5)
+        ref_stats = _ref_saturate(ref, index, ref_ctx, max_apps=5)
+        assert stats.saturated or stats.applications == 5
+        assert _stats(stats) == _stats(ref_stats)
+        assert _shape(g) == _shape(ref)
