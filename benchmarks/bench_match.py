@@ -29,6 +29,7 @@ from repro.analysis import BoundsAnalyzer
 from repro.evaluation.coverage import run_coverage
 from repro.lifting import Lifter
 from repro.lifting.canonicalize import canonicalize
+from repro.observe import MetricsRegistry
 from repro.trs.rewriter import RewriteEngine
 from repro.workloads import WORKLOADS, by_name
 
@@ -47,10 +48,11 @@ def _median_time(fn, repeats=3):
 
 def test_match_attempts_avoided():
     """Count index hits/misses over the full coverage sweep."""
-    report = run_coverage()
+    metrics = MetricsRegistry()
+    report = run_coverage(metrics=metrics)
     assert not report.failures
     hits = misses = 0
-    for c in report.metrics.counters("match_index"):
+    for c in metrics.counters("match_index"):
         if dict(c.labels)["outcome"] == "hit":
             hits += c.value
         else:

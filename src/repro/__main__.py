@@ -217,7 +217,7 @@ def cmd_evaluate(args) -> int:
         with session.phase("evaluate:all"):
             report = build_full_report(
                 with_rake=not args.no_rake, compile_repeats=args.repeats,
-                jobs=jobs, cache=cache,
+                jobs=jobs, cache=cache, metrics=registry,
             )
         if args.write:
             with open(args.write, "w") as fh:
@@ -351,7 +351,8 @@ def cmd_coverage(args) -> int:
     with session.phase("coverage-sweep"):
         report = run_coverage(
             targets=_target_list(args.target), jobs=jobs, cache=cache,
-            lift_strategy=args.lift_strategy, tracer=tracer,
+            metrics=session.metrics, tracer=tracer,
+            lift_strategy=args.lift_strategy,
         )
     print(report.format_table(verbose=args.verbose))
     if tracer is not None:
@@ -364,9 +365,6 @@ def cmd_coverage(args) -> int:
         with open(args.json, "w") as fh:
             fh.write(report.to_json())
         print(f"wrote {args.json}")
-    # The run report aggregates the sweep's own registry (per-rule fire
-    # counts and fabric telemetry merged across workers).
-    session.metrics = report.metrics
     session.write_report(args.report, "coverage", tracer=tracer,
                          extra={"cell_failures": len(report.failures),
                                 "dead_rules": len(report.dead)})
@@ -489,11 +487,9 @@ def cmd_lint(args) -> int:
         with session.phase("coverage-sweep"):
             cov = run_coverage(
                 targets=_target_list("all"), jobs=session.jobs,
-                cache=session.cache,
+                cache=session.cache, metrics=session.metrics,
             )
         fires = {r.name: r.fires for r in cov.rows}
-        if session.metrics is not None:
-            session.metrics.merge_snapshot(cov.metrics.to_dict())
     with session.phase("lint"):
         report = lint_all_rulebases(coverage_fires=fires)
 

@@ -11,19 +11,21 @@ prints this report and exits non-zero iff a hand-written rule is dead.
 
 The sweep runs on the execution fabric (:mod:`repro.fabric`): each
 (workload, target) cell is one task, so the whole grid can fan out over
-worker processes (``jobs=N``) and cache per-cell telemetry keyed by the
-cell's expression + rulebase fingerprint.  Cells merge in input order,
-so the report is byte-identical whatever ``jobs`` is.
+worker processes (``jobs=N``) and cache per-cell fire tables keyed by
+the cell's expression + rulebase fingerprint.  Fire counts are summed
+per rule, so the report is byte-identical whatever ``jobs`` is and
+whether cells ran or came from the cache.  The compiles' other
+telemetry reaches ``metrics=`` like any other sweep's.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..fabric import TaskSpec, run_tasks
-from ..observe import MetricsRegistry
 from ..targets import PAPER_TARGETS, Target
 from ..workloads import all_workloads
 
@@ -53,12 +55,11 @@ class RuleCoverage:
 
 @dataclass
 class CoverageReport:
-    """Per-rule fire counts for one suite sweep, plus the raw metrics."""
+    """Per-rule fire counts for one suite sweep."""
 
     rows: List[RuleCoverage] = field(default_factory=list)
     workloads: List[str] = field(default_factory=list)
     targets: List[str] = field(default_factory=list)
-    metrics: Optional[MetricsRegistry] = None
     #: "(workload, target): error" for any cell that failed to compile
     failures: List[str] = field(default_factory=list)
 
@@ -156,17 +157,18 @@ def run_coverage(
     use_synthesized: bool = True,
     jobs: int = 1,
     cache=None,
+    metrics=None,
     tracer=None,
     lift_strategy: str = "greedy",
 ) -> CoverageReport:
     """Compile the suite with rule telemetry on; tabulate per-rule fires.
 
-    Each (workload, target) cell is one fabric task compiling with a
-    metrics-only :class:`~repro.observe.Observation` into a private
-    registry; cell snapshots merge in input order into one sweep-wide
-    registry, so the aggregated fire counts are identical to the old
-    single-registry serial sweep for any ``jobs``.  ``cache`` (a
+    Each (workload, target) cell is one fabric task returning its
+    ``[phase, rule, source, fires]`` rows; the rows are summed per rule,
+    so the totals are identical for any ``jobs``.  ``cache`` (a
     :class:`~repro.fabric.ResultCache`) makes unchanged cells free.
+    ``metrics``/``tracer`` receive the executed compiles' telemetry
+    (a cache hit adds only its ``fabric_tasks`` count and span).
     """
     from ..lifting import HAND_RULES, SYNTHESIZED_RULES
 
@@ -185,13 +187,14 @@ def run_coverage(
         for wl in wls
         for t in tgts
     ]
-    registry = MetricsRegistry()
+    fires: Counter = Counter()
     failures: List[str] = []
     for res in run_tasks(
-        specs, jobs=jobs, cache=cache, metrics=registry, tracer=tracer
+        specs, jobs=jobs, cache=cache, metrics=metrics, tracer=tracer
     ):
         if res.ok:
-            registry.merge_snapshot(res.value)
+            for phase, rule, source, n in res.value:
+                fires[phase, rule, source] += n
         else:
             failures.append(f"({'/'.join(res.spec.key)}): {res.error}")
 
@@ -206,9 +209,7 @@ def run_coverage(
                 source=r.source,
                 phase="lift",
                 ruleset="lifting",
-                fires=registry.counter_value(
-                    "rule_fired", rule=r.name, source=r.source, phase="lift"
-                ),
+                fires=fires["lift", r.name, r.source],
             )
         )
     for t in tgts:
@@ -221,18 +222,12 @@ def run_coverage(
                     source=r.source,
                     phase="lower",
                     ruleset=t.name,
-                    fires=registry.counter_value(
-                        "rule_fired",
-                        rule=r.name,
-                        source=r.source,
-                        phase="lower",
-                    ),
+                    fires=fires["lower", r.name, r.source],
                 )
             )
     return CoverageReport(
         rows=rows,
         workloads=[w.name for w in wls],
         targets=[t.name for t in tgts],
-        metrics=registry,
         failures=failures,
     )

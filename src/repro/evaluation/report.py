@@ -31,12 +31,15 @@ def build_full_report(
     compile_repeats: int = 3,
     jobs: int = 1,
     cache=None,
+    metrics=None,
 ) -> str:
     """Run every harness and render a markdown report.
 
     ``jobs``/``cache`` fan the Figure 5/6/7 sweeps out on the execution
     fabric; the rendered numbers are identical either way (Figure 6 wall
-    times are measured fresh every run, never cached).
+    times are measured fresh every run, never cached).  ``metrics``
+    receives the three sweeps' telemetry, as each sweep's own
+    ``metrics=`` does.
     """
     t0 = time.time()
     sections = []
@@ -51,16 +54,20 @@ def build_full_report(
     sections.append("```\n" + run_codegen_comparison() + "\n```\n")
 
     sections.append("## Figure 5 — runtime speedup over LLVM\n")
-    ev5 = run_runtime_evaluation(with_rake=with_rake, jobs=jobs, cache=cache)
+    ev5 = run_runtime_evaluation(
+        with_rake=with_rake, jobs=jobs, cache=cache, metrics=metrics
+    )
     assert all(r.verified for r in ev5.results)
     sections.append("```\n" + ev5.format_table() + "\n```\n")
 
     sections.append("## Figure 6 — compile-time speedup over LLVM\n")
-    ev6 = run_compile_time_evaluation(repeats=compile_repeats, jobs=jobs)
+    ev6 = run_compile_time_evaluation(
+        repeats=compile_repeats, jobs=jobs, metrics=metrics
+    )
     sections.append("```\n" + ev6.format_table() + "\n```\n")
 
     sections.append("## Figure 7 — synthesized-rule ablation\n")
-    ev7 = run_ablation(jobs=jobs, cache=cache)
+    ev7 = run_ablation(jobs=jobs, cache=cache, metrics=metrics)
     assert all(r.verified for r in ev7.results)
     sections.append("```\n" + ev7.format_table() + "\n```\n")
 

@@ -43,12 +43,10 @@ from .scheduler import (
     JobKind,
     TaskResult,
     TaskSpec,
-    WorkerObservation,
     WorkerPool,
     get_job_kind,
     job_kind,
     run_tasks,
-    worker_observation,
 )
 
 __all__ = [
@@ -56,7 +54,6 @@ __all__ = [
     "ResultCache",
     "TaskResult",
     "TaskSpec",
-    "WorkerObservation",
     "WorkerPool",
     "default_cache_dir",
     "digest",
@@ -70,5 +67,4 @@ __all__ = [
     "rule_fingerprint",
     "rulebase_fingerprint",
     "run_tasks",
-    "worker_observation",
 ]

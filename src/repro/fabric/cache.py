@@ -19,10 +19,9 @@ can never leave a half-entry under the final name; a corrupt or
 truncated entry — or one whose recorded key disagrees with its filename
 — is treated as a miss, never an error.
 
-Hit/miss/store counts are tracked per instance and, when a
-:class:`~repro.observe.MetricsRegistry` is attached, mirrored into
-labelled ``result_cache`` counters so sweeps surface cache behaviour
-through the normal telemetry channel.
+Hit/miss/store counts are tracked per instance (:meth:`ResultCache.stats`
+reports them as ``session``); a sweep's registry sees each hit as a
+``fabric_tasks{outcome="cached"}`` count from the scheduler.
 """
 
 from __future__ import annotations
@@ -54,11 +53,9 @@ class ResultCache:
     def __init__(
         self,
         root: Optional[str] = None,
-        metrics=None,
         version: Optional[str] = None,
     ):
         self.root = root if root is not None else default_cache_dir()
-        self.metrics = metrics
         #: the version component mixed into every key (tests may pin it)
         self.version = version if version is not None else repro_version()
         self.hits = 0
@@ -72,19 +69,6 @@ class ResultCache:
 
     def _path(self, key: str) -> str:
         return os.path.join(self.root, key[:2], key + ".json")
-
-    # -- accounting ----------------------------------------------------
-    def _count(self, kind: str, outcome: str) -> None:
-        if outcome == "hit":
-            self.hits += 1
-        elif outcome == "miss":
-            self.misses += 1
-        else:
-            self.stores += 1
-        if self.metrics is not None:
-            self.metrics.counter(
-                "result_cache", kind=kind, outcome=outcome
-            ).inc()
 
     # -- lookup / store ------------------------------------------------
     def get(self, kind: str, key: str) -> Tuple[bool, Any]:
@@ -100,9 +84,9 @@ class ResultCache:
                 raise ValueError("cache entry does not match its key")
             value = payload["value"]
         except (OSError, ValueError, KeyError, TypeError):
-            self._count(kind, "miss")
+            self.misses += 1
             return False, None
-        self._count(kind, "hit")
+        self.hits += 1
         return True, value
 
     def put(self, kind: str, key: str, value: Any) -> None:
@@ -130,7 +114,7 @@ class ResultCache:
                 raise
         except OSError:  # pragma: no cover - disk-full / read-only root
             return
-        self._count(kind, "store")
+        self.stores += 1
 
     # -- maintenance ---------------------------------------------------
     def _entries(self):

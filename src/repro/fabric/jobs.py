@@ -7,6 +7,12 @@ targets from the target registry, rules from the rule registries —
 nothing heavyweight crosses the process boundary, and every return value
 is plain JSON data.
 
+Every kind is called as ``fn(spec, obs)``.  ``obs`` is the task's own
+:class:`~repro.observe.Observation` when the sweep observes, else
+``None``; it is the only way telemetry leaves a task (the scheduler
+ships its registry snapshot and spans home).  The return value carries
+the result alone, so a cache hit replays data, never measurements.
+
 Cacheable kinds declare their content components (``cache_parts``):
 serialized expression + rulebase fingerprint + target name, so a cached
 cell survives exactly until any semantic input changes (the repro
@@ -23,33 +29,9 @@ from .fingerprint import (
     pipeline_rules_fingerprint,
     rule_fingerprint,
 )
-from .scheduler import TaskSpec, job_kind, worker_observation
+from .scheduler import TaskSpec, job_kind
 
 __all__ = ["resolve_ruleset", "resolve_rule", "VERIFY_RULESETS"]
-
-
-def _worker_trace(metrics=None):
-    """An :class:`~repro.observe.Observation` wired to this task's
-    :class:`~repro.fabric.scheduler.WorkerObservation`, or ``None``.
-
-    ``None`` (no observation requested for the sweep) keeps the compile
-    pipeline on its uninstrumented path.  When the sweep observes, the
-    returned bundle records spans on the worker tracer (shipped home in
-    ``TaskResult.spans``) and counters into ``metrics`` — the worker's
-    own registry by default (shipped home in ``TaskResult.metrics``), or
-    a caller-supplied private registry for kinds like ``coverage`` whose
-    snapshot is the (cacheable) task *value*.
-    """
-    wo = worker_observation()
-    if wo is None:
-        return None
-    from ..observe import Observation
-
-    return Observation(
-        tracer=wo.tracer,
-        metrics=metrics if metrics is not None else wo.metrics,
-        rule_events=False,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -102,15 +84,15 @@ def _coverage_parts(spec: TaskSpec) -> Tuple[str, ...]:
 
 
 @job_kind("coverage", cacheable=True, cache_parts=_coverage_parts)
-def _run_coverage_cell(spec: TaskSpec) -> dict:
-    """Compile one cell with rule telemetry; return the full registry
-    snapshot (the parent merges cells in input order).
+def _run_coverage_cell(spec: TaskSpec, obs) -> List[list]:
+    """Compile one cell with rule telemetry; return its fire table.
 
-    The snapshot is deliberately the task *value* — not the worker
-    side-channel — so a cache hit replays the cell's counters exactly.
-    Spans still ride the worker tracer when the sweep traces.
+    The value is the sorted ``[phase, rule, source, fires]`` rows read
+    off the compile's ``rule_fired`` counters — the data the coverage
+    report prints, so a cache hit replays exactly that.  Everything
+    else the compile records stays on ``obs``.
     """
-    from ..observe import MetricsRegistry, Observation
+    from ..observe import Observation
     from ..pipeline import pitchfork_compile
     from ..targets import by_name as target_by_name
     from ..workloads import by_name
@@ -118,32 +100,35 @@ def _run_coverage_cell(spec: TaskSpec) -> dict:
     wl_name, target_name = spec.key
     use_synthesized, lift_strategy = spec.params
     wl = by_name(wl_name)
-    registry = MetricsRegistry()
-    trace = _worker_trace(metrics=registry)
+    trace = obs if obs is not None else Observation.quiet()
     pitchfork_compile(
         wl.expr,
         target_by_name(target_name),
         var_bounds=wl.var_bounds,
         use_synthesized=use_synthesized,
-        trace=trace
-        if trace is not None
-        else Observation.quiet(metrics=registry),
+        trace=trace,
         lift_strategy=lift_strategy,
     )
-    return registry.to_dict()
+    rows = []
+    for c in trace.metrics.counters("rule_fired"):
+        labels = dict(c.labels)
+        rows.append(
+            [labels["phase"], labels["rule"], labels["source"], c.value]
+        )
+    return sorted(rows)
 
 
 # ----------------------------------------------------------------------
 # compile — one (workload, target) compile returning the CLI listing
 # ----------------------------------------------------------------------
 @job_kind("compile", cacheable=True, cache_parts=_coverage_parts)
-def _run_compile_cell(spec: TaskSpec) -> dict:
+def _run_compile_cell(spec: TaskSpec, obs) -> dict:
     """Compile one cell and return the listing + modelled cycles.
 
     The daemon's ``compile`` op: shares the coverage kind's cache parts
     (same key/params shape, same semantic inputs), and the ``listing``
     field is byte-identical to the one-shot CLI output by construction
-    (:func:`repro.session.compile_cell`).
+    (:func:`repro.session.compile_cell`).  Compiles unobserved.
     """
     from ..session import compile_cell
 
@@ -161,14 +146,14 @@ def _run_compile_cell(spec: TaskSpec) -> dict:
 # machinelint — M-code lint + translation validation of one compiled cell
 # ----------------------------------------------------------------------
 @job_kind("machinelint", cacheable=True, cache_parts=_coverage_parts)
-def _run_machinelint_cell(spec: TaskSpec) -> dict:
+def _run_machinelint_cell(spec: TaskSpec, obs) -> dict:
     """Compile one (workload, target) cell, lint the lowered program,
     validate the interval translation and profile register pressure.
 
     Shares the coverage kind's cache parts: the lint verdict depends on
     exactly the same semantic inputs (source expression + rulebase
     fingerprints + target), so a cached cell stays valid until a rule or
-    workload changes.
+    workload changes.  Compiles unobserved.
     """
     from ..lint.machinelint import machine_cell
 
@@ -195,7 +180,7 @@ def _verify_parts(spec: TaskSpec) -> Tuple[str, ...]:
 
 
 @job_kind("verify-rule", cacheable=True, cache_parts=_verify_parts)
-def _run_verify_rule(spec: TaskSpec) -> dict:
+def _run_verify_rule(spec: TaskSpec, obs) -> dict:
     # Resolved through the package (not bound at import) so tests can
     # monkeypatch ``repro.verify.verify_rule``.
     from .. import verify as verify_mod
@@ -212,34 +197,23 @@ def _run_verify_rule(spec: TaskSpec) -> dict:
         max_points=max_points,
         backend=backend,
     )
-    wo = worker_observation()
-    if wo is not None:
-        wo.metrics.counter(
+    if obs is not None:
+        obs.metrics.counter(
             "verify_rules",
             ruleset=label,
             outcome="ok" if report.ok else "failed",
         ).inc()
-        wo.metrics.histogram("verify_points", ruleset=label).observe(
-            getattr(report, "checked_points", 0)
+        obs.metrics.histogram("verify_points", ruleset=label).observe(
+            report.checked_points
         )
-    # Duck-typed rather than ``report.to_dict()`` so stub verifiers
-    # (tests monkeypatch ``repro.verify.verify_rule``) only need the
-    # ``ok``/``counterexample`` surface the CLI historically consumed.
-    return {
-        "rule_name": getattr(report, "rule_name", rule_name),
-        "ok": report.ok,
-        "checked_combos": getattr(report, "checked_combos", 0),
-        "checked_points": getattr(report, "checked_points", 0),
-        "counterexample": report.counterexample,
-        "notes": list(getattr(report, "notes", ())),
-    }
+    return report.to_dict()
 
 
 # ----------------------------------------------------------------------
 # compile-time — one Figure 6 cell (never cached: it measures wall time)
 # ----------------------------------------------------------------------
 @job_kind("compile-time")
-def _run_compile_time_cell(spec: TaskSpec) -> dict:
+def _run_compile_time_cell(spec: TaskSpec, obs) -> dict:
     from ..evaluation.compile_time import measure_one
     from ..targets import by_name as target_by_name
     from ..workloads import by_name
@@ -254,14 +228,13 @@ def _run_compile_time_cell(spec: TaskSpec) -> dict:
     )
     # The timed compiles themselves stay uninstrumented (observation
     # overhead is part of what Figure 6 measures); the *measurements*
-    # feed the worker registry so a sweep-wide report can quote
+    # feed the task's registry so a sweep-wide report can quote
     # p50/p99 compile latency per flow.
-    wo = worker_observation()
-    if wo is not None:
-        wo.metrics.histogram(
+    if obs is not None:
+        obs.metrics.histogram(
             "compile_seconds", flow="llvm", target=target_name
         ).observe(r.llvm_seconds)
-        wo.metrics.histogram(
+        obs.metrics.histogram(
             "compile_seconds", flow="pitchfork", target=target_name
         ).observe(r.pitchfork_seconds)
     return {
@@ -295,7 +268,7 @@ def _runtime_parts(spec: TaskSpec) -> Tuple[str, ...]:
 
 
 @job_kind("runtime", cacheable=True, cache_parts=_runtime_parts)
-def _run_runtime_cell(spec: TaskSpec) -> dict:
+def _run_runtime_cell(spec: TaskSpec, obs) -> dict:
     from ..evaluation.runtime import run_one
     from ..targets import by_name as target_by_name
     from ..workloads import by_name
@@ -309,7 +282,7 @@ def _run_runtime_cell(spec: TaskSpec) -> dict:
         leave_one_out=leave_one_out,
         lift_strategy=lift_strategy,
         eval_backend=backend,
-        trace=_worker_trace(),
+        trace=obs,
     )
     return {
         "llvm_cycles": r.llvm_cycles,
@@ -338,7 +311,7 @@ def _ablation_parts(spec: TaskSpec) -> Tuple[str, ...]:
 
 
 @job_kind("ablation", cacheable=True, cache_parts=_ablation_parts)
-def _run_ablation_cell(spec: TaskSpec) -> dict:
+def _run_ablation_cell(spec: TaskSpec, obs) -> dict:
     from ..evaluation.ablation import ablate_one
     from ..targets import by_name as target_by_name
     from ..workloads import by_name
@@ -347,7 +320,7 @@ def _run_ablation_cell(spec: TaskSpec) -> dict:
     r = ablate_one(
         by_name(wl_name),
         target_by_name(target_name),
-        trace=_worker_trace(),
+        trace=obs,
     )
     return {
         "hand_only_cycles": r.hand_only_cycles,
@@ -390,7 +363,7 @@ def _synth_parts(spec: TaskSpec) -> Tuple[str, ...]:
 
 
 @job_kind("synthesize-lift", cacheable=True, cache_parts=_synth_parts)
-def _run_synthesize_lift(spec: TaskSpec) -> dict:
+def _run_synthesize_lift(spec: TaskSpec, obs) -> dict:
     """Run the enumerative search for one corpus entry.
 
     The found right-hand side travels back as its s-expression text; the
@@ -408,14 +381,13 @@ def _run_synthesize_lift(spec: TaskSpec) -> dict:
     result = synthesize_lift(
         entry.expr, max_size=max_rhs_size, backend=backend
     )
-    wo = worker_observation()
-    if wo is not None:
-        wo.metrics.counter(
+    if obs is not None:
+        obs.metrics.counter(
             "synth_searches",
             outcome="found" if result is not None else "exhausted",
         ).inc()
         if result is not None:
-            wo.metrics.histogram("synth_candidates_explored").observe(
+            obs.metrics.histogram("synth_candidates_explored").observe(
                 result.candidates_explored
             )
     if result is None:

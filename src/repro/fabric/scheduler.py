@@ -22,20 +22,20 @@ Guarantees:
 * **Caching** — when a :class:`~repro.fabric.cache.ResultCache` is
   attached, cacheable kinds are looked up before dispatch and stored
   after success; hits skip execution entirely.
-* **Telemetry** — observability is *cross-process*.  When a metrics
-  registry is attached, every task body runs with a private worker
-  registry (reachable from job code via :func:`worker_observation`)
-  whose snapshot travels home in :attr:`TaskResult.metrics` and is
-  merged into the attached registry — uniformly for every job kind, so
-  a ``jobs=N`` sweep reports the same pipeline counters as ``jobs=1``.
-  When a live tracer is attached, each task runs under a real worker
+* **Telemetry** — one channel, *cross-process*.  When the sweep
+  observes (a metrics registry or a live tracer is attached), every job
+  body is called as ``fn(spec, obs)`` with its own
+  :class:`~repro.observe.Observation`: a private registry whose
+  snapshot travels home in :attr:`TaskResult.metrics` and is merged
+  into the attached registry, and — only when tracing — a real worker
   :class:`~repro.observe.Tracer` whose span list ships back in
   :attr:`TaskResult.spans` and is re-anchored onto the parent timeline
-  (per-worker ``pid`` lanes, nesting preserved).  Cache hits — which
-  execute nothing — get a synthetic zero-length span anchored at the
-  wall-clock instant the hit resolved.  Per-task wall time additionally
-  lands in ``fabric_task_seconds`` histograms and ``fabric_tasks``
-  counters.
+  (per-worker ``pid`` lanes, nesting preserved).  Unobserved sweeps
+  pass ``obs=None``.  The return value is the result only, so a cache
+  hit replays data, never telemetry: it adds one ``fabric_tasks``
+  counter and a synthetic zero-length span anchored at the wall-clock
+  instant the hit resolved.  Executed tasks also land in
+  ``fabric_task_seconds`` histograms and ``fabric_tasks`` counters.
 """
 
 from __future__ import annotations
@@ -53,12 +53,10 @@ __all__ = [
     "JobKind",
     "TaskSpec",
     "TaskResult",
-    "WorkerObservation",
     "WorkerPool",
     "job_kind",
     "get_job_kind",
     "run_tasks",
-    "worker_observation",
 ]
 
 #: how many pool breakages run_tasks tolerates before giving up on retry
@@ -101,41 +99,15 @@ class TaskResult:
     metrics: Optional[Dict[str, Any]] = None
 
 
-@dataclass
-class WorkerObservation:
-    """The per-task observation sinks a job body may record into.
-
-    Created by the scheduler around every task execution (inline or in a
-    worker process) when the sweep observes; job kinds fetch it via
-    :func:`worker_observation`.  ``tracer`` is a live
-    :class:`~repro.observe.Tracer` only when the parent attached one
-    (otherwise a ``NullTracer``); ``metrics`` is always a private
-    registry — its snapshot travels back in :attr:`TaskResult.metrics`
-    and merges into the parent's registry.
-    """
-
-    tracer: Any
-    metrics: Any
-
-
-_WORKER_OBS: Optional[WorkerObservation] = None
-
-
-def worker_observation() -> Optional[WorkerObservation]:
-    """The active task's :class:`WorkerObservation`, or ``None``.
-
-    ``None`` means the sweep runs unobserved — job bodies must then skip
-    instrumentation entirely (the near-zero disabled-overhead contract).
-    """
-    return _WORKER_OBS
-
-
 @dataclass(frozen=True)
 class JobKind:
     """A registered task kind: an executor plus its cache contract."""
 
     name: str
-    fn: Callable[[TaskSpec], Any]
+    #: ``fn(spec, obs)`` -> the task's JSON-ish result; ``obs`` is the
+    #: task's :class:`~repro.observe.Observation`, or ``None`` when the
+    #: sweep is unobserved
+    fn: Callable[[TaskSpec, Any], Any]
     #: may results be persisted in the content-addressed cache?
     cacheable: bool = False
     #: content components of the cache key (beyond kind/version/params);
@@ -153,7 +125,7 @@ def job_kind(
 ):
     """Decorator registering a job-kind executor under ``name``."""
 
-    def register(fn: Callable[[TaskSpec], Any]):
+    def register(fn: Callable[[TaskSpec, Any], Any]):
         if cacheable and cache_parts is None:
             raise ValueError(f"cacheable kind {name!r} needs cache_parts")
         _JOB_KINDS[name] = JobKind(
@@ -191,21 +163,19 @@ def _execute(
     This is the function submitted to worker processes, so its return
     value must be picklable: ``(status, value, seconds, pid, started_s,
     span_payload, metrics_snapshot)`` — job kinds return JSON-ish data,
-    failures return the formatted exception.  When observing, the task
-    runs under a :class:`WorkerObservation` (fresh tracer + registry)
-    whose serialized state rides home in the last two slots.
+    failures return the formatted exception.  When observing, the body
+    receives its own :class:`~repro.observe.Observation` (fresh tracer
+    + registry) whose serialized state rides home in the last two slots.
     """
-    global _WORKER_OBS
     _ensure_registered()
-    from ..observe import MetricsRegistry, NullTracer, Tracer
+    from ..observe import NullTracer, Observation, Tracer
 
     tracer = Tracer() if observe_spans else NullTracer()
     obs = (
-        WorkerObservation(tracer=tracer, metrics=MetricsRegistry())
+        Observation(tracer=tracer, rule_events=False)
         if (observe_metrics or observe_spans)
         else None
     )
-    prev, _WORKER_OBS = _WORKER_OBS, obs
     started_s = time.time()
     t0 = time.perf_counter()
     root = None
@@ -214,14 +184,12 @@ def _execute(
         with tracer.span(
             f"task:{spec.kind}", key="/".join(spec.key)
         ) as root:
-            value = kind.fn(spec)
+            value = kind.fn(spec, obs)
         status, out = "ok", value
     except KeyboardInterrupt:  # pragma: no cover - let ^C kill the sweep
         raise
     except BaseException as exc:
         status, out = "error", f"{type(exc).__name__}: {exc}"
-    finally:
-        _WORKER_OBS = prev
     seconds = time.perf_counter() - t0
     if root is not None and tracer.enabled:
         # Stamp the outcome on the (already closed) root span so the
@@ -231,7 +199,7 @@ def _execute(
     span_payload = tracer.to_payload() if observe_spans else None
     snapshot = (
         obs.metrics.to_dict()
-        if observe_metrics and obs is not None and len(obs.metrics)
+        if observe_metrics and len(obs.metrics)
         else None
     )
     return (status, out, seconds, os.getpid(), started_s, span_payload,
@@ -348,9 +316,10 @@ def run_tasks(
     ``jobs=1`` (default) executes inline; ``jobs>1`` fans the cache
     misses out over a worker pool.  ``cache`` is an optional
     :class:`~repro.fabric.cache.ResultCache`; ``metrics``/``tracer`` are
-    optional observe-layer sinks — attaching either makes every task run
-    under a :class:`WorkerObservation` whose metric snapshot and span
-    list are merged back here (see the module docstring).
+    optional observe-layer sinks — attaching either hands every executed
+    task its own :class:`~repro.observe.Observation`, whose metric
+    snapshot and span list are merged back here (see the module
+    docstring).
 
     ``pool`` is an optional persistent :class:`WorkerPool`: when given
     (and sized above one worker), fan-out reuses its executor instead of

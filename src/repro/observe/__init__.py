@@ -35,7 +35,6 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     QUANTILE_RELATIVE_ERROR,
-    global_metrics,
 )
 from .observation import Observation
 from .provenance import Provenance, ProvenanceEntry
@@ -62,7 +61,6 @@ __all__ = [
     "Tracer",
     "diff_reports",
     "format_diff",
-    "global_metrics",
     "load_report",
     "span_summary",
 ]

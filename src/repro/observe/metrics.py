@@ -24,10 +24,6 @@ Label values are coerced to ``str`` when the instrument is interned:
 instrument by design (snapshots travel through JSON, where non-string
 scalars would otherwise round-trip into a second instrument).  Callers
 that need distinct instruments must use distinct strings.
-
-A process-wide default registry (:func:`global_metrics`) exists for
-long-lived tooling; per-compile observation creates private registries so
-concurrent measurements don't bleed into each other.
 """
 
 from __future__ import annotations
@@ -43,7 +39,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "QUANTILE_RELATIVE_ERROR",
-    "global_metrics",
 ]
 
 _LabelKey = Tuple[Tuple[str, str], ...]
@@ -453,11 +448,3 @@ class MetricsRegistry:
             len(self._counters) + len(self._gauges) + len(self._histograms)
         )
 
-
-#: the process-wide default registry
-_GLOBAL = MetricsRegistry()
-
-
-def global_metrics() -> MetricsRegistry:
-    """The process-wide registry (for long-lived tooling/daemons)."""
-    return _GLOBAL

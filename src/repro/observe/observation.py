@@ -54,8 +54,8 @@ class Observation:
         :class:`NullTracer` to keep metrics/provenance but skip events.
     metrics:
         counter/histogram registry; defaults to a fresh private
-        :class:`MetricsRegistry` (use :func:`~repro.observe.global_metrics`
-        to aggregate across compilations).
+        :class:`MetricsRegistry` (pass a shared one to aggregate across
+        compilations).
     provenance:
         rule-chain record; defaults to a fresh :class:`Provenance`.
     rule_events:

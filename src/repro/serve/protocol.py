@@ -27,7 +27,16 @@ are **fabric ops**: each maps onto one :class:`~repro.fabric.TaskSpec`
 of an existing job kind (``compile`` / ``runtime`` / ``coverage`` /
 ``verify-rule`` / ``machinelint``), so daemon replies reuse exactly the
 cell semantics — and content-addressed cacheability — of the one-shot
-sweeps.  ``ping``, ``cache-stats`` and ``shutdown`` are **inline ops**
+sweeps.  A reply's ``result`` is the kind's return value; for
+``coverage`` that is the cell's fire table, sorted
+``[phase, rule, source, fires]`` rows, identical on a cache hit::
+
+    {"id": 3, "ok": true,
+     "result": [["lift", "lift-extending-add", "hand", 4], ...,
+                ["lower", "arm-uabd", "hand", 2], ...],
+     "cached": false, "seconds": 0.01}
+
+``ping``, ``cache-stats`` and ``shutdown`` are **inline ops**
 answered on the event loop without touching the batcher.
 """
 

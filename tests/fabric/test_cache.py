@@ -21,7 +21,6 @@ from repro.fabric import (
 )
 from repro.ir import builders as h
 from repro.ir.types import I16, U8
-from repro.observe import MetricsRegistry
 from repro.trs.rule import Rule
 
 REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
@@ -46,18 +45,6 @@ class TestBasicOperation:
         assert cache.stores == 1
         hit, value = cache.get("t-echo", key)
         assert hit and value == {"v": 1} and cache.hits == 1
-
-    def test_metrics_mirroring(self, tmp_path):
-        metrics = MetricsRegistry()
-        cache = ResultCache(root=str(tmp_path), metrics=metrics)
-        key = cache.key("t-echo", "p")
-        cache.get("t-echo", key)
-        cache.put("t-echo", key, 1)
-        cache.get("t-echo", key)
-        for outcome in ("hit", "miss", "store"):
-            assert metrics.counter_value(
-                "result_cache", kind="t-echo", outcome=outcome
-            ) == 1
 
     def test_stats_and_clear(self, tmp_path):
         cache = ResultCache(root=str(tmp_path))
@@ -340,7 +327,7 @@ class TestSchedulerIntegration:
             fh.write('{"kind": "coverage", "key": "trunca')
         rerun = run_tasks([spec], cache=ResultCache(root=str(tmp_path)))[0]
         assert rerun.ok and not rerun.cached
-        assert rerun.value["counters"] == baseline.value["counters"]
+        assert rerun.value == baseline.value
 
     def test_mismatched_entry_key_is_a_miss(self, tmp_path):
         cache = ResultCache(root=str(tmp_path))

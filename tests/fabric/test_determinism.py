@@ -10,6 +10,7 @@ import pytest
 from repro.evaluation.ablation import run_ablation
 from repro.evaluation.coverage import run_coverage
 from repro.fabric import ResultCache
+from repro.observe import MetricsRegistry
 from repro.synthesis.driver import synthesize_lifting_rules
 from repro.verify import batch_verify_rules
 
@@ -36,10 +37,11 @@ class TestCoverage:
     def test_merged_metrics_match_serial_totals(self):
         # Per-cell registries merged in input order must sum to exactly
         # what the old shared-registry sweep accumulated.
-        serial = run_coverage(workload_names=WORKLOADS, jobs=1)
-        parallel = run_coverage(workload_names=WORKLOADS, jobs=4)
-        for counter in serial.metrics.counters("rule_fired"):
-            assert parallel.metrics.counter_value(
+        serial, parallel = MetricsRegistry(), MetricsRegistry()
+        run_coverage(workload_names=WORKLOADS, jobs=1, metrics=serial)
+        run_coverage(workload_names=WORKLOADS, jobs=4, metrics=parallel)
+        for counter in serial.counters("rule_fired"):
+            assert parallel.counter_value(
                 "rule_fired", **dict(counter.labels)
             ) == counter.value
 

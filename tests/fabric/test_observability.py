@@ -3,8 +3,8 @@
 The PR-7 acceptance criteria live here: a parallel sweep produces one
 merged Chrome trace with worker spans on distinct per-pid lanes and
 nesting preserved, worker metric snapshots merge losslessly for every
-job kind (not just coverage), and cache hits get correctly-anchored
-reconstructed spans.
+job kind, and cache hits get correctly-anchored reconstructed spans but
+replay no worker telemetry.
 """
 
 import os
@@ -13,20 +13,20 @@ import time
 from repro.evaluation.ablation import run_ablation
 from repro.evaluation.coverage import run_coverage
 from repro.fabric import ResultCache, TaskSpec, run_tasks
-from repro.fabric.scheduler import job_kind, worker_observation
+from repro.fabric.scheduler import job_kind
 from repro.observe import MetricsRegistry, Tracer
+from repro.targets import ARM
 from repro.verify import batch_verify_rules
 
 WORKLOADS = ["add", "mean"]
 
 
 @job_kind("t-obs")
-def _t_obs(spec):
-    # Exercise the worker-observation side channel like real job kinds.
-    wo = worker_observation()
-    if wo is not None:
-        wo.metrics.counter("t_obs_runs", key=spec.key[0]).inc()
-        with wo.tracer.span("inner-work", key=spec.key[0]):
+def _t_obs(spec, obs):
+    # Record into the task's observation like real job kinds.
+    if obs is not None:
+        obs.metrics.counter("t_obs_runs", key=spec.key[0]).inc()
+        with obs.tracer.span("inner-work", key=spec.key[0]):
             pass
     return spec.key[0]
 
@@ -36,7 +36,7 @@ def _t_obs(spec):
     cacheable=True,
     cache_parts=lambda spec: spec.key,
 )
-def _t_obs_slow(spec):
+def _t_obs_slow(spec, obs):
     time.sleep(0.01)
     return spec.key[0]
 
@@ -146,15 +146,15 @@ class TestCoverageAcceptance:
     def test_parallel_sweep_trace_and_snapshot(self):
         """The headline check: --jobs 4 --trace coverage produces worker
         lanes with nesting AND a merged snapshot equal to --jobs 1."""
-        serial = run_coverage(workload_names=WORKLOADS, jobs=1)
+        serial, parallel = MetricsRegistry(), MetricsRegistry()
+        run_coverage(workload_names=WORKLOADS, jobs=1, metrics=serial)
         tracer = Tracer()
-        parallel = run_coverage(
-            workload_names=WORKLOADS, jobs=4, tracer=tracer
+        run_coverage(
+            workload_names=WORKLOADS, jobs=4, metrics=parallel,
+            tracer=tracer,
         )
         # Deterministic counters merge to exactly the serial totals.
-        assert _counter_snapshot(serial.metrics) == _counter_snapshot(
-            parallel.metrics
-        )
+        assert _counter_snapshot(serial) == _counter_snapshot(parallel)
         # The trace shows distinct worker lanes with preserved nesting:
         # every compile span sits under a task:coverage root.
         task_spans = [
@@ -170,3 +170,52 @@ class TestCoverageAcceptance:
         assert {s.pid for s in compile_spans} <= {
             s.pid for s in task_spans
         }
+
+
+class TestCacheHitsCarryNoTelemetry:
+    """A hit replays the task's result, never the telemetry of the run
+    that first computed it."""
+
+    OTHER_SPECS = [
+        TaskSpec(
+            "runtime", ("add", "arm-neon"),
+            (False, True, "greedy", "closure"),
+        ),
+        TaskSpec(
+            "verify-rule", ("lifting-hand", "lift-widening-add"),
+            (0, 2, 2, 50, "closure"),
+        ),
+    ]
+
+    def _sweep(self, cache, metrics):
+        coverage = run_coverage(
+            workload_names=["sobel3x3"], targets=[ARM], cache=cache,
+            metrics=metrics,
+        )
+        return coverage, run_tasks(
+            self.OTHER_SPECS, cache=cache, metrics=metrics
+        )
+
+    def test_warm_sweep_counts_hits_and_nothing_else(self, tmp_path):
+        cache = ResultCache(root=str(tmp_path))
+        cold_metrics = MetricsRegistry()
+        cold, cold_other = self._sweep(cache, cold_metrics)
+        assert not cold.failures
+        assert all(r.ok and not r.cached for r in cold_other)
+        # The executed cells did report through their observations.
+        for name in ("rule_fired", "verify_rules"):
+            assert any(c.value for c in cold_metrics.counters(name))
+        assert any(cold_metrics.histograms("pass_seconds"))
+
+        warm_metrics = MetricsRegistry()
+        warm, warm_other = self._sweep(cache, warm_metrics)
+        assert cache.hits == 3
+        assert all(r.cached and r.metrics is None for r in warm_other)
+        assert list(warm_metrics.histograms()) == []
+        assert _counter_snapshot(warm_metrics) == sorted(
+            ("fabric_tasks", (("kind", kind), ("outcome", "cached")), 1)
+            for kind in ("coverage", "runtime", "verify-rule")
+        )
+        # The coverage rows are the cold run's, replayed unchanged.
+        assert warm.to_json() == cold.to_json()
+        assert {r.name: r.fires for r in warm.rows}["arm-uabd"] == 2

@@ -13,12 +13,12 @@ from repro.observe import MetricsRegistry, Tracer
 # Test-only job kinds.  Registered at import time, so fork-started
 # workers inherit them; the t- prefix keeps them out of real sweeps.
 @job_kind("t-echo")
-def _t_echo(spec):
+def _t_echo(spec, obs):
     return list(spec.key)
 
 
 @job_kind("t-jitter")
-def _t_jitter(spec):
+def _t_jitter(spec, obs):
     # Even-indexed tasks finish last: completion order != input order.
     if int(spec.key[0]) % 2 == 0:
         time.sleep(0.05)
@@ -26,14 +26,14 @@ def _t_jitter(spec):
 
 
 @job_kind("t-fail")
-def _t_fail(spec):
+def _t_fail(spec, obs):
     if spec.key[0] == "bad":
         raise ValueError("poisoned cell")
     return spec.key[0]
 
 
 @job_kind("t-crash")
-def _t_crash(spec):
+def _t_crash(spec, obs):
     if spec.key[0] == "crash":
         os._exit(13)  # kill the worker without Python cleanup
     return spec.key[0]

@@ -5,6 +5,7 @@ import json
 
 import repro.__main__ as cli
 from repro.__main__ import main
+from repro.verify import VerificationReport
 
 
 class TestLintCommand:
@@ -155,13 +156,9 @@ class TestRulesVerify:
     def test_per_rule_verdicts_ok(self, capsys, monkeypatch):
         import repro.verify as verify_mod
 
-        class _OkReport:
-            ok = True
-            counterexample = None
-
         monkeypatch.setattr(
             verify_mod, "verify_rule",
-            lambda rule, **kw: _OkReport(),
+            lambda rule, **kw: VerificationReport(rule.name, True, 0, 0),
         )
         assert main(["rules", "--verify"]) == 0
         out = capsys.readouterr().out
@@ -173,16 +170,15 @@ class TestRulesVerify:
     def test_failing_rule_exits_nonzero(self, capsys, monkeypatch):
         import repro.verify as verify_mod
 
-        class _Report:
-            def __init__(self, ok):
-                self.ok = ok
-                self.counterexample = None if ok else "x=3 -> 7 != 9"
-
         calls = {"n": 0}
 
         def fake_verify(rule, **kw):
             calls["n"] += 1
-            return _Report(ok=calls["n"] != 1)  # first rule fails
+            ok = calls["n"] != 1  # first rule fails
+            return VerificationReport(
+                rule.name, ok, 0, 0,
+                counterexample=None if ok else "x=3 -> 7 != 9",
+            )
 
         monkeypatch.setattr(verify_mod, "verify_rule", fake_verify)
         assert main(["rules", "--verify"]) == 1

@@ -8,7 +8,6 @@ import pytest
 from repro.observe import (
     MetricsRegistry,
     QUANTILE_RELATIVE_ERROR,
-    global_metrics,
 )
 
 
@@ -122,9 +121,6 @@ class TestExport:
         (h,) = data["histograms"]
         assert h["name"] == "fixpoint"
         assert h["count"] == 1
-
-    def test_global_registry_is_a_singleton(self):
-        assert global_metrics() is global_metrics()
 
 
 class TestMergeSnapshot:

@@ -104,11 +104,13 @@ def test_match_index_avoids_5x_attempts():
     prunes (misses) plus the rules it admits (hits) — i.e. what the naive
     scan would have attempted — is at least 5x the admitted count."""
     from repro.evaluation.coverage import run_coverage
+    from repro.observe import MetricsRegistry
 
-    report = run_coverage()
+    metrics = MetricsRegistry()
+    report = run_coverage(metrics=metrics)
     assert not report.failures
     hits = misses = 0
-    for c in report.metrics.counters("match_index"):
+    for c in metrics.counters("match_index"):
         labels = dict(c.labels)
         if labels["outcome"] == "hit":
             hits += c.value

@@ -14,7 +14,7 @@ import urllib.request
 import pytest
 
 from repro.__main__ import main
-from repro.fabric import ResultCache
+from repro.fabric import ResultCache, TaskSpec, run_tasks
 from repro.serve import ServeClient, ServeDaemon, ServeError
 from repro.serve.daemon import LINE_LIMIT
 from repro.session import CompilerSession
@@ -125,6 +125,19 @@ class TestRequestReply:
             "max_points": 50,
         })
         assert reply["ok"] is True
+
+    def test_coverage_reply_is_the_fire_table(self, client):
+        params = {"workload": "sobel3x3", "target": "arm-neon"}
+        first = client.request("coverage", dict(params))
+        (inproc,) = run_tasks([
+            TaskSpec("coverage", ("sobel3x3", "arm-neon"), (True, "greedy"))
+        ])
+        assert first["cached"] is False
+        assert first["result"] == inproc.value
+        assert ["lower", "arm-uabd", "hand", 2] in first["result"]
+        second = client.request("coverage", dict(params))
+        assert second["cached"] is True
+        assert second["result"] == first["result"]
 
     def test_lint_op(self, client):
         reply = client.request("lint", {

@@ -322,6 +322,19 @@ class TestRunReports:
         assert main(["report", "diff", str(bogus), str(bogus)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_evaluate_all_report_carries_sweep_metrics(self, tmp_path,
+                                                       capsys):
+        path = tmp_path / "all.json"
+        assert main(["evaluate", "all", "--no-rake", "--repeats", "1",
+                     "--write", str(tmp_path / "all.md"),
+                     "--report", str(path)]) == 0
+        capsys.readouterr()
+        metrics = json.loads(path.read_text())["metrics"]
+        assert any(c["name"] == "rule_fired" and c["value"]
+                   for c in metrics["counters"])
+        assert any(h["name"] == "compile_seconds" and h["count"]
+                   for h in metrics["histograms"])
+
     def test_evaluate_report_carries_geomeans(self, tmp_path, capsys):
         path = tmp_path / "fig7.json"
         assert main(["evaluate", "fig7", "--report", str(path)]) == 0
