@@ -44,8 +44,11 @@ from .scheduler import (
     TaskResult,
     TaskSpec,
     WorkerPool,
+    account_result,
+    execute_tasks,
     get_job_kind,
     job_kind,
+    lookup_task,
     run_tasks,
 )
 
@@ -55,12 +58,15 @@ __all__ = [
     "TaskResult",
     "TaskSpec",
     "WorkerPool",
+    "account_result",
     "default_cache_dir",
     "digest",
     "eval_backend_fingerprint",
+    "execute_tasks",
     "expr_fingerprint",
     "get_job_kind",
     "job_kind",
+    "lookup_task",
     "pipeline_rules_fingerprint",
     "predicate_fingerprint",
     "repro_version",

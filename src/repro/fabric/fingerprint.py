@@ -25,6 +25,7 @@ time-based expiry to tune.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -39,6 +40,8 @@ __all__ = [
     "rule_fingerprint",
     "rulebase_fingerprint",
     "pipeline_rules_fingerprint",
+    "workload_fingerprint",
+    "cell_rules_fingerprint",
     "eval_backend_fingerprint",
     "repro_version",
 ]
@@ -236,4 +239,35 @@ def pipeline_rules_fingerprint(
         repr(sorted(excluded)),
         str(lift_strategy),
         rulebase_fingerprint(rules),
+    )
+
+
+# Memoized forms of the two expensive cache-key parts of a compile-shaped
+# cell; the functions above stay the unmemoized reference.  Both rest on
+# what ``_RULE_FP_MEMO`` rests on: the workload and rule registries never
+# change once imported.  Their arguments are registry names, flags and
+# lift strategies (validated by every caller that takes outside input),
+# so each memo is bounded; nothing here is keyed on a whole task spec.
+@functools.lru_cache(maxsize=None)
+def workload_fingerprint(name: str) -> str:
+    """:func:`expr_fingerprint` of the registry workload ``name``,
+    memoized per process (an unknown name raises and is not kept)."""
+    from ..workloads import by_name
+
+    return expr_fingerprint(by_name(name).expr)
+
+
+@functools.lru_cache(maxsize=None)
+def cell_rules_fingerprint(
+    target_name: str,
+    use_synthesized: bool,
+    lift_strategy: str,
+    exclude_sources: Tuple[str, ...] = (),
+) -> str:
+    """:func:`pipeline_rules_fingerprint` memoized per process."""
+    return pipeline_rules_fingerprint(
+        target_name,
+        use_synthesized,
+        exclude_sources=exclude_sources,
+        lift_strategy=lift_strategy,
     )

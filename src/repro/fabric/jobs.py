@@ -24,10 +24,11 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from .fingerprint import (
+    cell_rules_fingerprint,
     eval_backend_fingerprint,
     expr_fingerprint,
-    pipeline_rules_fingerprint,
     rule_fingerprint,
+    workload_fingerprint,
 )
 from .scheduler import TaskSpec, job_kind
 
@@ -70,16 +71,12 @@ def resolve_rule(label: str, rule_name: str):
 # coverage — one (workload, target) compile with rule telemetry
 # ----------------------------------------------------------------------
 def _coverage_parts(spec: TaskSpec) -> Tuple[str, ...]:
-    from ..workloads import by_name
-
     wl_name, target_name = spec.key
     use_synthesized, lift_strategy = spec.params
     return (
-        expr_fingerprint(by_name(wl_name).expr),
+        workload_fingerprint(wl_name),
         target_name,
-        pipeline_rules_fingerprint(
-            target_name, use_synthesized, lift_strategy=lift_strategy
-        ),
+        cell_rules_fingerprint(target_name, use_synthesized, lift_strategy),
     )
 
 
@@ -248,21 +245,13 @@ def _run_compile_time_cell(spec: TaskSpec, obs) -> dict:
 # runtime — one Figure 5 cell (modelled cycles: deterministic, cacheable)
 # ----------------------------------------------------------------------
 def _runtime_parts(spec: TaskSpec) -> Tuple[str, ...]:
-    from ..workloads import by_name
-
     wl_name, target_name = spec.key
     _with_rake, leave_one_out, lift_strategy, backend = spec.params
-    wl = by_name(wl_name)
-    exclude = (f"synth:{wl.name}",) if leave_one_out else ()
+    exclude = (f"synth:{wl_name}",) if leave_one_out else ()
     return (
-        expr_fingerprint(wl.expr),
+        workload_fingerprint(wl_name),
         target_name,
-        pipeline_rules_fingerprint(
-            target_name,
-            True,
-            exclude_sources=exclude,
-            lift_strategy=lift_strategy,
-        ),
+        cell_rules_fingerprint(target_name, True, lift_strategy, exclude),
         eval_backend_fingerprint(backend),
     )
 
@@ -297,14 +286,12 @@ def _run_runtime_cell(spec: TaskSpec, obs) -> dict:
 # ablation — one Figure 7 cell (modelled cycles: deterministic, cacheable)
 # ----------------------------------------------------------------------
 def _ablation_parts(spec: TaskSpec) -> Tuple[str, ...]:
-    from ..workloads import by_name
-
     wl_name, target_name = spec.key
     return (
-        expr_fingerprint(by_name(wl_name).expr),
+        workload_fingerprint(wl_name),
         target_name,
-        pipeline_rules_fingerprint(target_name, True),
-        pipeline_rules_fingerprint(target_name, False),
+        cell_rules_fingerprint(target_name, True, "greedy"),
+        cell_rules_fingerprint(target_name, False, "greedy"),
         # ablation evaluates through the process-default backend
         eval_backend_fingerprint(None),
     )

@@ -57,6 +57,9 @@ __all__ = [
     "job_kind",
     "get_job_kind",
     "run_tasks",
+    "lookup_task",
+    "execute_tasks",
+    "account_result",
 ]
 
 #: how many pool breakages run_tasks tolerates before giving up on retry
@@ -220,13 +223,6 @@ def _to_result(
                       metrics=snapshot)
 
 
-@dataclass
-class _Pending:
-    index: int
-    spec: TaskSpec
-    cache_key: Optional[str] = None
-
-
 class WorkerPool:
     """A persistent, reusable worker pool for repeated ``run_tasks`` calls.
 
@@ -326,73 +322,135 @@ def run_tasks(
     building a fresh one, and leaves it running afterwards — the
     long-lived-service path.  Without a pool the behaviour is exactly
     the historical per-call executor.
+
+    The three phases are public so a service can answer each request
+    as soon as its own phase allows: :func:`lookup_task`,
+    :func:`execute_tasks` and :func:`account_result`.
     """
-    _ensure_registered()
     specs = list(specs)
     results: List[Optional[TaskResult]] = [None] * len(specs)
-    observe_metrics = metrics is not None
-    observe_spans = tracer is not None and tracer.enabled
-    if pool is not None:
-        jobs = pool.jobs
 
     # -- phase 1: resolve cache hits ----------------------------------
-    pending: List[_Pending] = []
+    misses: List[Tuple[TaskSpec, Optional[str]]] = []
+    miss_index: List[int] = []
     for i, spec in enumerate(specs):
-        kind = get_job_kind(spec.kind)
-        ckey = None
-        if cache is not None and kind.cacheable:
-            ckey = cache.key(
-                spec.kind,
-                repr(spec.key),
-                repr(spec.params),
-                *kind.cache_parts(spec),
-            )
-            hit, value = cache.get(spec.kind, ckey)
-            if hit:
-                results[i] = TaskResult(
-                    spec, ok=True, value=value, cached=True,
-                    pid=os.getpid(), started_s=time.time(),
-                )
-                continue
-        pending.append(_Pending(i, spec, ckey))
+        results[i], ckey = lookup_task(spec, cache)
+        if results[i] is None:
+            misses.append((spec, ckey))
+            miss_index.append(i)
 
-    # -- phase 2: execute misses --------------------------------------
-    if jobs <= 1 or len(pending) <= 1:
-        for p in pending:
-            results[p.index] = _to_result(
-                p.spec, _execute(p.spec, observe_metrics, observe_spans)
-            )
+    # -- phase 2: execute + persist misses ----------------------------
+    def collect(j: int, res: TaskResult) -> None:
+        results[miss_index[j]] = res
+
+    execute_tasks(
+        misses, collect, jobs=jobs, cache=cache,
+        observe_metrics=metrics is not None,
+        observe_spans=tracer is not None and tracer.enabled,
+        pool=pool,
+    )
+
+    # -- phase 3: account, in input order -----------------------------
+    for res in results:
+        assert res is not None
+        account_result(res, metrics, tracer)
+    return results  # type: ignore[return-value]
+
+
+def lookup_task(
+    spec: TaskSpec, cache
+) -> Tuple[Optional[TaskResult], Optional[str]]:
+    """Resolve one task against the result cache (phase 1).
+
+    The one definition of a task's cache key.  Returns ``(hit, None)``
+    when the cache holds the result, else ``(None, key)`` — ``key`` is
+    ``None`` without a cache or for an uncacheable kind — to pass on to
+    :func:`execute_tasks`, so a miss is never looked up twice.  Raises
+    ``KeyError`` for an unregistered kind.
+    """
+    kind = get_job_kind(spec.kind)
+    if cache is None or not kind.cacheable:
+        return None, None
+    ckey = cache.key(
+        spec.kind,
+        repr(spec.key),
+        repr(spec.params),
+        *kind.cache_parts(spec),
+    )
+    hit, value = cache.get(spec.kind, ckey)
+    if not hit:
+        return None, ckey
+    return TaskResult(
+        spec, ok=True, value=value, cached=True,
+        pid=os.getpid(), started_s=time.time(),
+    ), None
+
+
+def execute_tasks(
+    misses: Sequence[Tuple[TaskSpec, Optional[str]]],
+    on_result: Callable[[int, TaskResult], None],
+    jobs: int = 1,
+    cache=None,
+    observe_metrics: bool = False,
+    observe_spans: bool = False,
+    pool: Optional[WorkerPool] = None,
+) -> None:
+    """Execute cache misses and persist their results (phase 2).
+
+    ``misses`` pairs each spec with the key :func:`lookup_task` gave it.
+    As each task finishes — in completion order, not input order — a
+    successful value is stored under its key, and then ``on_result(i,
+    result)`` is called with the miss's index, so a caller can answer
+    one task while the others still run, and a repeat sent after that
+    answer is a hit.  ``jobs>1`` (or a ``pool``) fans out over worker
+    processes when there is more than one miss; the ``observe_*`` flags
+    hand each task its own :class:`~repro.observe.Observation`.
+    """
+
+    def finish(i: int, res: TaskResult) -> None:
+        ckey = misses[i][1]
+        if cache is not None and ckey is not None and res.ok:
+            cache.put(res.spec.kind, ckey, res.value)
+        on_result(i, res)
+
+    if pool is not None:
+        jobs = pool.jobs
+    specs = [spec for spec, _ckey in misses]
+    if jobs <= 1 or len(specs) <= 1:
+        for i, spec in enumerate(specs):
+            finish(i, _to_result(
+                spec, _execute(spec, observe_metrics, observe_spans)
+            ))
     else:
-        _run_pool(pending, jobs, results, observe_metrics, observe_spans,
+        _run_pool(specs, jobs, finish, observe_metrics, observe_spans,
                   pool=pool)
 
-    # -- phase 3: persist + account -----------------------------------
-    cache_keys = {p.index: p.cache_key for p in pending}
-    for i, res in enumerate(results):
-        assert res is not None
-        if cache is not None and res.ok and not res.cached:
-            ckey = cache_keys.get(i)
-            if ckey is not None:
-                cache.put(res.spec.kind, ckey, res.value)
-        if metrics is not None:
-            outcome = (
-                "cached" if res.cached else ("ok" if res.ok else "failed")
-            )
-            metrics.counter(
-                "fabric_tasks", kind=res.spec.kind, outcome=outcome
-            ).inc()
-            if not res.cached:
-                metrics.histogram(
-                    "fabric_task_seconds", kind=res.spec.kind
-                ).observe(res.seconds)
-            if res.metrics is not None:
-                metrics.merge_snapshot(res.metrics)
-        if observe_spans:
-            if res.spans is not None:
-                tracer.merge_payload(res.spans)
-            else:
-                _record_span(tracer, res)
-    return results  # type: ignore[return-value]
+
+def account_result(res: TaskResult, metrics=None, tracer=None) -> None:
+    """Record one finished task on the caller's sinks (phase 3).
+
+    Adds its ``fabric_tasks`` count (outcome ``cached``, ``ok`` or
+    ``failed``) and, when it executed, its ``fabric_task_seconds``
+    sample, and merges its worker metrics; on a live ``tracer`` it lays
+    down the worker's spans, or a synthetic one (:func:`_record_span`)
+    for a result that carries none, such as a cache hit.
+    """
+    if metrics is not None:
+        outcome = "cached" if res.cached else ("ok" if res.ok else "failed")
+        metrics.counter(
+            "fabric_tasks", kind=res.spec.kind, outcome=outcome
+        ).inc()
+        if not res.cached:
+            metrics.histogram(
+                "fabric_task_seconds", kind=res.spec.kind
+            ).observe(res.seconds)
+        if res.metrics is not None:
+            metrics.merge_snapshot(res.metrics)
+    if tracer is not None and tracer.enabled:
+        if res.spans is not None:
+            tracer.merge_payload(res.spans)
+        else:
+            _record_span(tracer, res)
 
 
 def _record_span(tracer, res: TaskResult) -> None:
@@ -429,28 +487,30 @@ def _record_span(tracer, res: TaskResult) -> None:
 
 
 def _run_pool(
-    pending: List[_Pending],
+    specs: List[TaskSpec],
     jobs: int,
-    results: List[Optional[TaskResult]],
+    finish: Callable[[int, TaskResult], None],
     observe_metrics: bool = False,
     observe_spans: bool = False,
     pool: Optional[WorkerPool] = None,
 ) -> None:
-    """Fan pending tasks out over a worker pool, isolating crashes.
+    """Fan tasks out over a worker pool, isolating crashes.
 
-    Python-level exceptions never surface here (``_execute`` catches
-    them in the worker); only an abrupt worker death (segfault,
-    ``os._exit``) breaks the pool.  When that happens every in-flight
-    future fails collaterally, so each affected task is retried once in
-    a fresh single-worker pool — the genuinely poisonous task fails
-    again (and is reported failed), innocent neighbours succeed.
+    ``finish(i, result)`` is called for ``specs[i]`` as soon as its
+    result is final.  Python-level exceptions never surface here
+    (``_execute`` catches them in the worker); only an abrupt worker
+    death (segfault, ``os._exit``) breaks the pool.  When that happens
+    every in-flight future fails collaterally, so each affected task is
+    retried once in a fresh single-worker pool — the genuinely poisonous
+    task fails again (and is reported failed), innocent neighbours
+    succeed.
 
     With a persistent ``pool`` the executor is borrowed, not owned: it
     is left running on exit, and a breakage triggers
     :meth:`WorkerPool.rebuild` so the *next* batch gets a healthy pool
     (the retry path below already covers this batch's casualties).
     """
-    broken: List[_Pending] = []
+    broken: List[int] = []
     executor_cm = (
         nullcontext(pool.executor)
         if pool is not None
@@ -459,45 +519,49 @@ def _run_pool(
     with executor_cm as executor:
         futures = {
             executor.submit(
-                _execute, p.spec, observe_metrics, observe_spans
-            ): p
-            for p in pending
+                _execute, spec, observe_metrics, observe_spans
+            ): i
+            for i, spec in enumerate(specs)
         }
         not_done = set(futures)
         while not_done:
             done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
             for fut in done:
-                p = futures[fut]
+                i = futures[fut]
                 try:
-                    results[p.index] = _to_result(p.spec, fut.result())
+                    res = _to_result(specs[i], fut.result())
                 except BrokenProcessPool:
-                    broken.append(p)
+                    broken.append(i)
+                    continue
                 except Exception as exc:  # pragma: no cover - pickling
-                    results[p.index] = TaskResult(
-                        p.spec, ok=False, error=f"{type(exc).__name__}: {exc}"
+                    res = TaskResult(
+                        specs[i], ok=False,
+                        error=f"{type(exc).__name__}: {exc}",
                     )
+                finish(i, res)
     if broken and pool is not None:
         pool.rebuild()
 
     rebuilds = 0
-    for p in sorted(broken, key=lambda p: p.index):
+    for i in sorted(broken):
         if rebuilds >= MAX_POOL_REBUILDS:
-            results[p.index] = TaskResult(
-                p.spec, ok=False,
+            finish(i, TaskResult(
+                specs[i], ok=False,
                 error="worker pool broken (retry budget exhausted)",
-            )
+            ))
             continue
         with ProcessPoolExecutor(max_workers=1) as retry_pool:
             try:
-                results[p.index] = _to_result(
-                    p.spec,
+                res = _to_result(
+                    specs[i],
                     retry_pool.submit(
-                        _execute, p.spec, observe_metrics, observe_spans
+                        _execute, specs[i], observe_metrics, observe_spans
                     ).result(),
                 )
             except Exception as exc:
                 rebuilds += 1
-                results[p.index] = TaskResult(
-                    p.spec, ok=False,
+                res = TaskResult(
+                    specs[i], ok=False,
                     error=f"worker process died: {type(exc).__name__}",
                 )
+            finish(i, res)

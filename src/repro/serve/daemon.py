@@ -9,28 +9,42 @@ actual instruction selection instead of a full process cold start.
 
 Architecture (one asyncio event loop)::
 
-    connections ──lines──> per-request tasks ──┐ (fabric ops)
-                                               v
-    inline ops (ping/cache-stats/shutdown)   request queue
-         │                                     │  coalesced by the
-         v                                     v  dispatch loop
-       reply                              batch of TaskSpecs
-                                               │ one pump thread
-                                               v
-                      run_tasks(... pool=WorkerPool)   <- forked AFTER
-                                               │          warm-up
-                                               v
-                                 futures resolve -> replies
+    connections ──lines──> per-request tasks ──> inline ops (ping/
+                                 │               cache-stats/shutdown)
+                                 │ fabric op: one cache lookup
+                 hit ┌───────────┴──────────┐ miss (+ its key)
+                     v                      v
+          reply at admission          request queue
+                                            │  coalesced by the
+                                            v  dispatch loop
+                                     batch of misses
+                                            │ one pump thread
+                                            v
+                      execute_tasks(... pool=WorkerPool)   <- forked AFTER
+                                            │                 warm-up
+                                            v
+                         each result stored, then replied
 
-* **Batching** — concurrent requests arriving within ``batch_window_s``
-  (or queued while a batch is in flight) coalesce into one
-  ``run_tasks`` call, sharded over the session's persistent
-  :class:`~repro.fabric.WorkerPool`; with ``jobs=1`` the batch runs
-  inline on the pump thread against the warm caches.
-* **Deadlines** — a request whose ``deadline_s`` expires before
-  dispatch is answered ``deadline`` without executing; one that expires
-  while its batch runs is answered ``deadline`` rather than handed a
-  stale result.
+* **Admission** — a fabric request is turned into its
+  :class:`~repro.fabric.TaskSpec` (a bad one is answered
+  ``bad-request`` here) and looked up in the session's result cache
+  exactly once (:func:`~repro.fabric.lookup_task`).  A hit is answered
+  on the spot, never queued behind a miss; it counts as
+  ``serve_requests{outcome="cached"}`` and
+  ``fabric_tasks{outcome="cached"}``, as a hit inside ``run_tasks``
+  does.
+* **Batching** — misses arriving within ``batch_window_s`` (or queued
+  while a batch is in flight) coalesce into one
+  :func:`~repro.fabric.execute_tasks` call, sharded over the session's
+  persistent :class:`~repro.fabric.WorkerPool`; with ``jobs=1`` the
+  batch runs inline on the pump thread against the warm caches.  Each
+  task's result is stored in the cache and then replied to as soon as
+  that task finishes, not when its batch does.  Batches hold misses
+  only, so ``serve_batches``/``serve_batch_size`` count miss batches.
+* **Deadlines** — a request whose ``deadline_s`` has expired when its
+  lookup hits, or before its batch is dispatched, is answered
+  ``deadline`` without executing; one that expires while its task runs
+  is answered ``deadline`` rather than handed a stale result.
 * **Graceful shutdown** — SIGINT/SIGTERM or the ``shutdown`` op stops
   accepting work, drains the queue and in-flight batch, writes every
   pending reply, then tears down the pool — and emits the ``--report``
@@ -51,9 +65,16 @@ import functools
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..fabric import (
+    TaskResult,
+    TaskSpec,
+    account_result,
+    execute_tasks,
+    lookup_task,
+)
 from ..session import CompilerSession
 from .protocol import (
     FABRIC_OPS,
@@ -78,14 +99,25 @@ LINE_LIMIT = 2 ** 16
 
 @dataclass
 class _PendingRequest:
-    """One fabric-op request waiting for (or riding in) a batch."""
+    """One fabric request that missed the cache at admission, waiting
+    for (or riding in) a batch."""
 
     req: Request
+    spec: TaskSpec
+    #: the key its admission lookup computed (None: nothing to store)
+    cache_key: Optional[str]
     future: "asyncio.Future[Dict[str, Any]]"
-    #: ``time.monotonic()`` at enqueue
+    #: ``time.monotonic()`` when its line was read
     received: float
     #: absolute monotonic deadline (None: unbounded)
     deadline: Optional[float] = None
+
+
+def _deadline_reply(req: Request, when: str) -> Dict[str, Any]:
+    """The ``deadline`` error for a request, saying when it expired."""
+    return error_reply(
+        req.id, "deadline", f"deadline of {req.deadline_s}s expired {when}"
+    )
 
 
 class ServeDaemon:
@@ -289,7 +321,9 @@ class ServeDaemon:
         self._writers.add(writer)
         self.metrics.gauge("serve_connections").inc()
         write_lock = asyncio.Lock()
-        tasks: List[asyncio.Task] = []
+        # This connection's unfinished line tasks: finished ones drop
+        # out, so a long-lived connection holds no history.
+        tasks: set = set()
         try:
             while True:
                 try:
@@ -315,9 +349,9 @@ class ServeDaemon:
                 task = asyncio.create_task(
                     self._handle_line(line, writer, write_lock)
                 )
-                tasks.append(task)
-                self._line_tasks.add(task)
-                task.add_done_callback(self._line_tasks.discard)
+                for group in (tasks, self._line_tasks):
+                    group.add(task)
+                    task.add_done_callback(group.discard)
             if tasks:
                 await asyncio.gather(*tasks, return_exceptions=True)
         finally:
@@ -369,7 +403,8 @@ class ServeDaemon:
     async def _dispatch_request(
         self, req: Request, received: float
     ) -> Dict[str, Any]:
-        """Answer inline ops; enqueue fabric ops and await their batch."""
+        """Answer inline ops and cache hits; enqueue a miss and await
+        its own task."""
         if req.op == "ping":
             reply = ok_reply(
                 req.id,
@@ -403,15 +438,26 @@ class ServeDaemon:
             raise ProtocolError(
                 "shutting-down", "daemon is draining; request refused"
             )
+        spec = to_task_spec(req)
+        deadline = (
+            received + req.deadline_s if req.deadline_s is not None else None
+        )
+        hit, cache_key = lookup_task(spec, self.session.cache)
+        if hit is not None:
+            # A hit is answered here, never queued behind a miss.
+            account_result(hit, self.metrics, self.tracer)
+            if deadline is not None and time.monotonic() >= deadline:
+                self._account(req.op, "deadline", received)
+                return _deadline_reply(req, "before dispatch")
+            self._account(req.op, "cached", received)
+            return ok_reply(req.id, hit.value, cached=True, seconds=0.0)
         pending = _PendingRequest(
             req=req,
+            spec=spec,
+            cache_key=cache_key,
             future=asyncio.get_running_loop().create_future(),
             received=received,
-            deadline=(
-                received + req.deadline_s
-                if req.deadline_s is not None
-                else None
-            ),
+            deadline=deadline,
         )
         await self._queue.put(pending)
         self.metrics.gauge("serve_queue_depth").set(self._queue.qsize())
@@ -419,13 +465,14 @@ class ServeDaemon:
 
     # -- batching ------------------------------------------------------
     async def _dispatch_loop(self) -> None:
-        """Coalesce queued requests into fabric batches, forever.
+        """Coalesce queued misses into fabric batches, forever.
 
         The loop blocks on the queue, then (batch window permitting)
         sleeps once to let concurrent arrivals coalesce, then drains up
-        to ``max_batch`` requests into one ``run_tasks`` call.  The
-        ``_STOP`` sentinel — enqueued exactly once, by ``shutdown()`` —
-        drains everything still queued and exits.
+        to ``max_batch`` requests into one batch, and waits for it to
+        finish before it takes the next.  The ``_STOP`` sentinel —
+        enqueued exactly once, by ``shutdown()`` — drains everything
+        still queued and exits.
         """
         loop = asyncio.get_running_loop()
         while True:
@@ -465,82 +512,70 @@ class ServeDaemon:
                 return
 
     async def _run_batch(self, batch: List[_PendingRequest], loop) -> None:
+        """Execute one batch of misses on the pump thread; each request
+        is answered as soon as its own task finishes."""
         now = time.monotonic()
         ready: List[_PendingRequest] = []
-        specs = []
         for pend in batch:
             if pend.deadline is not None and now >= pend.deadline:
                 self._resolve(
-                    pend,
-                    error_reply(
-                        pend.req.id,
-                        "deadline",
-                        f"deadline of {pend.req.deadline_s}s expired "
-                        f"before dispatch",
-                    ),
+                    pend, _deadline_reply(pend.req, "before dispatch"),
                     "deadline",
                 )
-                continue
-            try:
-                spec = to_task_spec(pend.req)
-            except ProtocolError as exc:
-                self._resolve(
-                    pend,
-                    error_reply(pend.req.id, exc.code, exc.message),
-                    exc.code,
-                )
-                continue
-            ready.append(pend)
-            specs.append(spec)
+            else:
+                ready.append(pend)
         if not ready:
             return
         self.batches_run += 1
         self.metrics.counter("serve_batches").inc()
         self.metrics.histogram("serve_batch_size").observe(len(ready))
-        results = await loop.run_in_executor(
-            self._pump, functools.partial(self._execute_batch, specs)
-        )
-        end = time.monotonic()
-        for pend, res in zip(ready, results):
-            if pend.deadline is not None and end >= pend.deadline:
-                self._resolve(
-                    pend,
-                    error_reply(
-                        pend.req.id,
-                        "deadline",
-                        f"deadline of {pend.req.deadline_s}s expired "
-                        f"during execution (result discarded)",
-                    ),
-                    "deadline",
-                )
-            elif res.ok:
-                self._resolve(
-                    pend,
-                    ok_reply(
-                        pend.req.id,
-                        res.value,
-                        cached=res.cached,
-                        seconds=res.seconds,
-                    ),
-                    "cached" if res.cached else "ok",
-                )
-            else:
-                self._resolve(
-                    pend,
-                    error_reply(
-                        pend.req.id,
-                        "task-failed",
-                        res.error or "task failed",
-                    ),
-                    "task-failed",
-                )
 
-    def _execute_batch(self, specs) -> List:
+        def on_result(i: int, res: TaskResult) -> None:  # pump thread
+            loop.call_soon_threadsafe(self._finish, ready[i], res)
+
+        # Every on_result callback is scheduled before this future
+        # resolves, so the whole batch is answered when the await ends.
+        await loop.run_in_executor(
+            self._pump,
+            functools.partial(self._execute_batch, ready, on_result),
+        )
+
+    def _execute_batch(self, batch: List[_PendingRequest], on_result) -> None:
         """Run one coalesced batch on the pump thread (fabric inside)."""
-        if self.tracer is not None:
-            with self.tracer.span("serve:batch", size=len(specs)):
-                return self.session.run_tasks(specs, tracer=self.tracer)
-        return self.session.run_tasks(specs)
+        session = self.session
+        span = (
+            self.tracer.span("serve:batch", size=len(batch))
+            if self.tracer is not None
+            else contextlib.nullcontext()
+        )
+        with span:
+            execute_tasks(
+                [(pend.spec, pend.cache_key) for pend in batch],
+                on_result,
+                jobs=session.jobs,
+                cache=session.cache,
+                observe_metrics=True,
+                observe_spans=self.tracer is not None,
+                pool=session.ensure_pool(),
+            )
+
+    def _finish(self, pend: _PendingRequest, res: TaskResult) -> None:
+        """Answer one executed miss (on the event loop)."""
+        account_result(res, self.metrics, self.tracer)
+        if pend.deadline is not None and time.monotonic() >= pend.deadline:
+            reply = _deadline_reply(
+                pend.req, "during execution (result discarded)"
+            )
+            outcome = "deadline"
+        elif res.ok:
+            reply = ok_reply(pend.req.id, res.value, seconds=res.seconds)
+            outcome = "ok"
+        else:
+            reply = error_reply(
+                pend.req.id, "task-failed", res.error or "task failed"
+            )
+            outcome = "task-failed"
+        self._resolve(pend, reply, outcome)
 
     def _resolve(
         self, pend: _PendingRequest, reply: Dict[str, Any], outcome: str
@@ -591,3 +626,4 @@ class ServeDaemon:
             with contextlib.suppress(Exception):
                 writer.close()
                 await writer.wait_closed()
+

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 __all__ = [
     "CompilerSession",
@@ -106,7 +106,7 @@ class CompilerSession:
         self.jobs = jobs
         self.cache = cache
         self.metrics = metrics
-        #: root spans are the report's phases; never handed to run_tasks
+        #: root spans are the report's phases; never handed to the fabric
         self.phase_tracer = phase_tracer
         self.eval_backend = eval_backend
         self._pool = None
@@ -245,19 +245,6 @@ class CompilerSession:
 
             self._pool = WorkerPool(self.jobs, warm_up=self.warm_up)
         return self._pool
-
-    def run_tasks(self, specs, tracer=None) -> List:
-        """Run fabric tasks under this session's context (+ pool)."""
-        from .fabric import run_tasks
-
-        return run_tasks(
-            specs,
-            jobs=self.jobs,
-            cache=self.cache,
-            metrics=self.metrics,
-            tracer=tracer,
-            pool=self.ensure_pool(),
-        )
 
     # -- observability -------------------------------------------------
     def phase(self, name: str):

@@ -1,5 +1,6 @@
 """Result-cache contract: content addressing, invalidation, resilience."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -13,11 +14,17 @@ from repro.fabric import (
     default_cache_dir,
     eval_backend_fingerprint,
     expr_fingerprint,
+    get_job_kind,
+    lookup_task,
     pipeline_rules_fingerprint,
     predicate_fingerprint,
     rule_fingerprint,
     rulebase_fingerprint,
     run_tasks,
+)
+from repro.fabric.fingerprint import (
+    cell_rules_fingerprint,
+    workload_fingerprint,
 )
 from repro.ir import builders as h
 from repro.ir.types import I16, U8
@@ -347,3 +354,96 @@ class TestSchedulerIntegration:
         run_tasks([spec], cache=cache)
         assert cache.stores == 0 and cache.misses == 0
         assert _entry_files(tmp_path) == []
+
+
+class TestKeyMemo:
+    """The memoized key parts of compile-shaped cells (the workload
+    expression and the pipeline rulebase) against the unmemoized
+    fingerprint functions, which stay the reference."""
+
+    def _reference_parts(self, spec):
+        from repro.workloads import by_name
+
+        wl_name, target = spec.key
+        expr_fp = expr_fingerprint(by_name(wl_name).expr)
+        if spec.kind == "runtime":
+            _rake, leave_one_out, strategy, backend = spec.params
+            exclude = (f"synth:{wl_name}",) if leave_one_out else ()
+            return (
+                expr_fp, target,
+                pipeline_rules_fingerprint(
+                    target, True, exclude_sources=exclude,
+                    lift_strategy=strategy,
+                ),
+                eval_backend_fingerprint(backend),
+            )
+        if spec.kind == "ablation":
+            return (
+                expr_fp, target,
+                pipeline_rules_fingerprint(target, True),
+                pipeline_rules_fingerprint(target, False),
+                eval_backend_fingerprint(None),
+            )
+        use_synthesized, strategy = spec.params
+        return (
+            expr_fp, target,
+            pipeline_rules_fingerprint(
+                target, use_synthesized, lift_strategy=strategy
+            ),
+        )
+
+    def _cells(self):
+        """Every compile-shaped spec the sweeps and the daemon build."""
+        from repro.interp import BACKENDS
+        from repro.lifting import LIFT_STRATEGIES
+        from repro.targets import ALL_TARGETS
+        from repro.workloads import WORKLOADS
+
+        for wl, target in itertools.product(WORKLOADS, ALL_TARGETS):
+            key = (wl, target)
+            yield TaskSpec("ablation", key)
+            for synth, strategy in itertools.product(
+                (True, False), LIFT_STRATEGIES
+            ):
+                for kind in ("compile", "coverage", "machinelint"):
+                    yield TaskSpec(kind, key, (synth, strategy))
+            for rake, loo, strategy, backend in itertools.product(
+                (False, True), (False, True), LIFT_STRATEGIES, BACKENDS
+            ):
+                yield TaskSpec(
+                    "runtime", key, (rake, loo, strategy, backend)
+                )
+
+    def test_memoized_parts_equal_the_reference(self):
+        from repro.workloads import WORKLOADS
+
+        for spec in self._cells():
+            parts = get_job_kind(spec.kind).cache_parts
+            reference = self._reference_parts(spec)
+            assert parts(spec) == reference, spec
+            assert parts(spec) == reference, spec  # served from the memo
+        # One entry per workload, and per (target, flag, strategy,
+        # exclusion) combination: the memos are bounded by the cells.
+        assert workload_fingerprint.cache_info().currsize <= len(WORKLOADS)
+
+    def test_memo_does_not_grow_with_requests(self, tmp_path):
+        cache = ResultCache(root=str(tmp_path))
+        compile_spec = TaskSpec(
+            "compile", ("add", "arm-neon"), (True, "greedy")
+        )
+        lookup_task(compile_spec, cache)
+        sizes = (
+            workload_fingerprint.cache_info().currsize,
+            cell_rules_fingerprint.cache_info().currsize,
+        )
+        for seed in range(300):
+            hit, ckey = lookup_task(TaskSpec(
+                "verify-rule", ("lifting-hand", "lift-widening-add"),
+                (seed, 6, 4, 400, "closure"),
+            ), cache)
+            assert hit is None and ckey is not None
+            lookup_task(compile_spec, cache)
+        assert (
+            workload_fingerprint.cache_info().currsize,
+            cell_rules_fingerprint.cache_info().currsize,
+        ) == sizes

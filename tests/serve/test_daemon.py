@@ -7,9 +7,13 @@ tests that must observe a shutdown start their own.
 """
 
 import asyncio
+import gc
 import json
+import os
 import threading
+import time
 import urllib.request
+import weakref
 
 import pytest
 
@@ -17,7 +21,20 @@ from repro.__main__ import main
 from repro.fabric import ResultCache, TaskSpec, run_tasks
 from repro.serve import ServeClient, ServeDaemon, ServeError
 from repro.serve.daemon import LINE_LIMIT
+from repro.serve.protocol import encode_reply
 from repro.session import CompilerSession
+
+#: verify-rule seeds from here on sleep under the ``slow_verify`` fixture
+SLOW_SEEDS = 10_000
+
+
+def _verify(seed, **frame):
+    """A small verify-rule request frame; a fresh seed makes a miss."""
+    return dict(frame, op="verify-rule", params={
+        "ruleset": "lifting-hand", "rule": "lift-widening-add",
+        "seed": seed, "max_type_combos": 2, "max_const_samples": 2,
+        "max_points": 50,
+    })
 
 
 def _start_daemon(**daemon_kwargs):
@@ -166,6 +183,170 @@ class TestBatching:
         assert sizes and sizes[0].max >= 2
 
 
+class TestPerRequestReplies:
+    """Each request is answered when its own work is done: a hit at
+    admission, a miss when its task finishes, not when its batch does."""
+
+    @pytest.fixture
+    def slow_verify(self, monkeypatch):
+        """Verifications with a seed >= SLOW_SEEDS sleep first; the
+        returned event is set once the slow one has finished."""
+        import repro.verify as verify_mod
+
+        real = verify_mod.verify_rule
+        finished = threading.Event()
+
+        def verify_rule(rule, seed=0, **kwargs):
+            if seed < SLOW_SEEDS:
+                return real(rule, seed=seed, **kwargs)
+            time.sleep(0.5)
+            try:
+                return real(rule, seed=seed, **kwargs)
+            finally:
+                finished.set()
+
+        monkeypatch.setattr(verify_mod, "verify_rule", verify_rule)
+        return finished
+
+    def test_hit_is_never_held_behind_a_miss(self, served, slow_verify):
+        params = {"workload": "softmax", "target": "hexagon-hvx"}
+        with ServeClient(port=served["daemon"].address[1]) as c:
+            cold = c.request("compile", params)
+            assert cold["cached"] is False
+            c.send(_verify(SLOW_SEEDS + 1, id="slow"))
+            c.send({"id": "hit", "op": "compile", "params": params})
+            hit = c.recv()
+            assert hit["id"] == "hit"
+            assert not slow_verify.is_set()
+            assert encode_reply(hit) == encode_reply(
+                dict(cold, id="hit", cached=True, seconds=0.0)
+            )
+            slow = c.recv()
+        assert slow["id"] == "slow" and slow["ok"] is True
+        assert slow_verify.is_set()
+
+    def test_miss_is_answered_when_its_own_task_finishes(
+        self, served, slow_verify
+    ):
+        daemon = served["daemon"]
+        before = daemon.batches_run
+        with ServeClient(port=daemon.address[1]) as c:
+            c.send(_verify(7001, id="fast"))
+            c.send(_verify(SLOW_SEEDS + 2, id="slow"))
+            fast = c.recv()
+            assert fast["id"] == "fast"
+            assert not slow_verify.is_set()
+            slow = c.recv()
+        assert daemon.batches_run - before == 1  # one batch held both
+        assert fast["ok"] is True and fast["cached"] is False
+        assert slow["id"] == "slow" and slow["ok"] is True
+
+    def test_pool_answers_each_miss_when_its_worker_finishes(
+        self, tmp_path, slow_verify
+    ):
+        # Patched before the pool forks, so the workers inherit the slow
+        # verifier; the fast miss finishes on the other worker first.
+        trace = tmp_path / "serve-trace.json"
+        holder = _start_daemon(
+            session=CompilerSession(jobs=2),
+            batch_window_s=0.02,
+            trace_path=str(trace),
+        )
+        daemon = holder["daemon"]
+        try:
+            with ServeClient(port=daemon.address[1]) as c:
+                c.send(_verify(SLOW_SEEDS + 3, id="slow"))
+                c.send(_verify(7002, id="fast"))
+                replies = [c.recv(), c.recv()]
+        finally:
+            _stop_daemon(holder)
+        assert [r["id"] for r in replies] == ["fast", "slow"]
+        assert all(r["ok"] for r in replies)
+        assert daemon.batches_run == 1
+        events = json.loads(trace.read_text())
+        if isinstance(events, dict):
+            events = events["traceEvents"]
+        workers = {
+            ev["pid"] for ev in events if ev.get("name") == "task:verify-rule"
+        }
+        assert len(workers) == 2 and os.getpid() not in workers
+
+
+class TestAccounting:
+    def test_one_cache_lookup_per_request(self, tmp_path):
+        # k hits and m misses read exactly k hits and m misses in the
+        # cache's own counts, and k cached outcomes in both counters.
+        holder = _start_daemon(
+            session=CompilerSession(cache=ResultCache(root=str(tmp_path))),
+            batch_window_s=0.01,
+        )
+        daemon = holder["daemon"]
+        misses = [
+            {"op": "compile",
+             "params": {"workload": "add", "target": "arm-neon"}},
+            {"op": "compile",
+             "params": {"workload": "mul", "target": "x86-avx2"}},
+            {"op": "coverage",
+             "params": {"workload": "add", "target": "arm-neon"}},
+            _verify(1),
+        ]
+        hits = misses * 2
+        try:
+            with ServeClient(port=daemon.address[1]) as c:
+                cold = c.batch(misses)
+                warm = c.batch(hits)
+                session = c.cache_stats()["session"]
+        finally:
+            _stop_daemon(holder)
+        assert [r["cached"] for r in cold] == [False] * len(misses)
+        assert [r["cached"] for r in warm] == [True] * len(hits)
+        assert (session["hits"], session["misses"]) == (
+            len(hits), len(misses)
+        )
+
+        def cached(name):
+            return sum(
+                c.value for c in daemon.metrics.counters(name)
+                if dict(c.labels)["outcome"] == "cached"
+            )
+
+        assert cached("fabric_tasks") == len(hits)
+        assert cached("serve_requests") == len(hits)
+
+
+class TestConnections:
+    def test_finished_requests_are_released_before_close(
+        self, served, monkeypatch
+    ):
+        # A long-lived connection must not keep every request's task:
+        # once answered, each is garbage while the connection is open.
+        daemon = served["daemon"]
+        refs = []
+        handle_line = daemon._handle_line
+
+        async def spy(*args):
+            refs.append(weakref.ref(asyncio.current_task()))
+            await handle_line(*args)
+
+        monkeypatch.setattr(daemon, "_handle_line", spy)
+        with ServeClient(port=daemon.address[1]) as c:
+            replies = c.batch([("ping", {})] * 300)
+            assert all(r["ok"] for r in replies)
+            # The reader holds its newest line's task until the next
+            # line arrives, so one more request lets go of the 300th.
+            c.ping()
+            answered = refs[:300]
+            give_up = time.monotonic() + 5.0
+            while True:
+                gc.collect()
+                alive = sum(ref() is not None for ref in answered)
+                if not alive or time.monotonic() > give_up:
+                    break
+                time.sleep(0.01)
+            assert len(answered) == 300
+            assert alive == 0
+
+
 class TestErrors:
     def test_unknown_workload_is_bad_request(self, client):
         with pytest.raises(ServeError) as exc:
@@ -204,7 +385,9 @@ class TestErrors:
             assert c.ping()["pong"] is True
 
     def test_expired_deadline_is_refused_not_executed(self, client):
-        # 1 microsecond always expires inside the 20ms batch window.
+        # Earlier tests cached this cell, so it is answered at
+        # admission, where 1 microsecond has always expired by the
+        # time the lookup is done.
         with pytest.raises(ServeError) as exc:
             client.request(
                 "compile",
