@@ -10,13 +10,16 @@ The analysis is a standard forward interval evaluation with an expression
 cache ("for performance reasons, a simple expression cache for bounds
 queries"), extended with transfer functions for every FPIR instruction —
 the paper notes this was "only a small modification to the existing bounds
-inference engine in Halide".
+inference engine in Halide".  The compositional instructions are bounded
+through their Table 1 expansion, memoized per process by value (op, types,
+operand intervals), so the expansion is built once per distinct query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from functools import lru_cache
+from typing import Dict, Optional, Tuple
 
 from ..fpir import ops as F
 from ..fpir.semantics import expand
@@ -196,6 +199,10 @@ class BoundsAnalyzer:
         if s < 0:
             left, s = not left, -s
         if left:
+            if s >= t.bits and (a.lo or a.hi):
+                # any nonzero x << s leaves the type: same answer as the
+                # exact interval, without building a 2**s-sized integer
+                return Interval.of_type(t)
             exact = Interval(a.lo << s, a.hi << s)
             return self._wrap_aware(t, exact)
         if s >= t.bits:
@@ -258,21 +265,59 @@ class BoundsAnalyzer:
             b = self.bounds(e.b)
             return self._wrap_aware(t, _corners(a, b, lambda x, y: x * y))
 
-        # Compositional instructions (shifts, mul_shr...): analyze the
-        # definitional expansion.  Sound because expansion is semantics-
-        # preserving; cached at this node.
-        surrogate_env = {}
-        names = []
-        for i, child in enumerate(e.children):
-            name = f"__b{i}"
-            names.append(E.Var(child.type, name))
-            surrogate_env[name] = self.bounds(child)
-        expansion = expand(e.with_children(names))
-        if expansion is None:
-            return Interval.of_type(t)
-        sub = BoundsAnalyzer(surrogate_env)
-        sub._cache = {}
-        return sub.bounds(expansion)
+        # Compositional instructions (shifts, mul_shr...): the interval of
+        # the definitional expansion, memoized by value.
+        values = e._field_values(e)
+        return _compositional_bounds(
+            type(e),
+            tuple(_OPERAND if isinstance(v, E.Expr) else v for v in values),
+            tuple(c.type for c in e.children),
+            tuple(self.bounds(c) for c in e.children),
+        )
+
+
+def expansion_bounds(
+    e: F.FPIRInstr, operands: Tuple[Interval, ...]
+) -> Interval:
+    """Interval of FPIR node ``e`` when its ``i``-th operand lies in
+    ``operands[i]``: a fresh :class:`BoundsAnalyzer` walks its Table 1
+    expansion over surrogate variables.  Sound because expansion is
+    semantics-preserving.  The unmemoized reference for
+    :func:`_compositional_bounds`.
+    """
+    surrogate_env = {}
+    names = []
+    for i, (child, interval) in enumerate(zip(e.children, operands)):
+        name = f"__b{i}"
+        names.append(E.Var(child.type, name))
+        surrogate_env[name] = interval
+    expansion = expand(e.with_children(names))
+    return BoundsAnalyzer(surrogate_env).bounds(expansion)
+
+
+#: Stands for an operand in a :func:`_compositional_bounds` field tuple.
+_OPERAND = object()
+
+
+@lru_cache(maxsize=256)
+def _compositional_bounds(
+    cls: type,
+    fields: tuple,
+    types: Tuple[ScalarType, ...],
+    operands: Tuple[Interval, ...],
+) -> Interval:
+    """:func:`expansion_bounds` keyed by value, not by node.
+
+    ``fields`` is the node's ``_fields`` values with each operand replaced
+    by ``_OPERAND``, ``types`` and ``operands`` are the operands' types and
+    intervals.  The expansion depends on nothing else, so the interval is
+    a pure function of the key; no node or variable name is in it, and the
+    memo hits across compiles and renamed inputs.  The size bound keeps
+    arbitrary caller ``var_bounds`` from growing it.
+    """
+    surrogates = iter([E.Var(t, f"__b{i}") for i, t in enumerate(types)])
+    node = cls(*[next(surrogates) if f is _OPERAND else f for f in fields])
+    return expansion_bounds(node, operands)
 
 
 class BoundsContext(RuleContext):

@@ -110,8 +110,7 @@ class _WideningBinary(FPIRInstr):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    @property
-    def type(self) -> ScalarType:
+    def _compute_type(self) -> ScalarType:
         t = self.a.type
         return t.widen() if isinstance(t, ScalarType) else _sym_widen(t)
 
@@ -127,8 +126,7 @@ class WideningSub(_WideningBinary):
 
     name = "widening_sub"
 
-    @property
-    def type(self) -> ScalarType:
+    def _compute_type(self) -> ScalarType:
         t = self.a.type
         if isinstance(t, ScalarType):
             return t.widen().with_signed(True)
@@ -144,8 +142,7 @@ class WideningMul(_WideningBinary):
     name = "widening_mul"
     _mixed_sign = True
 
-    @property
-    def type(self) -> ScalarType:
+    def _compute_type(self) -> ScalarType:
         ta, tb = self.a.type, self.b.type
         if isinstance(ta, ScalarType) and isinstance(tb, ScalarType):
             return ScalarType(ta.bits * 2, ta.signed or tb.signed)
@@ -187,8 +184,7 @@ class _ExtendingBinary(FPIRInstr):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    @property
-    def type(self) -> ScalarType:
+    def _compute_type(self) -> ScalarType:
         return self.a.type
 
 
@@ -229,8 +225,7 @@ class Abs(FPIRInstr):
             raise TypeError_("abs: bool operand")
         object.__setattr__(self, "a", a)
 
-    @property
-    def type(self) -> ScalarType:
+    def _compute_type(self) -> ScalarType:
         t = self.a.type
         if isinstance(t, ScalarType):
             return t.with_signed(False)
@@ -257,8 +252,7 @@ class Absd(FPIRInstr):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    @property
-    def type(self) -> ScalarType:
+    def _compute_type(self) -> ScalarType:
         t = self.a.type
         if isinstance(t, ScalarType):
             return t.with_signed(False)
@@ -284,8 +278,7 @@ class SaturatingCast(FPIRInstr):
         object.__setattr__(self, "to", to)
         object.__setattr__(self, "a", a)
 
-    @property
-    def type(self) -> ScalarType:
+    def _compute_type(self) -> ScalarType:
         return self.to
 
 
@@ -302,8 +295,7 @@ class SaturatingNarrow(FPIRInstr):
             raise TypeError_(f"saturating_narrow: cannot narrow {t}")
         object.__setattr__(self, "a", a)
 
-    @property
-    def type(self) -> ScalarType:
+    def _compute_type(self) -> ScalarType:
         t = self.a.type
         return t.narrow() if isinstance(t, ScalarType) else _sym_narrow(t)
 
@@ -328,8 +320,7 @@ class _SameTypeBinary(FPIRInstr):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    @property
-    def type(self) -> ScalarType:
+    def _compute_type(self) -> ScalarType:
         return self.a.type
 
 
@@ -411,8 +402,7 @@ class _MulShrBase(FPIRInstr):
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "shift", shift)
 
-    @property
-    def type(self) -> ScalarType:
+    def _compute_type(self) -> ScalarType:
         ta, tb = self.a.type, self.b.type
         if isinstance(ta, ScalarType) and isinstance(tb, ScalarType):
             return ScalarType(ta.bits, ta.signed or tb.signed)

@@ -28,8 +28,9 @@ concrete.
 
 from __future__ import annotations
 
+import operator
 import weakref
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from .types import BOOL, ScalarType
 
@@ -78,6 +79,20 @@ def _is_concrete(t: object) -> bool:
 #: Weak on the values so expressions die with their last outside reference.
 _INTERN: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 
+#: Slots that read as ``None`` while unset: the per-node caches of derived
+#: data and the interned flag.
+_CACHE_SLOTS = frozenset(("_hash", "_size", "_cost", "_type_memo", "_canon"))
+
+
+def _fields_reader(fields: Tuple[str, ...]) -> Callable[["Expr"], tuple]:
+    """A function returning a node's ``fields`` values as one tuple."""
+    if len(fields) > 1:
+        return operator.attrgetter(*fields)  # reads every field in C
+    if fields:
+        get = operator.attrgetter(fields[0])
+        return lambda node: (get(node),)
+    return lambda node: ()
+
 
 class _ExprMeta(type):
     """Metaclass implementing hash-cons interning of expression nodes.
@@ -91,24 +106,40 @@ class _ExprMeta(type):
     for the rewriter's pattern leaves whose ``_key`` deliberately omits
     their type pattern) and every child is itself canonical (rule patterns
     embed wildcard leaves in otherwise-concrete nodes).
+
+    Each class gets a ``_field_values`` reader over its ``_fields``; one
+    read per construction yields both the node's ``children`` and its
+    intern key.
     """
+
+    def __init__(cls, name, bases, namespace):
+        super().__init__(name, bases, namespace)
+        cls._field_values = staticmethod(_fields_reader(cls._fields))
 
     def __call__(cls, *args, **kwargs):
         obj = super().__call__(*args, **kwargs)
-        if not cls._internable:
-            return obj
-        for c in obj.children:
-            if not getattr(c, "_canon", False):
+        values = cls._field_values(obj)
+        kids = tuple([v for v in values if isinstance(v, Expr)])
+        if cls._internable and all([c._canon for c in kids]):
+            key = (cls,) + values
+            try:
+                canon = _INTERN.get(key)
+            except TypeError:  # unhashable field value: skip interning
+                pass
+            else:
+                if canon is not None:
+                    return canon
+                setattr_ = object.__setattr__
+                setattr_(obj, "children", kids)
+                setattr_(obj, "_hash", None)
+                setattr_(obj, "_size", None)
+                setattr_(obj, "_cost", None)
+                setattr_(obj, "_type_memo", None)
+                setattr_(obj, "_canon", True)
+                _INTERN[key] = obj
                 return obj
-        key = obj._key()
-        try:
-            canon = _INTERN.get(key)
-        except TypeError:  # unhashable field value: skip interning
-            return obj
-        if canon is not None:
-            return canon
-        object.__setattr__(obj, "_canon", True)
-        _INTERN[key] = obj
+        object.__setattr__(obj, "children", kids)
+        object.__setattr__(obj, "_canon", False)
         return obj
 
 
@@ -116,14 +147,19 @@ class Expr(metaclass=_ExprMeta):
     """Base class for all IR nodes (core IR, FPIR, patterns, target ops).
 
     Subclasses define ``_fields``: the constructor-argument names in order.
-    Fields whose values are :class:`Expr` instances are the node's children.
+    Fields whose values are :class:`Expr` instances are the node's
+    ``children``, a plain slot filled once when the node is built.
 
-    Instances are immutable and hash-consed (see :class:`_ExprMeta`); the
-    ``_hash``/``_size``/``_cost`` slots lazily cache per-node derived data.
+    Instances are immutable and hash-consed (see :class:`_ExprMeta`).  The
+    ``_hash``/``_size``/``_cost``/``_type_memo`` slots cache per-node
+    derived data; a new canonical node starts them at ``None`` and each is
+    filled on first use.  A subclass computes its element type in
+    ``_compute_type``, and :attr:`type` caches it.
     """
 
     __slots__ = (
-        "_hash", "_size", "_cost", "_children", "_canon", "__weakref__"
+        "children", "_hash", "_size", "_cost", "_type_memo", "_canon",
+        "__weakref__",
     )
 
     _fields: Tuple[str, ...] = ()
@@ -131,17 +167,33 @@ class Expr(metaclass=_ExprMeta):
     #: classes may opt out of hash-cons interning (pattern leaves do)
     _internable = True
 
+    def __getattr__(self, name: str):
+        # Reached only for an unset slot: a node built without its
+        # constructor (``cls.__new__`` plus ``object.__setattr__``, as a
+        # buggy pass or a test forging an ill-typed tree would), or an
+        # un-interned node whose caches are not filled yet.
+        if name == "children":
+            kids = tuple(
+                v for v in self._field_values(self) if isinstance(v, Expr)
+            )
+            object.__setattr__(self, "children", kids)
+            return kids
+        if name in _CACHE_SLOTS:
+            return None
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
+
     # -- identity ------------------------------------------------------
     def _key(self) -> tuple:
-        return (type(self),) + tuple(getattr(self, f) for f in self._fields)
+        return (type(self),) + self._field_values(self)
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
+        h = self._hash
+        if h is None:
             h = hash(self._key())
             object.__setattr__(self, "_hash", h)
-            return h
+        return h
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -149,7 +201,7 @@ class Expr(metaclass=_ExprMeta):
         if type(self) is not type(other):
             return False
         # Two distinct canonical (interned) nodes are never equal.
-        if getattr(self, "_canon", False) and getattr(other, "_canon", False):
+        if self._canon and other._canon:  # type: ignore[union-attr]
             return False
         if hash(self) != hash(other):
             return False
@@ -162,30 +214,26 @@ class Expr(metaclass=_ExprMeta):
     @property
     def type(self) -> ScalarType:
         """Element type of this expression (may be symbolic in patterns)."""
-        raise NotImplementedError
+        t = self._type_memo
+        if t is None:
+            t = self._compute_type()
+            object.__setattr__(self, "_type_memo", t)
+        return t
 
-    @property
-    def children(self) -> Tuple["Expr", ...]:
-        try:
-            return self._children
-        except AttributeError:
-            c = tuple(
-                v
-                for f in self._fields
-                if isinstance(v := getattr(self, f), Expr)
-            )
-            object.__setattr__(self, "_children", c)
-        return c
+    def _compute_type(self) -> ScalarType:
+        raise NotImplementedError
 
     def with_children(self, new_children: Sequence["Expr"]) -> "Expr":
         """Rebuild this node with replacement children (same arity)."""
         it = iter(new_children)
         args = []
-        for f in self._fields:
-            v = getattr(self, f)
-            args.append(next(it) if isinstance(v, Expr) else v)
-        leftovers = list(it)
-        if leftovers:
+        for v in self._field_values(self):
+            if isinstance(v, Expr):
+                v = next(it, None)
+                if v is None:
+                    raise ValueError("too few replacement children")
+            args.append(v)
+        if next(it, None) is not None:
             raise ValueError("too many replacement children")
         return type(self)(*args)
 
@@ -198,7 +246,7 @@ class Expr(metaclass=_ExprMeta):
     @property
     def size(self) -> int:
         """Number of IR nodes in this tree (used by the §4 enumerators)."""
-        s = getattr(self, "_size", None)
+        s = self._size
         if s is None:
             s = 1 + sum(c.size for c in self.children)
             object.__setattr__(self, "_size", s)
@@ -277,8 +325,7 @@ class Const(Expr):
             self, "value", type_.wrap(value) if _is_concrete(type_) else value
         )
 
-    @property
-    def type(self) -> ScalarType:
+    def _compute_type(self) -> ScalarType:
         return self._type
 
 
@@ -292,8 +339,7 @@ class Var(Expr):
         object.__setattr__(self, "_type", type_)
         object.__setattr__(self, "name", name)
 
-    @property
-    def type(self) -> ScalarType:
+    def _compute_type(self) -> ScalarType:
         return self._type
 
 
@@ -312,8 +358,7 @@ class Cast(Expr):
         object.__setattr__(self, "to", to)
         object.__setattr__(self, "value", value)
 
-    @property
-    def type(self) -> ScalarType:
+    def _compute_type(self) -> ScalarType:
         return self.to
 
 
@@ -330,8 +375,7 @@ class Reinterpret(Expr):
         object.__setattr__(self, "to", to)
         object.__setattr__(self, "value", value)
 
-    @property
-    def type(self) -> ScalarType:
+    def _compute_type(self) -> ScalarType:
         return self.to
 
 
@@ -350,8 +394,7 @@ class Neg(Expr):
             raise TypeError_("cannot negate bool")
         object.__setattr__(self, "value", value)
 
-    @property
-    def type(self) -> ScalarType:
+    def _compute_type(self) -> ScalarType:
         return self.value.type
 
 
@@ -367,8 +410,7 @@ class Not(Expr):
             raise TypeError_(f"Not requires bool, got {t}")
         object.__setattr__(self, "value", value)
 
-    @property
-    def type(self) -> ScalarType:
+    def _compute_type(self) -> ScalarType:
         return BOOL
 
 
@@ -410,8 +452,7 @@ class BinaryOp(Expr):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    @property
-    def type(self) -> ScalarType:
+    def _compute_type(self) -> ScalarType:
         return self.a.type
 
 
@@ -485,8 +526,7 @@ class CmpOp(BinaryOp):
 
     _arith_only = False
 
-    @property
-    def type(self) -> ScalarType:
+    def _compute_type(self) -> ScalarType:
         return BOOL
 
 
@@ -534,8 +574,7 @@ class Select(Expr):
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "f", f)
 
-    @property
-    def type(self) -> ScalarType:
+    def _compute_type(self) -> ScalarType:
         return self.t.type
 
 

@@ -86,8 +86,7 @@ class TargetOp(Expr):
     spec: InstrSpec
     out: Union[ScalarType, object]
 
-    @property
-    def type(self):
+    def _compute_type(self):
         return self.out
 
     @property

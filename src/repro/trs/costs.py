@@ -103,7 +103,7 @@ def cost(expr: E.Expr) -> Cost:
     expressions every subtree is costed once, ever, instead of once per
     rule attempt at every node of every fixpoint pass.
     """
-    cached = getattr(expr, "_cost", None)
+    cached = expr._cost
     if cached is not None:
         return cached
     kids = expr.children

@@ -190,8 +190,7 @@ class Wild(Expr):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "type_pattern", type_pattern)
 
-    @property
-    def type(self):
+    def _compute_type(self):
         return self.type_pattern
 
     def _key(self) -> tuple:
@@ -212,8 +211,7 @@ class ConstWild(Expr):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "type_pattern", type_pattern)
 
-    @property
-    def type(self):
+    def _compute_type(self):
         return self.type_pattern
 
     def _key(self) -> tuple:
@@ -242,8 +240,7 @@ class PConst(Expr):
         object.__setattr__(self, "type_pattern", type_pattern)
         object.__setattr__(self, "value", value)
 
-    @property
-    def type(self):
+    def _compute_type(self):
         return self.type_pattern
 
     def _key(self) -> tuple:

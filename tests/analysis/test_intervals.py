@@ -9,7 +9,7 @@ from repro.analysis import BoundsAnalyzer, BoundsContext, Interval
 from repro.interp import evaluate_scalar
 from repro.ir import builders as h
 from repro.ir import expr as E
-from repro.ir.types import I8, I16, I32, U8, U16
+from repro.ir.types import I8, I16, I32, I64, U8, U16
 
 a = h.var("a", U8)
 b = h.var("b", U8)
@@ -67,6 +67,15 @@ class TestCoreTransfer:
     def test_shift_by_constant(self):
         assert bounds(h.u16(a) << 4) == Interval(0, 255 << 4)
         assert bounds(h.u16(a) >> 4) == Interval(0, 15)
+
+    def test_shift_by_huge_constant(self):
+        # a shift amount from a 64-bit range: answered without building
+        # a 2**amount-sized integer
+        x = h.var("x", I64)
+        huge = h.const(I64, 1 << 40)
+        assert bounds(x << huge) == Interval.of_type(I64)
+        assert bounds(x >> E.Neg(huge)) == Interval.of_type(I64)
+        assert bounds(h.const(I64, 0) << huge) == Interval.point(0)
 
     def test_div_by_constant(self):
         assert bounds(h.u16(a) // 4) == Interval(0, 63)

@@ -126,6 +126,8 @@ class TestStructure:
     def test_with_children_arity_check(self, a, b):
         with pytest.raises(ValueError):
             E.Add(a, b).with_children([a, b, a])
+        with pytest.raises(ValueError):
+            E.Add(a, b).with_children([a])
 
     def test_size(self, a, b):
         assert a.size == 1
