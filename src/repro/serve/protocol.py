@@ -185,11 +185,16 @@ def _backend(params: Dict[str, Any]) -> str:
     )
 
 
-def _int_param(params: Dict[str, Any], name: str, default: int) -> int:
+def _int_param(params: Dict[str, Any], name: str, default: int,
+               minimum: Optional[int] = None) -> int:
     value = params.get(name, default)
     if not isinstance(value, int) or isinstance(value, bool):
         raise ProtocolError(
             "bad-request", f"param {name!r} must be an integer"
+        )
+    if minimum is not None and value < minimum:
+        raise ProtocolError(
+            "bad-request", f"param {name!r} must be at least {minimum}"
         )
     return value
 
@@ -257,7 +262,7 @@ def to_task_spec(req: Request) -> TaskSpec:
             _int_param(p, "seed", 0),
             _int_param(p, "max_type_combos", 6),
             _int_param(p, "max_const_samples", 4),
-            _int_param(p, "max_points", 400),
+            _int_param(p, "max_points", 400, minimum=1),
             _backend(p),
         ),
     )

@@ -6,8 +6,9 @@ A rule ``lhs -> rhs [predicate]`` is *verified* by:
 1. enumerating every concrete type assignment its type variables admit;
 2. for each assignment, instantiating both sides over fresh input
    variables and sampled constants (boundary values, powers of two, and
-   random values — constants failing the predicate are skipped, since a
-   predicated rule only claims correctness when the predicate holds);
+   random values — constants failing the predicate are skipped before
+   either side is built, since a predicated rule only claims correctness
+   when the predicate holds);
 3. checking, lane by lane, that both sides evaluate identically on a
    boundary-biased input grid (full cross product of per-variable sample
    sets) — and that the two sides have the same static type.
@@ -231,7 +232,12 @@ def verify_equivalence(
     means the process default — grids this wide are exactly where the
     ndarray backend pays off); a mismatching lane index maps back to
     the offending tuple for the counterexample report.
+
+    Raises ValueError if ``max_points`` is below 1: no grid that small
+    exists, and thinning the sample sets toward it would never end.
     """
+    if max_points < 1:
+        raise ValueError(f"max_points must be at least 1, got {max_points}")
     rng = rng if rng is not None else random.Random(0)
     var_bounds = var_bounds or {}
     tl, tr = lhs.type, rhs.type
@@ -365,25 +371,26 @@ def verify_rule(
             const_choices = _enumerate_const_choices(
                 cwild_types, rng, max_const_samples
             )
+        # An interval is a function of the node and the hints alone, so
+        # one context per hint level serves every constant choice.
+        contexts = [BoundsContext(BoundsAnalyzer(h)) for h in hint_sets]
+        const_nodes: Dict[Tuple[str, int], Const] = {}
         for const_env in const_choices:
             full_env = dict(env)
-            full_env.update(
-                {
-                    name: Const(cwild_types[name], v)
-                    for name, v in const_env.items()
-                }
-            )
-            for hints in hint_sets:
-                m = Match(env=full_env, tenv=dict(tenv), consts=dict(const_env))
+            for name, v in const_env.items():
+                node = const_nodes.get((name, v))
+                if node is None:
+                    node = const_nodes[name, v] = Const(cwild_types[name], v)
+                full_env[name] = node
+            m = _LazyRootMatch(rule.lhs, full_env, dict(tenv), dict(const_env))
+            for hints, ctx in zip(hint_sets, contexts):
                 try:
-                    lhs_c = instantiate(rule.lhs, m)
-                    m.root = lhs_c
-                except Exception:
+                    if (rule.predicate is not None
+                            and not rule.predicate(m, ctx)):
+                        continue
+                    lhs_c = m.root
+                except _LhsBuildFailed:
                     break  # ill-typed combination; skip this const set
-                analyzer = BoundsAnalyzer(hints)
-                ctx = BoundsContext(analyzer)
-                if rule.predicate is not None and not rule.predicate(m, ctx):
-                    continue
                 any_predicate_pass = True
                 try:
                     rhs_c = instantiate(rule.rhs, m)
@@ -425,6 +432,39 @@ def verify_rule(
             counterexample={"reason": notes[0]},
         )
     return VerificationReport(rule.name, True, combos, points, notes=notes)
+
+
+class _LhsBuildFailed(Exception):
+    """The rule's left-hand side does not instantiate for a type and
+    constant choice."""
+
+
+class _LazyRootMatch(Match):
+    """The match a rule's predicate sees during verification.
+
+    ``root`` is the rule's left-hand side, instantiated on first read and
+    kept: a predicate that rejects a constant choice from ``consts``,
+    ``tenv`` or ``env`` costs no tree build, and both hint levels share
+    one build.  A failed build raises :class:`_LhsBuildFailed`.
+    """
+
+    def __init__(self, lhs: Expr, env: Dict[str, Expr],
+                 tenv: Dict[str, ScalarType], consts: Dict[str, int]) -> None:
+        self._lhs = lhs
+        super().__init__(env=env, tenv=tenv, consts=consts)
+
+    @property
+    def root(self) -> Expr:
+        if self._root is None:
+            try:
+                self._root = instantiate(self._lhs, self)
+            except Exception as exc:
+                raise _LhsBuildFailed from exc
+        return self._root
+
+    @root.setter
+    def root(self, value: Optional[Expr]) -> None:
+        self._root = value
 
 
 def _restricted_hints(wild_types: Dict[str, ScalarType]) -> Dict[str, Interval]:

@@ -146,6 +146,20 @@ class TestToTaskSpec:
         with pytest.raises(ProtocolError, match="use_synthesized"):
             to_task_spec(req)
 
+    @pytest.mark.parametrize("max_points", [0, -1])
+    def test_verify_rule_without_grid_points_is_bad_request(self,
+                                                            max_points):
+        # the verifier cannot thin a grid below one point, so such a
+        # request must not reach a worker
+        req = parse_request(_frame(
+            op="verify-rule",
+            params={"ruleset": "lifting-hand", "rule": "lift-widening-add",
+                    "max_points": max_points},
+        ))
+        with pytest.raises(ProtocolError, match="max_points") as exc:
+            to_task_spec(req)
+        assert exc.value.code == "bad-request"
+
     def test_inline_op_is_not_a_fabric_op(self):
         for op in INLINE_OPS:
             with pytest.raises(ProtocolError) as exc:

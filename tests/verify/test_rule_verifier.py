@@ -1,12 +1,17 @@
 """The verifier must catch exactly the §2.4 bug classes: wrong semantics,
 missing constant-range predicates, sign confusions."""
 
+import threading
+
 import pytest
 
+import repro.verify.rule_verifier as rule_verifier
 from repro import fpir as F
 from repro.ir import builders as h
 from repro.ir import expr as E
 from repro.ir.types import U8, U16
+from repro.lifting import HAND_RULES
+from repro.trs.matcher import Match, instantiate
 from repro.trs.pattern import ConstWild, PConst, TVar, TWiden, Wild
 from repro.trs.rule import Rule
 from repro.verify import verify_equivalence, verify_rule
@@ -56,6 +61,30 @@ class TestEquivalence:
             )
             is None
         )
+
+    @pytest.mark.parametrize("max_points", [0, -3])
+    def test_max_points_below_one_is_rejected(self, max_points):
+        # Thinning the sample sets toward an empty grid would never end,
+        # so the call runs in a thread joined with a timeout: a
+        # regression fails here instead of hanging the suite.
+        outcome = []
+
+        def call():
+            try:
+                verify_equivalence(
+                    E.Add(h.u16(a), h.u16(b)), F.WideningAdd(a, b),
+                    max_points=max_points,
+                )
+            except ValueError as exc:
+                outcome.append(exc)
+            else:
+                outcome.append(None)
+
+        worker = threading.Thread(target=call, daemon=True)
+        worker.start()
+        worker.join(timeout=5)
+        assert not worker.is_alive(), "verify_equivalence did not return"
+        assert isinstance(outcome[0], ValueError)
 
 
 class TestRuleVerification:
@@ -156,3 +185,65 @@ class TestRuleVerification:
         )
         report = verify_rule(rule)
         assert report.ok and report.checked_combos >= 4
+
+
+BUDGET = {"max_type_combos": 6, "max_const_samples": 4, "max_points": 400}
+
+
+def _hand_rule(name):
+    return next(r for r in HAND_RULES if r.name == name)
+
+
+class TestLhsBuiltOnDemand:
+    """A constant choice the predicate rejects costs no left-hand-side
+    build, and a predicate that reads ``m.root`` still gets the
+    instantiated left-hand side."""
+
+    def test_rejected_constant_choices_build_nothing(self, monkeypatch):
+        calls = []
+        real = rule_verifier.instantiate
+
+        def counting(pattern, m):
+            calls.append(pattern)
+            return real(pattern, m)
+
+        monkeypatch.setattr(rule_verifier, "instantiate", counting)
+        # the clamp-bound predicate accepts few of its constant pairs
+        report = verify_rule(_hand_rule("lift-sat-cast-minmax"), seed=0,
+                             **BUDGET)
+        assert report.ok and report.checked_points >= 1
+        # one left-hand and one right-hand side per checked point
+        assert len(calls) <= 2 * report.checked_points
+
+    def test_predicate_reading_root_sees_the_lhs(self):
+        T = TVar("T", max_bits=32)
+        lhs = E.Add(Wild("x", T), ConstWild("c0", T))
+        seen = []
+
+        def pred(m, ctx):
+            seen.append((m.root, m.env, m.tenv, m.consts))
+            return isinstance(m.root, E.Add) and m.consts["c0"] == 2
+
+        rule = Rule("add-2-commutes", lhs,
+                    E.Add(ConstWild("c0", T), Wild("x", T)), predicate=pred)
+        report = verify_rule(rule, **BUDGET)
+        assert report.ok and report.checked_points >= 1
+        assert seen
+        for root, env, tenv, consts in seen:
+            assert root == instantiate(
+                lhs, Match(env=env, tenv=tenv, consts=consts)
+            )
+
+    def test_reading_root_does_not_change_the_report(self):
+        # Some type assignments of this rule give an ill-typed left-hand
+        # side; reading root there must skip the constant choice, just
+        # as it is skipped when the predicate does not read root.
+        base = _hand_rule("lift-mul-shr-uu")
+        reads_root = Rule(
+            base.name, base.lhs, base.rhs,
+            predicate=lambda m, ctx: (m.root is not None
+                                      and base.predicate(m, ctx)),
+        )
+        for seed in (0, 1):
+            assert (verify_rule(reads_root, seed=seed, **BUDGET).to_dict()
+                    == verify_rule(base, seed=seed, **BUDGET).to_dict())
