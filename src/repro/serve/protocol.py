@@ -260,8 +260,8 @@ def to_task_spec(req: Request) -> TaskSpec:
         (ruleset, rule),
         (
             _int_param(p, "seed", 0),
-            _int_param(p, "max_type_combos", 6),
-            _int_param(p, "max_const_samples", 4),
+            _int_param(p, "max_type_combos", 6, minimum=1),
+            _int_param(p, "max_const_samples", 4, minimum=1),
             _int_param(p, "max_points", 400, minimum=1),
             _backend(p),
         ),

@@ -1,17 +1,20 @@
 """Bounded verification of rewrite rules (§2.4 "Verifying Hand-Written
-Rules", with Z3 replaced by exhaustive/boundary/randomized checking).
+Rules", with Z3 replaced by boundary-biased, randomized sampling).
 
 A rule ``lhs -> rhs [predicate]`` is *verified* by:
 
-1. enumerating every concrete type assignment its type variables admit;
-2. for each assignment, instantiating both sides over fresh input
-   variables and sampled constants (boundary values, powers of two, and
-   random values — constants failing the predicate are skipped before
-   either side is built, since a predicated rule only claims correctness
-   when the predicate holds);
-3. checking, lane by lane, that both sides evaluate identically on a
-   boundary-biased input grid (full cross product of per-variable sample
-   sets) — and that the two sides have the same static type.
+1. enumerating the concrete type assignments its type variables admit,
+   at most ``max_type_combos`` of them;
+2. for each assignment, instantiating both sides once as *templates*
+   over input variables, with every constant (a constant wildcard or a
+   computed right-hand-side constant) turned into a variable too, then
+   walking sampled constant choices (boundary values, powers of two, and
+   random values — a choice failing the predicate is skipped, since a
+   predicated rule only claims correctness when the predicate holds);
+3. checking each remaining choice, lane by lane, on a boundary-biased
+   input grid (full cross product of per-variable sample sets) with the
+   constant variables held at the choice's values on every lane — and
+   that the two sides have the same static type.
 
 This is the "small-world" substitute for the paper's Rosette/Z3 pipeline:
 the same class of bugs the paper reports finding (missing constant-range
@@ -24,7 +27,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis import BoundsAnalyzer, BoundsContext, Interval
 from ..interp import EvalError, compile_for_backend, maybe_prepare_env
@@ -219,6 +222,8 @@ def verify_equivalence(
     n_random: int = 6,
     bit_exact_type: bool = True,
     backend: Optional[str] = None,
+    *,
+    held: Optional[Mapping[str, int]] = None,
 ) -> Optional[dict]:
     """Check two *concrete* expressions agree on a boundary-biased grid.
 
@@ -233,6 +238,10 @@ def verify_equivalence(
     ndarray backend pays off); a mismatching lane index maps back to
     the offending tuple for the counterexample report.
 
+    ``held`` maps variable names to values: each such variable holds its
+    value on every lane, is not sampled (so it draws nothing from
+    ``rng``) and is left out of a counterexample's ``env``.
+
     Raises ValueError if ``max_points`` is below 1: no grid that small
     exists, and thinning the sample sets toward it would never end.
     """
@@ -240,6 +249,7 @@ def verify_equivalence(
         raise ValueError(f"max_points must be at least 1, got {max_points}")
     rng = rng if rng is not None else random.Random(0)
     var_bounds = var_bounds or {}
+    held = held or {}
     tl, tr = lhs.type, rhs.type
     if bit_exact_type and tl != tr:
         return {"reason": f"type mismatch: {tl} vs {tr}"}
@@ -251,6 +261,7 @@ def verify_equivalence(
         | {n for n in rhs.walk() if isinstance(n, Var)},
         key=lambda v: v.name,
     )
+    sampled = [v for v in variables if v.name not in held]
     sample_sets = [
         _value_samples(
             v.type,
@@ -258,20 +269,21 @@ def verify_equivalence(
             n_random,
             var_bounds.get(v.name, Interval.of_type(v.type)),
         )
-        for v in variables
+        for v in sampled
     ]
     # Cap the cross product: thin out the per-variable sets if needed.
     while sample_sets and _product_size(sample_sets) > max_points:
         largest = max(range(len(sample_sets)), key=lambda i: len(sample_sets[i]))
         sample_sets[largest] = sample_sets[largest][::2]
 
-    names = [v.name for v in variables]
-    grid = list(itertools.product(*sample_sets)) if variables else [()]
+    names = [v.name for v in sampled]
+    grid = list(itertools.product(*sample_sets)) if sampled else [()]
     lanes = len(grid)
     env = {
         name: [point[i] for point in grid]
         for i, name in enumerate(names)
     }
+    env.update((name, [value] * lanes) for name, value in held.items())
     env = maybe_prepare_env(env, variables, lanes, backend)
     try:
         lv = compile_for_backend(lhs, backend)(env, lanes)
@@ -317,10 +329,20 @@ def verify_rule(
     (used by the §4.3 generalizer's binary search over constant ranges).
     ``backend`` selects the evaluation backend for the sample grids
     (None = process default).
+
+    Raises ValueError if ``max_type_combos`` or ``max_const_samples`` is
+    below 1: the first would check no type assignment and fail a sound
+    rule, the second would keep all but the last constant choices in
+    place of the first few.
     """
+    for name, budget in (("max_type_combos", max_type_combos),
+                         ("max_const_samples", max_const_samples)):
+        if budget < 1:
+            raise ValueError(f"{name} must be at least 1, got {budget}")
     rng = random.Random(seed)
     tvars = _collect_tvars(rule.lhs)
     wilds, cwilds = _collect_wilds(rule.lhs)
+    templates = _Templates(rule, cwilds)
 
     combos = 0
     points = 0
@@ -375,6 +397,9 @@ def verify_rule(
         # one context per hint level serves every constant choice.
         contexts = [BoundsContext(BoundsAnalyzer(h)) for h in hint_sets]
         const_nodes: Dict[Tuple[str, int], Const] = {}
+        # both sides as templates, built on the first choice a predicate
+        # passes; () when either side does not build
+        sides: Optional[Tuple[Expr, ...]] = None
         for const_env in const_choices:
             full_env = dict(env)
             for name, v in const_env.items():
@@ -388,12 +413,16 @@ def verify_rule(
                     if (rule.predicate is not None
                             and not rule.predicate(m, ctx)):
                         continue
-                    lhs_c = m.root
+                    if sides is None:
+                        sides = templates.build(env, tenv, cwild_types)
+                    held = templates.held(m) if sides else None
+                    lhs_c = m.root if held is None else sides[0]
                 except _LhsBuildFailed:
                     break  # ill-typed combination; skip this const set
                 any_predicate_pass = True
                 try:
-                    rhs_c = instantiate(rule.rhs, m)
+                    rhs_c = (instantiate(rule.rhs, m) if held is None
+                             else sides[1])
                 except Exception as exc:
                     return VerificationReport(
                         rule.name, False, combos, points,
@@ -408,6 +437,7 @@ def verify_rule(
                     var_bounds=hints,
                     max_points=max_points,
                     backend=backend,
+                    held=held,
                 )
                 points += 1
                 if cex is not None:
@@ -432,6 +462,75 @@ def verify_rule(
             counterexample={"reason": notes[0]},
         )
     return VerificationReport(rule.name, True, combos, points, notes=notes)
+
+
+class _Templates:
+    """A rule's two sides with its constants as variables.
+
+    Each constant wildcard, and each computed constant (a ``PConst``
+    whose value is callable), becomes a ``Var`` of its resolved type,
+    named so that no wildcard of the rule on either side shares the
+    name.  :meth:`build` instantiates both sides once per type
+    assignment, and every constant choice of that assignment is checked
+    by holding the variables at its values (:meth:`held`), so the
+    choices share one compiled program per side.  A ``Const`` leaf and
+    a ``Var`` of its type holding its value on every lane evaluate
+    alike.  Literal ``PConst`` values stay ``Const``.
+    """
+
+    def __init__(self, rule: Rule, cwilds: Dict[str, ConstWild]) -> None:
+        nodes = [*rule.lhs.walk(), *rule.rhs.walk()]
+        taken = {n.name for n in nodes
+                 if isinstance(n, (Wild, ConstWild, Var))}
+        fresh = (n for n in map("${}".format, itertools.count())
+                 if n not in taken)
+        self.const_vars = {name: next(fresh) for name in sorted(cwilds)}
+        self.computed: Dict[PConst, str] = {}
+        for n in nodes:
+            if (isinstance(n, PConst) and callable(n.value)
+                    and n not in self.computed):
+                self.computed[n] = next(fresh)
+        self.lhs, self.rhs = (_computed_as_wilds(side, self.computed)
+                              for side in (rule.lhs, rule.rhs))
+
+    def build(self, env: Dict[str, Expr], tenv: Dict[str, ScalarType],
+              cwild_types: Dict[str, ScalarType]) -> Tuple[Expr, ...]:
+        """Both sides at one type assignment, or () if either does not
+        build."""
+        env = dict(env)
+        try:
+            for name, var in self.const_vars.items():
+                env[name] = Var(cwild_types[name], var)
+            for node, var in self.computed.items():
+                env[var] = Var(resolve_type(node.type_pattern, tenv), var)
+            m = Match(env=env, tenv=dict(tenv))
+            return instantiate(self.lhs, m), instantiate(self.rhs, m)
+        except Exception:  # the per-choice path skips or reports it
+            return ()
+
+    def held(self, m: Match) -> Optional[Dict[str, int]]:
+        """The variables' values at the constant choice of ``m``, each
+        computed constant evaluated as :func:`instantiate` does, or None
+        if one raises."""
+        held = {var: m.env[name].value
+                for name, var in self.const_vars.items()}
+        try:
+            for node, var in self.computed.items():
+                held[var] = instantiate(node, m).value
+        except Exception:  # the per-choice path reports it
+            return None
+        return held
+
+
+def _computed_as_wilds(p: Expr, names: Dict[PConst, str]) -> Expr:
+    """``p`` with each computed constant in ``names`` replaced by a
+    wildcard of its variable name."""
+    if isinstance(p, PConst) and p in names:
+        return Wild(names[p], p.type_pattern)
+    if not names or not p.children:
+        return p
+    return p.with_children([_computed_as_wilds(c, names)
+                            for c in p.children])
 
 
 class _LhsBuildFailed(Exception):

@@ -33,6 +33,7 @@ from repro.interp import evaluator as _ev
 from repro.interp.array_backend import (
     clear_array_compile_cache,
     compile_expr_array,
+    prepare_env,
 )
 from repro.ir import builders as h
 from repro.ir import expr as E
@@ -159,6 +160,41 @@ def test_wide_blocks_match_narrow_blocks(e, data):
     arr = compile_expr_array(e)(env, lanes)
     clo = compile_expr(e)(env, lanes)
     assert arr == clo
+
+
+def _consts_as_vars(e):
+    """``e`` with each ``Const`` leaf replaced by a ``Var`` of its type,
+    and the value each such ``Var`` holds."""
+    vars_of = {}
+
+    def sub(node):
+        if isinstance(node, E.Const):
+            if node not in vars_of:
+                vars_of[node] = h.var(f"k{len(vars_of)}", node.type)
+            return vars_of[node]
+        if not node.children:
+            return node
+        return node.with_children([sub(c) for c in node.children])
+
+    return sub(e), {v.name: c.value for c, v in vars_of.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(e=st.one_of(exprs(), exprs64()), data=st.data(),
+       lanes=st.integers(1, 4))
+def test_const_leaf_matches_broadcast_var(e, data, lanes):
+    # The rule verifier checks each constant choice by holding a variable
+    # at the constant's value on every lane: that must evaluate exactly
+    # like the constant, including the constant-shift kernels.
+    env = _env_for(e, data, lanes)
+    held_e, held = _consts_as_vars(e)
+    held_env = dict(env, **{name: [v] * lanes for name, v in held.items()})
+    variables = [n for n in held_e.walk() if isinstance(n, E.Var)]
+    assert (
+        evaluate_reference(held_e, held_env, lanes=lanes),
+        compile_expr(held_e)(held_env, lanes),
+        compile_expr_array(held_e)(prepare_env(held_env, variables), lanes),
+    ) == _all_backends(e, env, lanes)
 
 
 class TestDirectedCorners:

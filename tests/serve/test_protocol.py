@@ -160,6 +160,22 @@ class TestToTaskSpec:
             to_task_spec(req)
         assert exc.value.code == "bad-request"
 
+    @pytest.mark.parametrize("param", ["max_type_combos",
+                                       "max_const_samples"])
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_verify_rule_budget_below_one_is_bad_request(self, param,
+                                                        budget):
+        # such a budget gives a wrong verdict, which the daemon would
+        # cache
+        req = parse_request(_frame(
+            op="verify-rule",
+            params={"ruleset": "lifting-hand", "rule": "lift-widening-add",
+                    param: budget},
+        ))
+        with pytest.raises(ProtocolError, match=param) as exc:
+            to_task_spec(req)
+        assert exc.value.code == "bad-request"
+
     def test_inline_op_is_not_a_fabric_op(self):
         for op in INLINE_OPS:
             with pytest.raises(ProtocolError) as exc:

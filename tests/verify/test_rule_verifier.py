@@ -176,6 +176,17 @@ class TestRuleVerification:
         assert not report.ok
         assert "predicate never satisfied" in report.counterexample["reason"]
 
+    @pytest.mark.parametrize("budget", [
+        {"max_type_combos": 0}, {"max_type_combos": -1},
+        {"max_const_samples": 0}, {"max_const_samples": -1},
+    ])
+    def test_budget_below_one_is_rejected(self, budget):
+        # max_type_combos=0 checked no type assignment and failed a sound
+        # rule; a negative max_const_samples turned the deterministic head
+        # of the constant choices into "all but the last few"
+        with pytest.raises(ValueError, match=next(iter(budget))):
+            verify_rule(_hand_rule("lift-widening-add"), **budget)
+
     def test_report_counts(self):
         T = TVar("T", max_bits=32)
         rule = Rule(
@@ -247,3 +258,42 @@ class TestLhsBuiltOnDemand:
         for seed in (0, 1):
             assert (verify_rule(reads_root, seed=seed, **BUDGET).to_dict()
                     == verify_rule(base, seed=seed, **BUDGET).to_dict())
+
+
+class TestTemplates:
+    """Each type assignment instantiates and compiles the rule's two
+    sides once; constants are variables held at each choice's values."""
+
+    def test_one_program_pair_per_type_assignment(self, monkeypatch):
+        roots = set()
+        real = rule_verifier.compile_for_backend
+
+        def recording(expr, backend=None):
+            roots.add(expr)
+            return real(expr, backend)
+
+        monkeypatch.setattr(rule_verifier, "compile_for_backend", recording)
+        report = verify_rule(_hand_rule("lift-widening-mul-pow2"), seed=0,
+                             **BUDGET)
+        assert report.ok and report.checked_combos == 6
+        assert report.checked_points > 100
+        # a fresh pair of programs per checked point would be 430 roots
+        assert len(roots) <= 2 * report.checked_combos
+
+    def test_parameter_names_avoid_the_rules_wildcards(self):
+        # x - c0 -> c0 - x is unsound.  Name its input wildcard after the
+        # variable that a constant would otherwise become: if the two
+        # shared a name, both sides would read x - x and verify.
+        T = TVar("T", max_bits=32)
+
+        def rule(name):
+            x = Wild(name, T)
+            c0 = ConstWild("c0", T)
+            return Rule("sub-commutes", E.Sub(x, c0), E.Sub(c0, x))
+
+        _, cwilds = rule_verifier._collect_wilds(rule("x").lhs)
+        param = rule_verifier._Templates(rule("x"), cwilds).const_vars["c0"]
+        report = verify_rule(rule(param), **BUDGET)
+        assert not report.ok
+        assert set(report.counterexample["env"]) == {param}
+        assert report.counterexample["consts"] == {"c0": 0}
