@@ -224,18 +224,36 @@ class Expr(metaclass=_ExprMeta):
         raise NotImplementedError
 
     def with_children(self, new_children: Sequence["Expr"]) -> "Expr":
-        """Rebuild this node with replacement children (same arity)."""
+        """Rebuild this node with replacement children (same arity).
+
+        Intern first: when the class interns and every new child is
+        canonical, the new key is looked up before anything is built, and
+        an existing canonical node is returned as it is.  Its constructor
+        already accepted exactly these field values, so skipping it
+        cannot skip a type error.  Only a miss runs the constructor.
+        """
         it = iter(new_children)
         args = []
+        canon = True
         for v in self._field_values(self):
             if isinstance(v, Expr):
                 v = next(it, None)
                 if v is None:
                     raise ValueError("too few replacement children")
+                if canon and not (isinstance(v, Expr) and v._canon):
+                    canon = False
             args.append(v)
         if next(it, None) is not None:
             raise ValueError("too many replacement children")
-        return type(self)(*args)
+        cls = type(self)
+        if canon and cls._internable:
+            try:
+                hit = _INTERN.get((cls, *args))
+            except TypeError:  # unhashable field value: never interned
+                hit = None
+            if hit is not None:
+                return hit
+        return cls(*args)
 
     def walk(self) -> Iterator["Expr"]:
         """Yield every node in the tree, post-order."""

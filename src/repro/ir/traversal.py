@@ -114,16 +114,28 @@ def count_nodes(expr: Expr) -> int:
 def subexpressions(expr: Expr, max_size: Optional[int] = None) -> Iterator[Expr]:
     """Yield every distinct subtree, optionally capped by node count.
 
+    The order is :meth:`Expr.walk`'s post-order, keeping each subtree's
+    first occurrence.  The walk is iterative and never enters a subtree it
+    has already yielded, so its work is linear in the number of distinct
+    nodes, even where shared subtrees make the occurrence count
+    exponential.
+
     This is the enumeration primitive behind §4.1's "all sub-expressions of
     size up to 10 IR nodes".
     """
     seen = set()
-    for node in expr.walk():
-        if node in seen:
-            continue
-        seen.add(node)
-        if max_size is None or node.size <= max_size:
-            yield node
+    stack = [(expr, iter(expr.children))]
+    while stack:
+        node, kids = stack[-1]
+        for child in kids:
+            if child not in seen:
+                stack.append((child, iter(child.children)))
+                break
+        else:
+            stack.pop()
+            seen.add(node)
+            if max_size is None or node.size <= max_size:
+                yield node
 
 
 def contains(expr: Expr, needle: Expr) -> bool:

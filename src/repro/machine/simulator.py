@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 from ..interp.evaluator import Value, _eval_node, evaluate
 from ..ir import expr as E
+from ..ir.traversal import subexpressions
 from ..ir.types import ScalarType
 from ..targets import Target, TargetOp
 from ..interp import register_handler
@@ -134,16 +135,12 @@ def cost_cycles(
     L = lanes if lanes is not None else target.desc.natural_lanes
     R = target.desc.register_bits
 
-    seen: Dict[E.Expr, None] = {}
     total = 0.0
     swizzle_total = 0.0
     detail: List[tuple] = []
     count = 0
 
-    for node in program.walk():
-        if node in seen:
-            continue
-        seen[node] = None
+    for node in subexpressions(program):
         if not isinstance(node, TargetOp):
             continue
         elem_bits = _node_elem_bits(node)
@@ -167,12 +164,6 @@ def cost_cycles(
 
 def instruction_count(program: E.Expr) -> int:
     """Distinct target instructions in the program (single-issue count)."""
-    seen = set()
-    n = 0
-    for node in program.walk():
-        if node in seen:
-            continue
-        seen.add(node)
-        if isinstance(node, TargetOp):
-            n += 1
-    return n
+    return sum(
+        1 for node in subexpressions(program) if isinstance(node, TargetOp)
+    )

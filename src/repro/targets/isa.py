@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from ..ir.expr import Expr
+from ..ir.traversal import subexpressions
 from ..ir.types import ScalarType
 
 __all__ = [
@@ -192,7 +193,7 @@ def is_lowered(expr: Expr) -> bool:
     from ..ir.expr import Const, Var
 
     return all(
-        isinstance(n, (TargetOp, Const, Var)) for n in expr.walk()
+        isinstance(n, (TargetOp, Const, Var)) for n in subexpressions(expr)
     )
 
 

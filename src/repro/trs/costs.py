@@ -27,7 +27,7 @@ from ..fpir import ops as F
 from ..ir import expr as E
 from ..ir.types import ScalarType
 
-__all__ = ["Cost", "cost", "OP_RANK"]
+__all__ = ["Cost", "cost", "local_cost", "OP_RANK"]
 
 Cost = Tuple[int, int, int]
 
@@ -95,29 +95,40 @@ def _bits(t: object) -> int:
     return t.bits if isinstance(t, ScalarType) else 0
 
 
+def local_cost(expr: E.Expr) -> Cost:
+    """A node's own share of :func:`cost`: the widths of its children's
+    types, its operation rank and one node (a leaf is one node only).
+
+    ``cost(expr)`` is this plus the sum of its children's costs, so the
+    cost of rebuilding ``expr`` over other children of the same types is
+    known before the rebuild (the e-graph's extraction relies on it).
+    """
+    kids = expr.children
+    if not kids:
+        return (0, 0, 1)
+    width = 0
+    for c in kids:
+        width += _bits(c.type)
+    return (width, OP_RANK.get(type(expr), _DEFAULT_RANK), 1)
+
+
 def cost(expr: E.Expr) -> Cost:
     """Lexicographic target-agnostic cost of an expression tree.
 
     The cost is compositional (a node's cost is the sum of its children's
-    plus a local term), so it is memoized per node: with hash-consed
-    expressions every subtree is costed once, ever, instead of once per
-    rule attempt at every node of every fixpoint pass.
+    plus its :func:`local_cost`), so it is memoized per node: with
+    hash-consed expressions every subtree is costed once, ever, instead
+    of once per rule attempt at every node of every fixpoint pass.
     """
     cached = expr._cost
     if cached is not None:
         return cached
-    kids = expr.children
-    width_sum = 0
-    rank_sum = 0
-    nodes = 1
-    if kids:
-        for c in kids:
-            cw, cr, cn = cost(c)
-            width_sum += cw
-            rank_sum += cr
-            nodes += cn
-            width_sum += _bits(c.type)
-        rank_sum += OP_RANK.get(type(expr), _DEFAULT_RANK)
+    width_sum, rank_sum, nodes = local_cost(expr)
+    for c in expr.children:
+        cw, cr, cn = cost(c)
+        width_sum += cw
+        rank_sum += cr
+        nodes += cn
     result = (width_sum, rank_sum, nodes)
     object.__setattr__(expr, "_cost", result)
     return result

@@ -23,6 +23,8 @@ strategy that keeps *every* discovered form:
   minima compose into parent minima).  :meth:`EGraph.top_terms`
   generalizes this to the K cheapest distinct terms per class, which
   gives the lifter a small *candidate set* instead of a single answer.
+  Both relax costs, not terms: the same additivity gives a candidate's
+  cost before it is built, so only the terms they keep are built.
 
 The strategy is *anchored to greedy*: the greedy fixed point is seeded
 into the e-graph and unioned with the root class before saturation, so
@@ -51,7 +53,7 @@ import itertools
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..ir.expr import Expr
-from .costs import Cost, cost
+from .costs import Cost, cost, local_cost
 from .index import RuleIndex
 from .rule import Rule, RuleContext
 
@@ -66,10 +68,12 @@ class _ENode:
     ``template.with_children(best child terms)``, which also carries the
     non-child fields (types, constant values, var names) along.
     ``reason`` records the rule application that introduced the node
-    (``None`` for seeded nodes) as ``(rule, before, after)``.
+    (``None`` for seeded nodes) as ``(rule, before, after)``.  ``local``
+    is the template's :func:`~repro.trs.costs.local_cost`: a term this
+    node builds costs ``local`` plus its child terms' costs.
     """
 
-    __slots__ = ("template", "child_cids", "cid", "reason")
+    __slots__ = ("template", "child_cids", "cid", "reason", "local")
 
     def __init__(
         self,
@@ -163,6 +167,7 @@ class EGraph:
             cid = len(self._parent)
             self._parent.append(cid)
             probe.cid = cid
+            probe.local = local_cost(expr)
             self._enodes.append(probe)
             self._hashcons[key] = len(self._enodes) - 1
         self._expr_cid[expr] = cid
@@ -193,57 +198,68 @@ class EGraph:
     def n_classes(self) -> int:
         return len({self.find(c) for c in range(len(self._parent))})
 
-    def best_terms(
-        self, cost_fn: Callable[[Expr], Cost] = cost
-    ) -> Dict[int, Tuple[Cost, Expr, int]]:
+    def best_terms(self) -> Dict[int, Tuple[Cost, Expr, int]]:
         """Lowest-cost concrete term per e-class, by fixed-point
         relaxation; maps root cid -> (cost, term, e-node index).
 
-        An e-node whose children's best terms are the same as on its
-        last visit is skipped: it would rebuild the same term at the
-        same cost, which the strict ``<`` already rejected or stored.
+        The relaxation runs on costs alone.  An e-node's cost is its
+        local cost plus its child classes' best costs: the cost is
+        additive, and each class holds terms of one type, so that is the
+        cost of the term the node would build.  Each class builds its
+        winning term once, after the fixed point, from its children's
+        winning terms.
         """
-        best: Dict[int, Tuple[Cost, Expr, int]] = {}
-        visited: Dict[int, List[Expr]] = {}
+        find = self.find
+        best: Dict[int, Tuple[Cost, int]] = {}
         changed = True
         while changed:
             changed = False
             for nid, en in enumerate(self._enodes):
-                kids: List[Expr] = []
-                ok = True
+                w, r, n = en.local
                 for ccid in en.child_cids:
-                    b = best.get(self.find(ccid))
+                    b = best.get(find(ccid))
                     if b is None:
-                        ok = False
                         break
-                    kids.append(b[1])
-                if not ok or visited.get(nid) == kids:
-                    continue
-                visited[nid] = kids
+                    cw, cr, cn = b[0]
+                    w += cw
+                    r += cr
+                    n += cn
+                else:
+                    c = (w, r, n)
+                    cid = find(en.cid)
+                    cur = best.get(cid)
+                    if cur is None or c < cur[0]:
+                        best[cid] = (c, nid)
+                        changed = True
+
+        terms: Dict[int, Expr] = {}
+
+        def build(cid: int) -> Expr:
+            term = terms.get(cid)
+            if term is None:
+                en = self._enodes[best[cid][1]]
                 term = (
                     en.template
                     if not en.child_cids
-                    else en.template.with_children(kids)
+                    else en.template.with_children(
+                        [build(find(c)) for c in en.child_cids]
+                    )
                 )
-                c = cost_fn(term)
-                cid = self.find(en.cid)
-                cur = best.get(cid)
-                if cur is None or c < cur[0]:
-                    best[cid] = (c, term, nid)
-                    changed = True
-        return best
+                terms[cid] = term
+            return term
+
+        return {cid: (c, build(cid), nid) for cid, (c, nid) in best.items()}
 
     def top_terms(
         self,
         k: int,
-        cost_fn: Callable[[Expr], Cost] = cost,
         max_passes: int = 12,
         max_combos: int = 24,
     ) -> Tuple[Dict[int, List[Tuple[Cost, Expr]]], Dict[Expr, int]]:
         """The K cheapest distinct concrete terms per e-class.
 
-        K-best relaxation: each pass concretizes every e-node with (a
-        bounded cross product of) its children's current K-best terms and
+        K-best relaxation: each pass takes every e-node over (a bounded
+        cross product of) its children's current K-best entries and
         inserts any new term that beats a class's current K-th cost.
         Returns ``(cid -> [(cost, term)] ascending, term -> e-node id)``
         — the second map remembers which e-node built each term, so
@@ -254,58 +270,81 @@ class EGraph:
         the node-count cost component, so the relaxation converges;
         ``max_passes`` is a defensive cap only.
 
-        An (e-node, child combo) pair is tried once per call: its term
-        is then in its class's ``seen`` set, which only grows, or it
-        lost to a full class whose K-th cost is no higher, and that
-        cost only falls.
+        Cost first: a combo's cost is the e-node's local cost plus its
+        entries' costs, so a combo that cannot beat the K-th cost is
+        dropped before its term exists, and would be again, since that
+        cost only falls.  A combo that passes is built once per call:
+        ``tried`` skips it afterwards, when its term is already in its
+        class's ``seen`` set, which only grows.  An e-node none of whose
+        child lists changed since its last visit is skipped: its combos
+        are the ones it already tried.
         """
+        find = self.find
         tops: Dict[int, List[Tuple[Cost, Expr]]] = {}
         seen: Dict[int, set] = {}
         builder: Dict[Expr, int] = {}
         tried: set = set()
-
-        def insert(cid: int, term: Expr, nid: int) -> bool:
-            s = seen.setdefault(cid, set())
-            if term in s:
-                return False
-            c = cost_fn(term)
-            lst = tops.setdefault(cid, [])
-            if len(lst) >= k and not (c < lst[-1][0]):
-                return False
-            s.add(term)
-            builder.setdefault(term, nid)
-            lst.append((c, term))
-            lst.sort(key=lambda pair: pair[0])
-            del lst[k:]
-            return True
+        #: inserts so far; the count at each class's latest insert and
+        #: at each e-node's latest visit
+        inserts = 0
+        changed_at: Dict[int, int] = {}
+        visited_at: Dict[int, int] = {}
 
         for _ in range(max_passes):
             changed = False
             for nid, en in enumerate(self._enodes):
-                cid = self.find(en.cid)
-                if not en.child_cids:
-                    if insert(cid, en.template, nid):
-                        changed = True
+                kid_cids = [find(ccid) for ccid in en.child_cids]
+                last = visited_at.get(nid)
+                if last is not None and all(
+                    [changed_at[ccid] <= last for ccid in kid_cids]
+                ):
                     continue
-                lists: List[List[Expr]] = []
-                ok = True
-                for ccid in en.child_cids:
-                    lst = tops.get(self.find(ccid))
-                    if not lst:
-                        ok = False
+                lists: List[List[Tuple[Cost, Expr]]] = []
+                for ccid in kid_cids:
+                    entries = tops.get(ccid)
+                    if entries is None:
                         break
-                    lists.append([t for _, t in lst])
-                if not ok:
-                    continue
-                combos = itertools.islice(
-                    itertools.product(*lists), max_combos
-                )
-                for combo in combos:
-                    if (nid, combo) in tried:
-                        continue
-                    tried.add((nid, combo))
-                    term = en.template.with_children(combo)
-                    if insert(cid, term, nid):
+                    lists.append(entries)
+                else:
+                    visited_at[nid] = inserts
+                    cid = find(en.cid)
+                    lw, lr, ln = en.local
+                    # product() copies the lists before the first insert
+                    for combo in itertools.islice(
+                        itertools.product(*lists), max_combos
+                    ):
+                        w, r, n = lw, lr, ln
+                        for (cw, cr, cn), _ in combo:
+                            w += cw
+                            r += cr
+                            n += cn
+                        c = (w, r, n)
+                        lst = tops.get(cid)
+                        if lst is not None and len(lst) >= k and not (
+                            c < lst[-1][0]
+                        ):
+                            continue
+                        kids = tuple([t for _, t in combo])
+                        if (nid, kids) in tried:
+                            continue
+                        tried.add((nid, kids))
+                        term = (
+                            en.template.with_children(kids)
+                            if kids
+                            else en.template
+                        )
+                        s = seen.setdefault(cid, set())
+                        if term in s:
+                            continue
+                        s.add(term)
+                        builder.setdefault(term, nid)
+                        if lst is None:
+                            lst = tops[cid] = []
+                        lst.append((c, term))
+                        lst.sort(key=lambda pair: pair[0])
+                        del lst[k:]
+                        inserts += 1
+                        changed_at[cid] = inserts
                         changed = True
             if not changed:
                 break
@@ -365,7 +404,6 @@ class EGraph:
         max_iters: int = 6,
         max_enodes: int = 3000,
         max_apps: int = 12000,
-        cost_fn: Callable[[Expr], Cost] = cost,
     ) -> SaturationStats:
         """Explore with the rule index under budgets; no cost gating.
 
@@ -378,6 +416,10 @@ class EGraph:
         concretized term admits are computed once per call and replayed
         when a later iteration concretizes the same term; applications
         are still counted, and budgets checked, one at a time.
+
+        A class's winning e-node already has its concretization: the
+        class's best term, built from the same child terms unless a union
+        earlier in the iteration moved one of its child classes.
         """
         ctx = ctx if ctx is not None else RuleContext()
         matches: Dict[Expr, List[Tuple[Rule, Expr]]] = {}
@@ -387,7 +429,8 @@ class EGraph:
         for _ in range(max_iters):
             iters += 1
             changed = False
-            best = self.best_terms(cost_fn)
+            best = self.best_terms()
+            winners = {nid: term for _, term, nid in best.values()}
             n_start = len(self._enodes)
             exhausted = False
             for nid in range(n_start):
@@ -402,11 +445,13 @@ class EGraph:
                     kids.append(b[1])
                 if not ok:
                     continue
-                rep = (
-                    en.template
-                    if not en.child_cids
-                    else en.template.with_children(kids)
-                )
+                rep = winners.get(nid)
+                if rep is None or list(rep.children) != kids:
+                    rep = (
+                        en.template
+                        if not en.child_cids
+                        else en.template.with_children(kids)
+                    )
                 cid = self.find(en.cid)
                 # Match against the best-representative concretization
                 # *and* the e-node's original template: once a child
@@ -490,10 +535,7 @@ class EGraphLifter:
         obs=None,
         scorer: Optional[Callable[[Expr], object]] = None,
     ):
-        from .rewriter import RewriteResult
-
         greedy = self.engine.rewrite(expr, ctx, obs=obs)
-        cost_fn = self.engine.cost_fn
 
         graph = EGraph()
         root = graph.add(expr)
@@ -505,9 +547,8 @@ class EGraphLifter:
             max_iters=self.max_iters,
             max_enodes=self.max_enodes,
             max_apps=self.max_apps,
-            cost_fn=cost_fn,
         )
-        greedy_cost = cost_fn(greedy.expr)
+        greedy_cost = cost(greedy.expr)
 
         if obs is not None:
             obs.egraph_stats(
@@ -520,7 +561,7 @@ class EGraphLifter:
             )
 
         if scorer is None:
-            best = graph.best_terms(cost_fn)
+            best = graph.best_terms()
             chosen = best.get(graph.find(root))
             if chosen is None or not (chosen[0] < greedy_cost):
                 return self._result(greedy.expr, greedy.applications, stats)
@@ -531,10 +572,10 @@ class EGraphLifter:
                 stats,
             )
 
-        tops, builder = graph.top_terms(self.extract_k, cost_fn)
+        tops, builder = graph.top_terms(self.extract_k)
         candidates = [
-            term
-            for _, term in tops.get(graph.find(root), [])
+            (c, term)
+            for c, term in tops.get(graph.find(root), [])
             if term is not greedy.expr
         ]
         # Greedy is the anchor: a candidate must strictly beat it on the
@@ -544,11 +585,11 @@ class EGraphLifter:
             return self._result(greedy.expr, greedy.applications, stats)
         best_term = greedy.expr
         best_key = (greedy_score, greedy_cost)
-        for term in candidates:
+        for c, term in candidates:
             score = scorer(term)
             if score is None:
                 continue
-            key = (score, cost_fn(term))
+            key = (score, c)
             if key < best_key:
                 best_key = key
                 best_term = term

@@ -27,10 +27,10 @@ O(whole tree).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..ir.expr import Expr
-from .costs import Cost, cost
+from .costs import cost
 from .index import RuleIndex
 from .rule import Rule, RuleContext
 
@@ -72,7 +72,6 @@ class RewriteEngine:
         rules: Iterable[Rule],
         require_cost_decrease: bool = False,
         max_passes: int = 64,
-        cost_fn: Callable[[Expr], Cost] = cost,
         strategy: str = "bottom_up",
         name: str = "trs",
         use_index: bool = True,
@@ -88,7 +87,6 @@ class RewriteEngine:
         self.rules = tuple(rules)
         self.require_cost_decrease = require_cost_decrease
         self.max_passes = max_passes
-        self.cost_fn = cost_fn
         self.strategy = strategy
         #: ``use_index=False`` selects the pre-index linear scan — kept
         #: as a reference path for differential tests and benchmarks.
@@ -138,7 +136,6 @@ class RewriteEngine:
         trace: List[Tuple[str, Expr, Expr]] = []
         if memo is None:
             memo = {} if obs is None else obs.memo(self.name)
-        cost_fn = self.cost_fn
         gate = self.require_cost_decrease
         candidates_for = self._candidates
 
@@ -152,12 +149,12 @@ class RewriteEngine:
                 cands = candidates_for(node)
                 if not cands:
                     return None
-                node_cost = cost_fn(node) if gate else None
+                node_cost = cost(node) if gate else None
                 for rule in cands:
                     out = rule.apply(node, ctx)
                     if out is None:
                         continue
-                    if gate and not (cost_fn(out) < node_cost):
+                    if gate and not (cost(out) < node_cost):
                         continue
                     trace.append((rule.name, node, out))
                     return out
@@ -181,12 +178,12 @@ class RewriteEngine:
                 misses.value += n_rules - len(cands)
                 if not cands:
                     return None
-                node_cost = cost_fn(node) if gate else None
+                node_cost = cost(node) if gate else None
                 for rule in cands:
                     out = rule.apply(node, ctx)
                     if out is None:
                         continue
-                    if gate and not (cost_fn(out) < node_cost):
+                    if gate and not (cost(out) < node_cost):
                         cost_rejects.value += 1
                         continue
                     trace.append((rule.name, node, out))

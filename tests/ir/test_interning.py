@@ -1,5 +1,7 @@
 """Hash-cons interning: structurally equal exprs are reference-equal."""
 
+import pytest
+
 from repro import fpir as F
 from repro.ir import builders as h
 from repro.ir import expr as E
@@ -61,3 +63,73 @@ class TestPatternNodesNotInterned:
         pat = E.Add(Wild("x", T), Wild("y", T))
         assert not getattr(pat, "_canon", False)
         assert pat is not E.Add(Wild("x", T), Wild("y", T))
+
+
+def _count_inits(monkeypatch, cls):
+    """A one-item list counting runs of ``cls.__init__``."""
+    calls = [0]
+    real = cls.__init__
+
+    def init(self, *args):
+        calls[0] += 1
+        real(self, *args)
+
+    monkeypatch.setattr(cls, "__init__", init)
+    return calls
+
+
+class TestWithChildrenInternFirst:
+    """``with_children`` looks the new key up before it builds: a hit
+    returns the canonical node without running the constructor, and only
+    a miss constructs, type-checks and interns."""
+
+    def test_hit_skips_the_constructor(self, monkeypatch):
+        x, y = E.Add(a, b), E.Add(b, a)
+        inits = _count_inits(monkeypatch, E.BinaryOp)
+        assert x.with_children([b, a]) is y
+        assert x.with_children([a, b]) is x
+        assert inits[0] == 0
+
+    def test_miss_constructs_and_interns(self, monkeypatch):
+        c = h.var("c_only_here", U8)
+        x = E.Add(a, b)
+        inits = _count_inits(monkeypatch, E.BinaryOp)
+        built = x.with_children([a, c])
+        assert inits[0] == 1
+        assert built._canon and built is E.Add(a, c)
+
+    def test_non_expr_fields_carry_over(self):
+        w = h.var("w", U16)
+        assert E.Cast(U16, a).with_children([b]) is E.Cast(U16, b)
+        assert F.WideningAdd(a, b).with_children([b, b]) is F.WideningAdd(b, b)
+        assert F.SaturatingCast(U8, w).with_children([w]) is (
+            F.SaturatingCast(U8, w)
+        )
+
+    def test_wrong_arity_raises(self):
+        x = E.Add(a, b)
+        with pytest.raises(ValueError):
+            x.with_children([a])
+        with pytest.raises(ValueError):
+            x.with_children([a, b, a])
+
+    def test_ill_typed_children_raise(self):
+        w = h.var("w_ill_typed", U16)
+        with pytest.raises(E.TypeError_):
+            E.Add(a, b).with_children([a, w])
+        with pytest.raises(E.TypeError_):
+            F.WideningAdd(a, b).with_children([w, a])
+
+    def test_forged_node_rebuilds_canonical(self):
+        forged = E.Add.__new__(E.Add)
+        object.__setattr__(forged, "a", a)
+        object.__setattr__(forged, "b", h.var("w_forged", U16))
+        assert forged.with_children([b, a]) is E.Add(b, a)
+        with pytest.raises(E.TypeError_):
+            forged.with_children([a, h.var("w_forged", U16)])
+
+    def test_pattern_children_stay_uninterned(self):
+        T = TVar("T")
+        pat = E.Add(a, b).with_children([Wild("x", T), b])
+        assert not getattr(pat, "_canon", False)
+        assert pat is not E.Add(Wild("x", T), b)

@@ -75,7 +75,7 @@ class TestExtraction:
         root = g.add(big)
         g.union(root, g.add(small))
         g.rebuild()
-        best = g.best_terms(cost)
+        best = g.best_terms()
         got_cost, got_term, _nid = best[g.find(root)]
         assert got_term == small
         assert got_cost == cost(small) < cost(big)
@@ -87,13 +87,13 @@ class TestExtraction:
         g.union(root, g.add(E.Add(a, b)))
         g.union(root, g.add(E.Add(b, a)))
         g.rebuild()
-        tops, builder = g.top_terms(2, cost)
+        tops, builder = g.top_terms(2)
         lst = tops[g.find(root)]
         assert len(lst) <= 2
         costs = [c for c, _ in lst]
         assert costs == sorted(costs)
         # K-best must include the single best.
-        assert lst[0][1] == g.best_terms(cost)[g.find(root)][1]
+        assert lst[0][1] == g.best_terms()[g.find(root)][1]
         # Every returned term has a builder e-node for provenance.
         assert all(t in builder for _, t in lst)
 
@@ -103,7 +103,7 @@ class TestExtraction:
             expr = canonicalize(by_name("sobel3x3").expr)
             root = g.add(expr)
             g.saturate(Lifter().engine.index, max_iters=2)
-            best = g.best_terms(cost)
+            best = g.best_terms()
             return root, best[g.find(root)][1]
 
         (r1, t1), (r2, t2) = build(), build()
@@ -208,16 +208,21 @@ def _ref_best_terms(g, cost_fn=cost):
     return best
 
 
-def _ref_top_terms(g, k, cost_fn=cost, max_passes=12, max_combos=24):
+def _ref_top_terms(g, k, cost_fn=cost, max_passes=12, max_combos=24,
+                   passing=None):
+    """``passing``, if given, collects every ``(e-node, child terms)``
+    whose term beat its class's K-th cost when it was tried."""
     tops, seen, builder = {}, {}, {}
 
-    def insert(cid, term, nid):
+    def insert(cid, term, nid, kids=()):
         s = seen.setdefault(cid, set())
-        if term in s:
-            return False
         c = cost_fn(term)
         lst = tops.setdefault(cid, [])
         if len(lst) >= k and not (c < lst[-1][0]):
+            return False
+        if passing is not None:
+            passing.add((nid, tuple(kids)))
+        if term in s:
             return False
         s.add(term)
         builder.setdefault(term, nid)
@@ -247,7 +252,7 @@ def _ref_top_terms(g, k, cost_fn=cost, max_passes=12, max_combos=24):
             combos = itertools.islice(itertools.product(*lists), max_combos)
             for combo in combos:
                 term = en.template.with_children(list(combo))
-                if insert(cid, term, nid):
+                if insert(cid, term, nid, combo):
                     changed = True
         if not changed:
             break
@@ -366,3 +371,71 @@ class TestIncrementalMatchesFromScratch:
         assert stats.saturated or stats.applications == 5
         assert _stats(stats) == _stats(ref_stats)
         assert _shape(g) == _shape(ref)
+
+
+def _count_with_children(monkeypatch):
+    """A one-item list counting ``with_children`` calls."""
+    calls = [0]
+    real = E.Expr.with_children
+
+    def with_children(self, new_children):
+        calls[0] += 1
+        return real(self, new_children)
+
+    monkeypatch.setattr(E.Expr, "with_children", with_children)
+    return calls
+
+
+class TestCostFirstExtraction:
+    """Extraction runs on costs and builds only the terms it keeps; the
+    invariants that make that exact hold on every suite e-graph."""
+
+    @pytest.fixture(scope="class")
+    def lifter(self):
+        return Lifter()
+
+    def _saturated(self, lifter, name):
+        g, ctx = _seeded_graph(lifter, name)
+        g.saturate(lifter.engine.index, ctx)
+        return g
+
+    @pytest.mark.parametrize("name", WORKLOADS)
+    def test_best_terms_builds_once_per_class(
+        self, lifter, name, monkeypatch
+    ):
+        g = self._saturated(lifter, name)
+        calls = _count_with_children(monkeypatch)
+        best = g.best_terms()
+        assert calls[0] <= len(best)
+
+    @pytest.mark.parametrize("name", WORKLOADS)
+    def test_top_terms_builds_only_passing_combos(
+        self, lifter, name, monkeypatch
+    ):
+        g = self._saturated(lifter, name)
+        passing = set()
+        _ref_top_terms(g, 8, passing=passing)
+        calls = _count_with_children(monkeypatch)
+        g.top_terms(8)
+        assert calls[0] <= len(passing)
+
+    @pytest.mark.parametrize("name", WORKLOADS)
+    def test_each_class_has_one_type(self, lifter, name):
+        # A node's cost over its children's best terms is its local cost
+        # plus theirs only if those terms have its template's child types.
+        g = self._saturated(lifter, name)
+        best = g.best_terms()
+        for en in g._enodes:
+            assert en.template.type == best[g.find(en.cid)][1].type
+            for child, ccid in zip(en.template.children, en.child_cids):
+                assert child.type == best[g.find(ccid)][1].type
+
+    @pytest.mark.parametrize("name", WORKLOADS)
+    def test_entry_costs_are_term_costs(self, lifter, name):
+        g = self._saturated(lifter, name)
+        for c, term, _nid in g.best_terms().values():
+            assert c == cost(term)
+        tops, _ = g.top_terms(8)
+        for lst in tops.values():
+            for c, term in lst:
+                assert c == cost(term)
