@@ -19,7 +19,7 @@ from ..analysis import BoundsAnalyzer, BoundsContext
 from ..fpir.ops import FPIRInstr
 from ..fpir.semantics import expand
 from ..ir import expr as E
-from ..ir.traversal import transform_bottom_up, transform_bottom_up_memo
+from ..ir.traversal import transform_bottom_up_memo
 from ..lifting.canonicalize import fold_constants
 from ..passes import Pass, PassContext
 from ..targets import Target, TargetOp, is_lowered
@@ -125,7 +125,7 @@ class Lowerer:
         ``memos`` shares those memos, and one for the residue mapping,
         with earlier lowerings under the same ``analyzer``; the counters
         then cover only work no earlier lowering did.  Without it each
-        call starts fresh and maps the residue per occurrence.
+        call starts with fresh memos.
 
         ``obs`` is an optional :class:`~repro.observe.Observation`: rule
         firings, memo-cache hit rates, lowering iterations and the
@@ -199,14 +199,14 @@ class Lowerer:
     def _map_residue(
         self, expr: E.Expr, obs=None, memos: Optional[LowerMemos] = None
     ) -> E.Expr:
-        """Generic-map all remaining core IR nodes, bottom-up (through
-        ``memos`` when given, else once per occurrence)."""
+        """Generic-map all remaining core IR nodes, bottom-up, each
+        distinct node once (through ``memos`` when given, else through
+        fresh memos): a shared subtree is folded and mapped once, not
+        once per occurrence."""
         inherit = None if obs is None else obs.provenance.inherit
-        expr = fold_constants(
-            expr,
-            memo=None if memos is None else memos.fold,
-            on_rebuild=inherit,
-        )
+        if memos is None:
+            memos = LowerMemos()
+        expr = fold_constants(expr, memo=memos.fold, on_rebuild=inherit)
         mapper = self.target.generic
 
         if obs is None:
@@ -225,12 +225,9 @@ class Lowerer:
                 obs.expansion("generic", out.spec.name, node, out)
                 return out
 
-        if memos is None:
-            lowered = transform_bottom_up(expr, map_node, on_rebuild=inherit)
-        else:
-            lowered = transform_bottom_up_memo(
-                expr, map_node, memos.residue, on_rebuild=inherit
-            )
+        lowered = transform_bottom_up_memo(
+            expr, map_node, memos.residue, on_rebuild=inherit
+        )
         if not is_lowered(lowered):
             bad = next(
                 n

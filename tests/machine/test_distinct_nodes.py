@@ -5,7 +5,8 @@ post-order without entering a subtree it has already yielded, and the
 cycle scorer's ``cost_cycles``, ``instruction_count`` and ``is_lowered``
 read programs through it.  Each must give what its per-occurrence
 ``walk()`` reference below gives, and stay linear on a chain whose
-occurrence count is exponential.
+occurrence count is exponential.  So must lowering, which folds and
+maps the residue once per distinct node.
 """
 
 import math
@@ -18,11 +19,13 @@ from hypothesis import given, settings
 from repro.ir import expr as E
 from repro.ir.traversal import subexpressions
 from repro.ir.types import U8, U16
+from repro.machine.lowerer import Lowerer
 from repro.machine.simulator import (
     _node_elem_bits,
     cost_cycles,
     instruction_count,
 )
+from repro.observe import Observation
 from repro.pipeline import pitchfork_compile
 from repro.targets import ALL_TARGETS, ARM, TargetOp, is_lowered
 from repro.workloads import WORKLOADS, by_name
@@ -171,3 +174,38 @@ def test_self_shared_chain_is_linear():
     worker.join(1.0)
     assert not worker.is_alive(), "distinct-node traversal took over 1 s"
     assert got == {"instructions": 40, "count": 40, "lowered": True}
+
+
+def shared_chain(depth):
+    """``t = t + t``, ``depth`` times over a u8 input."""
+    t = E.Var(U8, "x")
+    for _ in range(depth):
+        t = E.Add(t, t)
+    return t
+
+
+def test_lowering_a_self_shared_chain_is_linear():
+    # 2**19 - 1 occurrences: mapped once per occurrence, this took
+    # seconds
+    t = shared_chain(18)
+    got = {}
+
+    def run():
+        lowered = Lowerer(ARM).lower(t)
+        got["count"] = instruction_count(lowered)
+        got["lowered"] = is_lowered(lowered)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(1.0)
+    assert not worker.is_alive(), "lowering a shared chain took over 1 s"
+    assert got == {"count": 18, "lowered": True}
+
+
+def test_generic_expansions_count_distinct_nodes():
+    obs = Observation()
+    Lowerer(ARM).lower_with_stats(shared_chain(6), obs=obs)
+    generic = {dict(c.labels)["op"]: c.value
+               for c in obs.metrics.counters("expansion")
+               if dict(c.labels)["kind"] == "generic"}
+    assert generic == {"add.16b": 6}

@@ -16,7 +16,8 @@ not reach:
 The fixture was written once, before the verifier instantiated rules
 as per-type-assignment templates, and is never regenerated: any change
 to these reports is a change to the verifier's verdicts.  Both
-evaluation backends must reproduce it.
+evaluation backends, and ``auto``'s dispatch between them on the lane
+count of a call, must reproduce it, at any lane budget.
 """
 
 import json
@@ -24,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.verify.rule_verifier as rule_verifier
 from repro import fpir as F
 from repro.ir import expr as E
 from repro.lifting import HAND_RULES, SYNTHESIZED_RULES
@@ -107,12 +109,25 @@ def test_golden_covers_every_case():
     assert set(GOLDEN) == set(CASES)
 
 
-@pytest.mark.parametrize("backend", ["closure", "numpy"])
-def test_edge_reports_match_golden(backend):
-    mismatched = []
+def mismatched(backend):
+    out = []
     for key, (rule, kwargs) in CASES.items():
         report = verify_rule(rule, backend=backend, **kwargs)
         # through JSON, so tuples and int keys compare as the fixture has
         if json.loads(json.dumps(report.to_dict())) != GOLDEN[key]:
-            mismatched.append(key)
-    assert not mismatched
+            out.append(key)
+    return out
+
+
+@pytest.mark.parametrize("backend", ["closure", "numpy", "auto"])
+def test_edge_reports_match_golden(backend):
+    assert not mismatched(backend)
+
+
+# At 1 lane each check is a chunk of its own; at 500, the computed
+# constant that raises at c0 = 2 follows queued choices, which must be
+# evaluated first.
+@pytest.mark.parametrize("budget", [1, 500])
+def test_edge_reports_match_golden_at_any_lane_budget(monkeypatch, budget):
+    monkeypatch.setattr(rule_verifier, "LANE_BUDGET", budget)
+    assert not mismatched("auto")

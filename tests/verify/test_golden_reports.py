@@ -6,7 +6,8 @@ benchmark budgets (6 type assignments, 4 constant samples per wildcard,
 400 grid points).  The counts and counterexamples depend on the order in
 which the verifier draws its random samples, so any change to the
 verifier's loop must keep that order to keep these reports.  Both
-evaluation backends must reproduce the same reports.
+evaluation backends, and ``auto``'s dispatch between them on the lane
+count of a call, must reproduce the same reports, at any lane budget.
 """
 
 import json
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.verify.rule_verifier as rule_verifier
 from repro import fpir as F
 from repro.ir import expr as E
 from repro.lifting import HAND_RULES, SYNTHESIZED_RULES
@@ -60,11 +62,28 @@ def test_golden_covers_every_rule_and_seed():
     assert set(GOLDEN) == {golden_key(n, s) for n in RULES for s in SEEDS}
 
 
-@pytest.mark.parametrize("backend", ["closure", "numpy"])
+def report(name, seed, backend):
+    got = verify_rule(RULES[name], seed=seed, backend=backend, **BUDGETS)
+    # through JSON, so tuples and int keys compare as the fixture has them
+    return json.loads(json.dumps(got.to_dict()))
+
+
+@pytest.mark.parametrize("backend", ["closure", "numpy", "auto"])
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", sorted(RULES))
 def test_report_matches_golden(name, seed, backend):
-    report = verify_rule(RULES[name], seed=seed, backend=backend, **BUDGETS)
-    # through JSON, so tuples and int keys compare as the fixture has them
-    got = json.loads(json.dumps(report.to_dict()))
-    assert got == GOLDEN[golden_key(name, seed)]
+    assert report(name, seed, backend) == GOLDEN[golden_key(name, seed)]
+
+
+# A budget of 1 evaluates each check alone; at 500 lanes a chunk holds
+# one to dozens of checks, so failures land in a non-first check of a
+# chunk and chunk boundaries fall inside a type assignment.
+@pytest.mark.parametrize("backend", ["closure", "numpy", "auto"])
+@pytest.mark.parametrize("budget", [1, 500])
+def test_reports_match_golden_at_any_lane_budget(monkeypatch, budget,
+                                                 backend):
+    monkeypatch.setattr(rule_verifier, "LANE_BUDGET", budget)
+    mismatched = [(name, seed) for name in sorted(RULES) for seed in SEEDS
+                  if report(name, seed, backend)
+                  != GOLDEN[golden_key(name, seed)]]
+    assert not mismatched

@@ -7,6 +7,7 @@ import pytest
 
 import repro.verify.rule_verifier as rule_verifier
 from repro import fpir as F
+from repro.interp import EvalError
 from repro.ir import builders as h
 from repro.ir import expr as E
 from repro.ir.types import U8, U16
@@ -179,6 +180,7 @@ class TestRuleVerification:
     @pytest.mark.parametrize("budget", [
         {"max_type_combos": 0}, {"max_type_combos": -1},
         {"max_const_samples": 0}, {"max_const_samples": -1},
+        {"max_points": 0}, {"max_points": -1},
     ])
     def test_budget_below_one_is_rejected(self, budget):
         # max_type_combos=0 checked no type assignment and failed a sound
@@ -297,3 +299,131 @@ class TestTemplates:
         assert not report.ok
         assert set(report.counterexample["env"]) == {param}
         assert report.counterexample["consts"] == {"c0": 0}
+
+
+def record_calls(monkeypatch, rule, budget=None):
+    """Verify ``rule`` at seed 0 and the bench budgets (at lane budget
+    ``budget`` if given); return the report and ``(root, lanes)`` of
+    each call of a compiled program."""
+    calls = []
+    real = rule_verifier.compile_for_backend
+
+    def recording(expr, backend=None):
+        program = real(expr, backend)
+
+        def call(env, lanes=None):
+            calls.append((expr, lanes))
+            return program(env, lanes)
+
+        return call
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rule_verifier, "compile_for_backend", recording)
+        if budget is not None:
+            patch.setattr(rule_verifier, "LANE_BUDGET", budget)
+        report = verify_rule(rule, seed=0, **BUDGET)
+    return report, calls
+
+
+def pack(sizes, budget):
+    """Consecutive checks' lane counts, packed greedily into chunks of
+    at most ``budget`` lanes (a larger check alone)."""
+    chunks = []
+    for n in sizes:
+        if chunks and chunks[-1] + n <= budget:
+            chunks[-1] += n
+        else:
+            chunks.append(n)
+    return chunks
+
+
+class TestChunks:
+    """A type assignment's constant choices are queued as checks and
+    evaluated together: each side's program runs once per chunk of
+    checks that fits the lane budget, and a check larger than the budget
+    is a chunk on its own."""
+
+    RULE = "lift-widening-mul-pow2"
+
+    def checks(self, monkeypatch):
+        """Each checked point's lane count, grouped by type assignment
+        (its left-hand template), from a run that evaluates each check
+        alone."""
+        report, calls = record_calls(monkeypatch, _hand_rule(self.RULE),
+                                     budget=1)
+        assert report.ok and report.checked_points == 215
+        assert len(calls) == 2 * 215
+        groups = {}
+        for root, lanes in calls[::2]:
+            groups.setdefault(root, []).append(lanes)
+        assert len(groups) == report.checked_combos == 6
+        return groups
+
+    def test_one_call_per_side_per_chunk(self, monkeypatch):
+        report, calls = record_calls(monkeypatch, _hand_rule(self.RULE))
+        assert report.ok and report.checked_points == 215
+        # each type assignment's checks fit one chunk: a call per side
+        # per assignment, where a call per checked point made 430
+        assert len(calls) == 2 * report.checked_combos
+        # lhs then rhs, over the same lanes
+        chunks = [n for _, n in calls[::2]]
+        assert chunks == [n for _, n in calls[1::2]]
+        groups = self.checks(monkeypatch)
+        assert chunks == [sum(sizes) for sizes in groups.values()]
+        assert max(chunks) <= rule_verifier.LANE_BUDGET
+
+    @pytest.mark.parametrize("budget", [12, 25, 100])
+    def test_chunks_fit_the_budget(self, monkeypatch, budget):
+        # the checks hold 11 or 14 lanes: at 12 each is alone and the
+        # 14-lane ones exceed the budget, at 25 two share a chunk
+        groups = self.checks(monkeypatch)
+        report, calls = record_calls(monkeypatch, _hand_rule(self.RULE),
+                                     budget=budget)
+        assert report.ok and report.checked_points == 215
+        chunks = [n for _, n in calls[::2]]
+        assert chunks == [n for _, n in calls[1::2]]
+        assert chunks == [c for sizes in groups.values()
+                          for c in pack(sizes, budget)]
+        singles = {n for sizes in groups.values() for n in sizes}
+        assert all(n <= budget or n in singles for n in chunks)
+
+    @pytest.mark.parametrize("rhs, reason", [
+        # sound: the error at c0 = 2 is the report
+        (lambda x, c0: E.Add(c0, x), "evaluation error: lanes hold c0 = 2"),
+        # unsound at c0 = 1 (x + 1 != x | 1 for even x), before the error
+        (lambda x, c0: E.BitOr(x, c0), None),
+    ], ids=["sound", "unsound-before-error"])
+    def test_evaluation_error_reported_at_its_check(self, monkeypatch, rhs,
+                                                    reason):
+        T = TVar("T", max_bits=32)
+        x, c0 = Wild("x", T), ConstWild("c0", T)
+        rule = Rule("add-c0", E.Add(x, c0), rhs(x, c0))
+        _, cwilds = rule_verifier._collect_wilds(rule.lhs)
+        param = rule_verifier._Templates(rule, cwilds).const_vars["c0"]
+        real = rule_verifier.compile_for_backend
+
+        def raising_at_2(expr, backend=None):
+            # as if a program could not evaluate a lane where c0 = 2
+            program = real(expr, backend)
+
+            def call(env, lanes=None):
+                if param in env and 2 in list(env[param]):
+                    raise EvalError("lanes hold c0 = 2")
+                return program(env, lanes)
+
+            return call
+
+        monkeypatch.setattr(rule_verifier, "compile_for_backend",
+                            raising_at_2)
+        reports = []
+        for budget in (1, rule_verifier.LANE_BUDGET):
+            monkeypatch.setattr(rule_verifier, "LANE_BUDGET", budget)
+            reports.append(verify_rule(rule, seed=0, **BUDGET).to_dict())
+        assert reports[0] == reports[1]
+        cex = reports[1]["counterexample"]
+        if reason is None:
+            assert cex["consts"] == {"c0": 1} and "env" in cex
+            assert reports[1]["checked_points"] == 2
+        else:
+            assert cex["reason"] == reason and cex["consts"] == {"c0": 2}
+            assert reports[1]["checked_points"] == 3
