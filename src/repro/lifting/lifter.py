@@ -142,7 +142,10 @@ class EGraphLiftPass(LiftPass):
     lowered-simulated-cycles scorer, which lowers all of one run's
     candidates through one bounds analyzer and one set of lowering
     memos, so extraction picks the candidate that actually lowers best,
-    with the greedy result as the never-worse anchor.
+    with the greedy result as the never-worse anchor.  That scorer keeps
+    its fresh lowering of the anchor as ``anchor``; when the lift keeps
+    the anchor, the pass hands that lowering on as
+    ``ctx.extras["lowered_lift"]``, for :class:`LowerPass` to reuse.
     """
 
     def __init__(self, lifter: Lifter, scorer=None):
@@ -162,6 +165,9 @@ class EGraphLiftPass(LiftPass):
         ctx.extras["lifted"] = result.expr
         ctx.extras["lift_rules_used"] = result.rules_used
         ctx.extras["lift_strategy"] = "egraph"
+        anchor = getattr(scorer, "anchor", None)
+        if anchor is not None and anchor[0] is result.expr:
+            ctx.extras["lowered_lift"] = anchor
         stats = getattr(result, "egraph", None)
         if stats is not None:
             ctx.extras["egraph"] = {

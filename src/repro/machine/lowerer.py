@@ -246,6 +246,13 @@ class LowerPass(Pass):
     Bounds facts derived on the source remain valid on the lifted form,
     but the cache is keyed structurally; a fresh analyzer is built from
     ``ctx.var_bounds`` so FPIR-aware transfer functions apply.
+
+    ``ctx.extras["lowered_lift"]``, when set, is ``(term, lowered,
+    stats)``: a fresh lowering of ``term`` that the lift already made
+    under the same bounds (the e-graph lift's scorer lowers the greedy
+    anchor).  If ``term`` is this pass's input, the pass returns that
+    lowering instead of repeating it, unless an observation is attached:
+    provenance needs the instrumented lowering.
     """
 
     name = "lower"
@@ -254,9 +261,13 @@ class LowerPass(Pass):
         self.lowerer = lowerer
 
     def run(self, expr: E.Expr, ctx: PassContext) -> E.Expr:
-        lowered, stats = self.lowerer.lower_with_stats(
-            expr, BoundsAnalyzer(ctx.var_bounds), obs=ctx.observe
-        )
+        done = ctx.extras.pop("lowered_lift", None)
+        if done is not None and done[0] is expr and ctx.observe is None:
+            _, lowered, stats = done
+        else:
+            lowered, stats = self.lowerer.lower_with_stats(
+                expr, BoundsAnalyzer(ctx.var_bounds), obs=ctx.observe
+            )
         ctx.extras["lowering"] = stats
         ctx.rewrites += stats["rewrites"]
         return lowered

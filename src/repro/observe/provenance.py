@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..ir.expr import Expr
+from ..ir.traversal import subexpressions
 
 __all__ = ["Provenance", "ProvenanceEntry"]
 
@@ -65,7 +66,9 @@ class Provenance:
         ``before`` — are attributed; subtrees the rule merely moved (bound
         through wildcards) keep whatever provenance they already had.
         Leaves are never attributed: constants and variables are shared
-        process-wide by hash-consing and carry no instruction.
+        process-wide by hash-consing and carry no instruction.  Both trees
+        are walked once per distinct node: every node gets this one entry,
+        so a repeated occurrence could add nothing.
         """
         entry = ProvenanceEntry(
             phase=phase,
@@ -73,9 +76,9 @@ class Provenance:
             source=source,
             parent=self._by_node.get(before),
         )
-        before_nodes = set(before.walk())
+        before_nodes = set(subexpressions(before))
         by_node = self._by_node
-        for node in after.walk():
+        for node in subexpressions(after):
             if not node.children or node in before_nodes:
                 continue
             if node not in by_node:

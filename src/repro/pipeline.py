@@ -175,32 +175,10 @@ class PitchforkCompiler:
             verify_each=verify_each,
         )
 
-    def _cycle_scorer(self, var_bounds):
-        """The scorer for one lift's extraction candidates: each term
-        scores the simulated cycles of its lowering for this compiler's
-        target (None if it cannot lower).
-
-        This is what makes the e-graph strategy target-aware: the
-        target-agnostic cost is only a proxy, so the K cheapest extracted
-        forms are judged by the cycle model the evaluation actually
-        reports, with the greedy form as the never-worse anchor.  The
-        candidates share most subtrees, so all of one lift's lowerings
-        go through one analyzer and one :class:`LowerMemos`, which die
-        with the scorer.
-        """
-        analyzer = BoundsAnalyzer(var_bounds)
-        memos = LowerMemos()
-
-        def score(term):
-            try:
-                lowered, _ = self.lowerer.lower_with_stats(
-                    term, analyzer, memos=memos
-                )
-            except (LoweringError, RewriteError, UnsupportedType):
-                return None
-            return cost_cycles(lowered, self.target).total
-
-        return score
+    def _cycle_scorer(self, var_bounds) -> "_CycleScorer":
+        """The scorer for one lift's extraction candidates (see
+        :class:`_CycleScorer`)."""
+        return _CycleScorer(self.lowerer, var_bounds)
 
     def compile(
         self,
@@ -233,6 +211,46 @@ class PitchforkCompiler:
             stats=stats,
             observation=trace,
         )
+
+
+class _CycleScorer:
+    """Scores each term by the simulated cycles of its lowering for the
+    lowerer's target (None if it cannot lower).
+
+    This is what makes the e-graph strategy target-aware: the
+    target-agnostic cost is only a proxy, so the K cheapest extracted
+    forms are judged by the cycle model the evaluation actually
+    reports, with the greedy form as the never-worse anchor.  The
+    candidates share most subtrees, so all of one lift's lowerings go
+    through one analyzer and one :class:`LowerMemos`, which die with the
+    scorer.
+
+    The first term scored, the greedy anchor, is lowered while the memos
+    are still empty, so its tree and stats are those a fresh lowering
+    gives; ``anchor`` keeps ``(term, lowered, stats)`` for
+    :class:`LowerPass` to reuse when the lift keeps that term.  Nothing
+    the scorer holds refers back to it, so it dies by reference counting
+    when its lift returns.
+    """
+
+    def __init__(self, lowerer: Lowerer, var_bounds) -> None:
+        self.lowerer = lowerer
+        self.analyzer = BoundsAnalyzer(var_bounds)
+        self.memos = LowerMemos()
+        self.scored = 0
+        self.anchor = None
+
+    def __call__(self, term: Expr):
+        self.scored += 1
+        try:
+            lowered, stats = self.lowerer.lower_with_stats(
+                term, self.analyzer, memos=self.memos
+            )
+        except (LoweringError, RewriteError, UnsupportedType):
+            return None
+        if self.scored == 1:
+            self.anchor = (term, lowered, stats)
+        return cost_cycles(lowered, self.lowerer.target).total
 
 
 _COMPILER_CACHE: Dict[tuple, PitchforkCompiler] = {}

@@ -9,7 +9,7 @@ strategy that keeps *every* discovered form:
 * an **e-graph** stores equivalence classes (e-classes) of terms; each
   e-class holds e-nodes — an operator plus child e-class ids — deduped by
   a hash-cons keyed on canonical child ids (congruence closure via a
-  rebuild loop after unions);
+  rebuild after unions that re-keys only the e-nodes they touched);
 * **saturation** repeatedly concretizes every e-node with its children's
   current best representatives, runs the rule index over the resulting
   term, and unions each rewrite output into the e-node's class.  No cost
@@ -24,7 +24,8 @@ strategy that keeps *every* discovered form:
   generalizes this to the K cheapest distinct terms per class, which
   gives the lifter a small *candidate set* instead of a single answer.
   Both relax costs, not terms: the same additivity gives a candidate's
-  cost before it is built, so only the terms they keep are built.
+  cost before it is built, so only the terms they keep are built, and
+  :meth:`EGraph.top_terms` builds only the asked-for class's.
 
 The strategy is *anchored to greedy*: the greedy fixed point is seeded
 into the e-graph and unioned with the root class before saturation, so
@@ -49,6 +50,7 @@ escapes that greedy misses.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -117,6 +119,10 @@ class EGraph:
         self._hashcons: Dict[tuple, int] = {}
         #: interned Expr -> cid at the time it was added (find() refreshes)
         self._expr_cid: Dict[Expr, int] = {}
+        #: root cid -> ids of the e-nodes with a child in that class
+        self._users: Dict[int, List[int]] = {}
+        #: e-nodes whose key a union since the last rebuild made stale
+        self._stale: List[int] = []
 
     # -- union-find ----------------------------------------------------
     def find(self, cid: int) -> int:
@@ -133,6 +139,10 @@ class EGraph:
         if rb < ra:
             ra, rb = rb, ra
         self._parent[rb] = ra
+        users = self._users.pop(rb, None)
+        if users:
+            self._users.setdefault(ra, []).extend(users)
+            self._stale.extend(users)
         return ra
 
     # -- construction --------------------------------------------------
@@ -168,31 +178,35 @@ class EGraph:
             self._parent.append(cid)
             probe.cid = cid
             probe.local = local_cost(expr)
+            nid = len(self._enodes)
             self._enodes.append(probe)
-            self._hashcons[key] = len(self._enodes) - 1
+            self._hashcons[key] = nid
+            for ccid in set(child_cids):
+                self._users.setdefault(ccid, []).append(nid)
         self._expr_cid[expr] = cid
         return cid
 
     def rebuild(self) -> None:
-        """Restore congruence: e-nodes whose canonical keys collide after
-        unions belong to the same class; loop until stable."""
-        while True:
-            merged = False
-            fresh: Dict[tuple, int] = {}
-            for nid, en in enumerate(self._enodes):
-                key = self._canon_key(en)
-                other = fresh.get(key)
-                if other is None:
-                    fresh[key] = nid
-                    continue
-                a = self.find(self._enodes[other].cid)
-                b = self.find(en.cid)
-                if a != b:
-                    self.union(a, b)
-                    merged = True
-            self._hashcons = fresh
-            if not merged:
-                return
+        """Restore congruence after unions.
+
+        A union makes stale only the keys of its merged-away class's
+        users, so only those are re-keyed; a key that collides with an
+        e-node of another class merges the two, and so on until no union
+        happens.  The result is the congruence closure whatever the
+        order, with each class's minimum id as its root.  Stale keys stay
+        in the hashcons, but each names a merged-away class, which
+        :meth:`find` never returns, so no lookup hits one.
+        """
+        enodes = self._enodes
+        hashcons = self._hashcons
+        while self._stale:
+            todo = sorted(set(self._stale))
+            self._stale = []
+            for nid in todo:
+                en = enodes[nid]
+                other = hashcons.setdefault(self._canon_key(en), nid)
+                if other != nid:
+                    self.union(enodes[other].cid, en.cid)
 
     # -- analysis ------------------------------------------------------
     def n_classes(self) -> int:
@@ -253,37 +267,43 @@ class EGraph:
     def top_terms(
         self,
         k: int,
+        root: int,
         max_passes: int = 12,
         max_combos: int = 24,
-    ) -> Tuple[Dict[int, List[Tuple[Cost, Expr]]], Dict[Expr, int]]:
-        """The K cheapest distinct concrete terms per e-class.
+    ) -> Tuple[List[Tuple[Cost, Expr]], Dict[Expr, int]]:
+        """The K cheapest distinct concrete terms of the class ``root``.
 
         K-best relaxation: each pass takes every e-node over (a bounded
         cross product of) its children's current K-best entries and
-        inserts any new term that beats a class's current K-th cost.
-        Returns ``(cid -> [(cost, term)] ascending, term -> e-node id)``
-        — the second map remembers which e-node built each term, so
-        :meth:`reasons_for_term` can attribute rule provenance.
+        inserts any new entry that beats its class's current K-th cost.
+        Returns ``([(cost, term)] ascending, term -> e-node id)`` — the
+        second map remembers which e-node built each term and subterm,
+        so :meth:`reasons_for_term` can attribute rule provenance.
 
-        New cost-equal terms stop entering once the K-th slot is filled
+        New cost-equal entries stop entering once the K-th slot is filled
         with a cheaper-or-equal cost, and cyclic derivations strictly grow
         the node-count cost component, so the relaxation converges;
         ``max_passes`` is a defensive cap only.
 
-        Cost first: a combo's cost is the e-node's local cost plus its
-        entries' costs, so a combo that cannot beat the K-th cost is
-        dropped before its term exists, and would be again, since that
-        cost only falls.  A combo that passes is built once per call:
-        ``tried`` skips it afterwards, when its term is already in its
-        class's ``seen`` set, which only grows.  An e-node none of whose
-        child lists changed since its last visit is skipped: its combos
-        are the ones it already tried.
+        The relaxation builds no term.  An entry is a derivation: its
+        cost (the e-node's local cost plus its child entries' costs), its
+        e-node and its child entries.  Distinct entries of a class stand
+        for distinct terms, so an entry is new unless its class holds one
+        with the same canonical key and child entries.  A combo that
+        cannot beat the K-th cost fails again later, since that cost only
+        falls, and an e-node none of whose child lists changed since its
+        last visit is skipped: its combos are the ones it already tried.
+        Only ``root``'s entries, and those under them, become terms.
         """
         find = self.find
-        tops: Dict[int, List[Tuple[Cost, Expr]]] = {}
-        seen: Dict[int, set] = {}
-        builder: Dict[Expr, int] = {}
-        tried: set = set()
+        enodes = self._enodes
+        #: class -> K-best [(cost, entry id)], ascending
+        tops: Dict[int, List[Tuple[Cost, int]]] = {}
+        #: entry id -> (e-node id, child entry ids)
+        entries: List[Tuple[int, Tuple[int, ...]]] = []
+        #: (class, canonical key, child entry ids) of every entry so far
+        seen: set = set()
+        keys: Dict[int, tuple] = {}
         #: inserts so far; the count at each class's latest insert and
         #: at each e-node's latest visit
         inserts = 0
@@ -292,19 +312,19 @@ class EGraph:
 
         for _ in range(max_passes):
             changed = False
-            for nid, en in enumerate(self._enodes):
+            for nid, en in enumerate(enodes):
                 kid_cids = [find(ccid) for ccid in en.child_cids]
                 last = visited_at.get(nid)
                 if last is not None and all(
                     [changed_at[ccid] <= last for ccid in kid_cids]
                 ):
                     continue
-                lists: List[List[Tuple[Cost, Expr]]] = []
+                lists: List[List[Tuple[Cost, int]]] = []
                 for ccid in kid_cids:
-                    entries = tops.get(ccid)
-                    if entries is None:
+                    kid_list = tops.get(ccid)
+                    if kid_list is None:
                         break
-                    lists.append(entries)
+                    lists.append(kid_list)
                 else:
                     visited_at[nid] = inserts
                     cid = find(en.cid)
@@ -324,31 +344,44 @@ class EGraph:
                             c < lst[-1][0]
                         ):
                             continue
-                        kids = tuple([t for _, t in combo])
-                        if (nid, kids) in tried:
+                        kids = tuple([e for _, e in combo])
+                        key = keys.get(nid)
+                        if key is None:
+                            key = keys[nid] = self._canon_key(en)
+                        key = (cid, key, kids)
+                        if key in seen:
                             continue
-                        tried.add((nid, kids))
-                        term = (
-                            en.template.with_children(kids)
-                            if kids
-                            else en.template
-                        )
-                        s = seen.setdefault(cid, set())
-                        if term in s:
-                            continue
-                        s.add(term)
-                        builder.setdefault(term, nid)
+                        seen.add(key)
                         if lst is None:
                             lst = tops[cid] = []
-                        lst.append((c, term))
-                        lst.sort(key=lambda pair: pair[0])
+                        # ids ascend, so this keeps equal costs in order
+                        bisect.insort(lst, (c, len(entries)))
+                        entries.append((nid, kids))
                         del lst[k:]
                         inserts += 1
                         changed_at[cid] = inserts
                         changed = True
             if not changed:
                 break
-        return tops, builder
+
+        terms: Dict[int, Expr] = {}
+        builder: Dict[Expr, int] = {}
+
+        def build(eid: int) -> Expr:
+            term = terms.get(eid)
+            if term is None:
+                nid, kids = entries[eid]
+                template = enodes[nid].template
+                term = (
+                    template.with_children([build(e) for e in kids])
+                    if kids
+                    else template
+                )
+                terms[eid] = term
+                builder.setdefault(term, nid)
+            return term
+
+        return [(c, build(eid)) for c, eid in tops.get(root, ())], builder
 
     def reasons_on_path(
         self, root: int, best: Dict[int, Tuple[Cost, Expr, int]]
@@ -572,12 +605,8 @@ class EGraphLifter:
                 stats,
             )
 
-        tops, builder = graph.top_terms(self.extract_k)
-        candidates = [
-            (c, term)
-            for c, term in tops.get(graph.find(root), [])
-            if term is not greedy.expr
-        ]
+        tops, builder = graph.top_terms(self.extract_k, graph.find(root))
+        candidates = [(c, term) for c, term in tops if term is not greedy.expr]
         # Greedy is the anchor: a candidate must strictly beat it on the
         # scorer, or tie the scorer with strictly lower agnostic cost.
         greedy_score = scorer(greedy.expr)

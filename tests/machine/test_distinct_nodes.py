@@ -184,22 +184,36 @@ def shared_chain(depth):
     return t
 
 
-def test_lowering_a_self_shared_chain_is_linear():
-    # 2**19 - 1 occurrences: mapped once per occurrence, this took
-    # seconds
+def _lower_chain_within_a_second(obs=None):
+    """Lower ``shared_chain(18)`` (2**19 - 1 occurrences) on a thread
+    joined after 1 s; returns the lowered program."""
     t = shared_chain(18)
     got = {}
 
     def run():
-        lowered = Lowerer(ARM).lower(t)
-        got["count"] = instruction_count(lowered)
-        got["lowered"] = is_lowered(lowered)
+        got["lowered"], _ = Lowerer(ARM).lower_with_stats(t, obs=obs)
 
     worker = threading.Thread(target=run, daemon=True)
     worker.start()
     worker.join(1.0)
     assert not worker.is_alive(), "lowering a shared chain took over 1 s"
-    assert got == {"count": 18, "lowered": True}
+    lowered = got["lowered"]
+    assert instruction_count(lowered) == 18
+    assert is_lowered(lowered)
+    return lowered
+
+
+def test_lowering_a_self_shared_chain_is_linear():
+    # mapped once per occurrence, this took seconds
+    _lower_chain_within_a_second()
+
+
+def test_observed_lowering_of_a_self_shared_chain_is_linear():
+    # provenance walked both sides of each record once per occurrence:
+    # 0.8 s at depth 16
+    obs = Observation()
+    lowered = _lower_chain_within_a_second(obs)
+    assert obs.provenance.describe(lowered) == "generic:add.16b"
 
 
 def test_generic_expansions_count_distinct_nodes():

@@ -15,6 +15,7 @@ import pytest
 from repro.analysis import BoundsAnalyzer, BoundsContext
 from repro.ir import builders as h
 from repro.ir import expr as E
+from repro.ir.traversal import subexpressions
 from repro.ir.types import U8, U16
 from repro.lifting import Lifter
 from repro.lifting.canonicalize import canonicalize
@@ -87,8 +88,7 @@ class TestExtraction:
         g.union(root, g.add(E.Add(a, b)))
         g.union(root, g.add(E.Add(b, a)))
         g.rebuild()
-        tops, builder = g.top_terms(2)
-        lst = tops[g.find(root)]
+        lst, builder = g.top_terms(2, g.find(root))
         assert len(lst) <= 2
         costs = [c for c, _ in lst]
         assert costs == sorted(costs)
@@ -172,10 +172,43 @@ class TestEGraphLifter:
 
 
 # -- from-scratch reference loops -------------------------------------
-# best_terms, top_terms and saturate as they were before they learned to
-# skip work already done (unchanged child terms, tried child combos,
-# terms matched in an earlier iteration).  The incremental versions must
-# return exactly what these do.
+# best_terms, top_terms, saturate and rebuild as they were before they
+# learned to skip work already done (unchanged child terms, tried child
+# combos, terms matched in an earlier iteration, keys no union touched).
+# The incremental versions must return exactly what these do.
+
+
+def _ref_rebuild(g):
+    """Re-key every e-node until no class merges."""
+    while True:
+        merged = False
+        fresh = {}
+        for nid, en in enumerate(g._enodes):
+            key = g._canon_key(en)
+            other = fresh.get(key)
+            if other is None:
+                fresh[key] = nid
+                continue
+            a = g.find(g._enodes[other].cid)
+            b = g.find(en.cid)
+            if a != b:
+                g.union(a, b)
+                merged = True
+        g._hashcons = fresh
+        g._stale = []
+        if not merged:
+            return
+
+
+def _merges_left(g):
+    """How many e-nodes one round of :func:`_ref_rebuild` would merge
+    into another class, without merging them."""
+    first = {}
+    left = 0
+    for en in g._enodes:
+        cid = g.find(en.cid)
+        left += first.setdefault(g._canon_key(en), cid) != cid
+    return left
 
 
 def _ref_best_terms(g, cost_fn=cost):
@@ -305,7 +338,7 @@ def _ref_saturate(g, index, ctx, max_iters=6, max_enodes=3000,
                     break
             if exhausted:
                 break
-        g.rebuild()
+        _ref_rebuild(g)
         if exhausted:
             break
         if not changed:
@@ -315,10 +348,11 @@ def _ref_saturate(g, index, ctx, max_iters=6, max_enodes=3000,
                            saturated)
 
 
-def _seeded_graph(lifter, name):
+def _seeded_graph(lifter, name, rebuild=None):
     """The e-graph EGraphLifter saturates for a suite kernel: its
     canonical form unioned with greedy's fixed point; plus the lift's
-    bounds context."""
+    bounds context and root class.  ``rebuild`` replaces
+    ``EGraph.rebuild`` for the seeding union."""
     wl = by_name(name)
     expr = canonicalize(wl.expr)
     ctx = BoundsContext(BoundsAnalyzer(wl.var_bounds))
@@ -326,8 +360,8 @@ def _seeded_graph(lifter, name):
     g = EGraph()
     root = g.add(expr)
     g.union(root, g.add(greedy))
-    g.rebuild()
-    return g, ctx
+    (rebuild or EGraph.rebuild)(g)
+    return g, ctx, root
 
 
 def _shape(g):
@@ -341,36 +375,60 @@ def _stats(s):
     return (s.iterations, s.enodes, s.eclasses, s.applications, s.saturated)
 
 
+def _check_rebuilds(monkeypatch):
+    """Make every ``EGraph.rebuild`` check that it left nothing for the
+    full re-key loop to merge, and that the hashcons maps every e-node's
+    canonical key to an e-node of its class (``add`` relies on that);
+    returns a one-item list counting the rebuilds."""
+    calls = [0]
+    real = EGraph.rebuild
+
+    def rebuild(self):
+        real(self)
+        calls[0] += 1
+        assert _merges_left(self) == 0
+        for en in self._enodes:
+            nid = self._hashcons[self._canon_key(en)]
+            assert self.find(self._enodes[nid].cid) == self.find(en.cid)
+
+    monkeypatch.setattr(EGraph, "rebuild", rebuild)
+    return calls
+
+
 class TestIncrementalMatchesFromScratch:
     @pytest.fixture(scope="class")
     def lifter(self):
         return Lifter()
 
     @pytest.mark.parametrize("name", WORKLOADS)
-    def test_saturate_and_extraction(self, lifter, name):
+    def test_saturate_and_extraction(self, lifter, name, monkeypatch):
         index = lifter.engine.index
-        g, ctx = _seeded_graph(lifter, name)
-        ref, ref_ctx = _seeded_graph(lifter, name)
+        rebuilds = _check_rebuilds(monkeypatch)
+        g, ctx, root = _seeded_graph(lifter, name)
+        ref, ref_ctx, _ = _seeded_graph(lifter, name, rebuild=_ref_rebuild)
         stats = g.saturate(index, ctx)
         assert _stats(stats) == _stats(_ref_saturate(ref, index, ref_ctx))
         assert _shape(g) == _shape(ref)
+        assert rebuilds[0] == 1 + stats.iterations
 
         assert g.best_terms() == _ref_best_terms(g)
-        tops, builder = g.top_terms(8)
+        tops, builder = g.top_terms(8, g.find(root))
         ref_tops, ref_builder = _ref_top_terms(g, 8)
-        assert tops == ref_tops
-        assert builder == ref_builder
+        assert tops == ref_tops[g.find(root)]
+        assert builder == _ref_builder_of(tops, ref_builder)
 
     @pytest.mark.parametrize("name", WORKLOADS)
-    def test_budget_tripping_saturate(self, lifter, name):
+    def test_budget_tripping_saturate(self, lifter, name, monkeypatch):
         index = lifter.engine.index
-        g, ctx = _seeded_graph(lifter, name)
-        ref, ref_ctx = _seeded_graph(lifter, name)
+        rebuilds = _check_rebuilds(monkeypatch)
+        g, ctx, _ = _seeded_graph(lifter, name)
+        ref, ref_ctx, _ = _seeded_graph(lifter, name, rebuild=_ref_rebuild)
         stats = g.saturate(index, ctx, max_apps=5)
         ref_stats = _ref_saturate(ref, index, ref_ctx, max_apps=5)
         assert stats.saturated or stats.applications == 5
         assert _stats(stats) == _stats(ref_stats)
         assert _shape(g) == _shape(ref)
+        assert rebuilds[0] == 1 + stats.iterations
 
 
 def _count_with_children(monkeypatch):
@@ -395,15 +453,15 @@ class TestCostFirstExtraction:
         return Lifter()
 
     def _saturated(self, lifter, name):
-        g, ctx = _seeded_graph(lifter, name)
+        g, ctx, root = _seeded_graph(lifter, name)
         g.saturate(lifter.engine.index, ctx)
-        return g
+        return g, g.find(root)
 
     @pytest.mark.parametrize("name", WORKLOADS)
     def test_best_terms_builds_once_per_class(
         self, lifter, name, monkeypatch
     ):
-        g = self._saturated(lifter, name)
+        g, _ = self._saturated(lifter, name)
         calls = _count_with_children(monkeypatch)
         best = g.best_terms()
         assert calls[0] <= len(best)
@@ -412,18 +470,18 @@ class TestCostFirstExtraction:
     def test_top_terms_builds_only_passing_combos(
         self, lifter, name, monkeypatch
     ):
-        g = self._saturated(lifter, name)
+        g, root = self._saturated(lifter, name)
         passing = set()
         _ref_top_terms(g, 8, passing=passing)
         calls = _count_with_children(monkeypatch)
-        g.top_terms(8)
+        g.top_terms(8, root)
         assert calls[0] <= len(passing)
 
     @pytest.mark.parametrize("name", WORKLOADS)
     def test_each_class_has_one_type(self, lifter, name):
         # A node's cost over its children's best terms is its local cost
         # plus theirs only if those terms have its template's child types.
-        g = self._saturated(lifter, name)
+        g, _ = self._saturated(lifter, name)
         best = g.best_terms()
         for en in g._enodes:
             assert en.template.type == best[g.find(en.cid)][1].type
@@ -432,10 +490,49 @@ class TestCostFirstExtraction:
 
     @pytest.mark.parametrize("name", WORKLOADS)
     def test_entry_costs_are_term_costs(self, lifter, name):
-        g = self._saturated(lifter, name)
+        g, _ = self._saturated(lifter, name)
         for c, term, _nid in g.best_terms().values():
             assert c == cost(term)
-        tops, _ = g.top_terms(8)
-        for lst in tops.values():
-            for c, term in lst:
+        for cid in _classes(g):
+            for c, term in g.top_terms(8, cid)[0]:
                 assert c == cost(term)
+
+    @pytest.mark.parametrize("name", WORKLOADS)
+    def test_root_only_top_terms_match_reference(self, lifter, name):
+        # Asked for any class as its root, top_terms returns that class's
+        # K-best list of the all-classes reference, and each term it
+        # built has the reference's builder e-node.
+        g, _ = self._saturated(lifter, name)
+        ref_tops, ref_builder = _ref_top_terms(g, 8)
+        for cid in _classes(g):
+            lst, builder = g.top_terms(8, cid)
+            assert lst == ref_tops.get(cid, [])
+            assert builder == _ref_builder_of(lst, ref_builder)
+
+    @pytest.mark.parametrize("name", WORKLOADS)
+    def test_top_terms_builds_only_the_roots_terms(
+        self, lifter, name, monkeypatch
+    ):
+        # One with_children per distinct interior subterm of the root's
+        # candidates: no other class's terms are built.
+        g, root = self._saturated(lifter, name)
+        calls = _count_with_children(monkeypatch)
+        lst, _ = g.top_terms(8, root)
+        assert lst
+        subterms = {s for _, t in lst for s in subexpressions(t)}
+        assert calls[0] <= sum(1 for s in subterms if s.children)
+
+
+def _classes(g):
+    """Every class root, ascending."""
+    return sorted({g.find(c) for c in range(len(g._parent))})
+
+
+def _ref_builder_of(candidates, ref_builder):
+    """The reference builder, cut to the candidates' distinct subterms:
+    exactly the terms a root-only ``top_terms`` builds."""
+    return {
+        s: ref_builder[s]
+        for _, t in candidates
+        for s in subexpressions(t)
+    }
