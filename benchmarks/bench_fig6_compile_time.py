@@ -1,9 +1,11 @@
 """Figure 6: compile-time speedup over the LLVM baseline.
 
-Times both full flows end-to-end (selection + the shared downstream
-backend passes whose cost scales with emitted IR) under pytest-benchmark,
-and prints the per-benchmark compile-time speedup table.  Also reports
-the PITCHFORK-vs-Rake compile-time ratio (§5.2: "orders of magnitude").
+Benchmarks the PITCHFORK compile under pytest-benchmark, times both full
+flows by their pass spans (selection + the shared downstream backend
+passes whose cost scales with emitted IR), and prints the per-benchmark
+compile-time speedup table.  Also reports the PITCHFORK-vs-Rake
+compile-time ratio (§5.2: "orders of magnitude"), read off the spans of
+one compile each.
 
 The timed compiles run uninstrumented (the overhead contract is part of
 what Figure 6 measures); a separate metrics-only sweep afterwards
@@ -12,7 +14,6 @@ machine-readable perf snapshot for CI artifacts and cross-run diffing.
 """
 
 import os
-import time
 
 import pytest
 
@@ -23,7 +24,7 @@ from repro.evaluation.compile_time import (
     measure_one,
 )
 from repro.observe import MetricsRegistry, Observation
-from repro.pipeline import llvm_compile, pitchfork_compile, rake_compile
+from repro.pipeline import pitchfork_compile, rake_compile
 from repro.targets import ARM, HVX, X86
 from repro.workloads import WORKLOADS, by_name
 
@@ -43,12 +44,10 @@ def test_fig6_compile_time(benchmark, name, target):
 
 def _rake_gap_report():
     wl = by_name("sobel3x3")
-    t0 = time.perf_counter()
-    pitchfork_compile(wl.expr, ARM, var_bounds=wl.var_bounds)
-    pf = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    rake_compile(wl.expr, ARM, var_bounds=wl.var_bounds)
-    rake = time.perf_counter() - t0
+    pf = pitchfork_compile(
+        wl.expr, ARM, var_bounds=wl.var_bounds
+    ).compile_seconds
+    rake = rake_compile(wl.expr, ARM, var_bounds=wl.var_bounds).compile_seconds
     return (
         f"PITCHFORK {pf * 1000:.1f} ms; Rake-oracle {rake * 1000:.1f} ms "
         f"({rake / pf:.0f}x slower; the real Rake is ~10^5x)"
@@ -116,29 +115,15 @@ def _write_fig6_json():
     if missing:
         from repro.evaluation.compile_time import CompileTimeResult
         from repro.fabric import TaskSpec, run_tasks
-        from repro.passes import CompileStats
 
         specs = [
             TaskSpec("compile-time", key=cell, params=(3, "greedy"))
             for cell in missing
         ]
-        for res in run_tasks(specs, jobs=jobs):
-            if not res.ok:
-                raise RuntimeError(
-                    f"fig6 top-up cell {res.spec.key} failed: {res.error}"
-                )
-            v = res.value
-            results.append(
-                CompileTimeResult(
-                    workload=res.spec.key[0],
-                    target=res.spec.key[1],
-                    llvm_seconds=v["llvm_seconds"],
-                    pitchfork_seconds=v["pitchfork_seconds"],
-                    stats=None
-                    if v["stats"] is None
-                    else CompileStats.from_dict(v["stats"]),
-                )
-            )
+        results += [
+            CompileTimeResult.from_task(res)
+            for res in run_tasks(specs, jobs=jobs)
+        ]
     ev = CompileTimeEvaluation(results=results)
 
     registry = MetricsRegistry()

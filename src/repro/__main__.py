@@ -44,12 +44,13 @@ FILE`` writes a merged cross-process Chrome trace of the sweep.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import targets as T
 from .lifting import LIFT_STRATEGIES
 from .passes import PassVerificationError
-from .pipeline import LLVMCompileError, llvm_compile, rake_compile
+from .pipeline import llvm_compile, rake_compile
 from .session import CompilerSession
 from .workloads import WORKLOADS, by_name
 
@@ -110,18 +111,9 @@ def _target_list(name: str):
     return [T.by_name(name)]
 
 
-def _print_stats(prog, compiler: str) -> None:
-    """Per-pass breakdown, or a clear note for compilers without one.
-
-    ``rake_compile`` and ``llvm_compile`` build programs with
-    ``stats=None``; guard here so extending ``--stats`` to compared
-    programs can never raise an attribute error.
-    """
-    print(f"-- per-pass breakdown ({compiler}):")
-    if prog.stats is None:
-        print(f"   (no per-pass stats for {compiler})")
-    else:
-        print(prog.stats.format_table())
+def _print_stats(prog) -> None:
+    print(f"-- per-pass breakdown ({prog.compiler}):")
+    print(prog.stats.format_table())
     print(f"   {prog.register_pressure().format_line()}")
 
 
@@ -158,42 +150,39 @@ def cmd_compile(args) -> int:
                     verify_each=args.verify_each,
                     lift_strategy=args.lift_strategy,
                 )
+            # The listing body comes from the same formatter the daemon's
+            # ``compile`` replies use — the byte-identity contract.  The
+            # header was already printed (it must precede a verify
+            # failure), so strip the formatter's copy of it.
+            listing = compile_listing(
+                pf, wl.name, show_fpir=args.show_fpir, explain=args.explain
+            )
+            print(listing.split("\n", 1)[1])
+            if args.stats:
+                _print_stats(pf)
+            if args.compare:
+                ll = llvm_compile(wl.expr, target, var_bounds=wl.var_bounds,
+                                  verify_each=args.verify_each)
+                if ll.q31_retry is not None:
+                    print(f"-- LLVM: failed to compile ({ll.q31_retry}); "
+                          f"retrying with the §5.1 q31 substitution")
+                speed = ll.cost().total / pf.cost().total
+                print(f"-- LLVM ({ll.cost().total:.1f} cycles/vec; "
+                      f"PITCHFORK is {speed:.2f}x faster):")
+                print(ll.assembly())
+                if args.stats:
+                    _print_stats(ll)
+            if args.rake and target.name in ("arm-neon", "hexagon-hvx"):
+                rk = rake_compile(wl.expr, target, var_bounds=wl.var_bounds,
+                                  verify_each=args.verify_each)
+                print(f"-- Rake oracle ({rk.cost().total:.1f} cycles/vec):")
+                print(rk.assembly())
+                if args.stats:
+                    _print_stats(rk)
         except PassVerificationError as exc:
             print(f"VERIFY-EACH FAILED on {target.name}: {exc}",
                   file=sys.stderr)
             return 1
-        # The listing body comes from the same formatter the daemon's
-        # ``compile`` replies use — the byte-identity contract.  The
-        # header was already printed (it must precede a verify failure),
-        # so strip the formatter's copy of it.
-        listing = compile_listing(
-            pf, wl.name, show_fpir=args.show_fpir, explain=args.explain
-        )
-        print(listing.split("\n", 1)[1])
-        if args.stats:
-            _print_stats(pf, "pitchfork")
-        if args.compare:
-            try:
-                ll = llvm_compile(wl.expr, target, var_bounds=wl.var_bounds)
-            except LLVMCompileError as exc:
-                print(f"-- LLVM: failed to compile ({exc}); retrying "
-                      f"with the §5.1 q31 substitution")
-                ll = llvm_compile(
-                    wl.expr, target, var_bounds=wl.var_bounds,
-                    q31_fallback=True,
-                )
-            speed = ll.cost().total / pf.cost().total
-            print(f"-- LLVM ({ll.cost().total:.1f} cycles/vec; "
-                  f"PITCHFORK is {speed:.2f}x faster):")
-            print(ll.assembly())
-            if args.stats:
-                _print_stats(ll, "llvm")
-        if args.rake and target.name in ("arm-neon", "hexagon-hvx"):
-            rk = rake_compile(wl.expr, target, var_bounds=wl.var_bounds)
-            print(f"-- Rake oracle ({rk.cost().total:.1f} cycles/vec):")
-            print(rk.assembly())
-            if args.stats:
-                _print_stats(rk, "rake")
         print()
     if tracer is not None and args.trace:
         tracer.write_chrome_trace(args.trace)
@@ -742,13 +731,7 @@ def cmd_client(args) -> int:
             print(f"error [{exc.code}]: {exc}", file=sys.stderr)
             return 1
         except BrokenPipeError:
-            # Downstream closed stdout early (`repro client ... | head`).
-            # Point stdout at devnull so the interpreter's exit-time
-            # flush doesn't warn, and exit quietly like other CLIs.
-            import os
-
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return 0
+            raise  # stdout closed early: main() exits quietly
         except (ConnectionError, OSError, json.JSONDecodeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -996,7 +979,16 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_cache)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        status = args.fn(args)
+        sys.stdout.flush()  # a closed pipe must fail here, not at exit
+        return status
+    except BrokenPipeError:
+        # Downstream closed stdout early (`repro ... | head`).  Point
+        # stdout at devnull so the interpreter's exit-time flush doesn't
+        # warn, and exit quietly like other CLIs.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """Figure 6: compilation-time speedup over the LLVM baseline.
 
-Both flows are wall-clock timed end-to-end, including the shared
-downstream backend passes (:mod:`repro.machine.backend_passes`) whose
-running time scales with the amount of IR each selector emits.  PITCHFORK
-emits coarser (hence less) IR, so despite doing extra lift/lower work it
+Each flow's fastest run is read off its pass spans and split into
+selection and downstream time: the shared backend passes, whose running
+time scales with the amount of IR each selector emits.  PITCHFORK emits
+coarser (hence less) IR, so despite doing extra lift/lower work it
 compiles most benchmarks at least as fast — with the biggest win on
 softmax, whose primitive spelling is enormous (§5.2).
 """
@@ -11,36 +11,75 @@ softmax, whose primitive spelling is enormous (§5.2).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..passes import CompileStats
-from ..pipeline import LLVMCompileError, llvm_compile, pitchfork_compile
+from ..pipeline import llvm_compile, pitchfork_compile
 from ..targets import ARM, HVX, X86, Target
 from ..workloads import Workload, all_workloads
 
 __all__ = [
     "CompileTimeResult",
     "CompileTimeEvaluation",
+    "PARTS",
     "aggregate_pass_breakdown",
     "format_pass_breakdown",
+    "split_seconds",
     "run_compile_time_evaluation",
 ]
+
+#: what Figure 6 compares: the whole compile and its two halves
+PARTS = ("total", "selection", "downstream")
+_PAPER_TARGETS = ("x86-avx2", "arm-neon", "hexagon-hvx")
+
+
+def split_seconds(stats: CompileStats) -> Dict[str, float]:
+    """One compile's total, selection and downstream seconds.
+
+    Selection is every pass before ``backend`` (the last pass of both
+    flows), downstream is ``backend``; all three are read off spans.
+    """
+    passes = {p.name: p.seconds for p in stats.passes}
+    downstream = passes.pop("backend")
+    return {
+        "total": stats.total_seconds,
+        "selection": sum(passes.values()),
+        "downstream": downstream,
+    }
 
 
 @dataclass
 class CompileTimeResult:
     workload: str
     target: str
-    llvm_seconds: float
-    pitchfork_seconds: float
-    #: per-pass breakdown of one representative PITCHFORK compile
-    stats: Optional[CompileStats] = None
+    #: each flow's fastest run, per pass
+    llvm: CompileStats
+    pitchfork: CompileStats
 
     @property
     def speedup(self) -> float:
-        return self.llvm_seconds / self.pitchfork_seconds
+        return self.ratio("total")
+
+    def ratio(self, part: str) -> float:
+        """LLVM time over PITCHFORK time of one of :data:`PARTS`."""
+        return (
+            split_seconds(self.llvm)[part]
+            / split_seconds(self.pitchfork)[part]
+        )
+
+    @classmethod
+    def from_task(cls, res) -> "CompileTimeResult":
+        """Rebuild from a finished ``compile-time`` fabric task."""
+        if not res.ok:
+            raise RuntimeError(
+                f"compile-time cell {res.spec.key} failed: {res.error}"
+            )
+        return cls(
+            *res.spec.key,
+            llvm=CompileStats.from_dict(res.value["llvm"]),
+            pitchfork=CompileStats.from_dict(res.value["pitchfork"]),
+        )
 
 
 @dataclass
@@ -49,36 +88,36 @@ class CompileTimeEvaluation:
 
     results: List[CompileTimeResult] = field(default_factory=list)
 
-    def geomean_speedup(self, target_name: str) -> float:
-        """Geometric-mean compile-time speedup on one target."""
+    def geomean_ratio(self, target_name: str, part: str = "total") -> float:
+        """Geometric-mean LLVM/PITCHFORK time ratio on one target."""
         vals = [
-            r.speedup for r in self.results if r.target == target_name
+            r.ratio(part) for r in self.results if r.target == target_name
         ]
         return math.exp(sum(math.log(v) for v in vals) / len(vals))
 
+    def _targets(self) -> List[str]:
+        have = {r.target for r in self.results}
+        return [t for t in _PAPER_TARGETS if t in have]
+
     def to_dict(self) -> dict:
         """Machine-readable snapshot (the ``BENCH_fig6.json`` payload)."""
-        out: dict = {
+        return {
             "results": [
                 {
                     "workload": r.workload,
                     "target": r.target,
-                    "llvm_seconds": r.llvm_seconds,
-                    "pitchfork_seconds": r.pitchfork_seconds,
                     "speedup": r.speedup,
-                    "stats": None if r.stats is None else r.stats.to_dict(),
+                    "llvm": r.llvm.to_dict(),
+                    "pitchfork": r.pitchfork.to_dict(),
                 }
                 for r in self.results
             ],
-            "geomean_speedup": {},
+            "geomean_speedup": {
+                t: {part: self.geomean_ratio(t, part) for part in PARTS}
+                for t in self._targets()
+            },
             "pass_breakdown": aggregate_pass_breakdown(self.results),
         }
-        for t in sorted({r.target for r in self.results}):
-            try:
-                out["geomean_speedup"][t] = self.geomean_speedup(t)
-            except (ValueError, ZeroDivisionError):  # pragma: no cover
-                pass
-        return out
 
     def format_table(self) -> str:
         by_wl: Dict[str, Dict[str, CompileTimeResult]] = {}
@@ -87,33 +126,30 @@ class CompileTimeEvaluation:
         lines = [f"{'benchmark':<16} {'x86':>6} {'ARM':>6} {'HVX':>6}"]
         for wl, per in by_wl.items():
             row = [f"{wl:<16}"]
-            for t in ("x86-avx2", "arm-neon", "hexagon-hvx"):
+            for t in _PAPER_TARGETS:
                 r = per.get(t)
                 row.append(f"{r.speedup:>6.2f}" if r else f"{'-':>6}")
             lines.append(" ".join(row))
         lines.append("-" * 40)
-        for t in ("x86-avx2", "arm-neon", "hexagon-hvx"):
-            try:
-                lines.append(f"geomean {t}: {self.geomean_speedup(t):.2f}x")
-            except (ValueError, ZeroDivisionError):
-                pass
+        for t in self._targets():
+            lines.append(f"geomean {t}: " + ", ".join(
+                f"{self.geomean_ratio(t, part):.2f}x {part}"
+                for part in PARTS
+            ))
         return "\n".join(lines)
 
 
 def aggregate_pass_breakdown(
     results: List[CompileTimeResult],
 ) -> Dict[str, Dict[str, float]]:
-    """Sum per-pass wall time and rewrite counts across results.
+    """Sum PITCHFORK's per-pass wall time and rewrite counts.
 
     Returns ``{pass_name: {"seconds": ..., "rewrites": ...}}`` in pipeline
-    order, aggregated over every result that carries a
-    :class:`~repro.passes.CompileStats`.
+    order, aggregated over every result's fastest PITCHFORK compile.
     """
     agg: Dict[str, Dict[str, float]] = {}
     for r in results:
-        if r.stats is None:
-            continue
-        for p in r.stats.passes:
+        for p in r.pitchfork.passes:
             slot = agg.setdefault(p.name, {"seconds": 0.0, "rewrites": 0})
             slot["seconds"] += p.seconds
             slot["rewrites"] += p.rewrites
@@ -123,8 +159,6 @@ def aggregate_pass_breakdown(
 def format_pass_breakdown(results: List[CompileTimeResult]) -> str:
     """Render the aggregated per-pass breakdown as a small table."""
     agg = aggregate_pass_breakdown(results)
-    if not agg:
-        return "(no per-pass stats collected)"
     total = sum(v["seconds"] for v in agg.values())
     lines = [f"{'pass':<14} {'ms':>9} {'share':>6} {'rewrites':>9}"]
     for name, v in agg.items():
@@ -137,48 +171,31 @@ def format_pass_breakdown(results: List[CompileTimeResult]) -> str:
     return "\n".join(lines)
 
 
-def _timed_best_of(fn, repeats: int) -> float:
-    best = math.inf
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def measure_one(
     wl: Workload,
     target: Target,
     repeats: int = 3,
     lift_strategy: str = "greedy",
 ) -> CompileTimeResult:
-    """Best-of-N wall-clock compile times for both flows on one case."""
-    last_stats: List[Optional[CompileStats]] = [None]
+    """Each flow's fastest of ``repeats`` compiles of one cell.
 
-    def do_pf():
-        prog = pitchfork_compile(
-            wl.expr,
-            target,
-            var_bounds=wl.var_bounds,
+    The LLVM flow's §5.1 q31 retry runs inside its compile, so a cell
+    that needs it is charged both attempts.
+    """
+    def fastest(compile_once) -> CompileStats:
+        runs = [compile_once().stats for _ in range(repeats)]
+        return min(runs, key=lambda stats: stats.total_seconds)
+
+    llvm = fastest(
+        lambda: llvm_compile(wl.expr, target, var_bounds=wl.var_bounds)
+    )
+    pitchfork = fastest(
+        lambda: pitchfork_compile(
+            wl.expr, target, var_bounds=wl.var_bounds,
             lift_strategy=lift_strategy,
         )
-        last_stats[0] = prog.stats
-
-    def do_llvm():
-        try:
-            llvm_compile(wl.expr, target, var_bounds=wl.var_bounds)
-        except LLVMCompileError:
-            llvm_compile(
-                wl.expr, target, var_bounds=wl.var_bounds, q31_fallback=True
-            )
-
-    return CompileTimeResult(
-        workload=wl.name,
-        target=target.name,
-        llvm_seconds=_timed_best_of(do_llvm, repeats),
-        pitchfork_seconds=_timed_best_of(do_pf, repeats),
-        stats=last_stats[0],
     )
+    return CompileTimeResult(wl.name, target.name, llvm, pitchfork)
 
 
 def run_compile_time_evaluation(
@@ -214,22 +231,7 @@ def run_compile_time_evaluation(
         for wl in wls
         for tgt in tgts
     ]
-    ev = CompileTimeEvaluation()
-    for res in run_tasks(specs, jobs=jobs, metrics=metrics, tracer=tracer):
-        if not res.ok:
-            raise RuntimeError(
-                f"compile-time cell {res.spec.key} failed: {res.error}"
-            )
-        v = res.value
-        ev.results.append(
-            CompileTimeResult(
-                workload=res.spec.key[0],
-                target=res.spec.key[1],
-                llvm_seconds=v["llvm_seconds"],
-                pitchfork_seconds=v["pitchfork_seconds"],
-                stats=None
-                if v["stats"] is None
-                else CompileStats.from_dict(v["stats"]),
-            )
-        )
-    return ev
+    return CompileTimeEvaluation(results=[
+        CompileTimeResult.from_task(res)
+        for res in run_tasks(specs, jobs=jobs, metrics=metrics, tracer=tracer)
+    ])

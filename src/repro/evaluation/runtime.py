@@ -21,12 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..interp import compile_for_backend
-from ..pipeline import (
-    LLVMCompileError,
-    llvm_compile,
-    pitchfork_compile,
-    rake_compile,
-)
+from ..pipeline import llvm_compile, pitchfork_compile, rake_compile
 from ..targets import ALL_TARGETS, ARM, HVX, X86, Target
 from ..workloads import Workload, all_workloads
 
@@ -126,18 +121,6 @@ class RuntimeEvaluation:
         return "\n".join(lines)
 
 
-def _compile_llvm(wl: Workload, target: Target):
-    try:
-        return llvm_compile(wl.expr, target, var_bounds=wl.var_bounds), False
-    except LLVMCompileError:
-        return (
-            llvm_compile(
-                wl.expr, target, var_bounds=wl.var_bounds, q31_fallback=True
-            ),
-            True,
-        )
-
-
 def run_one(
     wl: Workload,
     target: Target,
@@ -164,7 +147,7 @@ def run_one(
         wl.expr, target, var_bounds=wl.var_bounds, exclude_sources=exclude,
         lift_strategy=lift_strategy, trace=trace,
     )
-    llvm, substituted = _compile_llvm(wl, target)
+    llvm = llvm_compile(wl.expr, target, var_bounds=wl.var_bounds)
 
     src_fn = compile_for_backend(wl.expr, eval_backend)
     pf_fn = compile_for_backend(pf.lowered, eval_backend)
@@ -197,7 +180,7 @@ def run_one(
         llvm_cycles=llvm.cost().total,
         pitchfork_cycles=pf.cost().total,
         rake_cycles=rake_cycles,
-        llvm_substituted=substituted,
+        llvm_substituted=llvm.q31_retry is not None,
         verified=verified,
     )
 

@@ -230,15 +230,11 @@ def _run_compile_time_cell(spec: TaskSpec, obs) -> dict:
     if obs is not None:
         obs.metrics.histogram(
             "compile_seconds", flow="llvm", target=target_name
-        ).observe(r.llvm_seconds)
+        ).observe(r.llvm.total_seconds)
         obs.metrics.histogram(
             "compile_seconds", flow="pitchfork", target=target_name
-        ).observe(r.pitchfork_seconds)
-    return {
-        "llvm_seconds": r.llvm_seconds,
-        "pitchfork_seconds": r.pitchfork_seconds,
-        "stats": None if r.stats is None else r.stats.to_dict(),
-    }
+        ).observe(r.pitchfork.total_seconds)
+    return {"llvm": r.llvm.to_dict(), "pitchfork": r.pitchfork.to_dict()}
 
 
 # ----------------------------------------------------------------------

@@ -24,9 +24,9 @@ each calibrated against the concrete LLVM behaviour shown in Figure 3:
    exactly the misses Figures 3b/3c document.
 
 64-bit residues on HVX raise :class:`LLVMCompileError`, reproducing "HVX
-does not support [64-bit types] and LLVM fails to compile" (§5.1); the
-evaluation harness then substitutes PITCHFORK's 32-bit lowering, as the
-paper did.
+does not support [64-bit types] and LLVM fails to compile" (§5.1).
+:class:`LLVMSelectPass`, the flow's selection stage, then substitutes
+PITCHFORK's 32-bit lowering, as the paper did.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from ..fpir.semantics import expand
 from ..ir import expr as E
 from ..ir.traversal import transform_bottom_up
 from ..lifting.canonicalize import canonicalize
+from ..passes import Pass, PassContext
 from ..targets import Target, UnsupportedType
 from ..targets import arm as _arm
 from ..targets import hvx as _hvx
@@ -47,7 +48,7 @@ from ..trs.pattern import ConstWild, PConst, TVar, TWiden, TWithSign, Wild
 from ..trs.rule import Rule
 from .lowerer import Lowerer, LoweringError
 
-__all__ = ["LLVMBaseline", "LLVMCompileError", "llvm_midend"]
+__all__ = ["LLVMBaseline", "LLVMCompileError", "LLVMSelectPass", "llvm_midend"]
 
 
 class LLVMCompileError(RuntimeError):
@@ -391,12 +392,12 @@ def _llvm_rules_for(target: Target) -> List[Rule]:
 
 
 class LLVMBaseline:
-    """The full no-PITCHFORK flow: expand -> mid-end -> LLVM-ISel.
+    """The no-PITCHFORK selection: expand -> mid-end -> LLVM-ISel.
 
-    ``allow_q31_substitution`` enables the §5.1 protocol: a first attempt
-    that fails on 64-bit residues (HVX) is retried with the primitive
-    q31 requantization replaced by the 32-bit ``rounding_mul_shr``
-    sequence — but the attempt *must* fail first, as in the paper.
+    ``allow_q31_substitution`` selects the §5.1 retry: the primitive q31
+    requantization is replaced by the 32-bit ``rounding_mul_shr``
+    sequence.  :class:`LLVMSelectPass` uses it only after a plain
+    attempt failed (64-bit residues on HVX), as the paper did.
     """
 
     def __init__(self, target: Target, allow_q31_substitution: bool = False):
@@ -438,6 +439,25 @@ class LLVMBaseline:
             return self.lowerer.lower(optimized, analyzer)
         except (UnsupportedType, LoweringError) as exc:
             raise LLVMCompileError(str(exc)) from exc
+
+
+class LLVMSelectPass(Pass):
+    """Pipeline stage: :meth:`LLVMBaseline.compile`, retried with the
+    §5.1 q31 substitution when it raises (the error goes to
+    ``ctx.extras["q31_retry"]``), so one compile is charged both tries."""
+
+    name = "select"
+
+    def __init__(self, target: Target):
+        self.plain = LLVMBaseline(target)
+        self.q31 = LLVMBaseline(target, allow_q31_substitution=True)
+
+    def run(self, expr: E.Expr, ctx: PassContext) -> E.Expr:
+        try:
+            return self.plain.compile(expr, BoundsAnalyzer(ctx.var_bounds))
+        except LLVMCompileError as exc:
+            ctx.extras["q31_retry"] = str(exc)
+        return self.q31.compile(expr, BoundsAnalyzer(ctx.var_bounds))
 
 
 def _q31_sequence_rules(target: Target) -> List[Rule]:

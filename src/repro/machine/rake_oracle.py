@@ -32,6 +32,7 @@ from typing import Iterable, List, Optional, Tuple
 
 from ..analysis import BoundsAnalyzer, BoundsContext
 from ..ir import expr as E
+from ..passes import Pass, PassContext
 from ..targets import Target
 from ..trs.matcher import instantiate, match
 from ..trs.rule import Rule
@@ -45,8 +46,11 @@ __all__ = ["RakeSelector", "RAKE_SWIZZLE_DISCOUNT"]
 RAKE_SWIZZLE_DISCOUNT = 0.67
 
 
-class RakeSelector:
-    """Beam-search instruction selector over the extended rule space."""
+class RakeSelector(Pass):
+    """Beam-search instruction selector over the extended rule space;
+    as a pass (``search``), it lowers the lifted form."""
+
+    name = "search"
 
     def __init__(
         self,
@@ -111,6 +115,10 @@ class RakeSelector:
                     continue
                 produced += 1
                 yield _replace_subtree(expr, node, out)
+
+    def run(self, expr: E.Expr, ctx: PassContext) -> E.Expr:
+        ctx.extras["swizzle_discount"] = self.swizzle_discount
+        return self.best_lowering(expr, BoundsAnalyzer(ctx.var_bounds))[0]
 
     # ------------------------------------------------------------------
     def best_lowering(

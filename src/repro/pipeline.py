@@ -1,4 +1,4 @@
-"""PITCHFORK's compile pipeline: lift to FPIR, then lower to the target.
+"""The three compilers of the evaluation, each a pipeline of passes.
 
 This is the user-facing facade (Figure 1's "online" path)::
 
@@ -9,15 +9,13 @@ This is the user-facing facade (Figure 1's "online" path)::
     out = prog.run({"a": [...], "b": [...]})
     print(prog.stats.format_table())   # per-pass timing breakdown
 
-The pipeline itself is an instrumented :class:`~repro.passes.PassManager`
-run over four passes — canonicalize, lift, lower, backend — whose per-pass
-wall time, rewrite counts and node counts land in the compiled program's
-:class:`~repro.passes.CompileStats`.
+Each compiler is a :class:`Compiler`: a pass list run by an instrumented
+:class:`~repro.passes.PassManager`, whose per-pass wall time, rewrite
+counts and node counts land in the program's :class:`CompileStats`.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
@@ -25,19 +23,23 @@ from .analysis import BoundsAnalyzer, Interval
 from .ir.expr import Expr
 from .lifting.canonicalize import CanonicalizePass
 from .lifting.lifter import EGraphLiftPass, LIFT_STRATEGIES, Lifter, LiftPass
-from .machine.llvm_baseline import LLVMBaseline, LLVMCompileError
+from .machine.llvm_baseline import LLVMCompileError, LLVMSelectPass
 from .machine.lowerer import LowerMemos, Lowerer, LoweringError, LowerPass
-from .machine.backend_passes import BackendPass, run_backend_passes
+from .machine.backend_passes import BackendPass
 from .machine.program import AsmLine, format_explained, linearize
+from .machine.rake_oracle import RakeSelector
 from .machine.simulator import CostBreakdown, cost_cycles, simulate
 from .observe import Observation
-from .passes import CompileStats, PassContext, PassManager
+from .passes import CompileStats, Pass, PassContext, PassManager
 from .targets import Target, UnsupportedType
 from .trs.rewriter import RewriteError
 
 __all__ = [
     "CompiledProgram",
+    "Compiler",
+    "LLVMCompiler",
     "PitchforkCompiler",
+    "RakeCompiler",
     "pitchfork_compile",
     "llvm_compile",
     "rake_compile",
@@ -53,11 +55,13 @@ class CompiledProgram:
     lifted: Optional[Expr]
     lowered: Expr
     target: Target
-    compiler: str  # 'pitchfork' | 'llvm' | 'rake'
-    compile_seconds: float = 0.0
+    compiler: str  # 'pitchfork' | 'llvm' | 'llvm+q31sub' | 'rake'
     lift_rules_used: List[str] = field(default_factory=list)
     swizzle_discount: float = 0.0
-    #: per-pass breakdown (None for flows not run through the PassManager)
+    #: why the plain LLVM attempt failed, when the §5.1 q31 substitution
+    #: compiled this program (None otherwise)
+    q31_retry: Optional[str] = None
+    #: per-pass breakdown read off the spans (None if not from a Compiler)
     stats: Optional[CompileStats] = None
     #: the observation bundle of a traced compile (None when tracing off);
     #: its provenance answers "which rule chain produced this instruction"
@@ -65,6 +69,11 @@ class CompiledProgram:
     _lines: Optional[List[AsmLine]] = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    @property
+    def compile_seconds(self) -> float:
+        """Whole-pipeline wall time: the ``compile`` span's duration."""
+        return self.stats.total_seconds
 
     def cost(self, lanes: Optional[int] = None) -> CostBreakdown:
         """Modelled cycles per vector iteration."""
@@ -130,55 +139,24 @@ class CompiledProgram:
         )
 
 
-class PitchforkCompiler:
-    """Configurable lift+lower pipeline (ablations, leave-one-out).
+class Compiler:
+    """One compiler for one target: an ordered pass list run by a
+    :class:`~repro.passes.PassManager`.
 
-    The pipeline is an ordered pass list run by a
-    :class:`~repro.passes.PassManager`; ``self.passes`` is the manager and
-    may be inspected or re-composed by experiments.
+    ``self.passes`` is the manager and may be inspected or re-composed by
+    experiments.  Every compile is one ``compile`` span with one nested
+    span per pass, and the program's stats are read off them.
     """
 
+    name: str  # the flow's tag on the programs it compiles
+
     def __init__(
-        self,
-        target: Target,
-        use_synthesized: bool = True,
-        exclude_sources: Iterable[str] = (),
-        verify_each: bool = False,
-        lift_strategy: str = "greedy",
+        self, target: Target, passes: Sequence[Pass], verify_each: bool
     ):
         self.target = target
-        self.lift_strategy = lift_strategy
-        self.lifter = Lifter(
-            use_synthesized=use_synthesized,
-            exclude_sources=exclude_sources,
-            strategy=lift_strategy,
-        )
-        self.lowerer = Lowerer(
-            target,
-            use_synthesized=use_synthesized,
-            exclude_sources=exclude_sources,
-        )
-        lift_pass = (
-            EGraphLiftPass(self.lifter, scorer=self._cycle_scorer)
-            if lift_strategy == "egraph"
-            else LiftPass(self.lifter)
-        )
-        self.passes = PassManager(
-            [
-                CanonicalizePass(),
-                lift_pass,
-                LowerPass(self.lowerer),
-                BackendPass(),  # shared downstream LLVM work (§5.2)
-            ],
-            # -verify-each mode: re-check IR well-formedness after every
-            # pass (raises PassVerificationError naming the bad pass).
-            verify_each=verify_each,
-        )
-
-    def _cycle_scorer(self, var_bounds) -> "_CycleScorer":
-        """The scorer for one lift's extraction candidates (see
-        :class:`_CycleScorer`)."""
-        return _CycleScorer(self.lowerer, var_bounds)
+        # -verify-each mode: re-check IR well-formedness after every
+        # pass (raises PassVerificationError naming the bad pass).
+        self.passes = PassManager(passes, verify_each=verify_each)
 
     def compile(
         self,
@@ -200,17 +178,87 @@ class PitchforkCompiler:
             target=self.target, var_bounds=var_bounds, observe=trace
         )
         lowered, stats = self.passes.run(expr, ctx)
+        retry = ctx.extras.get("q31_retry")
         return CompiledProgram(
             source=expr,
             lifted=ctx.extras.get("lifted"),
             lowered=lowered,
             target=self.target,
-            compiler="pitchfork",
-            compile_seconds=stats.total_seconds,
+            compiler=self.name if retry is None else f"{self.name}+q31sub",
             lift_rules_used=list(ctx.extras.get("lift_rules_used", [])),
+            swizzle_discount=ctx.extras.get("swizzle_discount", 0.0),
+            q31_retry=retry,
             stats=stats,
             observation=trace,
         )
+
+
+class PitchforkCompiler(Compiler):
+    """Configurable lift+lower pipeline (ablations, leave-one-out)."""
+
+    name = "pitchfork"
+
+    def __init__(
+        self,
+        target: Target,
+        use_synthesized: bool = True,
+        exclude_sources: Iterable[str] = (),
+        verify_each: bool = False,
+        lift_strategy: str = "greedy",
+    ):
+        self.lifter = Lifter(
+            use_synthesized=use_synthesized,
+            exclude_sources=exclude_sources,
+            strategy=lift_strategy,
+        )
+        self.lowerer = Lowerer(
+            target,
+            use_synthesized=use_synthesized,
+            exclude_sources=exclude_sources,
+        )
+        lift_pass = (
+            EGraphLiftPass(self.lifter, scorer=self._cycle_scorer)
+            if lift_strategy == "egraph"
+            else LiftPass(self.lifter)
+        )
+        super().__init__(
+            target,
+            [
+                CanonicalizePass(),
+                lift_pass,
+                LowerPass(self.lowerer),
+                BackendPass(),  # shared downstream LLVM work (§5.2)
+            ],
+            verify_each,
+        )
+
+    def _cycle_scorer(self, var_bounds) -> "_CycleScorer":
+        """The scorer for one lift's extraction candidates (see
+        :class:`_CycleScorer`)."""
+        return _CycleScorer(self.lowerer, var_bounds)
+
+
+class LLVMCompiler(Compiler):
+    """The LLVM baseline: LLVM-style selection (with the §5.1 retry),
+    then the same downstream backend passes as PITCHFORK."""
+
+    name = "llvm"
+
+    def __init__(self, target: Target, verify_each: bool = False):
+        super().__init__(
+            target, [LLVMSelectPass(target), BackendPass()], verify_each
+        )
+
+
+class RakeCompiler(Compiler):
+    """The Rake oracle (ARM/HVX only): PITCHFORK's canonicalize and
+    greedy lift, then beam search over the extended rule space."""
+
+    name = "rake"
+
+    def __init__(self, target: Target, verify_each: bool = False):
+        passes = [CanonicalizePass(), LiftPass(Lifter()), RakeSelector(target)]
+        super().__init__(target, passes, verify_each)
 
 
 class _CycleScorer:
@@ -253,8 +301,21 @@ class _CycleScorer:
         return cost_cycles(lowered, self.lowerer.target).total
 
 
-_COMPILER_CACHE: Dict[tuple, PitchforkCompiler] = {}
-_BASELINE_CACHE: Dict[tuple, "LLVMBaseline"] = {}
+_COMPILER_CACHE: Dict[tuple, Compiler] = {}
+
+
+def _compiler(flow: type, target: Target, *config) -> Compiler:
+    """The process-wide compiler of one flow and configuration.
+
+    Compiler instances (rule sets + engines) are cached, as in a
+    long-lived compiler process; per-expression state (bounds caches) is
+    still fresh for every call.
+    """
+    key = (flow, target.name, *config)
+    compiler = _COMPILER_CACHE.get(key)
+    if compiler is None:
+        compiler = _COMPILER_CACHE[key] = flow(target, *config)
+    return compiler
 
 
 def pitchfork_compile(
@@ -269,12 +330,8 @@ def pitchfork_compile(
 ) -> CompiledProgram:
     """One-shot PITCHFORK compilation.
 
-    Compiler instances (rule sets + engines) are cached per
-    configuration, as in a long-lived compiler process; per-expression
-    state (bounds caches) is still fresh for every call.
-
     ``trace`` opts one compile into observability (spans, rule telemetry,
-    provenance) — see :meth:`PitchforkCompiler.compile`.  ``verify_each``
+    provenance) — see :meth:`Compiler.compile`.  ``verify_each``
     re-checks IR well-formedness after every pass and raises
     :class:`~repro.passes.PassVerificationError` naming the pass that
     broke the tree.  ``lift_strategy`` selects the lift search:
@@ -286,20 +343,10 @@ def pitchfork_compile(
             f"unknown lift strategy {lift_strategy!r}; "
             f"expected one of {LIFT_STRATEGIES}"
         )
-    key = (
-        target.name, use_synthesized, frozenset(exclude_sources),
-        verify_each, lift_strategy,
+    compiler = _compiler(
+        PitchforkCompiler, target, use_synthesized,
+        frozenset(exclude_sources), verify_each, lift_strategy,
     )
-    compiler = _COMPILER_CACHE.get(key)
-    if compiler is None:
-        compiler = PitchforkCompiler(
-            target,
-            use_synthesized=use_synthesized,
-            exclude_sources=exclude_sources,
-            verify_each=verify_each,
-            lift_strategy=lift_strategy,
-        )
-        _COMPILER_CACHE[key] = compiler
     return compiler.compile(expr, var_bounds, trace=trace)
 
 
@@ -307,24 +354,11 @@ def rake_compile(
     expr: Expr,
     target: Target,
     var_bounds: Optional[Dict[str, Interval]] = None,
+    verify_each: bool = False,
 ) -> CompiledProgram:
     """Compile via the Rake-like search-based oracle (ARM/HVX only)."""
-    from .machine.rake_oracle import RakeSelector
-
-    t0 = time.perf_counter()
-    analyzer = BoundsAnalyzer(var_bounds)
-    lifted = Lifter(use_synthesized=True).lift(expr, analyzer).expr
-    selector = RakeSelector(target)
-    lowered, _ = selector.best_lowering(lifted, BoundsAnalyzer(var_bounds))
-    elapsed = time.perf_counter() - t0
-    return CompiledProgram(
-        source=expr,
-        lifted=lifted,
-        lowered=lowered,
-        target=target,
-        compiler="rake",
-        compile_seconds=elapsed,
-        swizzle_discount=selector.swizzle_discount,
+    return _compiler(RakeCompiler, target, verify_each).compile(
+        expr, var_bounds
     )
 
 
@@ -332,31 +366,15 @@ def llvm_compile(
     expr: Expr,
     target: Target,
     var_bounds: Optional[Dict[str, Interval]] = None,
-    q31_fallback: bool = False,
+    verify_each: bool = False,
 ) -> CompiledProgram:
     """One-shot LLVM-baseline compilation (may raise LLVMCompileError).
 
-    ``q31_fallback`` applies the §5.1 substitution (32-bit
-    rounding_mul_shr sequence) — use it only after a plain attempt
-    raised, mirroring the paper's protocol.
+    A plain attempt that fails (64-bit lanes on HVX) is retried with the
+    §5.1 q31 substitution inside the same compile: the program is then
+    tagged ``llvm+q31sub`` and its ``q31_retry`` says why the plain
+    attempt failed.
     """
-    t0 = time.perf_counter()
-    analyzer = BoundsAnalyzer(var_bounds)
-    bkey = (target.name, q31_fallback)
-    baseline = _BASELINE_CACHE.get(bkey)
-    if baseline is None:
-        baseline = LLVMBaseline(
-            target, allow_q31_substitution=q31_fallback
-        )
-        _BASELINE_CACHE[bkey] = baseline
-    lowered = baseline.compile(expr, analyzer)
-    run_backend_passes(lowered)  # shared downstream LLVM work (§5.2)
-    elapsed = time.perf_counter() - t0
-    return CompiledProgram(
-        source=expr,
-        lifted=None,
-        lowered=lowered,
-        target=target,
-        compiler="llvm+q31sub" if q31_fallback else "llvm",
-        compile_seconds=elapsed,
+    return _compiler(LLVMCompiler, target, verify_each).compile(
+        expr, var_bounds
     )

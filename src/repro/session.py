@@ -88,7 +88,6 @@ def compile_cell(
         "listing": compile_listing(prog, wl.name),
         "cycles": prog.cost().total,
         "instructions": len(prog.instructions),
-        "compile_seconds": prog.compile_seconds,
     }
 
 

@@ -9,10 +9,14 @@ from repro.evaluation.codegen_compare import (
     figure3_cases,
     run_codegen_comparison,
 )
-from repro.evaluation.compile_time import measure_one
+from repro.evaluation.compile_time import (
+    CompileTimeEvaluation,
+    measure_one,
+    split_seconds,
+)
 from repro.evaluation.runtime import run_one, run_runtime_evaluation
 from repro.targets import ARM, HVX, X86
-from repro.workloads import by_name
+from repro.workloads import WORKLOADS, by_name
 
 SUBSET = ["sobel3x3", "add", "mul", "camera_pipe"]
 
@@ -84,7 +88,47 @@ class TestAblationHarness:
 class TestCompileTimeHarness:
     def test_measures_both_flows(self):
         r = measure_one(by_name("sobel3x3"), ARM, repeats=2)
-        assert r.llvm_seconds > 0 and r.pitchfork_seconds > 0
+        assert r.llvm.total_seconds > 0 and r.pitchfork.total_seconds > 0
+
+    def test_split_is_read_off_every_cell(self):
+        # Selection and downstream time come off one run's spans, so on
+        # every cell neither is negative and together they fit the total.
+        ev = CompileTimeEvaluation(results=[
+            measure_one(by_name(name), target, repeats=1)
+            for name in WORKLOADS
+            for target in (X86, ARM, HVX)
+        ])
+        for r in ev.results:
+            for stats in (r.llvm, r.pitchfork):
+                parts = split_seconds(stats)
+                assert parts["selection"] > 0 and parts["downstream"] > 0
+                assert (
+                    parts["selection"] + parts["downstream"]
+                    <= parts["total"]
+                )
+        table = ev.format_table()
+        for t in ("x86-avx2", "arm-neon", "hexagon-hvx"):
+            line = next(ln for ln in table.splitlines() if t in ln)
+            assert "selection" in line and "downstream" in line
+
+    def test_keeps_each_flows_fastest_run(self, monkeypatch):
+        # A flow's stats are those of its fastest run, whole: not the
+        # per-pass minima of several runs.
+        from repro.evaluation import compile_time
+
+        runs = {"llvm_compile": [], "pitchfork_compile": []}
+        for fn, seen in runs.items():
+            def spy(*args, _compile=getattr(compile_time, fn), _seen=seen,
+                    **kwargs):
+                prog = _compile(*args, **kwargs)
+                _seen.append(prog.stats)
+                return prog
+
+            monkeypatch.setattr(compile_time, fn, spy)
+        r = measure_one(by_name("mul"), HVX, repeats=3)
+        for stats, seen in zip((r.llvm, r.pitchfork), runs.values()):
+            assert len(seen) == 3
+            assert stats is min(seen, key=lambda s: s.total_seconds)
 
     def test_softmax_compiles_faster_with_pitchfork(self):
         r = measure_one(by_name("softmax"), ARM, repeats=3)

@@ -157,26 +157,42 @@ class TestCompileStatsOnPrograms:
         assert prog.stats["lift"].rewrites > 0
         assert prog.compile_seconds == prog.stats.total_seconds
 
+    def test_baseline_programs_carry_stats(self):
+        from repro.pipeline import llvm_compile, rake_compile
+        from repro.targets import HVX
+        from repro.workloads import by_name
+
+        wl = by_name("mul")  # takes the §5.1 retry on HVX
+        for compile_fn, passes in (
+            (llvm_compile, ["select", "backend"]),
+            (rake_compile, ["canonicalize", "lift", "search"]),
+        ):
+            prog = compile_fn(wl.expr, HVX, var_bounds=wl.var_bounds)
+            assert [p.name for p in prog.stats.passes] == passes
+            assert prog.compile_seconds == prog.stats.total_seconds
+
     def test_traced_stats_are_read_off_the_spans(self):
-        # One clock: every per-pass time and the compile total are the
-        # durations of the spans the trace records, not a second timer.
+        # One clock: for every compiler, each per-pass time and the
+        # compile total are the durations of the spans the trace
+        # records, not a second timer.
         from repro.observe import Observation
-        from repro.pipeline import pitchfork_compile
+        from repro.pipeline import (
+            LLVMCompiler, PitchforkCompiler, RakeCompiler,
+        )
         from repro.targets import ARM
         from repro.workloads import by_name
 
         wl = by_name("sobel3x3")
-        obs = Observation()
-        prog = pitchfork_compile(
-            wl.expr, ARM, var_bounds=wl.var_bounds, trace=obs
-        )
-        spans = {sp.name: sp for sp in obs.tracer.spans}
-        for p in prog.stats.passes:
-            assert p.seconds == spans[f"pass:{p.name}"].duration_us / 1e6
-            hist = obs.metrics.histogram("pass_seconds", stage=p.name)
-            assert hist.total == p.seconds
-        assert prog.compile_seconds == spans["compile"].duration_us / 1e6
-        assert prog.stats.total_seconds == prog.compile_seconds
+        for flow in (PitchforkCompiler, LLVMCompiler, RakeCompiler):
+            obs = Observation()
+            prog = flow(ARM).compile(wl.expr, wl.var_bounds, trace=obs)
+            spans = {sp.name: sp for sp in obs.tracer.spans}
+            for p in prog.stats.passes:
+                assert p.seconds == spans[f"pass:{p.name}"].duration_us / 1e6
+                hist = obs.metrics.histogram("pass_seconds", stage=p.name)
+                assert hist.total == p.seconds
+            assert prog.compile_seconds == spans["compile"].duration_us / 1e6
+            assert prog.stats.total_seconds == prog.compile_seconds
 
     def test_quiet_compile_times_on_a_private_tracer(self):
         # A NullTracer records nothing, yet the stats are still timed

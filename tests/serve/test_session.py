@@ -65,6 +65,13 @@ class TestCompileCell:
         assert cell["cycles"] > 0
         assert cell["instructions"] > 0
 
+    def test_cell_is_deterministic(self):
+        # A cached cell is replayed to later requests, so it may hold
+        # only what every compile of it gives: no wall-clock reading.
+        assert compile_cell("add", "arm-neon") == compile_cell(
+            "add", "arm-neon"
+        )
+
     def test_compile_job_kind_runs_on_the_fabric(self):
         spec = TaskSpec("compile", ("add", "arm-neon"), (True, "greedy"))
         res = run_tasks([spec])[0]

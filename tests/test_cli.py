@@ -49,15 +49,44 @@ class TestCompile:
             assert name in out
         assert "rewrites" in out
 
-    def test_compile_stats_with_compare_notes_missing_stats(self, capsys):
+    def test_compile_stats_with_compare_covers_every_compiler(self, capsys):
         assert main(
             ["compile", "add", "--target", "arm-neon", "--compare",
-             "--rake", "--stats"]
+             "--rake", "--stats", "--verify-each"]
         ) == 0
         out = capsys.readouterr().out
-        assert "per-pass breakdown (pitchfork)" in out
-        assert "(no per-pass stats for llvm)" in out
-        assert "(no per-pass stats for rake)" in out
+        tables = {
+            block.split(")", 1)[0]: block
+            for block in out.split("-- per-pass breakdown (")[1:]
+        }
+        assert set(tables) == {"pitchfork", "llvm", "rake"}
+        for flow, passes in (
+            ("pitchfork", ("canonicalize", "lift", "lower", "backend")),
+            ("llvm", ("select", "backend")),
+            ("rake", ("canonicalize", "lift", "search")),
+        ):
+            for name in passes + ("total",):
+                assert f"\n{name} " in tables[flow], (flow, name)
+
+    def test_closed_stdout_exits_quietly(self):
+        # `repro compile ... | head -1`: the reader goes away mid-output.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "compile", "matmul",
+             "--target", "all", "--lift-strategy", "egraph", "--explain"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline().startswith(b"== matmul")
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
+        assert stderr == b""
 
     def test_compile_trace_writes_chrome_json(self, tmp_path, capsys):
         trace = tmp_path / "t.json"
