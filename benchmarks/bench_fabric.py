@@ -49,9 +49,6 @@ def _verify_batch(jobs, cache):
         ["lifting-hand", "lifting-synth"],
         jobs=jobs,
         cache=cache,
-        max_type_combos=6,
-        max_const_samples=4,
-        max_points=400,
     )
 
 

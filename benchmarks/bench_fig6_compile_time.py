@@ -115,9 +115,11 @@ def _write_fig6_json():
     if missing:
         from repro.evaluation.compile_time import CompileTimeResult
         from repro.fabric import TaskSpec, run_tasks
+        from repro.fabric.jobs import CompileTimeParams
 
+        params = CompileTimeParams(repeats=3)
         specs = [
-            TaskSpec("compile-time", key=cell, params=(3, "greedy"))
+            TaskSpec("compile-time", key=cell, params=params)
             for cell in missing
         ]
         results += [

@@ -48,6 +48,7 @@ import os
 import sys
 
 from . import targets as T
+from .fabric.jobs import CompileTimeParams
 from .lifting import LIFT_STRATEGIES
 from .passes import PassVerificationError
 from .pipeline import llvm_compile, rake_compile
@@ -75,6 +76,14 @@ def _add_eval_backend_arg(p) -> None:
                         "Python closure per node), 'numpy' (one ndarray "
                         "op per node), or 'auto' (default: "
                         "dispatch per call on the lane count)")
+
+
+def _repeats(text: str) -> int:
+    """``--repeats``, checked by Figure 6's params before any cell runs."""
+    try:
+        return CompileTimeParams(repeats=int(text)).repeats
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _add_fabric_args(p) -> None:
@@ -197,7 +206,6 @@ def cmd_compile(args) -> int:
 def cmd_evaluate(args) -> int:
     session = CompilerSession.from_args(args)
     jobs, cache = session.jobs, session.cache
-    eval_backend = session.eval_backend
     registry = session.metrics
     extra = {}
     if args.figure == "all":
@@ -227,8 +235,7 @@ def cmd_evaluate(args) -> int:
         with session.phase("evaluate:fig5"):
             ev = run_runtime_evaluation(
                 with_rake=not args.no_rake, jobs=jobs, cache=cache,
-                lift_strategy=args.lift_strategy,
-                eval_backend=eval_backend, metrics=registry,
+                lift_strategy=args.lift_strategy, metrics=registry,
             )
         print(ev.format_table())
         extra["geomean_speedup"] = {
@@ -296,10 +303,7 @@ def cmd_rules(args) -> int:
         with session.phase("verify-rules"):
             verify_results = batch_verify_rules(
                 [b[0] for b in batches], jobs=session.jobs,
-                cache=session.cache, max_type_combos=6,
-                max_const_samples=4, max_points=400,
-                eval_backend=session.eval_backend,
-                metrics=session.metrics,
+                cache=session.cache, metrics=session.metrics,
             )
         results = iter(verify_results)
         for _label, display, rules in batches:
@@ -532,7 +536,6 @@ def cmd_synthesize(args) -> int:
             max_candidates=args.max_candidates,
             jobs=session.jobs,
             cache=session.cache,
-            eval_backend=session.eval_backend,
             metrics=session.metrics,
         )
     print(run.summary())
@@ -787,7 +790,8 @@ def main(argv=None) -> int:
     p.add_argument("figure",
                    choices=["fig3", "fig5", "fig6", "fig7", "all"])
     p.add_argument("--no-rake", action="store_true")
-    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--repeats", type=_repeats,
+                   default=CompileTimeParams.repeats)
     p.add_argument("--write", help="write the report to a file")
     _add_lift_strategy_arg(p)
     _add_eval_backend_arg(p)

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..fabric.jobs import CompileTimeParams
 from ..passes import CompileStats
 from ..pipeline import llvm_compile, pitchfork_compile
 from ..targets import ARM, HVX, X86, Target
@@ -201,9 +202,9 @@ def measure_one(
 def run_compile_time_evaluation(
     workload_names: Optional[List[str]] = None,
     targets: Optional[List[Target]] = None,
-    repeats: int = 3,
+    repeats: int = CompileTimeParams.repeats,
     jobs: int = 1,
-    lift_strategy: str = "greedy",
+    lift_strategy: str = CompileTimeParams.lift_strategy,
     metrics=None,
     tracer=None,
 ) -> CompileTimeEvaluation:
@@ -215,9 +216,11 @@ def run_compile_time_evaluation(
     number — so there is no ``cache`` parameter here.  ``metrics`` /
     ``tracer`` observe the sweep itself (per-flow ``compile_seconds``
     histograms, task spans); the timed compiles stay uninstrumented.
+    A ``repeats`` below one raises ``ValueError`` before any cell runs.
     """
     from ..fabric import TaskSpec, run_tasks
 
+    params = CompileTimeParams(repeats=repeats, lift_strategy=lift_strategy)
     wls = all_workloads()
     if workload_names is not None:
         wls = [w for w in wls if w.name in set(workload_names)]
@@ -226,7 +229,7 @@ def run_compile_time_evaluation(
         TaskSpec(
             "compile-time",
             key=(wl.name, tgt.name),
-            params=(repeats, lift_strategy),
+            params=params,
         )
         for wl in wls
         for tgt in tgts

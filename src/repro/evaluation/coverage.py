@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..fabric import TaskSpec, run_tasks
+from ..fabric.jobs import CellParams
 from ..targets import PAPER_TARGETS, Target
 from ..workloads import all_workloads
 
@@ -154,12 +155,11 @@ class CoverageReport:
 def run_coverage(
     workload_names: Optional[Sequence[str]] = None,
     targets: Optional[Sequence[Target]] = None,
-    use_synthesized: bool = True,
     jobs: int = 1,
     cache=None,
     metrics=None,
     tracer=None,
-    lift_strategy: str = "greedy",
+    lift_strategy: str = CellParams.lift_strategy,
 ) -> CoverageReport:
     """Compile the suite with rule telemetry on; tabulate per-rule fires.
 
@@ -178,11 +178,12 @@ def run_coverage(
         wls = [w for w in wls if w.name in keep]
     tgts = list(targets) if targets is not None else list(PAPER_TARGETS)
 
+    params = CellParams(lift_strategy=lift_strategy)
     specs = [
         TaskSpec(
             "coverage",
             key=(wl.name, t.name),
-            params=(use_synthesized, lift_strategy),
+            params=params,
         )
         for wl in wls
         for t in tgts
@@ -199,10 +200,7 @@ def run_coverage(
             failures.append(f"({'/'.join(res.spec.key)}): {res.error}")
 
     rows: List[RuleCoverage] = []
-    lifting_rules = list(HAND_RULES)
-    if use_synthesized:
-        lifting_rules += list(SYNTHESIZED_RULES)
-    for r in lifting_rules:
+    for r in (*HAND_RULES, *SYNTHESIZED_RULES):
         rows.append(
             RuleCoverage(
                 name=r.name,
@@ -214,8 +212,6 @@ def run_coverage(
         )
     for t in tgts:
         for r in t.lowering_rules:
-            if not use_synthesized and r.is_synthesized:
-                continue
             rows.append(
                 RuleCoverage(
                     name=r.name,

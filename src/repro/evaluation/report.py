@@ -9,6 +9,7 @@ from __future__ import annotations
 import time
 from typing import Optional
 
+from ..fabric.jobs import CompileTimeParams
 from .ablation import run_ablation
 from .codegen_compare import run_codegen_comparison
 from .compile_time import run_compile_time_evaluation
@@ -28,7 +29,7 @@ Paper reference points:
 
 def build_full_report(
     with_rake: bool = True,
-    compile_repeats: int = 3,
+    compile_repeats: int = CompileTimeParams.repeats,
     jobs: int = 1,
     cache=None,
     metrics=None,

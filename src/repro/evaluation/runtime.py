@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..fabric.jobs import RuntimeParams
 from ..interp import compile_for_backend
 from ..pipeline import llvm_compile, pitchfork_compile, rake_compile
 from ..targets import ALL_TARGETS, ARM, HVX, X86, Target
@@ -191,24 +192,25 @@ def run_runtime_evaluation(
     with_rake: bool = True,
     jobs: int = 1,
     cache=None,
-    lift_strategy: str = "greedy",
-    eval_backend: Optional[str] = None,
+    lift_strategy: str = RuntimeParams.lift_strategy,
     metrics=None,
     tracer=None,
 ) -> RuntimeEvaluation:
     """Regenerate the full Figure 5 dataset.
 
-    Runs on the execution fabric: one task per (workload, target) cell.
-    Modelled cycles are deterministic, so cells are cacheable — keyed by
-    the workload expression, the exact (leave-one-out filtered) rulebase
-    fingerprint, the lift strategy, and the evaluation backend the
-    lane-exact checks run under.  ``metrics``/``tracer`` opt the sweep
-    into cross-process observability (worker snapshots and spans merge
-    back here — see :func:`repro.fabric.run_tasks`).
+    Runs on the execution fabric: one leave-one-out task per (workload,
+    target) cell.  Modelled cycles are deterministic, so cells are
+    cacheable — keyed by the workload expression, the exact (filtered)
+    rulebase fingerprint, the lift strategy, and the process-default
+    evaluation backend the lane-exact checks run under.
+    ``metrics``/``tracer`` opt the sweep into cross-process
+    observability (see :func:`repro.fabric.run_tasks`).
     """
     from ..fabric import TaskSpec, run_tasks
-    from ..interp import effective_backend
 
+    params = RuntimeParams(
+        with_rake=with_rake, leave_one_out=True, lift_strategy=lift_strategy
+    )
     wls = all_workloads()
     if workload_names is not None:
         wls = [w for w in wls if w.name in set(workload_names)]
@@ -217,10 +219,7 @@ def run_runtime_evaluation(
         TaskSpec(
             "runtime",
             key=(wl.name, tgt.name),
-            params=(
-                with_rake, True, lift_strategy,
-                effective_backend(eval_backend),
-            ),
+            params=params,
         )
         for wl in wls
         for tgt in tgts

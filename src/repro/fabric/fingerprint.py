@@ -29,6 +29,7 @@ import functools
 import hashlib
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
+from ..interp.backend import effective_backend
 from ..ir.expr import Expr
 from ..trs.rule import Rule
 from ..trs.serialize import SerializationError, dump_expr
@@ -155,9 +156,12 @@ def eval_backend_fingerprint(backend: Optional[str] = None) -> str:
     resolves through :func:`repro.interp.effective_backend`, and any
     numpy-capable backend mixes in ``numpy.__version__``.
     """
-    from ..interp import effective_backend
+    return _backend_digest(effective_backend(backend))
 
-    name = effective_backend(backend)
+
+@functools.lru_cache(maxsize=None)
+def _backend_digest(name: str) -> str:
+    """Fixed per resolved name and process, so hashed once."""
     if name == "closure":
         return digest("eval-backend", "closure")
     import numpy

@@ -7,6 +7,10 @@ targets from the target registry, rules from the rule registries —
 nothing heavyweight crosses the process boundary, and every return value
 is plain JSON data.
 
+A kind that takes parameters declares them once, as a
+:class:`~repro.fabric.scheduler.JobParams` class beside its body whose
+field names are the daemon's wire names.
+
 Every kind is called as ``fn(spec, obs)``.  ``obs`` is the task's own
 :class:`~repro.observe.Observation` when the sweep observes, else
 ``None``; it is the only way telemetry leaves a task (the scheduler
@@ -23,6 +27,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from ..interp.backend import BACKENDS, get_default_backend
+from ..lifting.lifter import LIFT_STRATEGIES
 from .fingerprint import (
     cell_rules_fingerprint,
     eval_backend_fingerprint,
@@ -30,9 +36,20 @@ from .fingerprint import (
     rule_fingerprint,
     workload_fingerprint,
 )
-from .scheduler import TaskSpec, job_kind
+from .scheduler import JobParams, TaskSpec, job_kind, param
 
-__all__ = ["resolve_ruleset", "resolve_rule", "VERIFY_RULESETS"]
+__all__ = [
+    "CellParams", "CompileTimeParams", "RuntimeParams", "SynthParams",
+    "VerifyParams", "VERIFY_RULESETS", "resolve_rule", "resolve_ruleset",
+]
+
+
+def _lift_strategy():
+    return param("greedy", choices=LIFT_STRATEGIES)
+
+
+def _eval_backend():
+    return param(factory=get_default_backend, choices=BACKENDS)
 
 
 # ----------------------------------------------------------------------
@@ -70,17 +87,26 @@ def resolve_rule(label: str, rule_name: str):
 # ----------------------------------------------------------------------
 # coverage — one (workload, target) compile with rule telemetry
 # ----------------------------------------------------------------------
-def _coverage_parts(spec: TaskSpec) -> Tuple[str, ...]:
+class CellParams(JobParams):
+    """Params of the ``coverage``, ``compile`` and ``machinelint`` kinds."""
+
+    use_synthesized: bool = True
+    lift_strategy: str = _lift_strategy()
+
+
+def _cell_parts(spec: TaskSpec) -> Tuple[str, ...]:
     wl_name, target_name = spec.key
-    use_synthesized, lift_strategy = spec.params
+    p = spec.params
     return (
         workload_fingerprint(wl_name),
         target_name,
-        cell_rules_fingerprint(target_name, use_synthesized, lift_strategy),
+        cell_rules_fingerprint(
+            target_name, p.use_synthesized, p.lift_strategy
+        ),
     )
 
 
-@job_kind("coverage", cacheable=True, cache_parts=_coverage_parts)
+@job_kind("coverage", cache_parts=_cell_parts, params=CellParams)
 def _run_coverage_cell(spec: TaskSpec, obs) -> List[list]:
     """Compile one cell with rule telemetry; return its fire table.
 
@@ -95,16 +121,15 @@ def _run_coverage_cell(spec: TaskSpec, obs) -> List[list]:
     from ..workloads import by_name
 
     wl_name, target_name = spec.key
-    use_synthesized, lift_strategy = spec.params
     wl = by_name(wl_name)
     trace = obs if obs is not None else Observation.quiet()
     pitchfork_compile(
         wl.expr,
         target_by_name(target_name),
         var_bounds=wl.var_bounds,
-        use_synthesized=use_synthesized,
+        use_synthesized=spec.params.use_synthesized,
         trace=trace,
-        lift_strategy=lift_strategy,
+        lift_strategy=spec.params.lift_strategy,
     )
     rows = []
     for c in trace.metrics.counters("rule_fired"):
@@ -118,31 +143,30 @@ def _run_coverage_cell(spec: TaskSpec, obs) -> List[list]:
 # ----------------------------------------------------------------------
 # compile — one (workload, target) compile returning the CLI listing
 # ----------------------------------------------------------------------
-@job_kind("compile", cacheable=True, cache_parts=_coverage_parts)
+@job_kind("compile", cache_parts=_cell_parts, params=CellParams)
 def _run_compile_cell(spec: TaskSpec, obs) -> dict:
     """Compile one cell and return the listing + modelled cycles.
 
     The daemon's ``compile`` op: shares the coverage kind's cache parts
-    (same key/params shape, same semantic inputs), and the ``listing``
+    (same key and params, same semantic inputs), and the ``listing``
     field is byte-identical to the one-shot CLI output by construction
     (:func:`repro.session.compile_cell`).  Compiles unobserved.
     """
     from ..session import compile_cell
 
     wl_name, target_name = spec.key
-    use_synthesized, lift_strategy = spec.params
     return compile_cell(
         wl_name,
         target_name,
-        use_synthesized=use_synthesized,
-        lift_strategy=lift_strategy,
+        use_synthesized=spec.params.use_synthesized,
+        lift_strategy=spec.params.lift_strategy,
     )
 
 
 # ----------------------------------------------------------------------
 # machinelint — M-code lint + translation validation of one compiled cell
 # ----------------------------------------------------------------------
-@job_kind("machinelint", cacheable=True, cache_parts=_coverage_parts)
+@job_kind("machinelint", cache_parts=_cell_parts, params=CellParams)
 def _run_machinelint_cell(spec: TaskSpec, obs) -> dict:
     """Compile one (workload, target) cell, lint the lowered program,
     validate the interval translation and profile register pressure.
@@ -155,44 +179,51 @@ def _run_machinelint_cell(spec: TaskSpec, obs) -> dict:
     from ..lint.machinelint import machine_cell
 
     wl_name, target_name = spec.key
-    use_synthesized, lift_strategy = spec.params
     return machine_cell(
         wl_name,
         target_name,
-        use_synthesized=use_synthesized,
-        lift_strategy=lift_strategy,
+        use_synthesized=spec.params.use_synthesized,
+        lift_strategy=spec.params.lift_strategy,
     )
 
 
 # ----------------------------------------------------------------------
 # verify-rule — bounded verification of one rewrite rule
 # ----------------------------------------------------------------------
+class VerifyParams(JobParams):
+    """The seed and budgets of ``repro rules --verify``.  A budget below
+    one gives a verdict on no samples, which a cache would keep."""
+
+    seed: int = 0
+    max_type_combos: int = param(6, minimum=1)
+    max_const_samples: int = param(4, minimum=1)
+    max_points: int = param(400, minimum=1)
+    eval_backend: str = _eval_backend()
+
+
 def _verify_parts(spec: TaskSpec) -> Tuple[str, ...]:
     label, rule_name = spec.key
-    *_budget, backend = spec.params
     return (
         rule_fingerprint(resolve_rule(label, rule_name)),
-        eval_backend_fingerprint(backend),
+        eval_backend_fingerprint(spec.params.eval_backend),
     )
 
 
-@job_kind("verify-rule", cacheable=True, cache_parts=_verify_parts)
+@job_kind("verify-rule", cache_parts=_verify_parts, params=VerifyParams)
 def _run_verify_rule(spec: TaskSpec, obs) -> dict:
     # Resolved through the package (not bound at import) so tests can
     # monkeypatch ``repro.verify.verify_rule``.
     from .. import verify as verify_mod
 
     label, rule_name = spec.key
-    seed, max_type_combos, max_const_samples, max_points, backend = (
-        spec.params
-    )
+    p = spec.params
     report = verify_mod.verify_rule(
         resolve_rule(label, rule_name),
-        seed=seed,
-        max_type_combos=max_type_combos,
-        max_const_samples=max_const_samples,
-        max_points=max_points,
-        backend=backend,
+        seed=p.seed,
+        max_type_combos=p.max_type_combos,
+        max_const_samples=p.max_const_samples,
+        max_points=p.max_points,
+        backend=p.eval_backend,
     )
     if obs is not None:
         obs.metrics.counter(
@@ -209,19 +240,25 @@ def _run_verify_rule(spec: TaskSpec, obs) -> dict:
 # ----------------------------------------------------------------------
 # compile-time — one Figure 6 cell (never cached: it measures wall time)
 # ----------------------------------------------------------------------
-@job_kind("compile-time")
+class CompileTimeParams(JobParams):
+    """A Figure 6 cell keeps each flow's fastest of ``repeats`` runs."""
+
+    repeats: int = param(3, minimum=1)
+    lift_strategy: str = _lift_strategy()
+
+
+@job_kind("compile-time", params=CompileTimeParams)
 def _run_compile_time_cell(spec: TaskSpec, obs) -> dict:
     from ..evaluation.compile_time import measure_one
     from ..targets import by_name as target_by_name
     from ..workloads import by_name
 
     wl_name, target_name = spec.key
-    repeats, lift_strategy = spec.params
     r = measure_one(
         by_name(wl_name),
         target_by_name(target_name),
-        repeats=repeats,
-        lift_strategy=lift_strategy,
+        repeats=spec.params.repeats,
+        lift_strategy=spec.params.lift_strategy,
     )
     # The timed compiles themselves stay uninstrumented (observation
     # overhead is part of what Figure 6 measures); the *measurements*
@@ -240,33 +277,43 @@ def _run_compile_time_cell(spec: TaskSpec, obs) -> dict:
 # ----------------------------------------------------------------------
 # runtime — one Figure 5 cell (modelled cycles: deterministic, cacheable)
 # ----------------------------------------------------------------------
+class RuntimeParams(JobParams):
+    """Figure 5's cell sets both flags; the defaults leave them off (see
+    :func:`repro.serve.protocol.to_task_spec` for why)."""
+
+    with_rake: bool = False
+    leave_one_out: bool = False
+    lift_strategy: str = _lift_strategy()
+    eval_backend: str = _eval_backend()
+
+
 def _runtime_parts(spec: TaskSpec) -> Tuple[str, ...]:
     wl_name, target_name = spec.key
-    _with_rake, leave_one_out, lift_strategy, backend = spec.params
-    exclude = (f"synth:{wl_name}",) if leave_one_out else ()
+    p = spec.params
+    exclude = (f"synth:{wl_name}",) if p.leave_one_out else ()
     return (
         workload_fingerprint(wl_name),
         target_name,
-        cell_rules_fingerprint(target_name, True, lift_strategy, exclude),
-        eval_backend_fingerprint(backend),
+        cell_rules_fingerprint(target_name, True, p.lift_strategy, exclude),
+        eval_backend_fingerprint(p.eval_backend),
     )
 
 
-@job_kind("runtime", cacheable=True, cache_parts=_runtime_parts)
+@job_kind("runtime", cache_parts=_runtime_parts, params=RuntimeParams)
 def _run_runtime_cell(spec: TaskSpec, obs) -> dict:
     from ..evaluation.runtime import run_one
     from ..targets import by_name as target_by_name
     from ..workloads import by_name
 
     wl_name, target_name = spec.key
-    with_rake, leave_one_out, lift_strategy, backend = spec.params
+    p = spec.params
     r = run_one(
         by_name(wl_name),
         target_by_name(target_name),
-        with_rake=with_rake,
-        leave_one_out=leave_one_out,
-        lift_strategy=lift_strategy,
-        eval_backend=backend,
+        with_rake=p.with_rake,
+        leave_one_out=p.leave_one_out,
+        lift_strategy=p.lift_strategy,
+        eval_backend=p.eval_backend,
         trace=obs,
     )
     return {
@@ -293,7 +340,7 @@ def _ablation_parts(spec: TaskSpec) -> Tuple[str, ...]:
     )
 
 
-@job_kind("ablation", cacheable=True, cache_parts=_ablation_parts)
+@job_kind("ablation", cache_parts=_ablation_parts)
 def _run_ablation_cell(spec: TaskSpec, obs) -> dict:
     from ..evaluation.ablation import ablate_one
     from ..targets import by_name as target_by_name
@@ -335,17 +382,27 @@ def corpus_for(workload_names: Tuple[str, ...], max_lhs_size: int):
     return corpus
 
 
+class SynthParams(JobParams):
+    """The corpus (named workloads, left-hand side bound) and the
+    right-hand side bound of one SyGuS search."""
+
+    workload_names: Tuple[str, ...]
+    max_lhs_size: int
+    max_rhs_size: int
+    eval_backend: str = _eval_backend()
+
+
 def _synth_parts(spec: TaskSpec) -> Tuple[str, ...]:
     (index,) = spec.key
-    workload_names, max_lhs_size, _max_rhs_size, backend = spec.params
-    entry = corpus_for(workload_names, max_lhs_size)[int(index)]
+    p = spec.params
+    entry = corpus_for(p.workload_names, p.max_lhs_size)[int(index)]
     return (
         expr_fingerprint(entry.expr),
-        eval_backend_fingerprint(backend),
+        eval_backend_fingerprint(p.eval_backend),
     )
 
 
-@job_kind("synthesize-lift", cacheable=True, cache_parts=_synth_parts)
+@job_kind("synthesize-lift", cache_parts=_synth_parts, params=SynthParams)
 def _run_synthesize_lift(spec: TaskSpec, obs) -> dict:
     """Run the enumerative search for one corpus entry.
 
@@ -359,10 +416,10 @@ def _run_synthesize_lift(spec: TaskSpec, obs) -> dict:
     from ..trs.serialize import SerializationError, dump_expr
 
     (index,) = spec.key
-    workload_names, max_lhs_size, max_rhs_size, backend = spec.params
-    entry = corpus_for(workload_names, max_lhs_size)[int(index)]
+    p = spec.params
+    entry = corpus_for(p.workload_names, p.max_lhs_size)[int(index)]
     result = synthesize_lift(
-        entry.expr, max_size=max_rhs_size, backend=backend
+        entry.expr, max_size=p.max_rhs_size, backend=p.eval_backend
     )
     if obs is not None:
         obs.metrics.counter(

@@ -43,14 +43,16 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+import typing
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "JobKind",
+    "JobParams",
     "TaskSpec",
     "TaskResult",
     "WorkerPool",
@@ -60,10 +62,53 @@ __all__ = [
     "lookup_task",
     "execute_tasks",
     "account_result",
+    "param",
 ]
 
 #: how many pool breakages run_tasks tolerates before giving up on retry
 MAX_POOL_REBUILDS = 3
+
+
+class JobParams:
+    """Base of a job kind's params: each subclass becomes a frozen
+    dataclass whose fields are checked when an instance is built, each
+    against its annotated type (``bool`` is not an ``int``) and the
+    choices and minimum of :func:`param`.  A bad value raises
+    ``TypeError`` or ``ValueError`` naming the field."""
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        dataclass(frozen=True)(cls)
+        hints = typing.get_type_hints(cls)
+        # (name, type, choices, minimum) of each field, read once
+        cls._checks = tuple(
+            (f.name, typing.get_origin(hints[f.name]) or hints[f.name],
+             f.metadata.get("choices", ()), f.metadata.get("minimum"))
+            for f in fields(cls)
+        )
+
+    def __post_init__(self) -> None:
+        for name, kind, choices, minimum in self._checks:
+            value = getattr(self, name)
+            if not isinstance(value, kind) or (
+                isinstance(value, bool) and kind is not bool
+            ):
+                raise TypeError(f"param {name!r} must be {kind.__name__}, "
+                                f"got {type(value).__name__}")
+            if choices and value not in choices:
+                raise ValueError(f"param {name!r}: unknown value {value!r} "
+                                 f"(expected one of {sorted(choices)})")
+            if minimum is not None and value < minimum:
+                raise ValueError(f"param {name!r} must be at least "
+                                 f"{minimum}, got {value}")
+
+
+def param(default: Any = MISSING, *, factory: Any = MISSING,
+          choices: tuple = (), minimum: Optional[int] = None) -> Any:
+    """A :class:`JobParams` field: its default (``factory`` is called
+    when the params are built) and its checks."""
+    return field(default=default, default_factory=factory,
+                 metadata={"choices": choices, "minimum": minimum})
 
 
 @dataclass(frozen=True)
@@ -71,13 +116,14 @@ class TaskSpec:
     """One cell of a sweep: ``(kind, key, params)`` — all picklable.
 
     ``key`` names the cell (e.g. ``("sobel3x3", "arm-neon")``); ``params``
-    carries kind-specific knobs (sample budgets, flags).  Workers rebuild
-    the real inputs from these names.
+    is the kind's :class:`JobParams` (sample budgets, flags), or ``None``
+    for a kind that takes none.  Workers rebuild the real inputs from
+    these names.
     """
 
     kind: str
     key: Tuple[str, ...]
-    params: Tuple = ()
+    params: Optional[JobParams] = None
 
 
 @dataclass
@@ -111,11 +157,11 @@ class JobKind:
     #: task's :class:`~repro.observe.Observation`, or ``None`` when the
     #: sweep is unobserved
     fn: Callable[[TaskSpec, Any], Any]
-    #: may results be persisted in the content-addressed cache?
-    cacheable: bool = False
     #: content components of the cache key (beyond kind/version/params);
-    #: required when ``cacheable``
+    #: a kind without them is never cached
     cache_parts: Optional[Callable[[TaskSpec], Tuple[str, ...]]] = None
+    #: the kind's :class:`JobParams` class (``None``: it takes none)
+    params: Optional[type] = None
 
 
 _JOB_KINDS: Dict[str, JobKind] = {}
@@ -123,16 +169,14 @@ _JOB_KINDS: Dict[str, JobKind] = {}
 
 def job_kind(
     name: str,
-    cacheable: bool = False,
     cache_parts: Optional[Callable[[TaskSpec], Tuple[str, ...]]] = None,
+    params: Optional[type] = None,
 ):
     """Decorator registering a job-kind executor under ``name``."""
 
     def register(fn: Callable[[TaskSpec, Any], Any]):
-        if cacheable and cache_parts is None:
-            raise ValueError(f"cacheable kind {name!r} needs cache_parts")
         _JOB_KINDS[name] = JobKind(
-            name=name, fn=fn, cacheable=cacheable, cache_parts=cache_parts
+            name=name, fn=fn, cache_parts=cache_parts, params=params
         )
         return fn
 
@@ -147,6 +191,9 @@ def _ensure_registered() -> None:
 
 def get_job_kind(name: str) -> JobKind:
     """Look up a registered kind; raises ``KeyError`` with the options."""
+    # the daemon looks kinds up per request: import only on a miss
+    if name in _JOB_KINDS:
+        return _JOB_KINDS[name]
     _ensure_registered()
     try:
         return _JOB_KINDS[name]
@@ -362,19 +409,21 @@ def lookup_task(
 ) -> Tuple[Optional[TaskResult], Optional[str]]:
     """Resolve one task against the result cache (phase 1).
 
-    The one definition of a task's cache key.  Returns ``(hit, None)``
-    when the cache holds the result, else ``(None, key)`` — ``key`` is
-    ``None`` without a cache or for an uncacheable kind — to pass on to
-    :func:`execute_tasks`, so a miss is never looked up twice.  Raises
-    ``KeyError`` for an unregistered kind.
+    The one definition of a task's cache key: the kind, the key, the
+    params' field names and values, and the kind's content parts.
+    Returns ``(hit, None)`` when the cache holds the result, else
+    ``(None, key)`` — ``key`` is ``None`` without a cache or for an
+    uncacheable kind — to pass on to :func:`execute_tasks`, so a miss
+    is never looked up twice.  Raises ``KeyError`` for an unregistered
+    kind.
     """
     kind = get_job_kind(spec.kind)
-    if cache is None or not kind.cacheable:
+    if cache is None or kind.cache_parts is None:
         return None, None
     ckey = cache.key(
         spec.kind,
         repr(spec.key),
-        repr(spec.params),
+        repr(vars(spec.params)) if spec.params is not None else "",
         *kind.cache_parts(spec),
     )
     hit, value = cache.get(spec.kind, ckey)

@@ -521,10 +521,8 @@ class MachineLintReport:
 def run_machine_lint(
     workload_names: Optional[Sequence[str]] = None,
     targets: Optional[Sequence[Any]] = None,
-    use_synthesized: bool = True,
     jobs: int = 1,
     cache=None,
-    lift_strategy: str = "greedy",
 ) -> MachineLintReport:
     """Machine-lint the full workload × target matrix on the fabric.
 
@@ -534,6 +532,7 @@ def run_machine_lint(
     ``jobs`` is.
     """
     from ..fabric import TaskSpec, run_tasks
+    from ..fabric.jobs import CellParams
     from ..targets import PAPER_TARGETS
     from ..workloads import all_workloads
 
@@ -543,11 +542,12 @@ def run_machine_lint(
         wls = [registry[n] for n in workload_names]
     tgts = list(targets) if targets is not None else list(PAPER_TARGETS)
 
+    params = CellParams()
     specs = [
         TaskSpec(
             "machinelint",
             key=(wl.name, t.name),
-            params=(use_synthesized, lift_strategy),
+            params=params,
         )
         for wl in wls
         for t in tgts

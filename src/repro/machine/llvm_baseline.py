@@ -416,19 +416,24 @@ class LLVMBaseline:
         from ..trs.rewriter import RewriteEngine
 
         self.lowerer.engine = RewriteEngine(rules, strategy="top_down")
+        # §5.1 substitution: the lifter recognizes the primitive q31
+        # requantize (standing in for rewriting the benchmark source to
+        # use the intrinsic).  Built once: its rewrite memo is per call,
+        # so reuse cannot change a lift.
+        self.q31_lifter = None
+        if allow_q31_substitution:
+            from ..lifting.lifter import Lifter
+
+            self.q31_lifter = Lifter(use_synthesized=False)
 
     def compile(
         self, expr: E.Expr, analyzer: Optional[BoundsAnalyzer] = None
     ) -> E.Expr:
         """Compile a source (pre-lift) expression the LLVM way."""
-        if self.allow_q31_substitution:
-            # §5.1 substitution: recognize the primitive q31 requantize
-            # (via the lifter, standing in for rewriting the benchmark
-            # source to use the intrinsic) and keep it as an intrinsic
-            # LLVM can select; expand everything else to primitive IR.
-            from ..lifting.lifter import Lifter
-
-            expr = Lifter(use_synthesized=False).lift(expr, analyzer).expr
+        if self.q31_lifter is not None:
+            # keep the q31 requantize as an intrinsic LLVM can select;
+            # expand everything else to primitive IR
+            expr = self.q31_lifter.lift(expr, analyzer).expr
         primitive = expand_intrinsics(
             expr,
             keep_q31=self.allow_q31_substitution,

@@ -44,9 +44,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
-from ..fabric import TaskSpec
+from ..fabric import TaskSpec, get_job_kind
 
 __all__ = [
     "FABRIC_OPS",
@@ -143,129 +143,64 @@ def parse_request(line: bytes) -> Request:
     )
 
 
-def _str_param(params: Dict[str, Any], name: str, default=None,
-               choices=None) -> Any:
-    value = params.get(name, default)
+def _pop_key(params: Dict[str, Any], name: str, registry=None) -> str:
+    """Remove the key param ``name``: a string in ``registry``, if any."""
+    value = params.pop(name, None)
     if value is None:
         raise ProtocolError("bad-request", f"missing param {name!r}")
     if not isinstance(value, str):
-        raise ProtocolError("bad-request", f"param {name!r} must be a string")
-    if choices is not None and value not in choices:
-        raise ProtocolError(
-            "bad-request",
-            f"param {name!r}: unknown value {value!r} "
-            f"(expected one of {sorted(choices)})",
-        )
-    return value
-
-
-def _cell_key(params: Dict[str, Any]) -> Tuple[str, str]:
-    """(workload, target) with both names validated eagerly."""
-    from ..targets import ALL_TARGETS
-    from ..workloads import WORKLOADS
-
-    wl = _str_param(params, "workload", choices=WORKLOADS)
-    target = _str_param(params, "target", choices=ALL_TARGETS)
-    return wl, target
-
-
-def _strategy(params: Dict[str, Any]) -> str:
-    from ..lifting import LIFT_STRATEGIES
-
-    return _str_param(
-        params, "lift_strategy", default="greedy", choices=LIFT_STRATEGIES
-    )
-
-
-def _backend(params: Dict[str, Any]) -> str:
-    from ..interp import BACKENDS
-
-    return _str_param(
-        params, "eval_backend", default="closure", choices=BACKENDS
-    )
-
-
-def _int_param(params: Dict[str, Any], name: str, default: int,
-               minimum: Optional[int] = None) -> int:
-    value = params.get(name, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ProtocolError(
-            "bad-request", f"param {name!r} must be an integer"
-        )
-    if minimum is not None and value < minimum:
-        raise ProtocolError(
-            "bad-request", f"param {name!r} must be at least {minimum}"
-        )
-    return value
-
-
-def _bool_param(params: Dict[str, Any], name: str, default: bool) -> bool:
-    value = params.get(name, default)
-    if not isinstance(value, bool):
-        raise ProtocolError("bad-request", f"param {name!r} must be a bool")
+        raise ProtocolError("bad-request", f"param {name!r} must be str, "
+                            f"got {type(value).__name__}")
+    if registry is not None and value not in registry:
+        raise ProtocolError("bad-request", f"param {name!r}: unknown value "
+                            f"{value!r} (expected one of {sorted(registry)})")
     return value
 
 
 def to_task_spec(req: Request) -> TaskSpec:
     """Map a fabric-op request onto its job-kind descriptor.
 
-    Validation is eager — a bad workload/target/rule name fails here
-    with ``bad-request`` instead of surfacing as a worker traceback.
-    Param tuples mirror the shapes the sweeps use, so daemon cells and
-    sweep cells share cache entries.
+    The key params (``workload`` and ``target``, or ``ruleset`` and
+    ``rule``) are checked eagerly against their registries, so a bad
+    name is a ``bad-request`` here, not a worker traceback.  The other
+    params build the kind's params class (:mod:`repro.fabric.jobs`),
+    whose fields are the wire names: a wrong type, a value out of range
+    or an unknown name is a ``bad-request`` from that one definition,
+    and a default request is the matching sweep's cell, cache entry
+    included.  ``evaluate`` is the exception: Figure 5 sets
+    ``with_rake`` and ``leave_one_out``, but the defaults are false.
+    Leave-one-out builds a compiler per workload × target: the 192 keys
+    the ``serve-mixed`` benchmark prefills, served in one process,
+    peaked at 43.3 MB RSS with it against 40.3 MB without, past that
+    benchmark's 5% bound on the daemon's ~47 MB peak.
     """
-    if req.op not in FABRIC_OPS:
+    kind = FABRIC_OPS.get(req.op)
+    if kind is None:
         raise ProtocolError("unknown-op", f"not a fabric op: {req.op!r}")
-    p = req.params
-    if req.op == "compile":
-        return TaskSpec(
-            "compile",
-            _cell_key(p),
-            (_bool_param(p, "use_synthesized", True), _strategy(p)),
-        )
-    if req.op == "coverage":
-        return TaskSpec(
-            "coverage",
-            _cell_key(p),
-            (_bool_param(p, "use_synthesized", True), _strategy(p)),
-        )
-    if req.op == "lint":
-        return TaskSpec(
-            "machinelint",
-            _cell_key(p),
-            (_bool_param(p, "use_synthesized", True), _strategy(p)),
-        )
-    if req.op == "evaluate":
-        return TaskSpec(
-            "runtime",
-            _cell_key(p),
-            (
-                _bool_param(p, "with_rake", False),
-                _bool_param(p, "leave_one_out", False),
-                _strategy(p),
-                _backend(p),
-            ),
-        )
-    # verify-rule
-    from ..fabric.jobs import VERIFY_RULESETS, resolve_rule
+    params = dict(req.params)
+    if req.op == "verify-rule":
+        from ..fabric.jobs import VERIFY_RULESETS, resolve_rule
 
-    ruleset = _str_param(p, "ruleset", choices=VERIFY_RULESETS)
-    rule = _str_param(p, "rule")
+        key = (
+            _pop_key(params, "ruleset", VERIFY_RULESETS),
+            _pop_key(params, "rule"),
+        )
+        try:
+            resolve_rule(*key)
+        except KeyError as exc:
+            raise ProtocolError("bad-request", str(exc.args[0]))
+    else:
+        from ..targets import ALL_TARGETS
+        from ..workloads import WORKLOADS
+
+        key = (
+            _pop_key(params, "workload", WORKLOADS),
+            _pop_key(params, "target", ALL_TARGETS),
+        )
     try:
-        resolve_rule(ruleset, rule)
-    except KeyError as exc:
-        raise ProtocolError("bad-request", str(exc.args[0]))
-    return TaskSpec(
-        "verify-rule",
-        (ruleset, rule),
-        (
-            _int_param(p, "seed", 0),
-            _int_param(p, "max_type_combos", 6, minimum=1),
-            _int_param(p, "max_const_samples", 4, minimum=1),
-            _int_param(p, "max_points", 400, minimum=1),
-            _backend(p),
-        ),
-    )
+        return TaskSpec(kind, key, get_job_kind(kind).params(**params))
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError("bad-request", str(exc)) from None
 
 
 def ok_reply(req_id: Any, result: Any, cached: bool = False,

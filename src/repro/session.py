@@ -7,9 +7,8 @@ command needs and what a fresh process otherwise pays for cold:
   :class:`~repro.fabric.ResultCache`, an optional
   :class:`~repro.observe.MetricsRegistry` and phase
   :class:`~repro.observe.Tracer` (both present exactly when a
-  ``--report`` artifact was requested), and the process-default eval
-  backend.  :meth:`CompilerSession.from_args` builds it once from the
-  shared CLI options for every command.
+  ``--report`` artifact was requested).  :meth:`CompilerSession.from_args`
+  builds it once from the shared CLI options for every command.
 * **warm state** — :meth:`warm_up` pre-builds the compiler for each
   requested target (rule engines + discrimination-tree indexes, cached
   process-wide by :func:`repro.pipeline.pitchfork_compile`) and runs one
@@ -100,14 +99,12 @@ class CompilerSession:
         cache=None,
         metrics=None,
         phase_tracer=None,
-        eval_backend: Optional[str] = None,
     ):
         self.jobs = jobs
         self.cache = cache
         self.metrics = metrics
         #: root spans are the report's phases; never handed to the fabric
         self.phase_tracer = phase_tracer
-        self.eval_backend = eval_backend
         self._pool = None
         self._warmed = False
 
@@ -118,8 +115,8 @@ class CompilerSession:
 
         Covers the fabric options (``--jobs``/``--cache``/
         ``--cache-dir``/``--no-cache``), the eval backend
-        (``--eval-backend``, applied process-wide so incidental
-        ``evaluate()`` calls see it too), and the report tools (phase
+        (``--eval-backend``, applied process-wide so job params and
+        incidental ``evaluate()`` calls see it), and the report tools (phase
         tracer + registry exist exactly when ``--report`` was given —
         the disabled-path-pays-nothing contract).  Options a command
         does not define simply default.
@@ -147,7 +144,6 @@ class CompilerSession:
             cache=cache,
             metrics=metrics,
             phase_tracer=phase_tracer,
-            eval_backend=backend,
         )
 
     # -- warm state ----------------------------------------------------

@@ -52,7 +52,6 @@ def _search_corpus(
     max_rhs_size: int,
     jobs: int,
     cache,
-    eval_backend: Optional[str] = None,
     metrics=None,
     tracer=None,
 ) -> List[Optional[SynthesisResult]]:
@@ -65,15 +64,11 @@ def _search_corpus(
     costs (deterministic).  Entries whose RHS the serializer cannot
     express — and any infrastructure failure — are redone inline, so a
     degraded fabric degrades to the serial pipeline, never to a gap.
+    Both paths evaluate on the process-default backend.
     """
-    from ..interp import effective_backend
-
-    backend = effective_backend(eval_backend)
 
     def inline(entry: CorpusEntry) -> Optional[SynthesisResult]:
-        return synthesize_lift(
-            entry.expr, max_size=max_rhs_size, backend=backend
-        )
+        return synthesize_lift(entry.expr, max_size=max_rhs_size)
 
     usable = jobs > 1 or cache is not None
     if usable:
@@ -88,14 +83,17 @@ def _search_corpus(
         return [inline(entry) for entry in corpus]
 
     from ..fabric import TaskSpec, run_tasks
+    from ..fabric.jobs import SynthParams
     from ..trs.costs import cost
     from ..trs.serialize import load_expr
 
+    params = SynthParams(workload_names=names, max_lhs_size=max_lhs_size,
+                         max_rhs_size=max_rhs_size)
     specs = [
         TaskSpec(
             "synthesize-lift",
             key=(str(i),),
-            params=(names, max_lhs_size, max_rhs_size, backend),
+            params=params,
         )
         for i in range(len(corpus))
     ]
@@ -132,7 +130,6 @@ def synthesize_lifting_rules(
     generalize: bool = True,
     jobs: int = 1,
     cache=None,
-    eval_backend: Optional[str] = None,
     metrics=None,
     tracer=None,
 ) -> SynthesisRun:
@@ -156,7 +153,7 @@ def synthesize_lifting_rules(
 
     results = _search_corpus(
         wl_list, corpus, max_lhs_size, max_rhs_size, jobs, cache,
-        eval_backend=eval_backend, metrics=metrics, tracer=tracer,
+        metrics=metrics, tracer=tracer,
     )
     seen_rule_shapes = set()
     for entry, result in zip(corpus, results):

@@ -14,10 +14,10 @@ parallel runs.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..fabric import TaskSpec, run_tasks
-from ..fabric.jobs import resolve_ruleset
+from ..fabric.jobs import VerifyParams, resolve_ruleset
 from .rule_verifier import VerificationReport
 
 __all__ = ["batch_verify_rules"]
@@ -29,11 +29,6 @@ def batch_verify_rules(
     cache=None,
     metrics=None,
     tracer=None,
-    seed: int = 0,
-    max_type_combos: int = 32,
-    max_const_samples: int = 12,
-    max_points: int = 2048,
-    eval_backend: Optional[str] = None,
 ) -> List[Tuple[str, VerificationReport]]:
     """Verify every rule of the named rulesets; ordered, fail-safe.
 
@@ -42,14 +37,12 @@ def batch_verify_rules(
     whose counterexample names the infrastructure error, so a sweep
     never silently drops a rule.
 
-    ``eval_backend`` (closure/numpy/auto; None = process default) is
-    resolved here, travels in each task's params tuple, and is mixed
-    into the cache key — closure- and numpy-produced verdicts never
-    share cache entries.
+    Every task runs on the default ``VerifyParams``: the budgets of
+    ``repro rules --verify`` on the process-default evaluation backend,
+    which is part of the cache key, so closure- and numpy-produced
+    verdicts never share cache entries.
     """
-    from ..interp import effective_backend
-
-    backend = effective_backend(eval_backend)
+    params = VerifyParams()
     specs: List[TaskSpec] = []
     for label in ruleset_labels:
         for rule in resolve_ruleset(label):
@@ -57,10 +50,7 @@ def batch_verify_rules(
                 TaskSpec(
                     "verify-rule",
                     key=(label, rule.name),
-                    params=(
-                        seed, max_type_combos, max_const_samples,
-                        max_points, backend,
-                    ),
+                    params=params,
                 )
             )
     results = run_tasks(

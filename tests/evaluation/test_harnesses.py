@@ -12,6 +12,7 @@ from repro.evaluation.codegen_compare import (
 from repro.evaluation.compile_time import (
     CompileTimeEvaluation,
     measure_one,
+    run_compile_time_evaluation,
     split_seconds,
 )
 from repro.evaluation.runtime import run_one, run_runtime_evaluation
@@ -129,6 +130,18 @@ class TestCompileTimeHarness:
         for stats, seen in zip((r.llvm, r.pitchfork), runs.values()):
             assert len(seen) == 3
             assert stats is min(seen, key=lambda s: s.total_seconds)
+
+    def test_repeats_below_one_runs_no_cell(self, monkeypatch):
+        # a cell of no compiles has no fastest run
+        from repro import fabric
+
+        ran = []
+        monkeypatch.setattr(
+            fabric, "run_tasks", lambda specs, **kw: ran.extend(specs) or []
+        )
+        with pytest.raises(ValueError, match="repeats"):
+            run_compile_time_evaluation(repeats=0)
+        assert ran == []
 
     def test_softmax_compiles_faster_with_pitchfork(self):
         r = measure_one(by_name("softmax"), ARM, repeats=3)

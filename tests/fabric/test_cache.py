@@ -26,6 +26,12 @@ from repro.fabric.fingerprint import (
     cell_rules_fingerprint,
     workload_fingerprint,
 )
+from repro.fabric.jobs import (
+    CellParams,
+    CompileTimeParams,
+    RuntimeParams,
+    VerifyParams,
+)
 from repro.ir import builders as h
 from repro.ir.types import I16, U8
 from repro.trs.rule import Rule
@@ -142,8 +148,11 @@ class TestInvalidation:
         # (different keys), and re-running each strategy must hit its
         # own entry — greedy and e-graph results never cross-contaminate.
         cache = ResultCache(root=str(tmp_path))
-        greedy = TaskSpec("coverage", ("add", "arm-neon"), (True, "greedy"))
-        egraph = TaskSpec("coverage", ("add", "arm-neon"), (True, "egraph"))
+        greedy = TaskSpec("coverage", ("add", "arm-neon"), CellParams())
+        egraph = TaskSpec(
+            "coverage", ("add", "arm-neon"),
+            CellParams(lift_strategy="egraph"),
+        )
         first = run_tasks([greedy], cache=cache)[0]
         second = run_tasks([egraph], cache=cache)[0]
         assert not first.cached and not second.cached
@@ -169,14 +178,14 @@ class TestInvalidation:
         # entry and re-running the same backend hits its own entry.
         pytest.importorskip("numpy")
         cache = ResultCache(root=str(tmp_path))
-        budget = (0, 2, 2, 50)  # seed, type combos, const samples, points
+        budget = dict(max_type_combos=2, max_const_samples=2, max_points=50)
         closure = TaskSpec(
             "verify-rule", ("lifting-hand", "lift-widening-add"),
-            budget + ("closure",),
+            VerifyParams(eval_backend="closure", **budget),
         )
         npy = TaskSpec(
             "verify-rule", ("lifting-hand", "lift-widening-add"),
-            budget + ("numpy",),
+            VerifyParams(eval_backend="numpy", **budget),
         )
         first = run_tasks([closure], cache=cache)[0]
         second = run_tasks([npy], cache=cache)[0]
@@ -293,7 +302,7 @@ class TestConcurrentAccess:
 class TestSchedulerIntegration:
     def test_cacheable_task_round_trip(self, tmp_path):
         cache = ResultCache(root=str(tmp_path))
-        spec = TaskSpec("coverage", ("add", "arm-neon"), (True, "greedy"))
+        spec = TaskSpec("coverage", ("add", "arm-neon"), CellParams())
         first = run_tasks([spec], cache=cache)[0]
         assert first.ok and not first.cached and cache.stores == 1
         second = run_tasks([spec], cache=cache)[0]
@@ -305,15 +314,16 @@ class TestSchedulerIntegration:
         # interpreter: content addressing must line up bit-for-bit.
         cache = ResultCache(root=str(tmp_path))
         seeded = run_tasks(
-            [TaskSpec("coverage", ("add", "arm-neon"), (True, "greedy"))],
+            [TaskSpec("coverage", ("add", "arm-neon"), CellParams())],
             cache=cache,
         )[0]
         assert not seeded.cached
         code = (
             "from repro.fabric import ResultCache, TaskSpec, run_tasks;"
+            "from repro.fabric.jobs import CellParams;"
             f"c = ResultCache(root={str(tmp_path)!r});"
             "r = run_tasks([TaskSpec('coverage', ('add', 'arm-neon'),"
-            " (True, 'greedy'))], cache=c)[0];"
+            " CellParams())], cache=c)[0];"
             "print('cached' if r.cached else 'recomputed')"
         )
         out = subprocess.run(
@@ -327,7 +337,7 @@ class TestSchedulerIntegration:
 
     def test_corrupt_entry_is_a_miss_not_a_crash(self, tmp_path):
         cache = ResultCache(root=str(tmp_path))
-        spec = TaskSpec("coverage", ("add", "arm-neon"), (True, "greedy"))
+        spec = TaskSpec("coverage", ("add", "arm-neon"), CellParams())
         baseline = run_tasks([spec], cache=cache)[0]
         (entry,) = _entry_files(tmp_path)
         with open(entry, "w") as fh:
@@ -338,7 +348,7 @@ class TestSchedulerIntegration:
 
     def test_mismatched_entry_key_is_a_miss(self, tmp_path):
         cache = ResultCache(root=str(tmp_path))
-        spec = TaskSpec("coverage", ("add", "arm-neon"), (True, "greedy"))
+        spec = TaskSpec("coverage", ("add", "arm-neon"), CellParams())
         run_tasks([spec], cache=cache)
         (entry,) = _entry_files(tmp_path)
         payload = json.load(open(entry))
@@ -350,7 +360,9 @@ class TestSchedulerIntegration:
 
     def test_noncacheable_kind_never_touches_the_cache(self, tmp_path):
         cache = ResultCache(root=str(tmp_path))
-        spec = TaskSpec("compile-time", ("add", "arm-neon"), (1, "greedy"))
+        spec = TaskSpec(
+            "compile-time", ("add", "arm-neon"), CompileTimeParams(repeats=1)
+        )
         run_tasks([spec], cache=cache)
         assert cache.stores == 0 and cache.misses == 0
         assert _entry_files(tmp_path) == []
@@ -366,16 +378,16 @@ class TestKeyMemo:
 
         wl_name, target = spec.key
         expr_fp = expr_fingerprint(by_name(wl_name).expr)
+        p = spec.params
         if spec.kind == "runtime":
-            _rake, leave_one_out, strategy, backend = spec.params
-            exclude = (f"synth:{wl_name}",) if leave_one_out else ()
+            exclude = (f"synth:{wl_name}",) if p.leave_one_out else ()
             return (
                 expr_fp, target,
                 pipeline_rules_fingerprint(
                     target, True, exclude_sources=exclude,
-                    lift_strategy=strategy,
+                    lift_strategy=p.lift_strategy,
                 ),
-                eval_backend_fingerprint(backend),
+                eval_backend_fingerprint(p.eval_backend),
             )
         if spec.kind == "ablation":
             return (
@@ -384,11 +396,10 @@ class TestKeyMemo:
                 pipeline_rules_fingerprint(target, False),
                 eval_backend_fingerprint(None),
             )
-        use_synthesized, strategy = spec.params
         return (
             expr_fp, target,
             pipeline_rules_fingerprint(
-                target, use_synthesized, lift_strategy=strategy
+                target, p.use_synthesized, lift_strategy=p.lift_strategy
             ),
         )
 
@@ -406,12 +417,13 @@ class TestKeyMemo:
                 (True, False), LIFT_STRATEGIES
             ):
                 for kind in ("compile", "coverage", "machinelint"):
-                    yield TaskSpec(kind, key, (synth, strategy))
+                    yield TaskSpec(kind, key, CellParams(synth, strategy))
             for rake, loo, strategy, backend in itertools.product(
                 (False, True), (False, True), LIFT_STRATEGIES, BACKENDS
             ):
                 yield TaskSpec(
-                    "runtime", key, (rake, loo, strategy, backend)
+                    "runtime", key,
+                    RuntimeParams(rake, loo, strategy, backend),
                 )
 
     def test_memoized_parts_equal_the_reference(self):
@@ -428,9 +440,7 @@ class TestKeyMemo:
 
     def test_memo_does_not_grow_with_requests(self, tmp_path):
         cache = ResultCache(root=str(tmp_path))
-        compile_spec = TaskSpec(
-            "compile", ("add", "arm-neon"), (True, "greedy")
-        )
+        compile_spec = TaskSpec("compile", ("add", "arm-neon"), CellParams())
         lookup_task(compile_spec, cache)
         sizes = (
             workload_fingerprint.cache_info().currsize,
@@ -439,7 +449,7 @@ class TestKeyMemo:
         for seed in range(300):
             hit, ckey = lookup_task(TaskSpec(
                 "verify-rule", ("lifting-hand", "lift-widening-add"),
-                (seed, 6, 4, 400, "closure"),
+                VerifyParams(seed=seed, eval_backend="closure"),
             ), cache)
             assert hit is None and ckey is not None
             lookup_task(compile_spec, cache)

@@ -9,10 +9,10 @@ import pytest
 
 from repro.evaluation.ablation import run_ablation
 from repro.evaluation.coverage import run_coverage
-from repro.fabric import ResultCache
+from repro.fabric import ResultCache, TaskSpec, run_tasks
+from repro.fabric.jobs import VerifyParams, resolve_ruleset
 from repro.observe import MetricsRegistry
 from repro.synthesis.driver import synthesize_lifting_rules
-from repro.verify import batch_verify_rules
 
 WORKLOADS = ["add", "mean", "softmax"]
 
@@ -46,37 +46,38 @@ class TestCoverage:
             ) == counter.value
 
 
+def _small():
+    """A budget below the ``rules --verify`` default, on the backend the
+    suite runs under."""
+    return VerifyParams(max_type_combos=4, max_const_samples=3,
+                        max_points=200)
+
+
+def _verify_hand_rules(params, **fabric):
+    """One ``verify-rule`` task per hand lifting rule, at ``params``."""
+    specs = [
+        TaskSpec("verify-rule", key=("lifting-hand", r.name), params=params)
+        for r in resolve_ruleset("lifting-hand")
+    ]
+    return run_tasks(specs, **fabric)
+
+
 class TestVerification:
     @pytest.fixture(scope="class")
     def serial(self):
-        return batch_verify_rules(
-            ["lifting-hand"], jobs=1, max_type_combos=4,
-            max_const_samples=3, max_points=200,
-        )
+        return _verify_hand_rules(_small(), jobs=1)
 
     def _key(self, results):
-        return [
-            (label, r.rule_name, r.ok, r.checked_combos, r.checked_points)
-            for label, r in results
-        ]
+        return [(r.spec.key, r.ok, r.value) for r in results]
 
     def test_parallel_verification_matches(self, serial):
-        parallel = batch_verify_rules(
-            ["lifting-hand"], jobs=4, max_type_combos=4,
-            max_const_samples=3, max_points=200,
-        )
+        parallel = _verify_hand_rules(_small(), jobs=4)
         assert self._key(serial) == self._key(parallel)
 
     def test_cached_verification_matches(self, serial, tmp_path):
         cache = ResultCache(root=str(tmp_path))
-        cold = batch_verify_rules(
-            ["lifting-hand"], cache=cache, max_type_combos=4,
-            max_const_samples=3, max_points=200,
-        )
-        warm = batch_verify_rules(
-            ["lifting-hand"], cache=cache, max_type_combos=4,
-            max_const_samples=3, max_points=200,
-        )
+        cold = _verify_hand_rules(_small(), cache=cache)
+        warm = _verify_hand_rules(_small(), cache=cache)
         assert self._key(serial) == self._key(cold) == self._key(warm)
         assert cache.misses == len(serial) and cache.hits == len(serial)
 
@@ -84,15 +85,13 @@ class TestVerification:
         # Sample budgets are part of the key (params): a cheap verdict
         # must never satisfy a request for a thorough one.
         cache = ResultCache(root=str(tmp_path))
-        batch_verify_rules(
-            ["lifting-hand"], cache=cache, max_type_combos=2,
-            max_const_samples=2, max_points=50,
+        _verify_hand_rules(
+            VerifyParams(max_type_combos=2, max_const_samples=2,
+                         max_points=50),
+            cache=cache,
         )
         cache2 = ResultCache(root=str(tmp_path))
-        batch_verify_rules(
-            ["lifting-hand"], cache=cache2, max_type_combos=4,
-            max_const_samples=3, max_points=200,
-        )
+        _verify_hand_rules(_small(), cache=cache2)
         assert cache2.hits == 0
 
 

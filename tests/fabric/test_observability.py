@@ -13,10 +13,10 @@ import time
 from repro.evaluation.ablation import run_ablation
 from repro.evaluation.coverage import run_coverage
 from repro.fabric import ResultCache, TaskSpec, run_tasks
+from repro.fabric.jobs import RuntimeParams, VerifyParams, resolve_ruleset
 from repro.fabric.scheduler import job_kind
 from repro.observe import MetricsRegistry, Tracer
 from repro.targets import ARM
-from repro.verify import batch_verify_rules
 
 WORKLOADS = ["add", "mean"]
 
@@ -31,11 +31,7 @@ def _t_obs(spec, obs):
     return spec.key[0]
 
 
-@job_kind(
-    "t-obs-slow",
-    cacheable=True,
-    cache_parts=lambda spec: spec.key,
-)
+@job_kind("t-obs-slow", cache_parts=lambda spec: spec.key)
 def _t_obs_slow(spec, obs):
     time.sleep(0.01)
     return spec.key[0]
@@ -121,13 +117,15 @@ class TestWorkerMetrics:
 
     def test_verify_rule_kind_reports_metrics(self):
         serial, parallel = MetricsRegistry(), MetricsRegistry()
-        kw = dict(max_type_combos=2, max_const_samples=2, max_points=50)
-        batch_verify_rules(
-            ["lifting-hand"], jobs=1, metrics=serial, **kw
+        params = VerifyParams(
+            max_type_combos=2, max_const_samples=2, max_points=50
         )
-        batch_verify_rules(
-            ["lifting-hand"], jobs=4, metrics=parallel, **kw
-        )
+        specs = [
+            TaskSpec("verify-rule", ("lifting-hand", r.name), params)
+            for r in resolve_ruleset("lifting-hand")
+        ]
+        run_tasks(specs, jobs=1, metrics=serial)
+        run_tasks(specs, jobs=4, metrics=parallel)
         ok = serial.counter_value(
             "verify_rules", ruleset="lifting-hand", outcome="ok"
         )
@@ -179,11 +177,14 @@ class TestCacheHitsCarryNoTelemetry:
     OTHER_SPECS = [
         TaskSpec(
             "runtime", ("add", "arm-neon"),
-            (False, True, "greedy", "closure"),
+            RuntimeParams(leave_one_out=True, eval_backend="closure"),
         ),
         TaskSpec(
             "verify-rule", ("lifting-hand", "lift-widening-add"),
-            (0, 2, 2, 50, "closure"),
+            VerifyParams(
+                max_type_combos=2, max_const_samples=2, max_points=50,
+                eval_backend="closure",
+            ),
         ),
     ]
 

@@ -117,6 +117,26 @@ class TestFigure3Calibration:
         assert prog.compiler == "llvm+q31sub"
         assert "q31_mulr_seq" in prog.instructions
 
+    def test_q31_lifter_is_built_once(self, monkeypatch):
+        # The retry's lifter belongs to the (cached) baseline, so
+        # Figure 6 charges LLVM for the lift, not for building a lifter.
+        from repro.lifting.lifter import Lifter
+        from repro.workloads import by_name
+
+        wl = by_name("mul")
+        llvm_compile(wl.expr, HVX, var_bounds=wl.var_bounds)
+        built = []
+        init = Lifter.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(args or kwargs)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Lifter, "__init__", spy)
+        prog = llvm_compile(wl.expr, HVX, var_bounds=wl.var_bounds)
+        assert prog.compiler == "llvm+q31sub"
+        assert built == []
+
     def test_q31_retry_is_charged_to_one_compile(self, monkeypatch):
         # Both attempts run inside the one LLVM compile's spans, so its
         # stats (and Figure 6) charge the §5.1 retry to LLVM.

@@ -19,6 +19,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.fabric import ResultCache, TaskSpec, run_tasks
+from repro.fabric.jobs import CellParams
 from repro.serve import ServeClient, ServeDaemon, ServeError
 from repro.serve.daemon import LINE_LIMIT
 from repro.serve.protocol import encode_reply
@@ -147,7 +148,7 @@ class TestRequestReply:
         params = {"workload": "sobel3x3", "target": "arm-neon"}
         first = client.request("coverage", dict(params))
         (inproc,) = run_tasks([
-            TaskSpec("coverage", ("sobel3x3", "arm-neon"), (True, "greedy"))
+            TaskSpec("coverage", ("sobel3x3", "arm-neon"), CellParams())
         ])
         assert first["cached"] is False
         assert first["result"] == inproc.value

@@ -1,14 +1,21 @@
 """Wire-protocol contract: parsing, validation, op -> TaskSpec mapping."""
 
+import dataclasses
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.fabric import ResultCache, TaskResult, get_job_kind, lookup_task
+from repro.fabric.jobs import CellParams, RuntimeParams, VerifyParams
+from repro.interp import get_default_backend
 from repro.serve import (
     ERROR_CODES,
     FABRIC_OPS,
     INLINE_OPS,
     ProtocolError,
+    Request,
     encode_reply,
     error_reply,
     ok_reply,
@@ -76,7 +83,9 @@ class TestToTaskSpec:
         spec = to_task_spec(req)
         assert spec.kind == "compile"
         assert spec.key == ("add", "arm-neon")
-        assert spec.params == (True, "greedy")
+        assert spec.params == CellParams(
+            use_synthesized=True, lift_strategy="greedy"
+        )
 
     def test_every_fabric_op_maps_to_its_kind(self):
         base = {"workload": "add", "target": "arm-neon"}
@@ -98,8 +107,12 @@ class TestToTaskSpec:
             op="evaluate",
             params={"workload": "mul", "target": "x86-avx2"},
         )))
-        # (with_rake, leave_one_out, strategy, backend)
-        assert spec.params == (False, False, "greedy", "closure")
+        # the runtime params' defaults: no Rake, not leave-one-out (unlike
+        # Figure 5), on the process-default backend
+        assert spec.params == RuntimeParams(
+            with_rake=False, leave_one_out=False, lift_strategy="greedy",
+            eval_backend=get_default_backend(),
+        )
 
     def test_verify_rule_defaults_mirror_the_cli_budget(self):
         spec = to_task_spec(parse_request(_frame(
@@ -107,7 +120,10 @@ class TestToTaskSpec:
             params={"ruleset": "lifting-hand", "rule": "lift-widening-add"},
         )))
         assert spec.key == ("lifting-hand", "lift-widening-add")
-        assert spec.params == (0, 6, 4, 400, "closure")
+        assert spec.params == VerifyParams(
+            seed=0, max_type_combos=6, max_const_samples=4, max_points=400,
+            eval_backend=get_default_backend(),
+        )
 
     def test_unknown_workload_fails_eagerly(self):
         req = parse_request(_frame(
@@ -146,6 +162,18 @@ class TestToTaskSpec:
         with pytest.raises(ProtocolError, match="use_synthesized"):
             to_task_spec(req)
 
+    @pytest.mark.parametrize("op, param, value", [
+        ("verify-rule", "seed", True),  # a bool is not an int ...
+        ("lint", "use_synthesized", 1),  # ... nor an int a bool
+        ("evaluate", "eval_backend", "fortran"),
+        ("coverage", "lift_strategy", "greedy "),
+    ])
+    def test_bad_value_names_the_param(self, op, param, value):
+        req = Request(op=op, params=dict(_KEYS[op], **{param: value}))
+        with pytest.raises(ProtocolError, match=param) as exc:
+            to_task_spec(req)
+        assert exc.value.code == "bad-request"
+
     @pytest.mark.parametrize("max_points", [0, -1])
     def test_verify_rule_without_grid_points_is_bad_request(self,
                                                             max_points):
@@ -181,6 +209,154 @@ class TestToTaskSpec:
             with pytest.raises(ProtocolError) as exc:
                 to_task_spec(parse_request(_frame(op=op)))
             assert exc.value.code == "unknown-op"
+
+
+#: valid key params of each fabric op
+_KEYS = {
+    op: {"workload": "add", "target": "arm-neon"} for op in FABRIC_OPS
+}
+_KEYS["verify-rule"] = {
+    "ruleset": "lifting-hand", "rule": "lift-widening-add",
+}
+
+#: JSON values of every type
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _values(f: dataclasses.Field):
+    """Any JSON value, plus the field's choices and, for a bounded
+    field, its minimum - 1, its minimum and a huge int."""
+    options = [_json]
+    if f.metadata.get("choices"):
+        options.append(st.sampled_from(f.metadata["choices"]))
+    minimum = f.metadata.get("minimum")
+    if minimum is not None:
+        options.append(st.sampled_from([minimum - 1, minimum, 10 ** 30]))
+    return st.one_of(options)
+
+
+@st.composite
+def _requests(draw):
+    """``(op, params, unknown names)`` drawn from the op's fields; now
+    and then a key param is any JSON value instead."""
+    op = draw(st.sampled_from(sorted(FABRIC_OPS)))
+    fields = dataclasses.fields(get_job_kind(FABRIC_OPS[op]).params)
+    params = dict(_KEYS[op])
+    for name in _KEYS[op]:
+        if draw(st.integers(0, 9)) == 0:
+            params[name] = draw(_json)
+    for f in fields:
+        if draw(st.booleans()):
+            params[f.name] = draw(_values(f))
+    known = set(params) | {f.name for f in fields}
+    unknown = draw(st.lists(
+        st.text(min_size=1, max_size=12).filter(lambda n: n not in known),
+        max_size=2, unique=True,
+    ))
+    for name in unknown:
+        params[name] = draw(_json)
+    return op, params, unknown
+
+
+class TestParamSpace:
+    @given(_requests())
+    @example(("compile",
+              dict(_KEYS["compile"], **{"lift-strategy": "egraph"}),
+              ["lift-strategy"]))
+    @example(("verify-rule", dict(_KEYS["verify-rule"], backend="numpy"),
+              ["backend"]))
+    @settings(max_examples=300, deadline=None)
+    def test_every_request_maps_or_is_bad_request(self, case):
+        op, params, unknown = case
+        try:
+            spec = to_task_spec(Request(op=op, params=params))
+        except ProtocolError as exc:
+            assert exc.code == "bad-request"
+            if unknown and all(params[k] == v
+                               for k, v in _KEYS[op].items()):
+                # past the key, an unknown name is rejected first
+                assert any(n in exc.message for n in unknown)
+            return
+        assert not unknown, "an unknown param must be a bad-request"
+        assert spec.kind == FABRIC_OPS[op]
+        assert type(spec.params) is get_job_kind(spec.kind).params
+
+
+@pytest.fixture
+def sweep_cells(monkeypatch):
+    """The specs the sweeps build; no cell runs (each one fails)."""
+    specs = []
+
+    def run_tasks(batch, **_kw):
+        specs.extend(batch)
+        return [TaskResult(s, ok=False, error="not run") for s in batch]
+
+    for module in ("repro.fabric", "repro.evaluation.coverage",
+                   "repro.verify.batch"):
+        monkeypatch.setattr(f"{module}.run_tasks", run_tasks)
+    return specs
+
+
+class TestDefaultsAreShared:
+    """A default daemon request is the matching sweep's cell: the same
+    task, hence the same cache entry."""
+
+    def _same_task(self, op, params, cell, tmp_path):
+        spec = to_task_spec(Request(op=op, params=params))
+        assert spec == cell
+        cache = ResultCache(root=str(tmp_path))
+        assert lookup_task(spec, cache)[1] == lookup_task(cell, cache)[1]
+
+    def test_cell_ops_match_coverage_and_lint(self, sweep_cells, tmp_path):
+        from repro.evaluation.coverage import run_coverage
+        from repro.lint.machinelint import run_machine_lint
+
+        run_coverage(workload_names=["add"])
+        run_machine_lint(workload_names=["add"])
+        coverage, lint = (
+            next(s for s in sweep_cells
+                 if s.kind == kind and s.key == ("add", "arm-neon"))
+            for kind in ("coverage", "machinelint")
+        )
+        params = dict(_KEYS["compile"])
+        self._same_task("coverage", params, coverage, tmp_path)
+        self._same_task("lint", params, lint, tmp_path)
+        self._same_task(
+            "compile", params,
+            dataclasses.replace(coverage, kind="compile"), tmp_path,
+        )
+
+    def test_verify_rule_matches_rules_verify(self, sweep_cells, tmp_path,
+                                              capsys):
+        from repro.__main__ import main
+
+        main(["rules", "--verify"])  # fails: no verdict was computed
+        capsys.readouterr()
+        cell = next(s for s in sweep_cells
+                    if s.key == ("lifting-hand", "lift-widening-add"))
+        assert cell.params.eval_backend == get_default_backend()
+        self._same_task("verify-rule", dict(_KEYS["verify-rule"]), cell,
+                        tmp_path)
+
+    def test_evaluate_matches_figure5(self, sweep_cells, tmp_path):
+        from repro.evaluation.runtime import run_runtime_evaluation
+
+        # Figure 5 stops at its first failed cell, after building them all
+        with pytest.raises(RuntimeError, match="runtime cell"):
+            run_runtime_evaluation(workload_names=["add"])
+        cell = next(s for s in sweep_cells if s.key == ("add", "arm-neon"))
+        assert cell.params.eval_backend == get_default_backend()
+        self._same_task(
+            "evaluate",
+            dict(_KEYS["evaluate"], with_rake=True, leave_one_out=True),
+            cell, tmp_path,
+        )
 
 
 class TestReplies:

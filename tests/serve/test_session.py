@@ -3,6 +3,7 @@
 import argparse
 
 from repro.fabric import ResultCache, TaskSpec, run_tasks
+from repro.fabric.jobs import CellParams
 from repro.session import CompilerSession, compile_cell, compile_listing
 
 
@@ -73,14 +74,14 @@ class TestCompileCell:
         )
 
     def test_compile_job_kind_runs_on_the_fabric(self):
-        spec = TaskSpec("compile", ("add", "arm-neon"), (True, "greedy"))
+        spec = TaskSpec("compile", ("add", "arm-neon"), CellParams())
         res = run_tasks([spec])[0]
         assert res.ok
         assert res.value["listing"] == compile_cell("add", "arm-neon")["listing"]
 
     def test_compile_job_kind_is_cacheable(self, tmp_path):
         cache = ResultCache(root=str(tmp_path))
-        spec = TaskSpec("compile", ("add", "arm-neon"), (True, "greedy"))
+        spec = TaskSpec("compile", ("add", "arm-neon"), CellParams())
         first = run_tasks([spec], cache=cache)[0]
         second = run_tasks([spec], cache=cache)[0]
         assert not first.cached and second.cached
@@ -89,8 +90,11 @@ class TestCompileCell:
     def test_strategy_is_in_the_params(self, tmp_path):
         # Different lift strategies must not share cache entries.
         cache = ResultCache(root=str(tmp_path))
-        greedy = TaskSpec("compile", ("add", "arm-neon"), (True, "greedy"))
-        egraph = TaskSpec("compile", ("add", "arm-neon"), (True, "egraph"))
+        greedy = TaskSpec("compile", ("add", "arm-neon"), CellParams())
+        egraph = TaskSpec(
+            "compile", ("add", "arm-neon"),
+            CellParams(lift_strategy="egraph"),
+        )
         run_tasks([greedy], cache=cache)
         res = run_tasks([egraph], cache=cache)[0]
         assert not res.cached

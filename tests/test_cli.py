@@ -148,6 +148,14 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "Figure 3(a)" in out or "(a)" in out
 
+    @pytest.mark.parametrize("figure", ["fig6", "all"])
+    def test_evaluate_rejects_zero_repeats(self, figure, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", figure, "--repeats", "0"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "'repeats'" in captured.err and captured.out == ""
+
 
 class TestCoverage:
     def test_coverage_report_and_exit_code(self, capsys):
