@@ -582,9 +582,11 @@ def cmd_report_show(args) -> int:
               ))
     cache = doc.get("cache") or {}
     if cache:
-        print(f"cache: {cache.get('hits', 0)} hits, "
+        print(f"cache: {cache.get('hits', 0)} hits "
+              f"({cache.get('memory_hits', 0)} from memory), "
               f"{cache.get('misses', 0)} misses, "
-              f"{cache.get('stores', 0)} stores")
+              f"{cache.get('stores', 0)} stores "
+              f"({cache.get('store_errors', 0)} failed)")
     return 0
 
 

@@ -12,7 +12,8 @@ gives them one execution layer:
   crashed worker fails only its own cell.
 * :mod:`~repro.fabric.cache` — a persistent content-addressed result
   cache (default ``.repro-cache/``) keyed by serialized expression +
-  target + rulebase fingerprint + repro version.
+  target + rulebase fingerprint + repro version, with a bounded
+  in-memory tier of the results it has read back.
 * :mod:`~repro.fabric.fingerprint` — the content fingerprints behind the
   cache keys (expressions via :mod:`repro.trs.serialize`, rules with
   predicate bytecode included).
@@ -28,7 +29,7 @@ default and is byte-identical to the pre-fabric serial code paths.
 """
 
 from . import jobs  # noqa: F401  (job-kind registration side effects)
-from .cache import ResultCache, default_cache_dir
+from .cache import ResultCache, default_cache_dir, encode_value
 from .fingerprint import (
     digest,
     eval_backend_fingerprint,
@@ -61,6 +62,7 @@ __all__ = [
     "account_result",
     "default_cache_dir",
     "digest",
+    "encode_value",
     "eval_backend_fingerprint",
     "execute_tasks",
     "expr_fingerprint",

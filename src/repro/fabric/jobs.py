@@ -25,6 +25,7 @@ version is mixed into every key by the cache itself).
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Tuple
 
 from ..interp.backend import BACKENDS, get_default_backend
@@ -76,12 +77,25 @@ def resolve_ruleset(label: str):
     return by_name(label).lowering_rules
 
 
+@functools.lru_cache(maxsize=None)
+def _rule_index(label: str) -> Dict[str, object]:
+    """Rule name -> the first rule of that name in a ruleset, built
+    once per process: the rule registries never change once imported."""
+    index: Dict[str, object] = {}
+    for r in resolve_ruleset(label):
+        index.setdefault(r.name, r)
+    return index
+
+
 def resolve_rule(label: str, rule_name: str):
     """Look one rule up by (ruleset label, rule name)."""
-    for r in resolve_ruleset(label):
-        if r.name == rule_name:
-            return r
-    raise KeyError(f"no rule {rule_name!r} in ruleset {label!r}")
+    index = _rule_index(label)
+    try:
+        return index[rule_name]
+    except KeyError:
+        raise KeyError(
+            f"no rule {rule_name!r} in ruleset {label!r}"
+        ) from None
 
 
 # ----------------------------------------------------------------------

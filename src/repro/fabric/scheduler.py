@@ -21,7 +21,8 @@ Guarantees:
   cell cannot fail its neighbours.
 * **Caching** — when a :class:`~repro.fabric.cache.ResultCache` is
   attached, cacheable kinds are looked up before dispatch and stored
-  after success; hits skip execution entirely.
+  after success; hits skip execution entirely, and each hit's value is
+  decoded afresh from the cache's text.
 * **Telemetry** — one channel, *cross-process*.  When the sweep
   observes (a metrics registry or a live tracer is attached), every job
   body is called as ``fn(spec, obs)`` with its own
@@ -40,6 +41,7 @@ Guarantees:
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import time
@@ -140,6 +142,9 @@ class TaskResult:
     pid: int = 0
     #: True when the value came from the result cache
     cached: bool = False
+    #: a cache hit's canonical JSON text (``value`` is then decoded
+    #: from it by :func:`run_tasks`, never shared with the cache)
+    encoded: Optional[str] = None
     #: ``time.time()`` when the task body started (cache hits: resolved)
     started_s: float = 0.0
     #: serialized worker tracer payload (only when the sweep traces)
@@ -381,10 +386,13 @@ def run_tasks(
     misses: List[Tuple[TaskSpec, Optional[str]]] = []
     miss_index: List[int] = []
     for i, spec in enumerate(specs):
-        results[i], ckey = lookup_task(spec, cache)
-        if results[i] is None:
+        hit, ckey = lookup_task(spec, cache)
+        if hit is None:
             misses.append((spec, ckey))
             miss_index.append(i)
+        else:
+            hit.value = json.loads(hit.encoded)
+            results[i] = hit
 
     # -- phase 2: execute + persist misses ----------------------------
     def collect(j: int, res: TaskResult) -> None:
@@ -414,8 +422,10 @@ def lookup_task(
     Returns ``(hit, None)`` when the cache holds the result, else
     ``(None, key)`` — ``key`` is ``None`` without a cache or for an
     uncacheable kind — to pass on to :func:`execute_tasks`, so a miss
-    is never looked up twice.  Raises ``KeyError`` for an unregistered
-    kind.
+    is never looked up twice.  A hit carries the result's canonical
+    text in ``encoded`` and no ``value``: a daemon splices the text
+    into its reply, and a caller that wants the value decodes it.
+    Raises ``KeyError`` for an unregistered kind.
     """
     kind = get_job_kind(spec.kind)
     if cache is None or kind.cache_parts is None:
@@ -426,11 +436,11 @@ def lookup_task(
         repr(vars(spec.params)) if spec.params is not None else "",
         *kind.cache_parts(spec),
     )
-    hit, value = cache.get(spec.kind, ckey)
-    if not hit:
+    text = cache.get_text(spec.kind, ckey)
+    if text is None:
         return None, ckey
     return TaskResult(
-        spec, ok=True, value=value, cached=True,
+        spec, ok=True, encoded=text, cached=True,
         pid=os.getpid(), started_s=time.time(),
     ), None
 

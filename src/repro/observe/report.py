@@ -34,7 +34,8 @@ reject majors they don't know.  Schema ``repro-report/1``::
       "metrics": {"counters": [...], "histograms": [...]},
       "spans": {"span_count": ..., "by_name": {...},
                 "critical_path": [...], "critical_path_us": ...},
-      "cache": {"hits": ..., "misses": ..., "stores": ...},
+      "cache": {"hits": ..., "misses": ..., "stores": ...,
+                ...},                   # ResultCache.session_stats()
       "extra": {...}                    # command-specific payload
     }
 """
@@ -223,13 +224,7 @@ class RunReport:
         all are optional — absent legs produce empty sections, never
         errors.
         """
-        cache_stats: Dict[str, Any] = {}
-        if cache is not None:
-            cache_stats = {
-                "hits": cache.hits,
-                "misses": cache.misses,
-                "stores": cache.stores,
-            }
+        cache_stats = cache.session_stats() if cache is not None else {}
         return cls(
             command=command,
             argv=list(argv) if argv is not None else list(sys.argv[1:]),

@@ -18,6 +18,7 @@ from .protocol import (  # noqa: F401
     PROTOCOL_VERSION,
     ProtocolError,
     Request,
+    encode_ok,
     encode_reply,
     error_reply,
     ok_reply,
@@ -35,6 +36,7 @@ __all__ = [
     "ServeClient",
     "ServeDaemon",
     "ServeError",
+    "encode_ok",
     "encode_reply",
     "error_reply",
     "ok_reply",

@@ -29,7 +29,10 @@ Architecture (one asyncio event loop)::
   :class:`~repro.fabric.TaskSpec` (a bad one is answered
   ``bad-request`` here) and looked up in the session's result cache
   exactly once (:func:`~repro.fabric.lookup_task`).  A hit is answered
-  on the spot, never queued behind a miss; it counts as
+  on the spot, never queued behind a miss: the cache hands over the
+  result's canonical text, which :func:`~repro.serve.protocol.encode_ok`
+  splices into the frame, so a hit held in the cache's memory tier
+  reads no file and decodes nothing.  It counts as
   ``serve_requests{outcome="cached"}`` and
   ``fabric_tasks{outcome="cached"}``, as a hit inside ``run_tasks``
   does.
@@ -72,6 +75,7 @@ from ..fabric import (
     TaskResult,
     TaskSpec,
     account_result,
+    encode_value,
     execute_tasks,
     lookup_task,
 )
@@ -81,9 +85,9 @@ from .protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
     Request,
+    encode_ok,
     encode_reply,
     error_reply,
-    ok_reply,
     parse_request,
     to_task_spec,
 )
@@ -106,16 +110,21 @@ class _PendingRequest:
     spec: TaskSpec
     #: the key its admission lookup computed (None: nothing to store)
     cache_key: Optional[str]
-    future: "asyncio.Future[Dict[str, Any]]"
+    #: resolves to the request's reply frame
+    future: "asyncio.Future[bytes]"
     #: ``time.monotonic()`` when its line was read
     received: float
     #: absolute monotonic deadline (None: unbounded)
     deadline: Optional[float] = None
 
 
-def _deadline_reply(req: Request, when: str) -> Dict[str, Any]:
+def _error_frame(req_id: Any, code: str, message: str) -> bytes:
+    return encode_reply(error_reply(req_id, code, message))
+
+
+def _deadline_frame(req: Request, when: str) -> bytes:
     """The ``deadline`` error for a request, saying when it expired."""
-    return error_reply(
+    return _error_frame(
         req.id, "deadline", f"deadline of {req.deadline_s}s expired {when}"
     )
 
@@ -334,7 +343,7 @@ class ServeDaemon:
                     # answer once, then close this connection.
                     self._account("<malformed>", "bad-request",
                                   time.monotonic())
-                    await self._write(writer, write_lock, error_reply(
+                    await self._write(writer, write_lock, _error_frame(
                         None, "bad-request",
                         f"request line exceeds the {LINE_LIMIT}-byte "
                         f"limit; closing the connection",
@@ -362,13 +371,12 @@ class ServeDaemon:
                 writer.close()
                 await writer.wait_closed()
 
-    async def _write(self, writer, write_lock, reply: Dict[str, Any]) -> None:
-        """Serialize one reply onto a shared connection; losing the
+    async def _write(self, writer, write_lock, frame: bytes) -> None:
+        """Write one reply frame onto a shared connection; losing the
         client mid-write is not an error worth a traceback."""
-        data = encode_reply(reply)
         with contextlib.suppress(ConnectionResetError, OSError):
             async with write_lock:
-                writer.write(data)
+                writer.write(frame)
                 await writer.drain()
 
     def _account(self, op: str, outcome: str, received: float) -> None:
@@ -385,38 +393,33 @@ class ServeDaemon:
         except ProtocolError as exc:
             self._account("<malformed>", exc.code, received)
             await self._write(
-                writer, write_lock, error_reply(None, exc.code, exc.message)
+                writer, write_lock, _error_frame(None, exc.code, exc.message)
             )
             return
         try:
-            reply = await self._dispatch_request(req, received)
+            frame = await self._dispatch_request(req, received)
         except ProtocolError as exc:
-            reply = error_reply(req.id, exc.code, exc.message)
+            frame = _error_frame(req.id, exc.code, exc.message)
             self._account(req.op, exc.code, received)
         except Exception as exc:  # pragma: no cover - daemon-side bug
-            reply = error_reply(
+            frame = _error_frame(
                 req.id, "internal", f"{type(exc).__name__}: {exc}"
             )
             self._account(req.op, "internal", received)
-        await self._write(writer, write_lock, reply)
+        await self._write(writer, write_lock, frame)
 
-    async def _dispatch_request(
-        self, req: Request, received: float
-    ) -> Dict[str, Any]:
+    async def _dispatch_request(self, req: Request, received: float) -> bytes:
         """Answer inline ops and cache hits; enqueue a miss and await
-        its own task."""
+        its own task.  Returns the reply frame."""
         if req.op == "ping":
-            reply = ok_reply(
-                req.id,
-                {
-                    "pong": True,
-                    "pid": os.getpid(),
-                    "protocol": PROTOCOL_VERSION,
-                    "draining": self._draining,
-                },
-            )
+            frame = encode_ok(req.id, encode_value({
+                "pong": True,
+                "pid": os.getpid(),
+                "protocol": PROTOCOL_VERSION,
+                "draining": self._draining,
+            }))
             self._account("ping", "ok", received)
-            return reply
+            return frame
         if req.op == "cache-stats":
             cache = self.session.cache
             if cache is None:
@@ -427,11 +430,11 @@ class ServeDaemon:
                     None, cache.stats
                 )
             self._account("cache-stats", "ok", received)
-            return ok_reply(req.id, result)
+            return encode_ok(req.id, encode_value(result))
         if req.op == "shutdown":
             self._account("shutdown", "ok", received)
             asyncio.ensure_future(self.shutdown())
-            return ok_reply(req.id, {"draining": True})
+            return encode_ok(req.id, encode_value({"draining": True}))
         if req.op not in FABRIC_OPS:
             raise ProtocolError("unknown-op", f"unknown op {req.op!r}")
         if self._draining:
@@ -444,13 +447,14 @@ class ServeDaemon:
         )
         hit, cache_key = lookup_task(spec, self.session.cache)
         if hit is not None:
-            # A hit is answered here, never queued behind a miss.
+            # A hit is answered here, never queued behind a miss, with
+            # the cache's text spliced into its frame, never decoded.
             account_result(hit, self.metrics, self.tracer)
             if deadline is not None and time.monotonic() >= deadline:
                 self._account(req.op, "deadline", received)
-                return _deadline_reply(req, "before dispatch")
+                return _deadline_frame(req, "before dispatch")
             self._account(req.op, "cached", received)
-            return ok_reply(req.id, hit.value, cached=True, seconds=0.0)
+            return encode_ok(req.id, hit.encoded, cached=True)
         pending = _PendingRequest(
             req=req,
             spec=spec,
@@ -519,7 +523,7 @@ class ServeDaemon:
         for pend in batch:
             if pend.deadline is not None and now >= pend.deadline:
                 self._resolve(
-                    pend, _deadline_reply(pend.req, "before dispatch"),
+                    pend, _deadline_frame(pend.req, "before dispatch"),
                     "deadline",
                 )
             else:
@@ -563,26 +567,32 @@ class ServeDaemon:
         """Answer one executed miss (on the event loop)."""
         account_result(res, self.metrics, self.tracer)
         if pend.deadline is not None and time.monotonic() >= pend.deadline:
-            reply = _deadline_reply(
+            frame = _deadline_frame(
                 pend.req, "during execution (result discarded)"
             )
             outcome = "deadline"
         elif res.ok:
-            reply = ok_reply(pend.req.id, res.value, seconds=res.seconds)
-            outcome = "ok"
+            try:
+                frame = encode_ok(pend.req.id, encode_value(res.value),
+                                  seconds=res.seconds)
+                outcome = "ok"
+            except (TypeError, ValueError) as exc:  # not JSON data
+                frame = _error_frame(pend.req.id, "internal",
+                                     f"{type(exc).__name__}: {exc}")
+                outcome = "internal"
         else:
-            reply = error_reply(
+            frame = _error_frame(
                 pend.req.id, "task-failed", res.error or "task failed"
             )
             outcome = "task-failed"
-        self._resolve(pend, reply, outcome)
+        self._resolve(pend, frame, outcome)
 
     def _resolve(
-        self, pend: _PendingRequest, reply: Dict[str, Any], outcome: str
+        self, pend: _PendingRequest, frame: bytes, outcome: str
     ) -> None:
         self._account(pend.req.op, outcome, pend.received)
         if not pend.future.done():
-            pend.future.set_result(reply)
+            pend.future.set_result(frame)
 
     # -- /metrics HTTP side-channel ------------------------------------
     async def _on_http(self, reader, writer) -> None:

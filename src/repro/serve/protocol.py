@@ -46,7 +46,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from ..fabric import TaskSpec, get_job_kind
+from ..fabric import TaskSpec, encode_value, get_job_kind
 
 __all__ = [
     "FABRIC_OPS",
@@ -54,6 +54,7 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ProtocolError",
     "Request",
+    "encode_ok",
     "encode_reply",
     "error_reply",
     "ok_reply",
@@ -205,7 +206,7 @@ def to_task_spec(req: Request) -> TaskSpec:
 
 def ok_reply(req_id: Any, result: Any, cached: bool = False,
              seconds: float = 0.0) -> Dict[str, Any]:
-    """A success frame."""
+    """A success frame, as a dict (:func:`encode_ok` writes its bytes)."""
     return {
         "id": req_id,
         "ok": True,
@@ -226,7 +227,17 @@ def error_reply(req_id: Any, code: str, message: str) -> Dict[str, Any]:
 
 
 def encode_reply(reply: Dict[str, Any]) -> bytes:
-    """One reply, framed: compact JSON + newline."""
-    return (
-        json.dumps(reply, separators=(",", ":"), sort_keys=True) + "\n"
-    ).encode("utf-8")
+    """One reply, framed: compact JSON with sorted keys + newline."""
+    return (encode_value(reply) + "\n").encode("utf-8")
+
+
+def encode_ok(req_id: Any, result: str, cached: bool = False,
+              seconds: float = 0.0) -> bytes:
+    """The one encoder of a success frame, around its result's
+    canonical text (:func:`~repro.fabric.encode_value`), which it
+    splices in rather than encodes: the bytes of
+    ``encode_reply(ok_reply(req_id, value, cached, seconds))``."""
+    return ('{"cached":%s,"id":%s,"ok":true,"result":%s,"seconds":%s}\n' % (
+        "true" if cached else "false", encode_value(req_id), result,
+        encode_value(seconds),
+    )).encode("utf-8")

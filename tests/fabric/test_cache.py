@@ -5,13 +5,18 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.fabric import (
     ResultCache,
     TaskSpec,
     default_cache_dir,
+    encode_value,
     eval_backend_fingerprint,
     expr_fingerprint,
     get_job_kind,
@@ -22,6 +27,7 @@ from repro.fabric import (
     rulebase_fingerprint,
     run_tasks,
 )
+from repro.fabric import cache as cache_module
 from repro.fabric.fingerprint import (
     cell_rules_fingerprint,
     workload_fingerprint,
@@ -76,6 +82,28 @@ class TestBasicOperation:
         assert set(s["kind_bytes"]) == {"small", "big"}
         assert s["kind_bytes"]["big"] > s["kind_bytes"]["small"] > 0
         assert sum(s["kind_bytes"].values()) == s["bytes"]
+
+    def test_failed_store_is_counted_not_raised(self, tmp_path):
+        # A root that is a regular file: every store fails, as on a
+        # full disk or a read-only cache dir.
+        root = tmp_path / "not-a-dir"
+        root.write_text("")
+        cache = ResultCache(root=str(root))
+        key = cache.key("t-echo", "part")
+        cache.put("t-echo", key, {"v": 1})
+        assert (cache.stores, cache.store_errors) == (0, 1)
+        assert cache.get("t-echo", key) == (False, None)
+        assert cache.session_stats()["memory_entries"] == 0
+        assert cache.stats()["session"]["store_errors"] == 1
+
+    def test_value_json_cannot_hold_is_a_failed_store(self, tmp_path):
+        cache = ResultCache(root=str(tmp_path))
+        key = cache.key("t-echo", "part")
+        cache.put("t-echo", key, {"not-json": {1, 2}})
+        assert (cache.stores, cache.store_errors) == (0, 1)
+        assert _entry_files(tmp_path) == []
+        assert [f for _d, _s, files in os.walk(tmp_path) for f in files
+                if f.endswith(".tmp")] == []
 
     def test_default_dir_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/elsewhere")
@@ -286,8 +314,9 @@ class TestConcurrentAccess:
         writer = threading.Thread(target=rewrite)
         writer.start()
         try:
-            reader = ResultCache(root=str(tmp_path))
             for _ in range(300):
+                # a fresh reader reads the file, not its memory tier
+                reader = ResultCache(root=str(tmp_path))
                 hit, value = reader.get("t-echo", key)
                 # Under os.replace the entry is always whole: a miss or
                 # a partial payload here would be a torn read.
@@ -297,6 +326,173 @@ class TestConcurrentAccess:
             stop.set()
             writer.join()
         assert torn == []
+
+
+class TestMemoryTier:
+    """The bounded in-memory tier of canonical text in front of the
+    disk entries: read-through, LRU under a byte bound, never shared."""
+
+    def test_put_leaves_the_tier_empty_and_a_get_fills_it(self, tmp_path):
+        cache = ResultCache(root=str(tmp_path))
+        key = cache.key("t-echo", "part")
+        cache.put("t-echo", key, {"v": 1})
+        assert cache.session_stats()["memory_entries"] == 0
+        assert cache.get("t-echo", key) == (True, {"v": 1})
+        s = cache.session_stats()
+        assert (s["hits"], s["memory_hits"], s["memory_entries"]) == (1, 0, 1)
+        assert s["memory_bytes"] == len(key) + len('{"v":1}')
+        assert cache.get_text("t-echo", key) == '{"v":1}'
+        assert cache.session_stats()["memory_hits"] == 1
+
+    def test_memory_hit_survives_its_entry_file(self, tmp_path):
+        cache = ResultCache(root=str(tmp_path))
+        key = cache.key("t-echo", "part")
+        value = {"b": [1, 2.5, "\u00e9"], "a": None}
+        cache.put("t-echo", key, value)
+        assert cache.get("t-echo", key) == (True, value)
+        (entry,) = _entry_files(tmp_path)
+        os.unlink(entry)
+        assert cache.get("t-echo", key) == (True, value)
+        assert (cache.hits, cache.memory_hits, cache.misses) == (2, 1, 0)
+
+    def test_returned_values_are_never_shared(self, tmp_path):
+        cache = ResultCache(root=str(tmp_path))
+        key = cache.key("t-echo", "part")
+        cache.put("t-echo", key, {"rows": [[1, 2]]})
+        from_disk = cache.get("t-echo", key)[1]
+        from_disk["rows"].append("mutated")
+        from_memory = cache.get("t-echo", key)[1]
+        from_memory["rows"][0].append("mutated")
+        assert cache.get("t-echo", key) == (True, {"rows": [[1, 2]]})
+        assert cache.memory_hits == 2
+
+    def test_memory_hit_checks_the_kind(self, tmp_path):
+        cache = ResultCache(root=str(tmp_path))
+        key = cache.key("t-echo", "part")
+        cache.put("t-echo", key, 1)
+        assert cache.get("t-echo", key) == (True, 1)
+        assert cache.get("other", key) == (False, None)
+        assert (cache.hits, cache.misses) == (1, 1)
+
+    def test_lru_entry_is_evicted_first(self, tmp_path, monkeypatch):
+        # each entry charges its 64-char key and its 3-char text
+        monkeypatch.setattr(cache_module, "MEMORY_BYTES", 3 * 67)
+        cache = ResultCache(root=str(tmp_path))
+        keys = [cache.key("t", str(i)) for i in range(4)]
+        for k in keys:
+            cache.put("t", k, "v")
+        for k in keys[:3]:
+            cache.get("t", k)
+        assert cache.session_stats()["memory_bytes"] == 3 * 67
+        cache.get("t", keys[0])  # from memory: keys[1] is now the LRU
+        cache.get("t", keys[3])  # from disk: evicts keys[1]
+        s = cache.session_stats()
+        assert (s["memory_entries"], s["evictions"]) == (3, 1)
+        for entry in _entry_files(tmp_path):
+            os.unlink(entry)
+        assert [cache.get("t", k)[0] for k in keys] == [
+            True, False, True, True]
+
+    def test_oversize_entry_is_served_but_not_kept(self, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.setattr(cache_module, "MEMORY_BYTES", 200)
+        cache = ResultCache(root=str(tmp_path))
+        small, big = cache.key("t", "small"), cache.key("t", "big")
+        cache.put("t", small, "v")
+        cache.put("t", big, "x" * 200)
+        assert cache.get("t", small) == (True, "v")
+        assert cache.get("t", big) == (True, "x" * 200)
+        s = cache.session_stats()
+        assert (s["memory_entries"], s["evictions"]) == (1, 0)
+
+    def test_clear_empties_the_tier(self, tmp_path):
+        cache = ResultCache(root=str(tmp_path))
+        key = cache.key("t-echo", "part")
+        cache.put("t-echo", key, 1)
+        cache.get("t-echo", key)
+        assert cache.clear() == 1
+        s = cache.session_stats()
+        assert (s["memory_entries"], s["memory_bytes"]) == (0, 0)
+        assert cache.get("t-echo", key) == (False, None)
+
+    @given(st.lists(st.tuples(
+        st.sampled_from(["put"] * 3 + ["get"] * 4 + ["clear"]),
+        st.integers(0, 3),        # which key
+        st.sampled_from(["a", "b"]),  # which kind
+        st.integers(0, 3),        # which value
+    ), max_size=60))
+    @example([("put", 0, "a", 0), ("get", 0, "a", 0),
+              ("put", 0, "a", 1), ("get", 0, "a", 0)])
+    @settings(max_examples=200, deadline=None)
+    def test_tier_is_invisible_but_bounded(self, ops):
+        # Against a cache that keeps nothing in memory, every get agrees
+        # and so do the hit and miss counts; the tier stays in bound.
+        values = [None, "v" * 40, {"b": [1.5, "\u00e9"], "a": 2}, [[1]] * 30]
+        bound = 300
+        with tempfile.TemporaryDirectory() as a, \
+                tempfile.TemporaryDirectory() as b:
+            with mock.patch.object(cache_module, "MEMORY_BYTES", bound):
+                tiered = ResultCache(root=a)
+            with mock.patch.object(cache_module, "MEMORY_BYTES", 0):
+                plain = ResultCache(root=b)
+            for op, k, kind, v in ops:
+                key = tiered.key("t", str(k))
+                for cache in (tiered, plain):
+                    if op == "put":
+                        cache.put(kind, key, values[v])
+                    elif op == "clear":
+                        cache.clear()
+                if op == "get":
+                    assert tiered.get(kind, key) == plain.get(kind, key)
+                assert tiered.session_stats()["memory_bytes"] <= bound
+            assert (tiered.hits, tiered.misses) == (plain.hits, plain.misses)
+            assert plain.session_stats()["memory_entries"] == 0
+
+
+    def test_threads_share_one_tier(self, tmp_path, monkeypatch):
+        # More threads than cores read and store one small tier under a
+        # short switch interval; a lost update would break the counts
+        # or the tier's byte total.
+        import threading
+
+        monkeypatch.setattr(cache_module, "MEMORY_BYTES", 4 * 80)
+        cache = ResultCache(root=str(tmp_path))
+        keys = [cache.key("t", str(i)) for i in range(8)]
+        for i, k in enumerate(keys):
+            cache.put("t", k, "v" * (i % 3))
+        rounds, errors = 300, []
+
+        def work(n):
+            try:
+                for i in range(rounds):
+                    k = keys[(n + i) % len(keys)]
+                    if i % 7 == 0:
+                        cache.put("t", k, cache.get("t", k)[1])
+                    else:
+                        assert cache.get("t", k)[0]
+            except Exception as exc:  # pragma: no cover - the failure
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(n,))
+                       for n in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(t.is_alive() for t in threads)
+        s = cache.session_stats()
+        puts = 4 * len(range(0, rounds, 7))
+        assert (s["hits"], s["misses"]) == (4 * rounds, 0)
+        assert (s["stores"], s["store_errors"]) == (len(keys) + puts, 0)
+        with cache._lock:
+            held = sum(len(k) + len(t) for k, (_, t)
+                       in cache._memory.items())
+        assert s["memory_bytes"] == held <= cache.memory_bound
 
 
 class TestSchedulerIntegration:
@@ -437,6 +633,23 @@ class TestKeyMemo:
         # One entry per workload, and per (target, flag, strategy,
         # exclusion) combination: the memos are bounded by the cells.
         assert workload_fingerprint.cache_info().currsize <= len(WORKLOADS)
+
+    def test_rule_index_agrees_with_a_scan(self):
+        from repro.fabric.jobs import resolve_rule, resolve_ruleset
+        from repro.targets import ALL_TARGETS
+
+        assert len(ALL_TARGETS) == 6
+        for label in ("lifting-hand", "lifting-synth", *ALL_TARGETS):
+            rules = resolve_ruleset(label)
+            assert rules
+            for rule in rules:
+                first = next(r for r in rules if r.name == rule.name)
+                assert resolve_rule(label, rule.name) is first
+            with pytest.raises(KeyError) as exc:
+                resolve_rule(label, "no-such-rule")
+            assert exc.value.args[0] == (
+                f"no rule 'no-such-rule' in ruleset {label!r}"
+            )
 
     def test_memo_does_not_grow_with_requests(self, tmp_path):
         cache = ResultCache(root=str(tmp_path))

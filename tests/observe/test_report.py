@@ -78,6 +78,18 @@ class TestBuildWriteLoad:
         assert doc["spans"]["span_count"] == 0
         assert doc["cache"] == {}
 
+    def test_cache_section_is_the_session_stats(self, tmp_path):
+        from repro.fabric import ResultCache
+
+        cache = ResultCache(root=str(tmp_path))
+        key = cache.key("t-echo", "part")
+        cache.put("t-echo", key, 1)
+        cache.get("t-echo", key)
+        cache.get("t-echo", key)
+        doc = RunReport.collect("serve", argv=[], cache=cache).to_dict()
+        assert doc["cache"] == cache.session_stats()
+        assert (doc["cache"]["hits"], doc["cache"]["memory_hits"]) == (2, 1)
+
 
 class TestSpanSummary:
     def test_empty_inputs(self):

@@ -10,6 +10,7 @@ import asyncio
 import gc
 import json
 import os
+import socket
 import threading
 import time
 import urllib.request
@@ -164,6 +165,39 @@ class TestRequestReply:
         assert reply["ok"] is True
 
 
+class TestMemoryTier:
+    def test_warm_hit_survives_its_entry_file(self, served):
+        # The first warm hit reads the entry file and keeps its text in
+        # memory; with the file gone, the next hit is the same bytes.
+        cache = served["daemon"].session.cache
+        line = (json.dumps({"id": "w", "op": "compile", "params": {
+            "workload": "max_pool", "target": "x86-avx2"}}) + "\n").encode()
+
+        def entries():
+            return {os.path.join(d, f) for d, _s, files in os.walk(cache.root)
+                    for f in files if f.endswith(".json")}
+
+        before = entries()
+        with socket.create_connection(served["daemon"].address) as sock, \
+                sock.makefile("rwb") as stream:
+
+            def ask():
+                stream.write(line)
+                stream.flush()
+                return stream.readline()
+
+            cold = ask()
+            (entry,) = entries() - before
+            warm = ask()
+            memory_hits = cache.memory_hits
+            os.unlink(entry)
+            again = ask()
+        assert json.loads(cold)["cached"] is False
+        assert json.loads(warm)["cached"] is True
+        assert again == warm
+        assert cache.memory_hits == memory_hits + 1
+
+
 class TestBatching:
     def test_concurrent_requests_coalesce(self, served):
         daemon = served["daemon"]
@@ -304,6 +338,8 @@ class TestAccounting:
         assert (session["hits"], session["misses"]) == (
             len(hits), len(misses)
         )
+        # each key is hit twice: the first hit reads disk, then memory
+        assert session["memory_hits"] == len(misses)
 
         def cached(name):
             return sum(
@@ -396,6 +432,30 @@ class TestErrors:
                 deadline_s=1e-6,
             )
         assert exc.value.code == "deadline"
+
+    def test_result_json_cannot_hold_is_an_internal_error(
+        self, served, client, monkeypatch
+    ):
+        # A job body that returns what JSON cannot hold fails its store
+        # and its reply, not the daemon.
+        import repro.verify as verify_mod
+
+        class Report:
+            ok, checked_points = True, 2
+
+            def to_dict(self):
+                return {"points": {1, 2}}
+
+        monkeypatch.setattr(verify_mod, "verify_rule",
+                            lambda rule, **kw: Report())
+        cache = served["daemon"].session.cache
+        store_errors = cache.store_errors
+        with pytest.raises(ServeError) as exc:
+            client.request("verify-rule", _verify(20_000)["params"])
+        assert exc.value.code == "internal", exc.value
+        assert "TypeError" in str(exc.value)
+        assert cache.store_errors == store_errors + 1
+        assert client.ping()["pong"] is True
 
     def test_error_replies_do_not_poison_the_batch(self, client):
         replies = client.batch([

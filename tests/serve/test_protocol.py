@@ -7,7 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.fabric import ResultCache, TaskResult, get_job_kind, lookup_task
+from repro.fabric import (
+    ResultCache,
+    TaskResult,
+    encode_value,
+    get_job_kind,
+    lookup_task,
+)
 from repro.fabric.jobs import CellParams, RuntimeParams, VerifyParams
 from repro.interp import get_default_backend
 from repro.serve import (
@@ -16,6 +22,7 @@ from repro.serve import (
     INLINE_OPS,
     ProtocolError,
     Request,
+    encode_ok,
     encode_reply,
     error_reply,
     ok_reply,
@@ -379,3 +386,33 @@ class TestReplies:
         assert data.endswith(b"\n")
         assert data.count(b"\n") == 1
         assert json.loads(data)["result"] == [1, 2]
+
+
+#: request ids: JSON scalars of every type
+_ids = (
+    st.none() | st.booleans() | st.integers()
+    | st.sampled_from([10 ** 30, -(2 ** 70)]) | st.floats() | st.text()
+)
+#: results: nested dicts (keys drawn unsorted), lists, floats, text
+_results = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(alphabet=st.characters(), max_size=12),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=5),
+    max_leaves=20,
+)
+
+
+class TestOkFrame:
+    @given(req_id=_ids, value=_results,
+           seconds=st.floats(min_value=0.0, allow_infinity=False))
+    @example(req_id="\u00e9\"\n",
+             value={"z": [0.1, "\u2603"], "a": {"y": 1, "b": None}},
+             seconds=0.0)
+    @settings(max_examples=300, deadline=None)
+    def test_spliced_frame_is_the_encoded_reply(self, req_id, value,
+                                                 seconds):
+        for cached in (True, False):
+            assert encode_ok(
+                req_id, encode_value(value), cached, seconds
+            ) == encode_reply(ok_reply(req_id, value, cached, seconds))
