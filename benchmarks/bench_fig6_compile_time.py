@@ -140,7 +140,7 @@ def _write_fig6_json():
         )
     # Emit through the run-report writer: the figure data rides in
     # ``extra`` of a schema-versioned RunReport, so the artifact carries
-    # env + rulebase fingerprints and diffs with `repro report diff`.
+    # env + rulebase fingerprints and `repro report show` reads it.
     from repro.observe import RunReport
 
     report = RunReport.collect(

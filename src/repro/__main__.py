@@ -36,9 +36,8 @@ fingerprint, and repro version, so any semantic change is a miss.
 Every command also takes ``--report out.json`` to emit a
 schema-versioned run report (environment + rulebase fingerprints, phase
 timings, metrics snapshot, span summary, cache stats); ``python -m
-repro report diff A B --threshold 0.1`` compares two reports and exits
-non-zero on regression — the CI perf ratchet.  ``coverage --trace
-FILE`` writes a merged cross-process Chrome trace of the sweep.
+repro report show FILE`` summarizes one.  ``coverage --trace FILE``
+writes a merged cross-process Chrome trace of the sweep.
 """
 
 from __future__ import annotations
@@ -109,7 +108,7 @@ def _add_report_arg(p) -> None:
                    help="write a schema-versioned run-report JSON (env "
                         "+ rulebase fingerprints, phase timings, "
                         "metrics snapshot, span summary, cache stats); "
-                        "compare two with 'python -m repro report diff'")
+                        "summarize it with 'python -m repro report show'")
 
 
 def _target_list(name: str):
@@ -590,21 +589,6 @@ def cmd_report_show(args) -> int:
     return 0
 
 
-def cmd_report_diff(args) -> int:
-    """Compare two run reports; exit non-zero on regression."""
-    from .observe import diff_reports, format_diff, load_report
-
-    try:
-        old = load_report(args.baseline)
-        new = load_report(args.current)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    entries = diff_reports(old, new, threshold=args.threshold)
-    print(format_diff(entries, old, new))
-    return 1 if any(e.regressed for e in entries) else 0
-
-
 def cmd_cache(args) -> int:
     from .fabric import ResultCache
 
@@ -883,7 +867,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser(
         "report",
-        help="inspect/compare run reports (--report artifacts)",
+        help="inspect run reports (--report artifacts)",
     )
     rsub = p.add_subparsers(dest="action", required=True)
     pr = rsub.add_parser(
@@ -891,18 +875,6 @@ def main(argv=None) -> int:
     )
     pr.add_argument("report_file", metavar="REPORT")
     pr.set_defaults(fn=cmd_report_show)
-    pr = rsub.add_parser(
-        "diff",
-        help="compare two run reports; exit non-zero when any tracked "
-             "quantity regressed beyond --threshold (CI perf ratchet)",
-    )
-    pr.add_argument("baseline", metavar="BASELINE")
-    pr.add_argument("current", metavar="CURRENT")
-    pr.add_argument("--threshold", type=float, default=0.1,
-                    metavar="FRAC",
-                    help="tolerated relative worsening (default 0.1 = "
-                         "10%%)")
-    pr.set_defaults(fn=cmd_report_diff)
 
     p = sub.add_parser(
         "serve",

@@ -1,16 +1,13 @@
 """Compile-time analyses: interval (bounds) inference for predicated
-rules, plus lattice-parametric dataflow over linearized machine programs
-(:mod:`repro.analysis.dataflow`: liveness, reaching definitions,
-def-use chains, register pressure)."""
+rules, plus straight-line dataflow over linearized machine programs
+(:mod:`repro.analysis.dataflow`: def-use chains, liveness, register
+pressure)."""
 
 from .dataflow import (  # noqa: F401
-    DataflowAnalysis,
     MachineProgram,
     PressureReport,
     def_use_chains,
     liveness,
-    reaching_definitions,
     register_pressure,
-    solve,
 )
 from .intervals import BoundsAnalyzer, BoundsContext, Interval  # noqa: F401

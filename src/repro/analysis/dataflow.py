@@ -1,21 +1,17 @@
-"""Lattice-parametric dataflow analysis over linearized machine programs.
+"""Straight-line dataflow over linearized machine programs.
 
 The lowered form of a compiled program is a tree/DAG of target
 instructions; :func:`repro.machine.program.linearize` turns it into a
 straight-line register program (one :class:`AsmLine` per distinct value).
-This module gives that program the classic machine-level analyses an
-instruction scheduler or register allocator needs:
+PITCHFORK only compiles already-vectorized expressions, so every program
+here is straight-line, and each analysis is one sweep over the listing:
 
 * :class:`MachineProgram` — an indexed def/use view of the listing;
-* :class:`DataflowAnalysis` / :func:`solve` — a small lattice-parametric
-  forward/backward solver (the program is straight-line today, so the
-  fixpoint is reached in one sweep, but the framework is written against
-  the general worklist contract so a branching CFG — the ROADMAP's
-  whole-pipeline programs — only has to supply predecessors/successors);
-* canned analyses: :func:`def_use_chains`, :func:`liveness`,
-  :func:`reaching_definitions`, and :func:`register_pressure` (a
-  max-live-values report surfaced via
-  ``CompiledProgram.register_pressure()`` and the machine-lint RunReport).
+* :func:`def_use_chains` — one forward scan;
+* :func:`liveness` — one backward sweep from the program's result;
+* :func:`register_pressure` — a max-live-values report built on
+  liveness, surfaced via ``CompiledProgram.register_pressure()`` and
+  the machine-lint RunReport.
 
 Values tracked are *names*: virtual registers (``v3.i16``) defined by a
 line, and program inputs (free variables), which occupy a register from
@@ -40,13 +36,10 @@ from typing import (
 __all__ = [
     "MachineInstr",
     "MachineProgram",
-    "DataflowAnalysis",
-    "solve",
     "DefUse",
     "def_use_chains",
     "LivenessResult",
     "liveness",
-    "reaching_definitions",
     "PressureReport",
     "register_pressure",
 ]
@@ -142,70 +135,7 @@ class MachineProgram:
 
 
 # ----------------------------------------------------------------------
-# Generic solver
-# ----------------------------------------------------------------------
-class DataflowAnalysis:
-    """One dataflow problem: a lattice plus a per-instruction transfer.
-
-    Subclasses set ``direction`` (``"forward"`` or ``"backward"``) and
-    implement :meth:`boundary` (the state at program entry for forward
-    problems, at program exit for backward ones), :meth:`transfer`, and
-    :meth:`join` (the lattice least upper bound, used where control flow
-    merges — trivial on straight-line code, but part of the contract).
-    """
-
-    direction: str = "forward"
-
-    def boundary(self, program: MachineProgram):
-        raise NotImplementedError
-
-    def transfer(self, instr: MachineInstr, state):
-        raise NotImplementedError
-
-    def join(self, a, b):
-        raise NotImplementedError
-
-
-def solve(
-    analysis: DataflowAnalysis, program: MachineProgram
-) -> List[Tuple[Any, Any]]:
-    """Run ``analysis`` to fixpoint; per-instruction ``(in, out)`` states.
-
-    ``in``/``out`` are relative to *program order* regardless of the
-    analysis direction (for a backward analysis, ``in`` is the state
-    before the instruction in program order — its dataflow output).
-    Iterates until no state changes; on today's straight-line programs
-    that is exactly one sweep plus the convergence check.
-    """
-    n = len(program.instrs)
-    if n == 0:
-        return []
-    forward = analysis.direction == "forward"
-    order = range(n) if forward else range(n - 1, -1, -1)
-    states: List[List[Any]] = [[None, None] for _ in range(n)]
-    for _ in range(n + 1):
-        changed = False
-        carry = analysis.boundary(program)
-        for i in order:
-            ins = program.instrs[i]
-            before_slot, after_slot = (0, 1) if forward else (1, 0)
-            if states[i][before_slot] != carry:
-                states[i][before_slot] = carry
-                changed = True
-            carry = analysis.transfer(ins, carry)
-            if states[i][after_slot] != carry:
-                states[i][after_slot] = carry
-                changed = True
-        if not changed:
-            return [(s[0], s[1]) for s in states]
-    raise RuntimeError(
-        "dataflow did not converge on a straight-line program "
-        "(non-monotone transfer function?)"
-    )  # pragma: no cover - defensive
-
-
-# ----------------------------------------------------------------------
-# Canned analyses
+# Analyses
 # ----------------------------------------------------------------------
 @dataclass
 class DefUse:
@@ -246,25 +176,6 @@ def def_use_chains(program: MachineProgram) -> Dict[str, DefUse]:
     return chains
 
 
-class _Liveness(DataflowAnalysis):
-    """Backward may-liveness over frozensets of value names."""
-
-    direction = "backward"
-
-    def boundary(self, program: MachineProgram) -> FrozenSet[str]:
-        # The final definition is the program's result: live at exit.
-        result = program.result
-        return frozenset((result,)) if result is not None else frozenset()
-
-    def transfer(
-        self, instr: MachineInstr, state: FrozenSet[str]
-    ) -> FrozenSet[str]:
-        return (state - {instr.dst}) | frozenset(instr.uses)
-
-    def join(self, a: FrozenSet[str], b: FrozenSet[str]) -> FrozenSet[str]:
-        return a | b
-
-
 @dataclass
 class LivenessResult:
     """Per-instruction live sets (program-order ``in``/``out``)."""
@@ -279,36 +190,16 @@ class LivenessResult:
 
 
 def liveness(program: MachineProgram) -> LivenessResult:
-    """May-liveness of every value at every program point."""
-    states = solve(_Liveness(), program)
-    return LivenessResult(
-        live_in=[s[0] for s in states], live_out=[s[1] for s in states]
-    )
-
-
-class _Reaching(DataflowAnalysis):
-    """Forward reaching definitions (name -> defining index)."""
-
-    direction = "forward"
-
-    def boundary(self, program: MachineProgram):
-        return frozenset((name, -1) for name in program.inputs)
-
-    def transfer(self, instr: MachineInstr, state):
-        return frozenset(
-            (n, i) for n, i in state if n != instr.dst
-        ) | {(instr.dst, instr.index)}
-
-    def join(self, a, b):
-        return a | b
-
-
-def reaching_definitions(
-    program: MachineProgram,
-) -> List[FrozenSet[Tuple[str, int]]]:
-    """Per-instruction set of ``(name, def_index)`` pairs reaching its
-    entry (inputs carry ``def_index == -1``)."""
-    return [s[0] for s in solve(_Reaching(), program)]
+    """May-liveness of every value at every program point: one backward
+    sweep, starting from the result, the only value live at exit."""
+    live_in: List[FrozenSet[str]] = []
+    live_out: List[FrozenSet[str]] = []
+    live = frozenset((program.result,)) if program.instrs else frozenset()
+    for ins in reversed(program.instrs):
+        live_out.append(live)
+        live = (live - {ins.dst}) | frozenset(ins.uses)
+        live_in.append(live)
+    return LivenessResult(live_in=live_in[::-1], live_out=live_out[::-1])
 
 
 @dataclass

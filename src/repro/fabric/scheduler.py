@@ -136,7 +136,8 @@ class TaskResult:
     ok: bool
     value: Any = None
     error: Optional[str] = None
-    #: wall time of the task body (0.0 for cache hits)
+    #: wall time of the task body, off its ``task:<kind>`` span (0.0
+    #: for cache hits)
     seconds: float = 0.0
     #: pid of the process that executed the task
     pid: int = 0
@@ -218,39 +219,36 @@ def _execute(
     This is the function submitted to worker processes, so its return
     value must be picklable: ``(status, value, seconds, pid, started_s,
     span_payload, metrics_snapshot)`` — job kinds return JSON-ish data,
-    failures return the formatted exception.  When observing, the body
-    receives its own :class:`~repro.observe.Observation` (fresh tracer
-    + registry) whose serialized state rides home in the last two slots.
+    failures return the formatted exception.  The task's clock is its
+    ``task:<kind>`` root span, on a private :class:`Tracer`: ``seconds``
+    and ``started_s`` are read off it.  When observing, the body
+    receives its own :class:`~repro.observe.Observation` (fresh
+    registry; the span tracer only when the sweep traces) whose
+    serialized state rides home in the last two slots.
     """
     _ensure_registered()
     from ..observe import NullTracer, Observation, Tracer
 
-    tracer = Tracer() if observe_spans else NullTracer()
+    tracer = Tracer()
     obs = (
-        Observation(tracer=tracer, rule_events=False)
+        Observation(tracer=tracer if observe_spans else NullTracer(),
+                    rule_events=False)
         if (observe_metrics or observe_spans)
         else None
     )
-    started_s = time.time()
-    t0 = time.perf_counter()
-    root = None
-    try:
-        kind = _JOB_KINDS[spec.kind]
-        with tracer.span(
-            f"task:{spec.kind}", key="/".join(spec.key)
-        ) as root:
-            value = kind.fn(spec, obs)
-        status, out = "ok", value
-    except KeyboardInterrupt:  # pragma: no cover - let ^C kill the sweep
-        raise
-    except BaseException as exc:
-        status, out = "error", f"{type(exc).__name__}: {exc}"
-    seconds = time.perf_counter() - t0
-    if root is not None and tracer.enabled:
-        # Stamp the outcome on the (already closed) root span so the
-        # merged timeline can color failures without a side table.
-        root.args["outcome"] = status if status == "ok" else "failed"
-        root.args["pid"] = os.getpid()
+    with tracer.span(f"task:{spec.kind}", key="/".join(spec.key)) as root:
+        try:
+            status, out = "ok", _JOB_KINDS[spec.kind].fn(spec, obs)
+        except KeyboardInterrupt:  # pragma: no cover - ^C kills the sweep
+            raise
+        except BaseException as exc:
+            status, out = "error", f"{type(exc).__name__}: {exc}"
+    # Stamp the outcome on the closed root span so the merged timeline
+    # can color failures without a side table.
+    root.args["outcome"] = status if status == "ok" else "failed"
+    root.args["pid"] = os.getpid()
+    seconds = root.duration_us / 1e6
+    started_s = tracer.epoch_s + root.start_us / 1e6
     span_payload = tracer.to_payload() if observe_spans else None
     snapshot = (
         obs.metrics.to_dict()

@@ -17,8 +17,7 @@ Three cooperating primitives, bundled by :class:`Observation`:
 schema-versioned :class:`RunReport` JSON (``--report out.json`` on every
 CLI command) with environment/rulebase fingerprints, per-phase wall
 clock, the metrics snapshot, a span summary with critical path, and
-cache stats; ``python -m repro report diff A B`` compares two of them
-and exits non-zero on regression.
+cache stats; ``python -m repro report show FILE`` summarizes one.
 
 The contract is *opt-in, near-zero overhead when off*: the hot paths
 (:mod:`repro.trs.rewriter`, the lowerer) take an optional
@@ -40,8 +39,6 @@ from .observation import Observation
 from .provenance import Provenance, ProvenanceEntry
 from .report import (
     RunReport,
-    diff_reports,
-    format_diff,
     load_report,
     span_summary,
 )
@@ -59,8 +56,6 @@ __all__ = [
     "QUANTILE_RELATIVE_ERROR",
     "RunReport",
     "Tracer",
-    "diff_reports",
-    "format_diff",
     "load_report",
     "span_summary",
 ]

@@ -12,13 +12,9 @@ captures *what ran and how fast* —
 * a span summary with the critical path (:func:`span_summary`),
 * result-cache hit/miss/store counts.
 
-Reports from different runs diff structurally:
-:func:`diff_reports` pairs up every comparable scalar (phase seconds,
-counters, histogram means), applies a direction heuristic (``seconds`` /
-``cycles`` / ``misses`` are better lower; ``speedup`` / ``hits`` better
-higher), and flags relative changes beyond a threshold.  ``python -m
-repro report diff A B --threshold 0.1`` exits non-zero when any tracked
-quantity regressed — a lightweight perf ratchet for CI.
+``python -m repro report show FILE`` summarizes one.  A report records
+a run; it does not judge one: speed claims are measured and compared by
+the end-to-end benchmark (``benchmarks/e2e``).
 
 The schema is versioned (:data:`SCHEMA_VERSION`); consumers should
 reject majors they don't know.  Schema ``repro-report/1``::
@@ -47,29 +43,19 @@ import platform
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 __all__ = [
-    "DiffEntry",
     "RunReport",
     "SCHEMA_VERSION",
-    "diff_reports",
     "environment_info",
     "fingerprint_info",
-    "format_diff",
     "load_report",
     "span_summary",
 ]
 
 #: current report schema; bump the major on breaking layout changes
 SCHEMA_VERSION = "repro-report/1"
-
-#: name *suffixes* whose values are better when lower
-_LOWER_SUFFIXES = ("seconds", "_s", "_us", "cycles")
-#: name *substrings* whose values are better when lower
-_LOWER_SUBSTRINGS = ("miss", "fail", "error")
-#: name substrings whose values are better when higher
-_HIGHER_MARKERS = ("speedup", "hit", "coverage", "verified")
 
 
 def environment_info() -> Dict[str, Any]:
@@ -87,11 +73,8 @@ def environment_info() -> Dict[str, Any]:
 
 
 def fingerprint_info() -> Dict[str, Any]:
-    """Repro version plus the effective rulebase fingerprint per target.
-
-    A report diff across different fingerprints compares apples to
-    oranges — the diff output calls that out rather than refusing.
-    """
+    """Repro version plus the effective rulebase fingerprint per target,
+    which name the compiler a report measured."""
     from ..fabric.fingerprint import (
         pipeline_rules_fingerprint,
         repro_version,
@@ -283,161 +266,3 @@ def load_report(path: str) -> Dict[str, Any]:
         )
     return doc
 
-
-def _direction(name: str) -> Optional[str]:
-    """Heuristic comparison direction for a metric name.
-
-    ``"lower"`` — regressions are increases (seconds, cycles, misses);
-    ``"higher"`` — regressions are decreases (speedups, hit counts);
-    ``None`` — informational only, never flagged.  Lower-better markers
-    win ties (``cache_hit_misses`` counts as lower-better).
-    """
-    low = name.lower()
-    if low.endswith(_LOWER_SUFFIXES) or any(
-        m in low for m in _LOWER_SUBSTRINGS
-    ):
-        return "lower"
-    if any(m in low for m in _HIGHER_MARKERS):
-        return "higher"
-    return None
-
-
-def _labels_suffix(labels: Dict[str, Any]) -> str:
-    """Stable ``{k=v,...}`` rendering of a label dict for diff keys."""
-    if not labels:
-        return ""
-    inner = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
-    return "{" + inner + "}"
-
-
-def _comparables(doc: Dict[str, Any]) -> Dict[str, Tuple[float, str]]:
-    """Flatten a report into ``{key: (value, direction)}`` scalars.
-
-    Covers phase durations, counters, histogram means, and numeric
-    leaves of ``extra``; entries with no heuristic direction are
-    dropped (they cannot regress).
-    """
-    out: Dict[str, Tuple[float, str]] = {}
-    for p in doc.get("phases", ()):
-        out[f"phase:{p['name']}.seconds"] = (p["seconds"], "lower")
-    m = doc.get("metrics") or {}
-    for c in m.get("counters", ()):
-        d = _direction(c["name"])
-        if d is not None:
-            key = f"counter:{c['name']}{_labels_suffix(c['labels'])}"
-            out[key] = (float(c["value"]), d)
-    for h in m.get("histograms", ()):
-        d = _direction(h["name"])
-        if d is not None and h.get("count"):
-            key = f"hist:{h['name']}{_labels_suffix(h['labels'])}.mean"
-            out[key] = (float(h["mean"]), d)
-
-    def walk_extra(prefix: str, node: Any) -> None:
-        if isinstance(node, dict):
-            for k, v in node.items():
-                walk_extra(f"{prefix}.{k}" if prefix else str(k), v)
-        elif isinstance(node, (int, float)) and not isinstance(node, bool):
-            d = _direction(prefix)
-            if d is not None:
-                out[f"extra:{prefix}"] = (float(node), d)
-
-    walk_extra("", doc.get("extra") or {})
-    return out
-
-
-@dataclass
-class DiffEntry:
-    """One compared scalar between two reports."""
-
-    key: str
-    old: float
-    new: float
-    direction: str
-    #: relative change in the *bad* direction (positive == worse)
-    change: float
-    #: True when ``change`` exceeds the diff threshold
-    regressed: bool
-
-
-def diff_reports(
-    old: Dict[str, Any],
-    new: Dict[str, Any],
-    threshold: float = 0.1,
-) -> List[DiffEntry]:
-    """Compare two report documents; flag relative regressions.
-
-    Only keys present in *both* reports are compared (a disappeared
-    metric is a schema change, not a regression), and baselines of
-    ``<= 0`` are skipped — a relative ratchet has no footing there.
-    ``threshold`` is the tolerated relative worsening (0.1 == 10%).
-    Entries come back sorted worst-first.
-    """
-    a = _comparables(old)
-    b = _comparables(new)
-    entries: List[DiffEntry] = []
-    for key in sorted(a.keys() & b.keys()):
-        old_v, direction = a[key]
-        new_v = b[key][0]
-        if old_v <= 0:
-            continue
-        rel = (new_v - old_v) / old_v
-        change = rel if direction == "lower" else -rel
-        entries.append(
-            DiffEntry(
-                key=key,
-                old=old_v,
-                new=new_v,
-                direction=direction,
-                change=change,
-                regressed=change > threshold,
-            )
-        )
-    entries.sort(key=lambda e: -e.change)
-    return entries
-
-
-def format_diff(
-    entries: List[DiffEntry],
-    old: Optional[Dict[str, Any]] = None,
-    new: Optional[Dict[str, Any]] = None,
-    limit: int = 20,
-) -> str:
-    """Human-readable diff table (worst ``limit`` rows + a verdict line).
-
-    When both report documents are supplied, a mismatch of rulebase
-    fingerprints is called out — such diffs compare different compilers —
-    and so is a numpy-version mismatch, since numpy-backend timings (and
-    its cache keys) are pinned to the installed numpy.
-    """
-    lines: List[str] = []
-    if old is not None and new is not None:
-        fa = (old.get("fingerprints") or {}).get("rulebase")
-        fb = (new.get("fingerprints") or {}).get("rulebase")
-        if fa != fb:
-            lines.append(
-                "warning: rulebase fingerprints differ — "
-                "reports measured different rule sets"
-            )
-        na = (old.get("env") or {}).get("numpy")
-        nb = (new.get("env") or {}).get("numpy")
-        if na != nb:
-            lines.append(
-                f"warning: numpy versions differ ({na} vs {nb}) — "
-                "numpy-backend timings and cache keys may drift"
-            )
-    regressed = [e for e in entries if e.regressed]
-    lines.append(
-        f"{len(entries)} comparable metrics, {len(regressed)} regressed"
-    )
-    shown = entries[:limit]
-    if shown:
-        w = max(len(e.key) for e in shown)
-        for e in shown:
-            flag = " REGRESSED" if e.regressed else ""
-            lines.append(
-                f"  {e.key:<{w}} {e.old:>12.6g} -> {e.new:>12.6g} "
-                f"({e.change:+.1%}{flag})"
-            )
-    if len(entries) > limit:
-        lines.append(f"  ... {len(entries) - limit} more")
-    return "\n".join(lines)

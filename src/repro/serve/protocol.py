@@ -7,12 +7,15 @@ Requests::
      "params": {"workload": "sobel3x3", "target": "arm-neon"},
      "deadline_s": 5.0}
 
-``id`` is any JSON scalar chosen by the client and echoed verbatim on
-the reply — replies may arrive out of order (the daemon batches and
-shards requests), so clients match by ``id``, not position.
-``deadline_s`` is a relative per-request budget in seconds; a request
-the daemon cannot *finish* within it gets a structured ``deadline``
-error instead of a stale result.
+``id`` is any JSON scalar (string, number, boolean or null) chosen by
+the client and echoed verbatim on the reply — replies may arrive out of
+order (the daemon batches and shards requests), so clients match by
+``id``, not position.  ``deadline_s`` is a relative per-request budget
+in seconds; a request the daemon cannot *finish* within it gets a
+structured ``deadline`` error instead of a stale result.  A frame whose
+``id`` is an object or array, or that holds a number JSON cannot carry
+(``NaN``, ``Infinity``, or a literal past the float range) anywhere, is
+a ``bad-request`` with a null ``id``.
 
 Replies are ``{"id": ..., "ok": true, "result": {...}, "cached": bool,
 "seconds": float}`` on success and ``{"id": ..., "ok": false, "error":
@@ -43,8 +46,9 @@ answered on the event loop without touching the batcher.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, NoReturn, Optional
 
 from ..fabric import TaskSpec, encode_value, get_job_kind
 
@@ -107,21 +111,42 @@ class Request:
     deadline_s: Optional[float] = None
 
 
+def _not_json(name: str) -> NoReturn:
+    """``parse_constant`` hook: ``NaN`` and ``Infinity`` are not JSON."""
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _finite_float(text: str) -> float:
+    """``parse_float`` hook: a literal past the float range is not a
+    number JSON can carry back (it would decode to infinity)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is out of the float range")
+    return value
+
+
+_DECODER = json.JSONDecoder(parse_constant=_not_json,
+                            parse_float=_finite_float)
+
+
 def parse_request(line: bytes) -> Request:
     """Parse one frame; raises :class:`ProtocolError` on malformed input.
 
-    The ``id`` of a frame that fails to parse as a JSON object is
-    unknowable — the error reply carries ``id: null``; clients that
-    pipeline must treat a null-id error as poisoning the whole batch.
+    The ``id`` of a frame that fails to parse as a JSON object, holds a
+    non-JSON number or carries a non-scalar ``id`` is not echoed — the
+    error reply carries ``id: null``; clients that pipeline must treat a
+    null-id error as poisoning the whole batch.
     """
     try:
-        doc = json.loads(line.decode("utf-8"))
+        doc = _DECODER.decode(line.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
         raise ProtocolError("bad-request", f"unparsable frame: {exc}")
     if not isinstance(doc, dict):
         raise ProtocolError(
             "bad-request", f"frame must be a JSON object, got {type(doc).__name__}"
         )
+    if not isinstance(doc.get("id"), (str, int, float, type(None))):
+        raise ProtocolError("bad-request", "'id' must be a JSON scalar")
     op = doc.get("op")
     if not isinstance(op, str):
         raise ProtocolError("bad-request", "missing or non-string 'op'")

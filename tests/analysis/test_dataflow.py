@@ -1,22 +1,19 @@
-"""The dataflow framework: solver, canned analyses, pressure report.
+"""Straight-line dataflow: program view, analyses, pressure report.
 
-The hypothesis property pins the lattice liveness solver against a
-brute-force per-name recomputation (scan forward from each point for a
-use before a redefinition) on the lowered programs of the full workload
-x target matrix — the two formulations only agree when the transfer
-function, the boundary condition and the program-order bookkeeping are
+The brute-force test pins the liveness sweep against a per-name
+recomputation (scan forward from each point for a use before a
+redefinition) at every instruction of the lowered programs of all 48
+paper cells — the two formulations only agree when the transfer, the
+result-is-live-at-exit boundary and the program-order bookkeeping are
 all right.
 """
 
-import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
 
 from repro.analysis.dataflow import (
     MachineProgram,
     def_use_chains,
     liveness,
-    reaching_definitions,
     register_pressure,
 )
 from repro.pipeline import pitchfork_compile
@@ -80,13 +77,6 @@ class TestCannedAnalyses:
         assert live.live_out[1] == frozenset({"t1"})
         assert live.live_across(0) == frozenset({"a", "b", "t0"})
 
-    def test_reaching_definitions(self, diamond):
-        reach = reaching_definitions(diamond)
-        assert reach[0] == frozenset({("a", -1), ("b", -1)})
-        assert reach[1] == frozenset(
-            {("a", -1), ("b", -1), ("t0", 0)}
-        )
-
     def test_redefinition_kills(self):
         p = MachineProgram.from_lines(
             [
@@ -95,8 +85,6 @@ class TestCannedAnalyses:
             ],
             inputs=["a"],
         )
-        reach = reaching_definitions(p)
-        assert ("t0", 0) in reach[1]
         live = liveness(p)
         assert "t0" not in live.live_in[0]
 
@@ -111,27 +99,14 @@ class TestCannedAnalyses:
 
 
 # ----------------------------------------------------------------------
-# Property: solver liveness == brute force, over the compiled matrix
+# Liveness == brute force at every instruction of the paper matrix
 # ----------------------------------------------------------------------
 _CELLS = [(w, t.name) for w in WORKLOADS for t in PAPER_TARGETS]
-_PROGRAMS = {}
-
-
-def _program(cell):
-    view = _PROGRAMS.get(cell)
-    if view is None:
-        wl_name, target_name = cell
-        wl = by_name(wl_name)
-        prog = pitchfork_compile(
-            wl.expr, target_by_name(target_name), var_bounds=wl.var_bounds
-        )
-        view = _PROGRAMS[cell] = MachineProgram.from_expr(prog.lowered)
-    return view
 
 
 def _brute_live_in(program, name, index):
     """Is ``name`` live entering ``index``?  Scan forward for a use
-    before a redefinition — the definition of liveness, no lattice."""
+    before a redefinition — the definition of liveness, no sweep."""
     for ins in program.instrs[index:]:
         if name in ins.uses:
             return True
@@ -140,20 +115,20 @@ def _brute_live_in(program, name, index):
     return name == program.result
 
 
-@settings(max_examples=60, deadline=None)
-@given(cell=st.sampled_from(_CELLS), data=st.data())
-def test_liveness_matches_brute_force(cell, data):
-    program = _program(cell)
-    live = liveness(program)
-    names = set(program.inputs) | {i.dst for i in program.instrs}
-    index = data.draw(st.integers(0, len(program) - 1))
-    expected = frozenset(
-        n for n in names if _brute_live_in(program, n, index)
-    )
-    assert live.live_in[index] == expected, (
-        f"{'@'.join(cell)} live-in mismatch at instruction {index}"
-    )
-    expected_out = frozenset(
-        n for n in names if _brute_live_in(program, n, index + 1)
-    ) if index + 1 < len(program) else frozenset({program.result})
-    assert live.live_out[index] == expected_out
+def test_liveness_matches_brute_force():
+    assert len(_CELLS) == 48
+    for wl_name, target_name in _CELLS:
+        wl = by_name(wl_name)
+        program = MachineProgram.from_expr(pitchfork_compile(
+            wl.expr, target_by_name(target_name), var_bounds=wl.var_bounds
+        ).lowered)
+        live = liveness(program)
+        names = set(program.inputs) | {i.dst for i in program.instrs}
+        for index in range(len(program)):
+            where = f"{wl_name}@{target_name} instruction {index}"
+            assert live.live_in[index] == frozenset(
+                n for n in names if _brute_live_in(program, n, index)
+            ), f"{where}: live-in mismatch"
+            assert live.live_out[index] == frozenset(
+                n for n in names if _brute_live_in(program, n, index + 1)
+            ), f"{where}: live-out mismatch"

@@ -32,6 +32,11 @@ def _t_fail(spec, obs):
     return spec.key[0]
 
 
+@job_kind("t-tracing")
+def _t_tracing(spec, obs):
+    return obs.tracer.enabled
+
+
 @job_kind("t-crash")
 def _t_crash(spec, obs):
     if spec.key[0] == "crash":
@@ -132,6 +137,30 @@ class TestTelemetry:
         assert len(spans) == 3
         assert all(s.args["outcome"] == "ok" for s in spans)
         assert all(s.args["pid"] == os.getpid() for s in spans)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_task_seconds_are_read_off_the_task_span(self, jobs):
+        # One clock: an executed task's seconds and start are its
+        # task:<kind> span's, exactly as the merged trace shows them.
+        tracer = Tracer()
+        keys = ["a", "bad", "b", "c", "d"]
+        results = run_tasks([TaskSpec("t-fail", (k,)) for k in keys],
+                            jobs=jobs, tracer=tracer)
+        spans = {s.args["key"]: s for s in tracer.spans
+                 if s.name == "task:t-fail"}
+        assert sorted(spans) == sorted(keys)
+        for res in results:
+            span = spans[res.spec.key[0]]
+            assert res.seconds == span.duration_us / 1e6
+            assert tracer.wall_us(res.started_s) == pytest.approx(
+                span.start_us, abs=1.0
+            )
+
+    def test_body_traces_only_when_the_sweep_does(self):
+        spec = TaskSpec("t-tracing", ("x",))
+        (untraced,) = run_tasks([spec], metrics=MetricsRegistry())
+        (traced,) = run_tasks([spec], tracer=Tracer())
+        assert (untraced.value, traced.value) == (False, True)
 
 
 class TestWorkerPool:

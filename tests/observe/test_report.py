@@ -1,6 +1,5 @@
-"""Unit tests for the run-report subsystem (build/write/load/diff)."""
+"""Unit tests for the run-report subsystem (build/write/load)."""
 
-import copy
 import json
 
 import pytest
@@ -9,8 +8,6 @@ from repro.observe import (
     MetricsRegistry,
     RunReport,
     Tracer,
-    diff_reports,
-    format_diff,
     load_report,
     span_summary,
 )
@@ -132,71 +129,3 @@ class TestSpanSummary:
         if names[0] == "sweep":
             assert "compile" not in names
 
-
-class TestDiff:
-    def test_self_diff_has_no_regressions(self, tmp_path):
-        doc = _sample_report(tmp_path)
-        entries = diff_reports(doc, doc, threshold=0.0)
-        assert entries  # phases + histogram means are comparable
-        assert not any(e.regressed for e in entries)
-        assert all(e.change == 0.0 for e in entries)
-
-    def test_injected_regression_is_flagged(self, tmp_path):
-        doc = _sample_report(tmp_path)
-        worse = copy.deepcopy(doc)
-        for p in worse["phases"]:
-            p["seconds"] *= 2.0
-        entries = diff_reports(doc, worse, threshold=0.5)
-        flagged = [e for e in entries if e.regressed]
-        assert {e.key for e in flagged} == {
-            "phase:compile.seconds",
-            "phase:verify.seconds",
-        }
-        assert all(e.change == pytest.approx(1.0) for e in flagged)
-
-    def test_threshold_gates_the_flag(self, tmp_path):
-        doc = _sample_report(tmp_path)
-        worse = copy.deepcopy(doc)
-        for p in worse["phases"]:
-            p["seconds"] *= 1.05
-        assert not any(
-            e.regressed for e in diff_reports(doc, worse, threshold=0.1)
-        )
-        assert any(
-            e.regressed for e in diff_reports(doc, worse, threshold=0.01)
-        )
-
-    def test_higher_is_better_direction(self):
-        a = {"schema_version": SCHEMA_VERSION, "phases": [],
-             "extra": {"geomean_speedup": {"arm-neon": 2.0}}}
-        b = copy.deepcopy(a)
-        b["extra"]["geomean_speedup"]["arm-neon"] = 1.0
-        entries = diff_reports(a, b, threshold=0.1)
-        (e,) = entries
-        assert e.direction == "higher"
-        assert e.regressed
-        # The other way round is an improvement, not a regression.
-        assert not any(e.regressed for e in diff_reports(b, a))
-
-    def test_missing_keys_are_skipped(self):
-        a = {"schema_version": SCHEMA_VERSION,
-             "phases": [{"name": "x", "seconds": 1.0}]}
-        b = {"schema_version": SCHEMA_VERSION, "phases": []}
-        assert diff_reports(a, b) == []
-
-    def test_format_diff_warns_on_fingerprint_mismatch(self, tmp_path):
-        doc = _sample_report(tmp_path)
-        other = copy.deepcopy(doc)
-        other["fingerprints"]["rulebase"] = {"lift-only": "deadbeef"}
-        text = format_diff(diff_reports(doc, other), doc, other)
-        assert "rulebase fingerprints differ" in text
-
-    def test_format_diff_counts_regressions(self, tmp_path):
-        doc = _sample_report(tmp_path)
-        worse = copy.deepcopy(doc)
-        for p in worse["phases"]:
-            p["seconds"] *= 10.0
-        entries = diff_reports(doc, worse, threshold=0.5)
-        text = format_diff(entries, doc, worse)
-        assert "2 regressed" in text
-        assert "REGRESSED" in text

@@ -403,6 +403,24 @@ class TestErrors:
         assert reply["id"] is None
         assert reply["error"]["code"] == "bad-request"
 
+    @pytest.mark.parametrize("line", [
+        b'{"id": {"b": [1, NaN]}, "op": "ping"}',
+        b'{"id": 3, "op": "ping", "deadline_s": Infinity}',
+    ])
+    def test_non_json_frame_gets_one_null_id_error(self, client, line):
+        # Exactly one null-id bad-request, then the same connection
+        # serves on: the next reply is the ping's own.
+        client._file.write(line + b"\n")
+        client._file.flush()
+        reply = client.recv()
+        assert (reply["ok"], reply["id"], reply["error"]["code"]) == (
+            False, None, "bad-request"
+        )
+        pong = client.request("ping")
+        assert (pong["id"], pong["result"]["pong"]) == (
+            client._next_id, True
+        )
+
     def test_oversize_line_gets_one_reply_then_close(self, served):
         # A line past the stream limit cannot be resynchronised: one
         # null-id bad-request naming the limit, then the connection

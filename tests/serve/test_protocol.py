@@ -54,7 +54,28 @@ class TestParseRequest:
         assert req.deadline_s == 5.0
 
     def test_id_is_any_scalar_echoed_verbatim(self):
-        assert parse_request(_frame(op="ping", id="abc")).id == "abc"
+        for req_id in ("abc", 7, -1.5, True, None):
+            assert parse_request(_frame(op="ping", id=req_id)).id == req_id
+
+    @pytest.mark.parametrize("line", [
+        b'{"id": {"b": [1, NaN]}, "op": "ping"}',
+        b'{"id": [1], "op": "ping"}',
+        b'{"id": {}, "op": "ping"}',
+        b'{"id": NaN, "op": "ping"}',
+        b'{"id": 1e400, "op": "ping"}',
+        b'{"op": "ping", "deadline_s": NaN}',
+        b'{"op": "ping", "deadline_s": Infinity}',
+        b'{"op": "ping", "deadline_s": 1e999}',
+        b'{"op": "compile", "params": {"seed": -Infinity}}',
+    ])
+    def test_non_json_numbers_and_non_scalar_ids_are_bad_request(
+        self, line
+    ):
+        # Such an id cannot be echoed in a strict JSON reply, and such a
+        # deadline never expires: the frame is refused as a whole.
+        with pytest.raises(ProtocolError) as exc:
+            parse_request(line)
+        assert exc.value.code == "bad-request"
 
     @pytest.mark.parametrize("line", [
         b"not json\n",

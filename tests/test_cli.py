@@ -256,7 +256,7 @@ class TestFabricOptions:
 
 
 class TestRunReports:
-    """--report artifacts and the report show/diff subcommands."""
+    """--report artifacts and the report show subcommand."""
 
     def _emit(self, tmp_path, name="r.json"):
         path = tmp_path / name
@@ -332,31 +332,10 @@ class TestRunReports:
         assert "command: compile" in out
         assert "phase compile:x86-avx2" in out
 
-    def test_report_self_diff_exits_zero(self, tmp_path, capsys):
-        path = self._emit(tmp_path)
-        capsys.readouterr()
-        assert main(["report", "diff", str(path), str(path)]) == 0
-        assert "0 regressed" in capsys.readouterr().out
-
-    def test_report_diff_flags_regression(self, tmp_path, capsys):
-        path = self._emit(tmp_path)
-        doc = json.loads(path.read_text())
-        for p in doc["phases"]:
-            p["seconds"] *= 3.0
-        worse = tmp_path / "worse.json"
-        worse.write_text(json.dumps(doc))
-        capsys.readouterr()
-        assert main(["report", "diff", str(path), str(worse),
-                     "--threshold", "0.5"]) == 1
-        assert "REGRESSED" in capsys.readouterr().out
-        # The same pair under a huge threshold passes.
-        assert main(["report", "diff", str(path), str(worse),
-                     "--threshold", "5.0"]) == 0
-
-    def test_report_diff_rejects_non_reports(self, tmp_path, capsys):
+    def test_report_show_rejects_non_reports(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.json"
         bogus.write_text("{}")
-        assert main(["report", "diff", str(bogus), str(bogus)]) == 2
+        assert main(["report", "show", str(bogus)]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_evaluate_all_report_carries_sweep_metrics(self, tmp_path,
