@@ -62,7 +62,6 @@ def _start_daemon(cache_root):
     async def amain():
         daemon = ServeDaemon(
             session=CompilerSession(cache=ResultCache(root=cache_root)),
-            batch_window_s=0.002,
         )
         await daemon.start()
         holder["daemon"] = daemon

@@ -22,7 +22,7 @@ cache       inspect/clear the persistent result cache; print the
             rulebase fingerprint (CI cache keys)
 serve       long-lived compile-as-a-service daemon: line-delimited
             JSON requests (compile/evaluate/coverage/verify-rule/lint)
-            batched onto warm compiler state; Prometheus /metrics
+            answered from warm compiler state; Prometheus /metrics
 client      thin client for the serve daemon (scripting and CI)
 
 Sweep-shaped commands (evaluate, coverage, rules --verify, lint
@@ -637,8 +637,6 @@ def cmd_serve(args) -> int:
     session = CompilerSession.from_args(args)
     daemon = ServeDaemon(
         session=session,
-        batch_window_s=args.batch_window_ms / 1000.0,
-        max_batch=args.max_batch,
         report_path=args.report,
         trace_path=args.trace,
     )
@@ -879,7 +877,7 @@ def main(argv=None) -> int:
     p = sub.add_parser(
         "serve",
         help="run the compile-as-a-service daemon: line-delimited JSON "
-             "requests over TCP or a unix socket, batched onto warm "
+             "requests over TCP or a unix socket, answered from warm "
              "compiler state",
     )
     p.add_argument("--host", default="127.0.0.1",
@@ -889,14 +887,6 @@ def main(argv=None) -> int:
                         "print it)")
     p.add_argument("--unix", metavar="PATH",
                    help="serve on a unix socket instead of TCP")
-    p.add_argument("--batch-window-ms", type=float, default=2.0,
-                   metavar="MS", dest="batch_window_ms",
-                   help="how long to wait for concurrent requests to "
-                        "coalesce into one fabric batch (default 2ms; "
-                        "0 disables the wait)")
-    p.add_argument("--max-batch", type=int, default=64, metavar="N",
-                   help="largest request batch per fabric dispatch "
-                        "(default 64)")
     p.add_argument("--metrics-port", type=int, default=None,
                    metavar="N", dest="metrics_port",
                    help="also serve GET /metrics (Prometheus text "
@@ -904,7 +894,7 @@ def main(argv=None) -> int:
                         "(0: pick a free port)")
     p.add_argument("--trace", metavar="FILE",
                    help="on shutdown, write a Chrome trace of every "
-                        "batch (worker spans merged onto the daemon "
+                        "task (worker spans merged onto the daemon "
                         "timeline)")
     _add_fabric_args(p)
     _add_report_arg(p)

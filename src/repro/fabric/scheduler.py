@@ -12,9 +12,9 @@ Guarantees:
 * **Determinism** — results are merged in input order no matter which
   worker finished first; a ``jobs=N`` sweep produces the same result
   list as ``jobs=1``.
-* **Serial default** — ``jobs=1`` runs every task inline in the calling
-  process: no pool, no pickling, byte-identical to the pre-fabric code
-  paths.
+* **Serial default** — ``jobs=1`` without a pool runs every task inline
+  in the calling process: no pickling, byte-identical to the pre-fabric
+  code paths.
 * **Failure isolation** — a task that raises (or whose worker process
   dies) yields a failed :class:`TaskResult`; the sweep continues.  A
   broken pool is rebuilt for the tasks it took down, so one poisoned
@@ -44,6 +44,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import threading
 import time
 import typing
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -278,11 +279,12 @@ class WorkerPool:
 
     ``run_tasks`` historically built (and tore down) a fresh
     ``ProcessPoolExecutor`` per call — fine for one-shot sweeps, wasteful
-    for a long-lived service dispatching many small batches.  A
+    for a long-lived service dispatching many small tasks.  A
     ``WorkerPool`` owns one executor across calls; pass it as
     ``run_tasks(..., pool=...)`` and the scheduler fans out over it
-    without shutting it down afterwards.  One-shot paths (no ``pool``)
-    keep the per-call executor, byte-identically.
+    without shutting it down afterwards; several threads may fan out
+    over it at once.  One-shot paths (no ``pool``) keep the per-call
+    executor, byte-identically.
 
     **Warm fork**: ``warm_up`` (optional) runs in the parent *before* the
     first worker exists.  On platforms with the ``fork`` start method
@@ -308,6 +310,7 @@ class WorkerPool:
         self._warm_up = warm_up
         if warm_up is not None:
             warm_up()
+        self._lock = threading.Lock()
         self._executor: Optional[ProcessPoolExecutor] = None
         self._make_executor()
 
@@ -326,17 +329,22 @@ class WorkerPool:
             raise RuntimeError("worker pool has been shut down")
         return self._executor
 
-    def rebuild(self) -> None:
-        """Replace a broken executor with a fresh one (same size)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-        self._make_executor()
+    def rebuild(self, broken: ProcessPoolExecutor) -> None:
+        """Replace ``broken``, the executor a caller saw break, with a
+        fresh one (same size) — unless another caller already has: all
+        tasks in flight see one breakage, and a second rebuild would
+        cancel what was already submitted to the first's replacement."""
+        with self._lock:
+            if self._executor is broken:
+                broken.shutdown(wait=False, cancel_futures=True)
+                self._make_executor()
 
     def shutdown(self, wait: bool = True) -> None:
         """Release the workers; the pool is unusable afterwards."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=wait, cancel_futures=True)
-            self._executor = None
+        with self._lock:
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=wait, cancel_futures=True)
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -367,11 +375,10 @@ def run_tasks(
     snapshot and span list are merged back here (see the module
     docstring).
 
-    ``pool`` is an optional persistent :class:`WorkerPool`: when given
-    (and sized above one worker), fan-out reuses its executor instead of
-    building a fresh one, and leaves it running afterwards — the
-    long-lived-service path.  Without a pool the behaviour is exactly
-    the historical per-call executor.
+    ``pool`` is an optional persistent :class:`WorkerPool`: when given,
+    every miss runs on its executor instead of a fresh one, which is
+    left running afterwards — the long-lived-service path.  Without a
+    pool the behaviour is exactly the historical per-call executor.
 
     The three phases are public so a service can answer each request
     as soon as its own phase allows: :func:`lookup_task`,
@@ -459,9 +466,11 @@ def execute_tasks(
     successful value is stored under its key, and then ``on_result(i,
     result)`` is called with the miss's index, so a caller can answer
     one task while the others still run, and a repeat sent after that
-    answer is a hit.  ``jobs>1`` (or a ``pool``) fans out over worker
-    processes when there is more than one miss; the ``observe_*`` flags
-    hand each task its own :class:`~repro.observe.Observation`.
+    answer is a hit.  Given a ``pool``, every task runs in one of its
+    workers, however few there are, so a service never runs a task body
+    in its own process.  Without one, tasks run inline unless
+    ``jobs>1`` and there is more than one miss.  The ``observe_*``
+    flags hand each task its own :class:`~repro.observe.Observation`.
     """
 
     def finish(i: int, res: TaskResult) -> None:
@@ -470,10 +479,8 @@ def execute_tasks(
             cache.put(res.spec.kind, ckey, res.value)
         on_result(i, res)
 
-    if pool is not None:
-        jobs = pool.jobs
     specs = [spec for spec, _ckey in misses]
-    if jobs <= 1 or len(specs) <= 1:
+    if pool is None and (jobs <= 1 or len(specs) <= 1):
         for i, spec in enumerate(specs):
             finish(i, _to_result(
                 spec, _execute(spec, observe_metrics, observe_spans)
@@ -564,8 +571,10 @@ def _run_pool(
 
     With a persistent ``pool`` the executor is borrowed, not owned: it
     is left running on exit, and a breakage triggers
-    :meth:`WorkerPool.rebuild` so the *next* batch gets a healthy pool
-    (the retry path below already covers this batch's casualties).
+    :meth:`WorkerPool.rebuild` so the *next* call gets a healthy pool
+    (the retry path below already covers this call's casualties).
+    Several threads may share the pool: one that submits to an executor
+    another's tasks just broke retries its tasks the same way.
     """
     broken: List[int] = []
     executor_cm = (
@@ -574,12 +583,14 @@ def _run_pool(
         else ProcessPoolExecutor(max_workers=jobs)
     )
     with executor_cm as executor:
-        futures = {
-            executor.submit(
-                _execute, spec, observe_metrics, observe_spans
-            ): i
-            for i, spec in enumerate(specs)
-        }
+        futures = {}
+        for i, spec in enumerate(specs):
+            try:
+                futures[executor.submit(
+                    _execute, spec, observe_metrics, observe_spans
+                )] = i
+            except BrokenProcessPool:
+                broken.append(i)
         not_done = set(futures)
         while not_done:
             done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
@@ -597,7 +608,7 @@ def _run_pool(
                     )
                 finish(i, res)
     if broken and pool is not None:
-        pool.rebuild()
+        pool.rebuild(executor)
 
     rebuilds = 0
     for i in sorted(broken):

@@ -3,8 +3,9 @@
 * :mod:`repro.serve.protocol` — the line-delimited JSON wire protocol
   (requests, replies, structured error codes, op -> TaskSpec mapping).
 * :mod:`repro.serve.daemon` — :class:`ServeDaemon`, the asyncio daemon
-  hosting a warm :class:`~repro.session.CompilerSession` behind a
-  request batcher and a persistent warm-forked worker pool.
+  hosting a warm :class:`~repro.session.CompilerSession`: cache hits
+  are answered at admission, and each miss runs as its own task in a
+  persistent warm-forked worker pool.
 * :mod:`repro.serve.client` — :class:`ServeClient`, the blocking
   client used by ``python -m repro client``, tests and benchmarks.
 """

@@ -2,10 +2,10 @@
 
 :class:`ServeClient` speaks the line-delimited JSON protocol of
 :mod:`repro.serve.protocol` over TCP or a unix socket.  Replies may
-arrive out of order (the daemon batches and shards), so the client
-matches them to requests by ``id``; :meth:`ServeClient.batch` pipelines
-many requests on one connection and returns replies re-sorted into
-request order.
+arrive out of order (a hit is answered before an earlier miss), so the
+client matches them to requests by ``id``; :meth:`ServeClient.batch`
+pipelines many requests on one connection and returns replies
+re-sorted into request order.
 
 Used by the ``python -m repro client`` CLI, the serve test-suite, and
 ``benchmarks/bench_serve.py``.

@@ -1,4 +1,4 @@
-"""The ``repro serve`` daemon: batched async compile-as-a-service.
+"""The ``repro serve`` daemon: async compile-as-a-service.
 
 One long-lived process hosts the warm state every compile request needs
 — the hash-cons expression arena, pre-built discrimination-tree rule
@@ -7,23 +7,20 @@ memoized interpreter programs — behind a
 :class:`~repro.session.CompilerSession`, so a request pays ~3ms of
 actual instruction selection instead of a full process cold start.
 
-Architecture (one asyncio event loop)::
+Architecture (one asyncio event loop, one pump thread per worker)::
 
     connections ──lines──> per-request tasks ──> inline ops (ping/
                                  │               cache-stats/shutdown)
                                  │ fabric op: one cache lookup
                  hit ┌───────────┴──────────┐ miss (+ its key)
                      v                      v
-          reply at admission          request queue
-                                            │  coalesced by the
-                                            v  dispatch loop
-                                     batch of misses
-                                            │ one pump thread
+          reply at admission     MISS_DELAY_S on the event loop
+                                            │ a free pump thread
                                             v
-                      execute_tasks(... pool=WorkerPool)   <- forked AFTER
-                                            │                 warm-up
+                   execute_tasks([(spec, key)], pool=WorkerPool)
+                                            │   (pool forked AFTER warm-up)
                                             v
-                         each result stored, then replied
+                              result stored, then replied
 
 * **Admission** — a fabric request is turned into its
   :class:`~repro.fabric.TaskSpec` (a bad one is answered
@@ -36,39 +33,37 @@ Architecture (one asyncio event loop)::
   ``serve_requests{outcome="cached"}`` and
   ``fabric_tasks{outcome="cached"}``, as a hit inside ``run_tasks``
   does.
-* **Batching** — misses arriving within ``batch_window_s`` (or queued
-  while a batch is in flight) coalesce into one
-  :func:`~repro.fabric.execute_tasks` call, sharded over the session's
-  persistent :class:`~repro.fabric.WorkerPool`; with ``jobs=1`` the
-  batch runs inline on the pump thread against the warm caches.  Each
-  task's result is stored in the cache and then replied to as soon as
-  that task finishes, not when its batch does.  Batches hold misses
-  only, so ``serve_batches``/``serve_batch_size`` count miss batches.
+* **Misses** — each miss is its own one-task
+  :func:`~repro.fabric.execute_tasks` call on a pump thread, and is
+  answered when that call returns, its result already stored in the
+  cache.  There is one pump thread per worker, so up to ``jobs``
+  misses run at once and none waits behind another while a worker is
+  idle.  With ``jobs>1`` every miss runs in the session's persistent
+  :class:`~repro.fabric.WorkerPool`; with ``jobs=1`` it runs inline on
+  the one pump thread, against the warm caches, in arrival order.
 * **Deadlines** — a request whose ``deadline_s`` has expired when its
-  lookup hits, or before its batch is dispatched, is answered
+  lookup hits, or when a pump thread takes it, is answered
   ``deadline`` without executing; one that expires while its task runs
   is answered ``deadline`` rather than handed a stale result.
 * **Graceful shutdown** — SIGINT/SIGTERM or the ``shutdown`` op stops
-  accepting work, drains the queue and in-flight batch, writes every
-  pending reply, then tears down the pool — and emits the ``--report``
-  RunReport / ``--trace`` Chrome trace, in which per-request worker
-  spans are merged onto the daemon timeline.
-* **Observability** — ``serve_request_seconds``/``serve_batch_size``
-  quantile histograms, ``serve_requests``/``serve_batches`` counters
-  and ``serve_queue_depth``/``serve_connections`` gauges, served live
-  as Prometheus text exposition from ``GET /metrics`` on the side HTTP
-  listener (``--metrics-port``).
+  accepting work, answers every admitted request, closes the
+  connections that linger, then tears down the pool — and emits the
+  ``--report`` RunReport / ``--trace`` Chrome trace, in which
+  per-request worker spans are merged onto the daemon timeline.
+* **Observability** — ``serve_request_seconds`` quantile histograms,
+  ``serve_requests`` counters and ``serve_queue_depth`` (misses
+  admitted and not yet answered)/``serve_connections`` gauges, served
+  live as Prometheus text exposition from ``GET /metrics`` on the side
+  HTTP listener (``--metrics-port``).
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-import functools
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..fabric import (
@@ -94,28 +89,14 @@ from .protocol import (
 
 __all__ = ["ServeDaemon"]
 
-#: queue sentinel that tells the dispatch loop to drain and exit
-_STOP = object()
-
 #: longest request line (bytes) a connection's stream reader accepts
 LINE_LIMIT = 2 ** 16
 
-
-@dataclass
-class _PendingRequest:
-    """One fabric request that missed the cache at admission, waiting
-    for (or riding in) a batch."""
-
-    req: Request
-    spec: TaskSpec
-    #: the key its admission lookup computed (None: nothing to store)
-    cache_key: Optional[str]
-    #: resolves to the request's reply frame
-    future: "asyncio.Future[bytes]"
-    #: ``time.monotonic()`` when its line was read
-    received: float
-    #: absolute monotonic deadline (None: unbounded)
-    deadline: Optional[float] = None
+#: how long a miss waits on the event loop before it takes a pump
+#: thread, so that hits read in the same burst are answered first: a
+#: miss run inline (``jobs=1``) holds the GIL for milliseconds at a
+#: time, and the loop answering those hits would wait on it.
+MISS_DELAY_S = 0.002
 
 
 def _error_frame(req_id: Any, code: str, message: str) -> bytes:
@@ -130,13 +111,11 @@ def _deadline_frame(req: Request, when: str) -> bytes:
 
 
 class ServeDaemon:
-    """Batched line-delimited-JSON compile service over TCP/unix."""
+    """Line-delimited-JSON compile service over TCP/unix."""
 
     def __init__(
         self,
         session: Optional[CompilerSession] = None,
-        batch_window_s: float = 0.002,
-        max_batch: int = 64,
         report_path: Optional[str] = None,
         trace_path: Optional[str] = None,
         warm_targets: Optional[List[str]] = None,
@@ -150,29 +129,26 @@ class ServeDaemon:
             self.session.phase_tracer = Tracer()
         self.metrics = self.session.metrics
         self.tracer = Tracer() if trace_path else None
-        self.batch_window_s = batch_window_s
-        self.max_batch = max(1, max_batch)
         self.report_path = report_path
         self.trace_path = trace_path
         self.warm_targets = warm_targets
 
-        self._queue: "asyncio.Queue[Any]" = asyncio.Queue()
-        #: one pump thread => batches execute strictly one at a time
+        #: one pump thread per worker => up to ``jobs`` misses at once
         self._pump = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="serve-dispatch"
+            max_workers=max(1, self.session.jobs),
+            thread_name_prefix="serve-miss",
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._metrics_server: Optional[asyncio.AbstractServer] = None
-        self._dispatcher: Optional[asyncio.Task] = None
         self._line_tasks: set = set()
         self._conn_tasks: set = set()
+        #: every open connection's writer, /metrics ones included
         self._writers: set = set()
         self._draining = False
         self._stopped = asyncio.Event()
         #: holds the ``serve`` report phase open until shutdown
         self._serving = contextlib.ExitStack()
         self.requests_served = 0
-        self.batches_run = 0
         #: (host, port) after start(); None for unix sockets
         self.address: Optional[Tuple[str, int]] = None
         self.unix_path: Optional[str] = None
@@ -186,7 +162,7 @@ class ServeDaemon:
         unix: Optional[str] = None,
         metrics_port: Optional[int] = None,
     ) -> Dict[str, Any]:
-        """Warm up, fork the pool, bind sockets, start dispatching.
+        """Warm up, fork the pool, bind sockets.
 
         Returns the warm-up summary.  ``port=0`` (and
         ``metrics_port=0``) bind an ephemeral port; read the chosen one
@@ -213,7 +189,6 @@ class ServeDaemon:
             self.metrics_address = (
                 self._metrics_server.sockets[0].getsockname()[:2]
             )
-        self._dispatcher = asyncio.create_task(self._dispatch_loop())
         self._serving.enter_context(self.session.phase("serve"))
         return summary
 
@@ -247,10 +222,7 @@ class ServeDaemon:
             print(
                 f"repro serve: warm in {summary['seconds']:.2f}s "
                 f"({len(summary['targets'])} targets); "
-                f"serving on {where} "
-                f"(jobs={self.session.jobs}, "
-                f"batch window {self.batch_window_s * 1e3:.0f}ms, "
-                f"max batch {self.max_batch})",
+                f"serving on {where} (jobs={self.session.jobs})",
                 flush=True,
             )
             if self.metrics_address is not None:
@@ -262,31 +234,33 @@ class ServeDaemon:
         await self._stopped.wait()
         if not quiet:
             print(
-                f"repro serve: drained; {self.requests_served} requests "
-                f"in {self.batches_run} batches",
+                f"repro serve: drained; {self.requests_served} requests",
                 flush=True,
             )
         return 0
 
     async def shutdown(self) -> None:
-        """Drain in-flight work, reply to everything, tear down."""
+        """Drain in-flight work, reply to everything, tear down.
+
+        From Python 3.12.1 a server's ``wait_closed()`` waits until
+        every connection has dropped, so it comes last: one idle client
+        must not hold the daemon open.
+        """
         if self._draining:
             return
         self._draining = True
+        servers = [
+            s for s in (self._server, self._metrics_server) if s is not None
+        ]
         # 1. stop accepting connections
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        # 2. drain the dispatch loop (resolves every queued future)
-        await self._queue.put(_STOP)
-        if self._dispatcher is not None:
-            await self._dispatcher
-        # 3. wait for in-flight handlers to write their replies
+        for server in servers:
+            server.close()
+        # 2. answer every admitted request (a miss awaits its own task)
         if self._line_tasks:
             await asyncio.gather(
                 *list(self._line_tasks), return_exceptions=True
             )
-        # 4. close lingering connections and the metrics listener
+        # 3. close lingering connections, /metrics ones included
         for writer in list(self._writers):
             with contextlib.suppress(Exception):
                 writer.close()
@@ -298,9 +272,9 @@ class ServeDaemon:
                     ),
                     timeout=5.0,
                 )
-        if self._metrics_server is not None:
-            self._metrics_server.close()
-            await self._metrics_server.wait_closed()
+        # 4. with no connection left, the listeners finish closing
+        for server in servers:
+            await server.wait_closed()
         # 5. release the pool + pump, finalize observability artifacts
         self.session.close()
         self._pump.shutdown(wait=True)
@@ -315,10 +289,7 @@ class ServeDaemon:
                 tracer=self.tracer,
                 extra={
                     "requests_served": self.requests_served,
-                    "batches_run": self.batches_run,
                     "jobs": self.session.jobs,
-                    "max_batch": self.max_batch,
-                    "batch_window_s": self.batch_window_s,
                 },
             )
         self._stopped.set()
@@ -409,8 +380,8 @@ class ServeDaemon:
         await self._write(writer, write_lock, frame)
 
     async def _dispatch_request(self, req: Request, received: float) -> bytes:
-        """Answer inline ops and cache hits; enqueue a miss and await
-        its own task.  Returns the reply frame."""
+        """Answer inline ops and cache hits; run a miss as its own task
+        and await it.  Returns the reply frame."""
         if req.op == "ping":
             frame = encode_ok(req.id, encode_value({
                 "pong": True,
@@ -455,159 +426,86 @@ class ServeDaemon:
                 return _deadline_frame(req, "before dispatch")
             self._account(req.op, "cached", received)
             return encode_ok(req.id, hit.encoded, cached=True)
-        pending = _PendingRequest(
-            req=req,
-            spec=spec,
-            cache_key=cache_key,
-            future=asyncio.get_running_loop().create_future(),
-            received=received,
-            deadline=deadline,
-        )
-        await self._queue.put(pending)
-        self.metrics.gauge("serve_queue_depth").set(self._queue.qsize())
-        return await pending.future
+        return await self._run_miss(req, spec, cache_key, received, deadline)
 
-    # -- batching ------------------------------------------------------
-    async def _dispatch_loop(self) -> None:
-        """Coalesce queued misses into fabric batches, forever.
+    # -- misses --------------------------------------------------------
+    async def _run_miss(self, req: Request, spec: TaskSpec,
+                        cache_key: Optional[str], received: float,
+                        deadline: Optional[float]) -> bytes:
+        """Run one miss as its own fabric task on a pump thread (in a
+        worker when the session has a pool); answer it when it ends."""
 
-        The loop blocks on the queue, then (batch window permitting)
-        sleeps once to let concurrent arrivals coalesce, then drains up
-        to ``max_batch`` requests into one batch, and waits for it to
-        finish before it takes the next.  The ``_STOP`` sentinel —
-        enqueued exactly once, by ``shutdown()`` — drains everything
-        still queued and exits.
-        """
-        loop = asyncio.get_running_loop()
-        while True:
-            item = await self._queue.get()
-            stop = item is _STOP
-            batch: List[_PendingRequest] = [] if stop else [item]
-            if not stop:
-                if self.batch_window_s > 0:
-                    await asyncio.sleep(self.batch_window_s)
-                while len(batch) < self.max_batch:
-                    try:
-                        nxt = self._queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                    if nxt is _STOP:
-                        stop = True
-                        break
-                    batch.append(nxt)
-            self.metrics.gauge("serve_queue_depth").set(self._queue.qsize())
-            if batch:
-                await self._run_batch(batch, loop)
-            if stop:
-                # Everything enqueued before the sentinel (FIFO) has
-                # been consumed above or is drained here; nothing can
-                # arrive after it because _draining rejects new work.
-                rest: List[_PendingRequest] = []
-                while True:
-                    try:
-                        nxt = self._queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                    if nxt is not _STOP:
-                        rest.append(nxt)
-                while rest:
-                    chunk, rest = rest[: self.max_batch], rest[self.max_batch:]
-                    await self._run_batch(chunk, loop)
-                return
-
-    async def _run_batch(self, batch: List[_PendingRequest], loop) -> None:
-        """Execute one batch of misses on the pump thread; each request
-        is answered as soon as its own task finishes."""
-        now = time.monotonic()
-        ready: List[_PendingRequest] = []
-        for pend in batch:
-            if pend.deadline is not None and now >= pend.deadline:
-                self._resolve(
-                    pend, _deadline_frame(pend.req, "before dispatch"),
-                    "deadline",
-                )
-            else:
-                ready.append(pend)
-        if not ready:
-            return
-        self.batches_run += 1
-        self.metrics.counter("serve_batches").inc()
-        self.metrics.histogram("serve_batch_size").observe(len(ready))
-
-        def on_result(i: int, res: TaskResult) -> None:  # pump thread
-            loop.call_soon_threadsafe(self._finish, ready[i], res)
-
-        # Every on_result callback is scheduled before this future
-        # resolves, so the whole batch is answered when the await ends.
-        await loop.run_in_executor(
-            self._pump,
-            functools.partial(self._execute_batch, ready, on_result),
-        )
-
-    def _execute_batch(self, batch: List[_PendingRequest], on_result) -> None:
-        """Run one coalesced batch on the pump thread (fabric inside)."""
-        session = self.session
-        span = (
-            self.tracer.span("serve:batch", size=len(batch))
-            if self.tracer is not None
-            else contextlib.nullcontext()
-        )
-        with span:
+        def execute() -> Optional[TaskResult]:  # on a pump thread
+            if deadline is not None and time.monotonic() >= deadline:
+                return None
+            results: List[TaskResult] = []
             execute_tasks(
-                [(pend.spec, pend.cache_key) for pend in batch],
-                on_result,
-                jobs=session.jobs,
-                cache=session.cache,
+                [(spec, cache_key)],
+                lambda _i, res: results.append(res),
+                cache=self.session.cache,
                 observe_metrics=True,
                 observe_spans=self.tracer is not None,
-                pool=session.ensure_pool(),
+                pool=self.session.ensure_pool(),
             )
+            return results[0]
 
-    def _finish(self, pend: _PendingRequest, res: TaskResult) -> None:
-        """Answer one executed miss (on the event loop)."""
+        depth = self.metrics.gauge("serve_queue_depth")
+        depth.inc()
+        try:
+            await asyncio.sleep(MISS_DELAY_S)
+            res = await asyncio.get_running_loop().run_in_executor(
+                self._pump, execute
+            )
+        finally:
+            depth.dec()
+        if res is None:
+            self._account(req.op, "deadline", received)
+            return _deadline_frame(req, "before dispatch")
         account_result(res, self.metrics, self.tracer)
-        if pend.deadline is not None and time.monotonic() >= pend.deadline:
+        if deadline is not None and time.monotonic() >= deadline:
             frame = _deadline_frame(
-                pend.req, "during execution (result discarded)"
+                req, "during execution (result discarded)"
             )
             outcome = "deadline"
         elif res.ok:
             try:
-                frame = encode_ok(pend.req.id, encode_value(res.value),
+                frame = encode_ok(req.id, encode_value(res.value),
                                   seconds=res.seconds)
                 outcome = "ok"
             except (TypeError, ValueError) as exc:  # not JSON data
-                frame = _error_frame(pend.req.id, "internal",
+                frame = _error_frame(req.id, "internal",
                                      f"{type(exc).__name__}: {exc}")
                 outcome = "internal"
         else:
             frame = _error_frame(
-                pend.req.id, "task-failed", res.error or "task failed"
+                req.id, "task-failed", res.error or "task failed"
             )
             outcome = "task-failed"
-        self._resolve(pend, frame, outcome)
-
-    def _resolve(
-        self, pend: _PendingRequest, frame: bytes, outcome: str
-    ) -> None:
-        self._account(pend.req.op, outcome, pend.received)
-        if not pend.future.done():
-            pend.future.set_result(frame)
+        self._account(req.op, outcome, received)
+        return frame
 
     # -- /metrics HTTP side-channel ------------------------------------
     async def _on_http(self, reader, writer) -> None:
         """A deliberately tiny HTTP/1.0 responder: just enough for a
-        Prometheus scrape of ``/metrics`` (plus ``/healthz``)."""
+        Prometheus scrape of ``/metrics`` (plus ``/healthz``).  A line
+        past the stream limit gets ``400 Bad Request``."""
+        self._writers.add(writer)
         try:
-            request_line = await reader.readline()
-            while True:
-                header = await reader.readline()
-                if header in (b"\r\n", b"\n", b""):
-                    break
-            parts = request_line.decode("latin-1").split()
-            path = parts[1] if len(parts) >= 2 else "/"
-            path = path.split("?", 1)[0]
-            if path == "/metrics":
+            path = None  # stays None for a line past the stream limit
+            with contextlib.suppress(ValueError):
+                request_line = await reader.readline()
+                while True:
+                    header = await reader.readline()
+                    if header in (b"\r\n", b"\n", b""):
+                        break
+                parts = request_line.decode("latin-1").split()
+                path = parts[1] if len(parts) >= 2 else "/"
+                path = path.split("?", 1)[0]
+            if path is None:
+                status = "400 Bad Request"
+                ctype = "text/plain; charset=utf-8"
+                body = "line too long\n"
+            elif path == "/metrics":
                 status = "200 OK"
                 ctype = "text/plain; version=0.0.4; charset=utf-8"
                 body = self.metrics.to_prometheus()
@@ -633,7 +531,7 @@ class ServeDaemon:
         except (ConnectionResetError, OSError):  # pragma: no cover
             pass
         finally:
+            self._writers.discard(writer)
             with contextlib.suppress(Exception):
                 writer.close()
                 await writer.wait_closed()
-

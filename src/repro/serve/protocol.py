@@ -9,8 +9,8 @@ Requests::
 
 ``id`` is any JSON scalar (string, number, boolean or null) chosen by
 the client and echoed verbatim on the reply — replies may arrive out of
-order (the daemon batches and shards requests), so clients match by
-``id``, not position.  ``deadline_s`` is a relative per-request budget
+order (a cache hit is answered at once, and misses run side by side),
+so clients match by ``id``, not position.  ``deadline_s`` is a relative per-request budget
 in seconds; a request the daemon cannot *finish* within it gets a
 structured ``deadline`` error instead of a stale result.  A frame whose
 ``id`` is an object or array, or that holds a number JSON cannot carry
@@ -40,7 +40,7 @@ sweeps.  A reply's ``result`` is the kind's return value; for
      "cached": false, "seconds": 0.01}
 
 ``ping``, ``cache-stats`` and ``shutdown`` are **inline ops**
-answered on the event loop without touching the batcher.
+answered on the event loop, without a fabric task.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ FABRIC_OPS: Dict[str, str] = {
     "verify-rule": "verify-rule",
     "lint": "machinelint",
 }
-#: ops the daemon answers inline, without batching
+#: ops the daemon answers inline, without a fabric task
 INLINE_OPS = ("ping", "cache-stats", "shutdown")
 
 #: stable error codes (the protocol's whole error vocabulary)

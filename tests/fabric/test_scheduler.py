@@ -1,6 +1,8 @@
 """Scheduler contract: ordering, serial default, failure isolation."""
 
 import os
+import sys
+import threading
 import time
 
 import pytest
@@ -226,6 +228,68 @@ class TestWorkerPool:
                 pool=pool,
             )
             assert all(r.ok for r in again)
+
+    def test_lone_task_runs_in_a_worker(self):
+        # A pool means no task body runs in the caller's process, even
+        # one alone (a service's event loop stays free).
+        from repro.fabric import WorkerPool
+
+        with WorkerPool(2) as pool:
+            (res,) = run_tasks([TaskSpec("t-echo", ("x",))], pool=pool)
+        assert res.ok and res.pid != os.getpid()
+
+    def test_one_breakage_is_rebuilt_once(self):
+        # Threads sharing a pool all see the same breakage; only the
+        # first rebuild may replace the executor, or a later one would
+        # cancel work already submitted to the first's replacement.
+        from repro.fabric import WorkerPool
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with WorkerPool(2) as pool:
+                broken = pool.executor
+                made = []
+                make = pool._make_executor
+
+                def counted_make():
+                    make()
+                    made.append(pool._executor)
+
+                pool._make_executor = counted_make
+                start = threading.Barrier(4)
+
+                def rebuild():
+                    start.wait()
+                    pool.rebuild(broken)
+
+                threads = [threading.Thread(target=rebuild)
+                           for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                    assert not t.is_alive()
+                assert made == [pool.executor]
+                assert pool.executor.submit(os.getpid).result(
+                    timeout=30) != os.getpid()
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_task_sent_to_a_just_broken_executor_still_runs(self):
+        # Another thread's task broke the shared executor and the
+        # rebuild has not happened yet: a call that submits now retries
+        # its task and leaves a rebuilt pool behind.
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.fabric import WorkerPool
+
+        with WorkerPool(2) as pool:
+            broken = pool.executor
+            with pytest.raises(BrokenProcessPool):
+                broken.submit(os._exit, 13).result(timeout=30)
+            (res,) = run_tasks([TaskSpec("t-echo", ("x",))], pool=pool)
+            assert res.ok and pool.executor is not broken
 
     def test_shut_down_pool_refuses_use(self):
         from repro.fabric import WorkerPool

@@ -1,4 +1,5 @@
-"""Daemon contract: batching, byte-identity, deadlines, drain, /metrics.
+"""Daemon contract: per-miss tasks, byte-identity, deadlines, drain,
+/metrics.
 
 The daemon under test runs a real asyncio event loop on a background
 thread; clients talk to it over real sockets, exactly as production
@@ -13,6 +14,7 @@ import os
 import socket
 import threading
 import time
+import types
 import urllib.request
 import weakref
 
@@ -61,6 +63,14 @@ def _start_daemon(**daemon_kwargs):
     return holder
 
 
+def _task_pids(trace, kind):
+    """The pids of the ``task:<kind>`` spans in a Chrome trace file."""
+    events = json.loads(trace.read_text())
+    if isinstance(events, dict):
+        events = events["traceEvents"]
+    return {ev["pid"] for ev in events if ev.get("name") == f"task:{kind}"}
+
+
 def _stop_daemon(holder) -> None:
     daemon = holder["daemon"]
     if not daemon._stopped.is_set():
@@ -76,10 +86,7 @@ def served(tmp_path_factory):
     cache = ResultCache(
         root=str(tmp_path_factory.mktemp("serve-cache"))
     )
-    holder = _start_daemon(
-        session=CompilerSession(cache=cache),
-        batch_window_s=0.02,
-    )
+    holder = _start_daemon(session=CompilerSession(cache=cache))
     yield holder
     _stop_daemon(holder)
 
@@ -113,7 +120,7 @@ class TestRequestReply:
 
     def test_replies_match_by_id_not_position(self, client):
         # An inline ping answered instantly must not steal the reply
-        # slot of a slower batched compile pipelined before it.
+        # slot of a slower compile pipelined before it.
         replies = client.batch([
             ("compile", {"workload": "add", "target": "arm-neon"}),
             ("ping", {}),
@@ -198,50 +205,33 @@ class TestMemoryTier:
         assert cache.memory_hits == memory_hits + 1
 
 
-class TestBatching:
-    def test_concurrent_requests_coalesce(self, served):
-        daemon = served["daemon"]
-        before = daemon.batches_run
-        targets = ["arm-neon", "x86-avx2", "hexagon-hvx"]
-        with ServeClient(port=daemon.address[1]) as c:
-            replies = c.batch([
-                ("compile", {"workload": "mean", "target": t})
-                for t in targets * 2
-            ])
-        assert all(r["ok"] for r in replies)
-        assert [r["result"]["target"] for r in replies] == targets * 2
-        # Six pipelined requests must not take six dispatches.
-        assert daemon.batches_run - before < 6
-        sizes = list(
-            daemon.metrics.histograms("serve_batch_size")
-        )
-        assert sizes and sizes[0].max >= 2
-
-
 class TestPerRequestReplies:
     """Each request is answered when its own work is done: a hit at
-    admission, a miss when its task finishes, not when its batch does."""
+    admission, a miss when its own task finishes, never held behind
+    another miss while a worker is idle."""
 
     @pytest.fixture
     def slow_verify(self, monkeypatch):
-        """Verifications with a seed >= SLOW_SEEDS sleep first; the
-        returned event is set once the slow one has finished."""
+        """Verifications with a seed >= SLOW_SEEDS sleep first.  The
+        returned ``finished`` event is set once a slow one has finished,
+        and ``seeds`` lists the seeds whose body ran in this process."""
         import repro.verify as verify_mod
 
         real = verify_mod.verify_rule
-        finished = threading.Event()
+        spy = types.SimpleNamespace(finished=threading.Event(), seeds=[])
 
         def verify_rule(rule, seed=0, **kwargs):
+            spy.seeds.append(seed)
             if seed < SLOW_SEEDS:
                 return real(rule, seed=seed, **kwargs)
             time.sleep(0.5)
             try:
                 return real(rule, seed=seed, **kwargs)
             finally:
-                finished.set()
+                spy.finished.set()
 
         monkeypatch.setattr(verify_mod, "verify_rule", verify_rule)
-        return finished
+        return spy
 
     def test_hit_is_never_held_behind_a_miss(self, served, slow_verify):
         params = {"workload": "softmax", "target": "hexagon-hvx"}
@@ -252,27 +242,24 @@ class TestPerRequestReplies:
             c.send({"id": "hit", "op": "compile", "params": params})
             hit = c.recv()
             assert hit["id"] == "hit"
-            assert not slow_verify.is_set()
+            assert not slow_verify.finished.is_set()
             assert encode_reply(hit) == encode_reply(
                 dict(cold, id="hit", cached=True, seconds=0.0)
             )
             slow = c.recv()
         assert slow["id"] == "slow" and slow["ok"] is True
-        assert slow_verify.is_set()
+        assert slow_verify.finished.is_set()
 
     def test_miss_is_answered_when_its_own_task_finishes(
         self, served, slow_verify
     ):
-        daemon = served["daemon"]
-        before = daemon.batches_run
-        with ServeClient(port=daemon.address[1]) as c:
+        with ServeClient(port=served["daemon"].address[1]) as c:
             c.send(_verify(7001, id="fast"))
             c.send(_verify(SLOW_SEEDS + 2, id="slow"))
             fast = c.recv()
             assert fast["id"] == "fast"
-            assert not slow_verify.is_set()
+            assert not slow_verify.finished.is_set()
             slow = c.recv()
-        assert daemon.batches_run - before == 1  # one batch held both
         assert fast["ok"] is True and fast["cached"] is False
         assert slow["id"] == "slow" and slow["ok"] is True
 
@@ -284,7 +271,6 @@ class TestPerRequestReplies:
         trace = tmp_path / "serve-trace.json"
         holder = _start_daemon(
             session=CompilerSession(jobs=2),
-            batch_window_s=0.02,
             trace_path=str(trace),
         )
         daemon = holder["daemon"]
@@ -297,14 +283,57 @@ class TestPerRequestReplies:
             _stop_daemon(holder)
         assert [r["id"] for r in replies] == ["fast", "slow"]
         assert all(r["ok"] for r in replies)
-        assert daemon.batches_run == 1
-        events = json.loads(trace.read_text())
-        if isinstance(events, dict):
-            events = events["traceEvents"]
-        workers = {
-            ev["pid"] for ev in events if ev.get("name") == "task:verify-rule"
-        }
+        workers = _task_pids(trace, "verify-rule")
         assert len(workers) == 2 and os.getpid() not in workers
+
+    def test_pooled_lone_miss_runs_in_a_worker(self, tmp_path):
+        # A pooled daemon sends every miss to a worker, even one alone.
+        trace = tmp_path / "serve-trace.json"
+        holder = _start_daemon(
+            session=CompilerSession(jobs=2),
+            trace_path=str(trace),
+        )
+        try:
+            with ServeClient(port=holder["daemon"].address[1]) as c:
+                reply = c.request("verify-rule", _verify(7003)["params"])
+        finally:
+            _stop_daemon(holder)
+        assert reply["ok"] is True
+        workers = _task_pids(trace, "verify-rule")
+        assert len(workers) == 1 and os.getpid() not in workers
+
+    def test_pooled_miss_never_waits_behind_another(self, slow_verify):
+        # A fast miss sent while a slow one runs takes the idle worker
+        # and is answered first.
+        holder = _start_daemon(session=CompilerSession(jobs=2))
+        daemon = holder["daemon"]
+        try:
+            with ServeClient(port=daemon.address[1]) as c:
+                c.send(_verify(SLOW_SEEDS + 4, id="slow"))
+                time.sleep(0.1)
+                c.send(_verify(7004, id="fast"))
+                replies = [c.recv(), c.recv()]
+            assert daemon.metrics.gauge_value("serve_queue_depth") == 0
+        finally:
+            _stop_daemon(holder)
+        assert [r["id"] for r in replies] == ["fast", "slow"]
+        assert all(r["ok"] for r in replies)
+
+    def test_miss_expiring_behind_a_busy_pump_never_runs(
+        self, served, slow_verify
+    ):
+        # With jobs=1 the one pump thread runs misses in arrival order;
+        # one whose deadline passes while it waits is refused when the
+        # pump takes it, and its body never runs.
+        with ServeClient(port=served["daemon"].address[1]) as c:
+            c.send(_verify(SLOW_SEEDS + 5, id="slow"))
+            c.send(_verify(7005, id="late", deadline_s=0.1))
+            replies = {r["id"]: r for r in (c.recv(), c.recv())}
+        assert replies["slow"]["ok"] is True
+        late = replies["late"]
+        assert late["ok"] is False and late["error"]["code"] == "deadline"
+        assert "before dispatch" in late["error"]["message"]
+        assert slow_verify.seeds == [SLOW_SEEDS + 5]
 
 
 class TestAccounting:
@@ -313,7 +342,6 @@ class TestAccounting:
         # cache's own counts, and k cached outcomes in both counters.
         holder = _start_daemon(
             session=CompilerSession(cache=ResultCache(root=str(tmp_path))),
-            batch_window_s=0.01,
         )
         daemon = holder["daemon"]
         misses = [
@@ -503,6 +531,7 @@ class TestMetricsEndpoint:
         assert 'repro_serve_request_seconds{op="compile",quantile="0.5"}' \
             in body
         assert "# TYPE repro_serve_queue_depth gauge" in body
+        assert "repro_serve_batch" not in body
 
     def test_healthz(self, served):
         assert self._get(served, "/healthz").read() == b"ok\n"
@@ -511,6 +540,18 @@ class TestMetricsEndpoint:
         with pytest.raises(urllib.error.HTTPError) as exc:
             self._get(served, "/nope")
         assert exc.value.code == 404
+
+    def test_oversize_request_line_is_400(self, served, caplog):
+        # A line past the stream limit is answered, not dropped with a
+        # traceback, and the listener keeps serving.
+        with socket.create_connection(
+            served["daemon"].metrics_address
+        ) as sock:
+            sock.sendall(b"GET /" + b"x" * 70_000 + b" HTTP/1.0\r\n\r\n")
+            status = sock.makefile("rb").readline()
+        assert status.startswith(b"HTTP/1.0 400 ")
+        assert self._get(served, "/healthz").read() == b"ok\n"
+        assert not [r for r in caplog.records if r.name == "asyncio"]
 
 
 class TestLifecycle:
@@ -521,7 +562,6 @@ class TestLifecycle:
         report = tmp_path / "serve-report.json"
         trace = tmp_path / "serve-trace.json"
         holder = _start_daemon(
-            batch_window_s=0.01,
             report_path=str(report),
             trace_path=str(trace),
         )
@@ -544,16 +584,30 @@ class TestLifecycle:
         doc = json.loads(report.read_text())
         assert doc["command"] == "serve"
         assert doc["extra"]["requests_served"] >= 4
-        assert doc["extra"]["batches_run"] >= 1
-        chrome = json.loads(trace.read_text())
-        events = (
-            chrome if isinstance(chrome, list)
-            else chrome.get("traceEvents", [])
-        )
-        assert any(
-            ev.get("name") == "serve:batch" for ev in events
-            if isinstance(ev, dict)
-        )
+        # each compile's worker-side span is merged onto the timeline
+        assert _task_pids(trace, "compile") == {os.getpid()}
+
+    def test_idle_connections_do_not_hold_shutdown_open(self):
+        # From Python 3.12.1 a listener's wait_closed() waits for every
+        # connection to drop: an idle client of either listener must
+        # not keep a draining daemon alive.
+        holder = _start_daemon()
+        daemon = holder["daemon"]
+        idle = [socket.create_connection(daemon.address),
+                socket.create_connection(daemon.metrics_address)]
+        try:
+            give_up = time.monotonic() + 10.0
+            while len(daemon._writers) < 2 and time.monotonic() < give_up:
+                time.sleep(0.01)
+            assert len(daemon._writers) == 2
+            asyncio.run_coroutine_threadsafe(
+                daemon.shutdown(), holder["loop"]
+            ).result(timeout=10)
+        finally:
+            for sock in idle:
+                sock.close()
+        holder["thread"].join(timeout=60)
+        assert not holder["thread"].is_alive()
 
     def test_draining_daemon_refuses_new_fabric_work(self, served):
         # Against the warm daemon: flip the drain flag, check the
