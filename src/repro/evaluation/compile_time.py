@@ -180,23 +180,27 @@ def measure_one(
 ) -> CompileTimeResult:
     """Each flow's fastest of ``repeats`` compiles of one cell.
 
-    The LLVM flow's §5.1 q31 retry runs inside its compile, so a cell
-    that needs it is charged both attempts.
+    The two flows take turns, one compile each per repeat, so a slow
+    spell of a shared host lands on both rather than on all of one
+    flow's runs.  The LLVM flow's §5.1 q31 retry runs inside its
+    compile, so a cell that needs it is charged both attempts.
     """
-    def fastest(compile_once) -> CompileStats:
-        runs = [compile_once().stats for _ in range(repeats)]
-        return min(runs, key=lambda stats: stats.total_seconds)
-
-    llvm = fastest(
-        lambda: llvm_compile(wl.expr, target, var_bounds=wl.var_bounds)
-    )
-    pitchfork = fastest(
-        lambda: pitchfork_compile(
+    llvm_runs: List[CompileStats] = []
+    pitchfork_runs: List[CompileStats] = []
+    for _ in range(repeats):
+        llvm_runs.append(
+            llvm_compile(wl.expr, target, var_bounds=wl.var_bounds).stats
+        )
+        pitchfork_runs.append(pitchfork_compile(
             wl.expr, target, var_bounds=wl.var_bounds,
             lift_strategy=lift_strategy,
-        )
-    )
-    return CompileTimeResult(wl.name, target.name, llvm, pitchfork)
+        ).stats)
+
+    def fastest(runs: List[CompileStats]) -> CompileStats:
+        return min(runs, key=lambda stats: stats.total_seconds)
+
+    return CompileTimeResult(wl.name, target.name, fastest(llvm_runs),
+                             fastest(pitchfork_runs))
 
 
 def run_compile_time_evaluation(

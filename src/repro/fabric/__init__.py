@@ -46,11 +46,13 @@ from .scheduler import (
     TaskSpec,
     WorkerPool,
     account_result,
+    cached_result,
     execute_tasks,
     get_job_kind,
     job_kind,
     lookup_task,
     run_tasks,
+    task_key,
 )
 
 __all__ = [
@@ -60,6 +62,7 @@ __all__ = [
     "TaskSpec",
     "WorkerPool",
     "account_result",
+    "cached_result",
     "default_cache_dir",
     "digest",
     "encode_value",
@@ -75,4 +78,5 @@ __all__ = [
     "rule_fingerprint",
     "rulebase_fingerprint",
     "run_tasks",
+    "task_key",
 ]

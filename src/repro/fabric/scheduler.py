@@ -62,6 +62,8 @@ __all__ = [
     "job_kind",
     "get_job_kind",
     "run_tasks",
+    "task_key",
+    "cached_result",
     "lookup_task",
     "execute_tasks",
     "account_result",
@@ -381,7 +383,8 @@ def run_tasks(
     pool the behaviour is exactly the historical per-call executor.
 
     The three phases are public so a service can answer each request
-    as soon as its own phase allows: :func:`lookup_task`,
+    as soon as its own phase allows: :func:`lookup_task` (itself
+    :func:`task_key` then :func:`cached_result`),
     :func:`execute_tasks` and :func:`account_result`.
     """
     specs = list(specs)
@@ -417,37 +420,56 @@ def run_tasks(
     return results  # type: ignore[return-value]
 
 
-def lookup_task(
-    spec: TaskSpec, cache
-) -> Tuple[Optional[TaskResult], Optional[str]]:
-    """Resolve one task against the result cache (phase 1).
-
-    The one definition of a task's cache key: the kind, the key, the
+def task_key(spec: TaskSpec, cache) -> Optional[str]:
+    """The one definition of a task's cache key: the kind, the key, the
     params' field names and values, and the kind's content parts.
-    Returns ``(hit, None)`` when the cache holds the result, else
-    ``(None, key)`` — ``key`` is ``None`` without a cache or for an
-    uncacheable kind — to pass on to :func:`execute_tasks`, so a miss
-    is never looked up twice.  A hit carries the result's canonical
-    text in ``encoded`` and no ``value``: a daemon splices the text
-    into its reply, and a caller that wants the value decodes it.
-    Raises ``KeyError`` for an unregistered kind.
+
+    ``None`` without a cache or for an uncacheable kind.  Raises
+    ``KeyError`` for an unregistered kind.
     """
     kind = get_job_kind(spec.kind)
     if cache is None or kind.cache_parts is None:
-        return None, None
-    ckey = cache.key(
+        return None
+    return cache.key(
         spec.kind,
         repr(spec.key),
         repr(vars(spec.params)) if spec.params is not None else "",
         *kind.cache_parts(spec),
     )
-    text = cache.get_text(spec.kind, ckey)
+
+
+def cached_result(spec: TaskSpec, ckey: Optional[str],
+                  cache) -> Optional[TaskResult]:
+    """The cache's result for a task under its :func:`task_key`, or
+    ``None``: one ``get_text`` call, none for a ``None`` key.
+
+    A hit carries the result's canonical text in ``encoded`` and no
+    ``value``: a daemon splices the text into its reply, and a caller
+    that wants the value decodes it.
+    """
+    text = cache.get_text(spec.kind, ckey) if ckey is not None else None
     if text is None:
-        return None, ckey
+        return None
     return TaskResult(
         spec, ok=True, encoded=text, cached=True,
         pid=os.getpid(), started_s=time.time(),
-    ), None
+    )
+
+
+def lookup_task(
+    spec: TaskSpec, cache
+) -> Tuple[Optional[TaskResult], Optional[str]]:
+    """Resolve one task against the result cache (phase 1):
+    :func:`task_key`, then :func:`cached_result`.
+
+    Returns ``(hit, None)`` when the cache holds the result, else
+    ``(None, key)`` — ``key`` is ``None`` without a cache or for an
+    uncacheable kind — to pass on to :func:`execute_tasks`, so a miss
+    is never looked up twice.
+    """
+    ckey = task_key(spec, cache)
+    hit = cached_result(spec, ckey, cache)
+    return (hit, None) if hit is not None else (None, ckey)
 
 
 def execute_tasks(

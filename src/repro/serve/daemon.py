@@ -24,15 +24,17 @@ Architecture (one asyncio event loop, one pump thread per worker)::
 
 * **Admission** — a fabric request is turned into its
   :class:`~repro.fabric.TaskSpec` (a bad one is answered
-  ``bad-request`` here) and looked up in the session's result cache
-  exactly once (:func:`~repro.fabric.lookup_task`).  A hit is answered
-  on the spot, never queued behind a miss: the cache hands over the
-  result's canonical text, which :func:`~repro.serve.protocol.encode_ok`
-  splices into the frame, so a hit held in the cache's memory tier
-  reads no file and decodes nothing.  It counts as
-  ``serve_requests{outcome="cached"}`` and
-  ``fabric_tasks{outcome="cached"}``, as a hit inside ``run_tasks``
-  does.
+  ``bad-request`` here) and cache key (:func:`~repro.fabric.task_key`),
+  and looked up in the session's result cache exactly once
+  (:func:`~repro.fabric.cached_result`).  A request whose op and params
+  hit before takes its spec and key from a bounded memo of hits
+  instead of deriving them again.  A hit is answered on the spot, never
+  queued behind a miss: the cache hands over the result's canonical
+  text, which :func:`~repro.serve.protocol.encode_ok` splices into the
+  frame, so a hit held in the cache's memory tier reads no file and
+  decodes nothing.  It counts as ``serve_requests{outcome="cached"}``
+  and ``fabric_tasks{outcome="cached"}``, as a hit inside
+  ``run_tasks`` does.
 * **Misses** — each miss is its own one-task
   :func:`~repro.fabric.execute_tasks` call on a pump thread, and is
   answered when that call returns, its result already stored in the
@@ -51,10 +53,12 @@ Architecture (one asyncio event loop, one pump thread per worker)::
   ``--report`` RunReport / ``--trace`` Chrome trace, in which
   per-request worker spans are merged onto the daemon timeline.
 * **Observability** — ``serve_request_seconds`` quantile histograms,
-  ``serve_requests`` counters and ``serve_queue_depth`` (misses
-  admitted and not yet answered)/``serve_connections`` gauges, served
-  live as Prometheus text exposition from ``GET /metrics`` on the side
-  HTTP listener (``--metrics-port``).
+  ``serve_requests`` counters (an op the daemon does not know counts as
+  ``<unknown>``) and ``serve_queue_depth`` (misses admitted and not yet
+  answered)/``serve_connections`` gauges, served live as Prometheus
+  text exposition from ``GET /metrics`` on the side HTTP listener
+  (``--metrics-port``), with the result cache's session counts as
+  ``repro_cache_*`` series.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ import asyncio
 import contextlib
 import os
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -70,13 +75,16 @@ from ..fabric import (
     TaskResult,
     TaskSpec,
     account_result,
+    cached_result,
     encode_value,
     execute_tasks,
-    lookup_task,
+    task_key,
 )
+from ..observe import MetricsRegistry, Tracer
 from ..session import CompilerSession
 from .protocol import (
     FABRIC_OPS,
+    INLINE_OPS,
     PROTOCOL_VERSION,
     ProtocolError,
     Request,
@@ -97,6 +105,20 @@ LINE_LIMIT = 2 ** 16
 #: miss run inline (``jobs=1``) holds the GIL for milliseconds at a
 #: time, and the loop answering those hits would wait on it.
 MISS_DELAY_S = 0.002
+
+#: bound of the hit memo, in requests: an entry holds about 1.2 KB (a
+#: compile request) to 1.8 KB (a verify-rule one with every param set),
+#: so a full memo stays under 1 MB
+HIT_MEMO_ENTRIES = 512
+
+#: the ``op`` labels of the serve metrics; any other op, which a client
+#: chose, is accounted as ``<unknown>``
+OP_LABELS = frozenset((*FABRIC_OPS, *INLINE_OPS, "<malformed>"))
+
+#: the cache's session counts that ``/metrics`` exports as
+#: ``repro_cache_*`` counters (``memory_bytes`` goes as a gauge)
+CACHE_COUNTS = ("hits", "memory_hits", "misses", "stores", "store_errors",
+                "evictions")
 
 
 def _error_frame(req_id: Any, code: str, message: str) -> bytes:
@@ -120,8 +142,6 @@ class ServeDaemon:
         trace_path: Optional[str] = None,
         warm_targets: Optional[List[str]] = None,
     ):
-        from ..observe import MetricsRegistry, Tracer
-
         self.session = session if session is not None else CompilerSession()
         if self.session.metrics is None:
             self.session.metrics = MetricsRegistry()
@@ -149,6 +169,14 @@ class ServeDaemon:
         #: holds the ``serve`` report phase open until shutdown
         self._serving = contextlib.ExitStack()
         self.requests_served = 0
+        #: (op, the params' (name, type, value) triples) -> (spec, cache
+        #: key) of each request whose last lookup hit, least recent first
+        self._hits: "OrderedDict[tuple, Tuple[TaskSpec, str]]" = (
+            OrderedDict()
+        )
+        #: (op label, outcome) -> its serve_requests counter and its op's
+        #: serve_request_seconds histogram
+        self._instruments: Dict[Tuple[str, str], tuple] = {}
         #: (host, port) after start(); None for unix sockets
         self.address: Optional[Tuple[str, int]] = None
         self.unix_path: Optional[str] = None
@@ -352,10 +380,18 @@ class ServeDaemon:
 
     def _account(self, op: str, outcome: str, received: float) -> None:
         self.requests_served += 1
-        self.metrics.counter("serve_requests", op=op, outcome=outcome).inc()
-        self.metrics.histogram("serve_request_seconds", op=op).observe(
-            time.monotonic() - received
-        )
+        if op not in OP_LABELS:
+            op = "<unknown>"
+        instruments = self._instruments.get((op, outcome))
+        if instruments is None:
+            instruments = self._instruments[(op, outcome)] = (
+                self.metrics.counter("serve_requests", op=op,
+                                     outcome=outcome),
+                self.metrics.histogram("serve_request_seconds", op=op),
+            )
+        requests, seconds = instruments
+        requests.inc()
+        seconds.observe(time.monotonic() - received)
 
     async def _handle_line(self, line, writer, write_lock) -> None:
         received = time.monotonic()
@@ -412,11 +448,10 @@ class ServeDaemon:
             raise ProtocolError(
                 "shutting-down", "daemon is draining; request refused"
             )
-        spec = to_task_spec(req)
+        spec, cache_key, hit = self._admit(req)
         deadline = (
             received + req.deadline_s if req.deadline_s is not None else None
         )
-        hit, cache_key = lookup_task(spec, self.session.cache)
         if hit is not None:
             # A hit is answered here, never queued behind a miss, with
             # the cache's text spliced into its frame, never decoded.
@@ -427,6 +462,37 @@ class ServeDaemon:
             self._account(req.op, "cached", received)
             return encode_ok(req.id, hit.encoded, cached=True)
         return await self._run_miss(req, spec, cache_key, received, deadline)
+
+    def _admit(self, req: Request
+               ) -> Tuple[TaskSpec, Optional[str], Optional[TaskResult]]:
+        """A fabric request's spec, cache key and cache hit (``None`` on
+        a miss), from one cache read (none without a cache).
+
+        The spec and key come from the hit memo when the same op and
+        params hit before, else from :func:`to_task_spec` (which raises
+        ``bad-request``) and :func:`task_key`.  The memo key keeps each
+        param's type, so ``false`` and ``0.0`` never pass for ``0``.
+        Only a hit enters the memo, a miss leaves it, and past
+        :data:`HIT_MEMO_ENTRIES` the least recent request goes.
+        """
+        memo_key: Optional[tuple] = (
+            req.op, *[(k, type(v), v) for k, v in req.params.items()]
+        )
+        try:
+            known = self._hits.pop(memo_key, None)
+        except TypeError:  # a list or object param, never a valid one
+            memo_key = known = None
+        if known is None:
+            spec = to_task_spec(req)
+            cache_key = task_key(spec, self.session.cache)
+        else:
+            spec, cache_key = known
+        hit = cached_result(spec, cache_key, self.session.cache)
+        if hit is not None and memo_key is not None:
+            self._hits[memo_key] = (spec, cache_key)
+            if len(self._hits) > HIT_MEMO_ENTRIES:
+                self._hits.popitem(last=False)
+        return spec, cache_key, hit
 
     # -- misses --------------------------------------------------------
     async def _run_miss(self, req: Request, spec: TaskSpec,
@@ -485,6 +551,20 @@ class ServeDaemon:
         return frame
 
     # -- /metrics HTTP side-channel ------------------------------------
+    def _exposition(self) -> str:
+        """The ``/metrics`` text: the registry, then the cache's session
+        counts as they stand now."""
+        text = self.metrics.to_prometheus()
+        cache = self.session.cache
+        if cache is not None:
+            stats = cache.session_stats()
+            counts = MetricsRegistry()
+            for name in CACHE_COUNTS:
+                counts.counter(f"cache_{name}").inc(stats[name])
+            counts.gauge("cache_memory_bytes").set(stats["memory_bytes"])
+            text += counts.to_prometheus()
+        return text
+
     async def _on_http(self, reader, writer) -> None:
         """A deliberately tiny HTTP/1.0 responder: just enough for a
         Prometheus scrape of ``/metrics`` (plus ``/healthz``).  A line
@@ -508,7 +588,7 @@ class ServeDaemon:
             elif path == "/metrics":
                 status = "200 OK"
                 ctype = "text/plain; version=0.0.4; charset=utf-8"
-                body = self.metrics.to_prometheus()
+                body = self._exposition()
             elif path in ("/", "/healthz"):
                 status = "200 OK"
                 ctype = "text/plain; charset=utf-8"

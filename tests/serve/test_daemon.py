@@ -24,7 +24,8 @@ from repro.__main__ import main
 from repro.fabric import ResultCache, TaskSpec, run_tasks
 from repro.fabric.jobs import CellParams
 from repro.serve import ServeClient, ServeDaemon, ServeError
-from repro.serve.daemon import LINE_LIMIT
+from repro.serve import daemon as daemon_module
+from repro.serve.daemon import CACHE_COUNTS, LINE_LIMIT, OP_LABELS
 from repro.serve.protocol import encode_reply
 from repro.session import CompilerSession
 
@@ -205,6 +206,72 @@ class TestMemoryTier:
         assert cache.memory_hits == memory_hits + 1
 
 
+class TestHitMemo:
+    """A hit's spec and key are derived once per distinct request: the
+    daemon keeps them in a bounded memo of the requests that hit."""
+
+    def test_memoized_hit_is_the_first_hit_and_types_stay_apart(
+        self, served, monkeypatch
+    ):
+        derived = []
+        task_key = daemon_module.task_key
+        monkeypatch.setattr(daemon_module, "task_key",
+                            lambda *a: derived.append(a) or task_key(*a))
+        frame = _verify(0, id="m")
+
+        def respelled(seed):
+            return dict(frame, params=dict(frame["params"], seed=seed))
+
+        with socket.create_connection(served["daemon"].address) as sock, \
+                sock.makefile("rwb") as stream:
+
+            def ask(doc):
+                stream.write((json.dumps(doc) + "\n").encode())
+                stream.flush()
+                return stream.readline()
+
+            ask(frame)  # a miss, unless an earlier test cached it
+            first = ask(frame)
+            before = len(derived)
+            memoized = ask(frame)
+            spelled = [json.loads(ask(respelled(s))) for s in (False, 0.0)]
+            again = ask(frame)
+        assert json.loads(first)["cached"] is True
+        assert memoized == again == first
+        assert len(derived) == before  # neither derived its key again
+        assert [r["error"]["code"] for r in spelled] == ["bad-request"] * 2
+        assert "must be int" in spelled[0]["error"]["message"]
+
+    def test_memo_holds_only_hits_within_its_bound(self, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.setattr(daemon_module, "HIT_MEMO_ENTRIES", 2)
+        cache = ResultCache(root=str(tmp_path))
+        holder = _start_daemon(session=CompilerSession(cache=cache))
+        daemon = holder["daemon"]
+        cells = [("compile", {"workload": w, "target": "arm-neon"})
+                 for w in ("add", "mul", "max_pool")]
+        try:
+            with ServeClient(port=daemon.address[1]) as c:
+                c.batch(cells)
+                after_misses = len(daemon._hits)
+                warm = [c.batch(cells) for _ in range(3)]
+                held = list(daemon._hits.values())
+                cache.clear()
+                cold_again = c.batch(cells)
+                after_clear = len(daemon._hits)
+        finally:
+            _stop_daemon(holder)
+        assert after_misses == 0
+        assert all(r["cached"] for batch in warm for r in batch)
+        results = [[r["result"] for r in batch] for batch in warm]
+        assert results[0] == results[1] == results[2]
+        assert len(held) == 2
+        assert all(cache.get(spec.kind, key)[0] for spec, key in held)
+        # a memoized request that misses leaves the memo
+        assert not any(r["cached"] for r in cold_again)
+        assert after_clear == 0
+
+
 class TestPerRequestReplies:
     """Each request is answered when its own work is done: a hit at
     admission, a miss when its own task finishes, never held behind
@@ -378,6 +445,21 @@ class TestAccounting:
         assert cached("fabric_tasks") == len(hits)
         assert cached("serve_requests") == len(hits)
 
+    def test_unknown_ops_share_one_series(self, served):
+        # An op is the client's own string: 500 distinct ones must not
+        # make 500 series, in the registry or on /metrics.
+        daemon = served["daemon"]
+        with ServeClient(port=daemon.address[1]) as c:
+            replies = c.batch([(f"junk-{i}", {}) for i in range(500)])
+        assert {r["error"]["code"] for r in replies} == {"unknown-op"}
+        counters = list(daemon.metrics.counters("serve_requests"))
+        histograms = list(daemon.metrics.histograms("serve_request_seconds"))
+        labels = {dict(i.labels)["op"] for i in counters + histograms}
+        assert labels <= OP_LABELS | {"<unknown>"}
+        (unknown,) = [c for c in counters
+                      if dict(c.labels)["op"] == "<unknown>"]
+        assert unknown.value >= 500
+
 
 class TestConnections:
     def test_finished_requests_are_released_before_close(
@@ -532,6 +614,35 @@ class TestMetricsEndpoint:
             in body
         assert "# TYPE repro_serve_queue_depth gauge" in body
         assert "repro_serve_batch" not in body
+
+    def test_cache_counts_are_read_at_scrape_time(self, tmp_path):
+        holder = _start_daemon(
+            session=CompilerSession(cache=ResultCache(root=str(tmp_path))),
+        )
+        daemon = holder["daemon"]
+        try:
+            with ServeClient(port=daemon.address[1]) as c:
+                for _ in range(3):  # one cold request, two warm ones
+                    c.compile("add", "arm-neon")
+                session = c.cache_stats()["session"]
+            host, port = daemon.metrics_address
+            body = urllib.request.urlopen(
+                f"http://{host}:{port}/metrics", timeout=30
+            ).read().decode()
+        finally:
+            _stop_daemon(holder)
+        scraped = {
+            name[len("repro_cache_"):]: float(value)
+            for name, value in (line.split() for line in body.splitlines()
+                                if line.startswith("repro_cache_"))
+        }
+        assert scraped == {
+            name: session[name] for name in (*CACHE_COUNTS, "memory_bytes")
+        }
+        assert (session["hits"], session["memory_hits"], session["misses"],
+                session["stores"]) == (2, 1, 1, 1)
+        assert "# TYPE repro_cache_hits counter" in body
+        assert "# TYPE repro_cache_memory_bytes gauge" in body
 
     def test_healthz(self, served):
         assert self._get(served, "/healthz").read() == b"ok\n"

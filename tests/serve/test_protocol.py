@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import tempfile
+import typing
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +16,7 @@ from repro.fabric import (
     encode_value,
     get_job_kind,
     lookup_task,
+    task_key,
 )
 from repro.fabric.jobs import CellParams, RuntimeParams, VerifyParams
 from repro.interp import get_default_backend
@@ -29,6 +33,8 @@ from repro.serve import (
     parse_request,
     to_task_spec,
 )
+from repro.serve.daemon import ServeDaemon
+from repro.session import CompilerSession
 
 
 def _frame(**doc) -> bytes:
@@ -314,6 +320,99 @@ class TestParamSpace:
         assert not unknown, "an unknown param must be a bad-request"
         assert spec.kind == FABRIC_OPS[op]
         assert type(spec.params) is get_job_kind(spec.kind).params
+
+
+def _spellings(value):
+    """The JSON spellings of a number: ``false``, ``0`` and ``0.0`` for
+    zero, ``true``, ``1`` and ``1.0`` for one, else int and float."""
+    if not (isinstance(value, (int, float)) and abs(value) < 2 ** 53
+            and value == int(value)):
+        return [value]
+    number = int(value)
+    spellings = [number, float(number)]
+    if number in (0, 1):
+        spellings.append(bool(number))
+    return spellings
+
+
+@st.composite
+def _boundary_requests(draw):
+    """``(op, params)`` of a valid request, each param it sets at a
+    boundary: a choice, a bounded int's minimum or one past it, another
+    int's 0 or 1, either bool."""
+    op = draw(st.sampled_from(sorted(FABRIC_OPS)))
+    params = dict(_KEYS[op])
+    cls = get_job_kind(FABRIC_OPS[op]).params
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if not draw(st.booleans()):
+            continue
+        minimum = f.metadata.get("minimum")
+        if f.metadata.get("choices"):
+            values = f.metadata["choices"]
+        elif hints[f.name] is bool:
+            values = (False, True)
+        elif minimum is not None:
+            values = (minimum, minimum + 1)
+        else:
+            values = (0, 1)
+        params[f.name] = draw(st.sampled_from(values))
+    return op, params
+
+
+@st.composite
+def _streams(draw):
+    """Requests drawn again and again from a few valid ones
+    (:func:`_boundary_requests`) and a few of any kind
+    (:func:`_requests`), now and then with each number respelled."""
+    base = draw(st.lists(
+        _boundary_requests() | _requests().map(lambda case: case[:2]),
+        min_size=1, max_size=3,
+    ))
+    stream = []
+    for op, params in draw(st.lists(st.sampled_from(base), min_size=1,
+                                    max_size=20)):
+        if draw(st.booleans()):
+            params = {name: draw(st.sampled_from(_spellings(value)))
+                      for name, value in params.items()}
+        stream.append(Request(op=op, params=params))
+    return stream
+
+
+class TestHitMemo:
+    """The daemon's admission, through its memo of hits, is a fresh
+    :func:`to_task_spec` plus :func:`task_key` for every request."""
+
+    @given(_streams())
+    @example([Request(op="verify-rule", params=dict(
+        _KEYS["verify-rule"], seed=seed)) for seed in (0, 0, False, 0.0, 0)])
+    @settings(max_examples=200, deadline=None)
+    def test_admission_equals_a_fresh_derivation(self, stream):
+        with tempfile.TemporaryDirectory() as root, \
+                mock.patch("repro.serve.daemon.HIT_MEMO_ENTRIES", 1):
+            cache = ResultCache(root=root)
+            daemon = ServeDaemon(session=CompilerSession(cache=cache))
+            try:
+                for req in stream:
+                    try:
+                        spec = to_task_spec(req)
+                        fresh = (spec, task_key(spec, cache))
+                    except ProtocolError as exc:
+                        fresh = exc.code
+                    try:
+                        spec, key, hit = daemon._admit(req)
+                        admitted = (spec, key)
+                    except ProtocolError as exc:
+                        admitted, hit = exc.code, None
+                    assert admitted == fresh
+                    # the memo holds only hits, within its bound
+                    assert len(daemon._hits) <= 1
+                    for held, held_key in daemon._hits.values():
+                        assert cache.get(held.kind, held_key)[0]
+                    if isinstance(admitted, tuple) and hit is None:
+                        cache.put(spec.kind, key, {"stub": True})
+            finally:
+                daemon._pump.shutdown()
 
 
 @pytest.fixture
