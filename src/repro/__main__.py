@@ -111,6 +111,14 @@ def _add_report_arg(p) -> None:
                         "summarize it with 'python -m repro report show'")
 
 
+def _add_target_arg(p) -> None:
+    """``--target``, checked by argparse: a bad name exits 2 and lists
+    the valid ones."""
+    p.add_argument("--target", default="all", metavar="TARGET",
+                   choices=["all", "every", *T.ALL_TARGETS],
+                   help="target name, 'all' (paper targets) or 'every'")
+
+
 def _target_list(name: str):
     if name == "all":
         return list(T.PAPER_TARGETS)
@@ -269,52 +277,43 @@ def cmd_workloads(args) -> int:
 
 
 def cmd_rules(args) -> int:
-    from .lifting import HAND_RULES, SYNTHESIZED_RULES
+    from .rulesets import rule_set, rule_sets
 
-    sets = [("lifting (hand)", HAND_RULES),
-            ("lifting (synthesized)", SYNTHESIZED_RULES)]
-    for target in T.ALL_TARGETS.values():
-        sets.append((f"lowering ({target.name})", target.lowering_rules))
     total = 0
-    for label, rules in sets:
-        print(f"-- {label}: {len(rules)} rules")
-        total += len(rules)
+    for rs in rule_sets():
+        print(f"-- {rs.label}: {len(rs.rules)} rules")
+        total += len(rs.rules)
         if args.verbose:
-            for r in rules:
+            for r in rs.rules:
                 tag = "" if r.source == "hand" else f"   [{r.source}]"
                 print(f"   {r.name:<40} {r.lhs} -> {r.rhs}{tag}")
     print(f"total: {total} rules")
     session = CompilerSession.from_args(args)
     if args.verify:
+        from .fabric.jobs import VERIFY_RULESETS
         from .verify import batch_verify_rules
 
-        failures = 0
-        checked = 0
         # Only lifting rules have full executable semantics on both
         # sides (lowering RHS are target ops); say so rather than
         # silently skipping.  The batch runs on the fabric (one task per
         # rule) but reports in registry order, so this output is
         # byte-identical for any --jobs.
-        batches = [
-            ("lifting-hand", "lifting (hand)", HAND_RULES),
-            ("lifting-synth", "lifting (synthesized)", SYNTHESIZED_RULES),
-        ]
         with session.phase("verify-rules"):
-            verify_results = batch_verify_rules(
-                [b[0] for b in batches], jobs=session.jobs,
+            results = batch_verify_rules(
+                VERIFY_RULESETS, jobs=session.jobs,
                 cache=session.cache, metrics=session.metrics,
             )
-        results = iter(verify_results)
-        for _label, display, rules in batches:
-            print(f"-- verifying {display}")
-            for r in rules:
-                _, report = next(results)
-                checked += 1
+        reports = iter(report for _, report in results)
+        for name in VERIFY_RULESETS:
+            rs = rule_set(name)
+            print(f"-- verifying {rs.label}")
+            for r, report in zip(rs.rules, reports):
                 verdict = "ok  " if report.ok else "FAIL"
                 print(f"{verdict} {r.name:<44} [{r.source}]")
                 if not report.ok:
-                    failures += 1
                     print(f"     counterexample: {report.counterexample}")
+        checked = len(results)
+        failures = sum(not report.ok for _, report in results)
         print(f"(lowering rule sets are not sample-verified: their "
               f"right-hand sides are target instructions; "
               f"see 'python -m repro lint' for the static checks)")
@@ -608,24 +607,15 @@ def cmd_cache(args) -> int:
         removed = cache.clear()
         print(f"removed {removed} entries from {cache.root}")
     elif args.action == "fingerprint":
-        # One digest over every paper target's full pipeline rulebase
-        # plus the repro version — exactly the inputs that address
-        # cached results, so it's the right CI cache key.
-        from .fabric import (
-            digest,
-            pipeline_rules_fingerprint,
-            repro_version,
-        )
+        # The CI cache key: the repro version and every paper target's
+        # full pipeline rulebase, as the run report records them.
+        from .fabric import digest
+        from .observe.report import fingerprint_info
 
-        print(
-            digest(
-                repro_version(),
-                *(
-                    pipeline_rules_fingerprint(t.name)
-                    for t in T.PAPER_TARGETS
-                ),
-            )
-        )
+        info = fingerprint_info()
+        print(digest(info["repro_version"], *(
+            info["rulebase"][t.name] for t in T.PAPER_TARGETS
+        )))
     return 0
 
 
@@ -747,8 +737,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("compile", help="compile a benchmark")
     p.add_argument("workload", choices=WORKLOADS)
-    p.add_argument("--target", default="all",
-                   help="target name, 'all' (paper targets) or 'every'")
+    _add_target_arg(p)
     p.add_argument("--compare", action="store_true",
                    help="also show the LLVM baseline")
     p.add_argument("--rake", action="store_true",
@@ -798,8 +787,7 @@ def main(argv=None) -> int:
         "coverage",
         help="report per-rule fire counts over the benchmark suite",
     )
-    p.add_argument("--target", default="all",
-                   help="target name, 'all' (paper targets) or 'every'")
+    _add_target_arg(p)
     p.add_argument("--verbose", action="store_true",
                    help="list the fire count of every rule")
     p.add_argument("--json", metavar="FILE",
@@ -915,9 +903,7 @@ def main(argv=None) -> int:
              "identical to 'python -m repro compile')",
     )
     pc.add_argument("workload", choices=WORKLOADS)
-    pc.add_argument("--target", default="all",
-                    help="target name, 'all' (paper targets) or "
-                         "'every'")
+    _add_target_arg(pc)
     _add_lift_strategy_arg(pc)
     pc = csub.add_parser("cache-stats",
                          help="the daemon's result-cache stats")

@@ -170,7 +170,7 @@ def run_coverage(
     ``metrics``/``tracer`` receive the executed compiles' telemetry
     (a cache hit adds only its ``fabric_tasks`` count and span).
     """
-    from ..lifting import HAND_RULES, SYNTHESIZED_RULES
+    from ..rulesets import pitchfork
 
     wls = all_workloads()
     if workload_names is not None:
@@ -199,28 +199,21 @@ def run_coverage(
         else:
             failures.append(f"({'/'.join(res.spec.key)}): {res.error}")
 
-    rows: List[RuleCoverage] = []
-    for r in (*HAND_RULES, *SYNTHESIZED_RULES):
-        rows.append(
-            RuleCoverage(
-                name=r.name,
-                source=r.source,
-                phase="lift",
-                ruleset="lifting",
-                fires=fires["lift", r.name, r.source],
-            )
+    # One row per rule the sweep's compiles run.
+    groups = [("lift", "lifting", pitchfork().lift)] + [
+        ("lower", t.name, pitchfork(t).lower) for t in tgts
+    ]
+    rows = [
+        RuleCoverage(
+            name=r.name,
+            source=r.source,
+            phase=phase,
+            ruleset=ruleset,
+            fires=fires[phase, r.name, r.source],
         )
-    for t in tgts:
-        for r in t.lowering_rules:
-            rows.append(
-                RuleCoverage(
-                    name=r.name,
-                    source=r.source,
-                    phase="lower",
-                    ruleset=t.name,
-                    fires=fires["lower", r.name, r.source],
-                )
-            )
+        for phase, ruleset, rules in groups
+        for r in rules
+    ]
     return CoverageReport(
         rows=rows,
         workloads=[w.name for w in wls],

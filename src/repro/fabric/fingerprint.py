@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from ..interp.backend import effective_backend
 from ..ir.expr import Expr
@@ -42,7 +42,7 @@ __all__ = [
     "rulebase_fingerprint",
     "pipeline_rules_fingerprint",
     "workload_fingerprint",
-    "cell_rules_fingerprint",
+    "baseline_rules_fingerprint",
     "eval_backend_fingerprint",
     "repro_version",
 ]
@@ -201,15 +201,23 @@ def rulebase_fingerprint(rules: Iterable[Rule]) -> str:
     return digest("rulebase", *(rule_fingerprint(r) for r in rules))
 
 
+# Memoized cache-key parts: ``__wrapped__`` of each rule fingerprint, and
+# ``expr_fingerprint`` for ``workload_fingerprint``, stay the unmemoized
+# reference.  All rest on what ``_RULE_FP_MEMO`` rests on: the workload
+# and rule registries never change once imported.  Their arguments are
+# registry names, flows, flags and lift strategies (validated by every
+# caller that takes outside input), so each memo is bounded; nothing here
+# is keyed on a whole task spec.
+@functools.lru_cache(maxsize=None)
 def pipeline_rules_fingerprint(
     target_name: Optional[str],
     use_synthesized: bool = True,
-    exclude_sources: Sequence[str] = (),
+    exclude_sources: Tuple[str, ...] = (),
     lift_strategy: str = "greedy",
 ) -> str:
     """Fingerprint of every rule a pitchfork compile for ``target_name``
-    can possibly apply: the lifting rules plus the target's lowering
-    rules, filtered the way the pipeline filters them.
+    can possibly apply: the lift and lowering rules
+    :func:`repro.rulesets.pitchfork` gives the compiler.
 
     ``target_name=None`` fingerprints the lifting rules only (for jobs
     that never lower, e.g. lift-rule verification).
@@ -218,40 +226,39 @@ def pipeline_rules_fingerprint(
     produce different programs from identical rules, so a cached greedy
     result must never be served to an e-graph request (or vice versa).
     """
-    from ..lifting import HAND_RULES, SYNTHESIZED_RULES
+    from .. import rulesets
+    from ..targets import by_name
 
-    rules = list(HAND_RULES)
-    if use_synthesized:
-        rules += list(SYNTHESIZED_RULES)
-    if target_name is not None:
-        from ..targets import by_name
-
-        target = by_name(target_name)
-        lowering = [
-            r
-            for r in target.lowering_rules
-            if use_synthesized or not r.is_synthesized
-        ]
-        rules += lowering
-    excluded = frozenset(exclude_sources)
-    if excluded:
-        rules = [r for r in rules if not r.excluded_by(excluded)]
+    target = None if target_name is None else by_name(target_name)
+    rules = rulesets.pitchfork(target, use_synthesized, exclude_sources)
     return digest(
         "pipeline",
         str(target_name),
         str(bool(use_synthesized)),
-        repr(sorted(excluded)),
+        repr(sorted(frozenset(exclude_sources))),
         str(lift_strategy),
-        rulebase_fingerprint(rules),
+        rulebase_fingerprint(rules.lift + rules.lower),
     )
 
 
-# Memoized forms of the two expensive cache-key parts of a compile-shaped
-# cell; the functions above stay the unmemoized reference.  Both rest on
-# what ``_RULE_FP_MEMO`` rests on: the workload and rule registries never
-# change once imported.  Their arguments are registry names, flags and
-# lift strategies (validated by every caller that takes outside input),
-# so each memo is bounded; nothing here is keyed on a whole task spec.
+@functools.lru_cache(maxsize=None)
+def baseline_rules_fingerprint(flow: str, target_name: str) -> str:
+    """Fingerprint of every rule the ``llvm`` compiler (both attempts of
+    its §5.1 retry) or the ``rake`` compiler for ``target_name`` runs."""
+    from .. import rulesets
+    from ..targets import by_name
+
+    target = by_name(target_name)
+    flows = (
+        [rulesets.llvm(target), rulesets.llvm(target, q31=True)]
+        if flow == "llvm" else [rulesets.rake(target)]
+    )
+    return digest(
+        flow, target_name,
+        *(rulebase_fingerprint(f.lift + f.lower + f.moves) for f in flows),
+    )
+
+
 @functools.lru_cache(maxsize=None)
 def workload_fingerprint(name: str) -> str:
     """:func:`expr_fingerprint` of the registry workload ``name``,
@@ -259,19 +266,3 @@ def workload_fingerprint(name: str) -> str:
     from ..workloads import by_name
 
     return expr_fingerprint(by_name(name).expr)
-
-
-@functools.lru_cache(maxsize=None)
-def cell_rules_fingerprint(
-    target_name: str,
-    use_synthesized: bool,
-    lift_strategy: str,
-    exclude_sources: Tuple[str, ...] = (),
-) -> str:
-    """:func:`pipeline_rules_fingerprint` memoized per process."""
-    return pipeline_rules_fingerprint(
-        target_name,
-        use_synthesized,
-        exclude_sources=exclude_sources,
-        lift_strategy=lift_strategy,
-    )

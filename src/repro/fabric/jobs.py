@@ -30,10 +30,12 @@ from typing import Dict, List, Tuple
 
 from ..interp.backend import BACKENDS, get_default_backend
 from ..lifting.lifter import LIFT_STRATEGIES
+from ..rulesets import rule_set, rule_sets
 from .fingerprint import (
-    cell_rules_fingerprint,
+    baseline_rules_fingerprint,
     eval_backend_fingerprint,
     expr_fingerprint,
+    pipeline_rules_fingerprint,
     rule_fingerprint,
     workload_fingerprint,
 )
@@ -41,7 +43,7 @@ from .scheduler import JobParams, TaskSpec, job_kind, param
 
 __all__ = [
     "CellParams", "CompileTimeParams", "RuntimeParams", "SynthParams",
-    "VerifyParams", "VERIFY_RULESETS", "resolve_rule", "resolve_ruleset",
+    "VerifyParams", "VERIFY_RULESETS", "resolve_rule",
 ]
 
 
@@ -56,25 +58,8 @@ def _eval_backend():
 # ----------------------------------------------------------------------
 # Rule resolution (shared by verification jobs and their cache parts)
 # ----------------------------------------------------------------------
-#: label -> loader for every ruleset batch verification can address
-VERIFY_RULESETS = ("lifting-hand", "lifting-synth")
-
-
-def resolve_ruleset(label: str):
-    """The rule list behind a ruleset label.
-
-    ``lifting-hand`` / ``lifting-synth`` name the two lifting rule sets;
-    any target name addresses that target's lowering rules.
-    """
-    from ..lifting import HAND_RULES, SYNTHESIZED_RULES
-
-    if label == "lifting-hand":
-        return HAND_RULES
-    if label == "lifting-synth":
-        return SYNTHESIZED_RULES
-    from ..targets import by_name
-
-    return by_name(label).lowering_rules
+#: the rule sets batch verification addresses: the lifting sets
+VERIFY_RULESETS = tuple(rs.name for rs in rule_sets() if rs.phase == "lift")
 
 
 @functools.lru_cache(maxsize=None)
@@ -82,7 +67,7 @@ def _rule_index(label: str) -> Dict[str, object]:
     """Rule name -> the first rule of that name in a ruleset, built
     once per process: the rule registries never change once imported."""
     index: Dict[str, object] = {}
-    for r in resolve_ruleset(label):
+    for r in rule_set(label).rules:
         index.setdefault(r.name, r)
     return index
 
@@ -114,8 +99,8 @@ def _cell_parts(spec: TaskSpec) -> Tuple[str, ...]:
     return (
         workload_fingerprint(wl_name),
         target_name,
-        cell_rules_fingerprint(
-            target_name, p.use_synthesized, p.lift_strategy
+        pipeline_rules_fingerprint(
+            target_name, p.use_synthesized, (), p.lift_strategy
         ),
     )
 
@@ -302,15 +287,25 @@ class RuntimeParams(JobParams):
 
 
 def _runtime_parts(spec: TaskSpec) -> Tuple[str, ...]:
+    """A cell reports the cycles of up to three compilers, so its key
+    hashes the rules of each one it runs."""
+    from ..evaluation.runtime import RAKE_TARGETS
+
     wl_name, target_name = spec.key
     p = spec.params
     exclude = (f"synth:{wl_name}",) if p.leave_one_out else ()
-    return (
+    parts = (
         workload_fingerprint(wl_name),
         target_name,
-        cell_rules_fingerprint(target_name, True, p.lift_strategy, exclude),
+        pipeline_rules_fingerprint(
+            target_name, True, exclude, p.lift_strategy
+        ),
+        baseline_rules_fingerprint("llvm", target_name),
         eval_backend_fingerprint(p.eval_backend),
     )
+    if p.with_rake and target_name in RAKE_TARGETS:
+        parts += (baseline_rules_fingerprint("rake", target_name),)
+    return parts
 
 
 @job_kind("runtime", cache_parts=_runtime_parts, params=RuntimeParams)
@@ -347,8 +342,8 @@ def _ablation_parts(spec: TaskSpec) -> Tuple[str, ...]:
     return (
         workload_fingerprint(wl_name),
         target_name,
-        cell_rules_fingerprint(target_name, True, "greedy"),
-        cell_rules_fingerprint(target_name, False, "greedy"),
+        pipeline_rules_fingerprint(target_name, True),
+        pipeline_rules_fingerprint(target_name, False),
         # ablation evaluates through the process-default backend
         eval_backend_fingerprint(None),
     )

@@ -2,15 +2,12 @@
 
 Combines canonicalization, the hand-written rule set, and (optionally) the
 offline-synthesized rules into one greedy bottom-up cost-decreasing TRS.
-
-The ``exclude_sources`` hook implements §5's leave-one-out cross-validation:
-compiling benchmark B excludes every synthesized rule whose provenance tag
-is ``synth:B``.
+Which rules a lift runs is decided by :mod:`repro.rulesets`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, Optional
 
 from ..analysis import BoundsAnalyzer, BoundsContext
 from ..ir.expr import Expr
@@ -19,7 +16,6 @@ from ..trs.egraph import EGraphLifter
 from ..trs.rewriter import RewriteEngine, RewriteResult
 from ..trs.rule import Rule
 from .canonicalize import canonicalize
-from .rules import HAND_RULES
 
 __all__ = ["Lifter", "LiftPass", "EGraphLiftPass", "lift", "LIFT_STRATEGIES"]
 
@@ -28,16 +24,13 @@ LIFT_STRATEGIES = ("greedy", "egraph")
 
 
 class Lifter:
-    """Configurable lifting TRS.
+    """Lifting TRS over ``rules``, in priority order.
 
     Parameters
     ----------
-    use_synthesized:
-        include the offline-learned rules (§4); disable for the Figure 7
-        ablation ("hand-written rules only").
-    exclude_sources:
-        provenance tags to drop, e.g. ``{"synth:sobel3x3"}`` for
-        leave-one-out evaluation of the sobel3x3 benchmark.
+    rules:
+        the lift rules, default PITCHFORK's full set; the compilers pass
+        what :mod:`repro.rulesets` gives their configuration.
     strategy:
         ``"greedy"`` (default) — the §3.2 ordered bottom-up TRS;
         ``"egraph"`` — greedy-anchored equality saturation with
@@ -46,9 +39,7 @@ class Lifter:
 
     def __init__(
         self,
-        use_synthesized: bool = True,
-        exclude_sources: Iterable[str] = (),
-        extra_rules: Iterable[Rule] = (),
+        rules: Optional[Iterable[Rule]] = None,
         strategy: str = "greedy",
     ):
         if strategy not in LIFT_STRATEGIES:
@@ -56,18 +47,10 @@ class Lifter:
                 f"unknown lift strategy {strategy!r}; "
                 f"expected one of {LIFT_STRATEGIES}"
             )
-        # Filters apply to the checked-in rule sets; explicitly-passed
-        # extra_rules (e.g. loaded from a rule file, or freshly learned)
-        # are the caller's responsibility.
-        builtin: List[Rule] = list(HAND_RULES)
-        if use_synthesized:
-            from .synthesized import SYNTHESIZED_RULES
+        if rules is None:
+            from .. import rulesets
 
-            builtin += SYNTHESIZED_RULES
-        excluded = set(exclude_sources)
-        if excluded:
-            builtin = [r for r in builtin if not r.excluded_by(excluded)]
-        rules = builtin + list(extra_rules)
+            rules = rulesets.pitchfork().lift
         self.strategy = strategy
         self.engine = RewriteEngine(
             rules, require_cost_decrease=True, name="lift"
@@ -181,6 +164,10 @@ class EGraphLiftPass(LiftPass):
         return result.expr
 
 
-def lift(expr: Expr, **kwargs) -> Expr:
-    """One-shot convenience: lift with the default configuration."""
-    return Lifter(**kwargs).lift(expr).expr
+def lift(expr: Expr, strategy: str = "greedy", **config) -> Expr:
+    """One-shot convenience: lift with the rules
+    :func:`repro.rulesets.pitchfork` gives for ``config``."""
+    from .. import rulesets
+
+    rules = rulesets.pitchfork(**config).lift
+    return Lifter(rules, strategy).lift(expr).expr

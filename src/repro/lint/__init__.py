@@ -32,7 +32,7 @@ from .machinelint import (
     validate_translation,
 )
 from .ratchet import RatchetResult, apply_ratchet, read_baseline
-from .rulelint import LintReport, lint_all_rulebases, lint_rules, rulebases
+from .rulelint import LintReport, lint_all_rulebases, lint_rules
 from .targetlint import TargetLintReport, lint_all_targets, lint_target
 from .verifier import WellFormednessError, assert_well_formed, verify_expr
 
@@ -53,7 +53,6 @@ __all__ = [
     "lint_target",
     "machine_check",
     "read_baseline",
-    "rulebases",
     "run_machine_lint",
     "validate_translation",
     "verify_expr",

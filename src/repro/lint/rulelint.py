@@ -35,7 +35,7 @@ import dis
 import inspect
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from ..analysis import BoundsAnalyzer, BoundsContext
 from ..ir.expr import Const, Expr, Var
@@ -61,7 +61,7 @@ from ..verify.rule_verifier import (
 )
 from .diagnostics import Diagnostic
 
-__all__ = ["LintReport", "lint_rules", "lint_all_rulebases", "rulebases"]
+__all__ = ["LintReport", "lint_rules", "lint_all_rulebases"]
 
 
 @dataclass
@@ -519,39 +519,25 @@ def lint_rules(
     return out
 
 
-def rulebases() -> List[Tuple[str, List[Rule], bool]]:
-    """Every shipped rulebase: (label, rules, cost_gated)."""
-    from .. import targets as T
-    from ..lifting import HAND_RULES, SYNTHESIZED_RULES
-
-    sets = [
-        ("lifting (hand)", list(HAND_RULES), True),
-        ("lifting (synthesized)", list(SYNTHESIZED_RULES), True),
-    ]
-    for target in T.ALL_TARGETS.values():
-        sets.append(
-            (f"lowering ({target.name})", list(target.lowering_rules),
-             False)
-        )
-    return sets
-
-
 def lint_all_rulebases(
     coverage_fires: Optional[Dict[str, int]] = None,
 ) -> LintReport:
-    """Lint every shipped rulebase.
+    """Lint every shipped rulebase (:func:`repro.rulesets.rule_sets`;
+    the lifting sets are cost-gated).
 
     ``coverage_fires`` (rule name -> fire count from a coverage sweep)
     cross-checks L105: a "shadowed" rule that demonstrably fires is a
     false claim (the cost gate or a predicate let it through), so its
     finding is dropped; surviving findings are annotated as 0-fire.
     """
+    from ..rulesets import rule_sets
+
     report = LintReport()
-    for label, rules, cost_gated in rulebases():
-        diags = lint_rules(rules, label, cost_gated=cost_gated)
+    for rs in rule_sets():
+        diags = lint_rules(rs.rules, rs.label, cost_gated=rs.phase == "lift")
         if coverage_fires is not None:
             diags = _cross_check_shadowing(diags, coverage_fires)
-        report.rule_counts[label] = len(rules)
+        report.rule_counts[rs.label] = len(rs.rules)
         report.diagnostics.extend(diags)
     return report
 

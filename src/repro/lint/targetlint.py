@@ -36,6 +36,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..ir import expr as E
 from ..ir.types import ARITH_TYPES
+from ..rulesets import rake
 from ..targets import ALL_TARGETS, Target
 from ..targets import arm as _arm
 from ..targets import hvx as _hvx
@@ -72,7 +73,8 @@ def _rule_specs(target: Target) -> List[Tuple[str, InstrSpec]]:
     name as its origin label."""
     out: List[Tuple[str, InstrSpec]] = []
     seen: Set[int] = set()
-    for rule in list(target.lowering_rules) + list(target.rake_extra_rules):
+    flow = rake(target)
+    for rule in flow.lower + flow.moves:
         stack: List[Any] = [rule.rhs]
         while stack:
             node = stack.pop()

@@ -383,11 +383,11 @@ _LLVM_RULES = {
 }
 
 
-def _llvm_rules_for(target: Target) -> List[Rule]:
+def _llvm_rules_for(target_name: str) -> List[Rule]:
     """Calibrated pattern sets exist for the paper's three targets; for
     the §8 extension backends LLVM gets generic selection only (matching
     the immaturity of their real fixed-point support)."""
-    builder = _LLVM_RULES.get(target.name)
+    builder = _LLVM_RULES.get(target_name)
     return builder() if builder is not None else []
 
 
@@ -401,30 +401,20 @@ class LLVMBaseline:
     """
 
     def __init__(self, target: Target, allow_q31_substitution: bool = False):
+        from .. import rulesets
+        from ..lifting.lifter import Lifter
+
         self.target = target
-        self.allow_q31_substitution = allow_q31_substitution
-        rules = _llvm_rules_for(target)
-        if allow_q31_substitution:
-            rules = rules + _q31_sequence_rules(target)
+        self.allow_q31_substitution = q31 = allow_q31_substitution
+        rules = rulesets.llvm(target, q31=q31)
         # The baseline lowerer carries ONLY the LLVM pattern set; no
         # PITCHFORK fused/direct/predicated/compound rules.
-        self.lowerer = Lowerer(
-            target, use_synthesized=False, extra_rules=rules,
-        )
-        # Strip every PITCHFORK rule, keeping just the LLVM patterns: the
-        # Lowerer prepends extra_rules, so rebuild its engine rule list.
-        from ..trs.rewriter import RewriteEngine
-
-        self.lowerer.engine = RewriteEngine(rules, strategy="top_down")
+        self.lowerer = Lowerer(target, rules.lower)
         # §5.1 substitution: the lifter recognizes the primitive q31
         # requantize (standing in for rewriting the benchmark source to
         # use the intrinsic).  Built once: its rewrite memo is per call,
         # so reuse cannot change a lift.
-        self.q31_lifter = None
-        if allow_q31_substitution:
-            from ..lifting.lifter import Lifter
-
-            self.q31_lifter = Lifter(use_synthesized=False)
+        self.q31_lifter = Lifter(rules.lift) if q31 else None
 
     def compile(
         self, expr: E.Expr, analyzer: Optional[BoundsAnalyzer] = None
@@ -465,7 +455,7 @@ class LLVMSelectPass(Pass):
         return self.q31.compile(expr, BoundsAnalyzer(ctx.var_bounds))
 
 
-def _q31_sequence_rules(target: Target) -> List[Rule]:
+def _q31_sequence_rules(target_name: str) -> List[Rule]:
     """The 32-bit rounding_mul_shr sequence lent to LLVM (§5.1).
 
     Modelled as one pseudo-instruction whose cost is the length of the
@@ -475,7 +465,7 @@ def _q31_sequence_rules(target: Target) -> List[Rule]:
 
     seq = InstrSpec(
         name="q31_mulr_seq",
-        isa=target.name,
+        isa=target_name,
         cost=8.0,
         semantics=lambda a, b: F.RoundingMulShr(
             a, b, E.Const(a.type, 31)
@@ -485,7 +475,7 @@ def _q31_sequence_rules(target: Target) -> List[Rule]:
     S = TVar("S", min_bits=32, max_bits=32)
     return [
         Rule(
-            f"llvm-{target.name}-q31-seq",
+            f"llvm-{target_name}-q31-seq",
             F.RoundingMulShr(
                 Wild("x", T), Wild("y", T), ConstWild("c0", S)
             ),

@@ -13,7 +13,7 @@ The result is a pure target-instruction tree (plus inputs/constants), which
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from ..analysis import BoundsAnalyzer, BoundsContext
 from ..fpir.ops import FPIRInstr
@@ -69,36 +69,12 @@ class LowerMemos:
 
 
 class Lowerer:
-    """Configurable per-target lowering TRS.
+    """Per-target lowering TRS over ``rules``, in priority order: the
+    compilers pass what :mod:`repro.rulesets` gives their
+    configuration."""
 
-    ``use_synthesized`` / ``exclude_sources`` mirror the lifter: they drive
-    the Figure 7 ablation and the §5 leave-one-out protocol.  ``rake_mode``
-    prepends the oracle-only rules (swizzle co-optimization and global
-    reorderings) that model Rake's richer search space.
-    """
-
-    def __init__(
-        self,
-        target: Target,
-        use_synthesized: bool = True,
-        exclude_sources: Iterable[str] = (),
-        rake_mode: bool = False,
-        extra_rules: Iterable[Rule] = (),
-    ):
+    def __init__(self, target: Target, rules: Iterable[Rule]):
         self.target = target
-        # The use_synthesized/exclude filters apply to the *checked-in*
-        # rule sets; explicitly-passed extra_rules are the caller's
-        # responsibility (e.g. freshly-learned rules under evaluation).
-        builtin: List[Rule] = []
-        if rake_mode:
-            builtin += target.rake_extra_rules
-        builtin += target.lowering_rules
-        if not use_synthesized:
-            builtin = [r for r in builtin if not r.is_synthesized]
-        excluded = set(exclude_sources)
-        if excluded:
-            builtin = [r for r in builtin if not r.excluded_by(excluded)]
-        rules = list(extra_rules) + builtin
         self.engine = RewriteEngine(rules, strategy="top_down", name="lower")
 
     # ------------------------------------------------------------------

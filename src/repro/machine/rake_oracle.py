@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, List, Optional, Tuple
 
+from .. import rulesets
 from ..analysis import BoundsAnalyzer, BoundsContext
 from ..ir import expr as E
 from ..passes import Pass, PassContext
@@ -69,10 +70,9 @@ class RakeSelector(Pass):
         # rules (reorderings, swizzle-free variants) are *search moves*
         # only — applying them greedily everywhere is exactly what a local
         # TRS cannot safely do (§6).
-        self.lowerer = Lowerer(target, use_synthesized=True)
-        self.move_rules: List[Rule] = (
-            list(target.rake_extra_rules) + list(self.lowerer.engine.rules)
-        )
+        rules = rulesets.rake(target)
+        self.lowerer = Lowerer(target, rules.lower)
+        self.move_rules: List[Rule] = [*rules.moves, *rules.lower]
         self.swizzle_discount = (
             RAKE_SWIZZLE_DISCOUNT if target.name == "hexagon-hvx" else 0.0
         )

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
+from . import rulesets
 from .analysis import BoundsAnalyzer, Interval
 from .ir.expr import Expr
 from .lifting.canonicalize import CanonicalizePass
@@ -206,16 +207,9 @@ class PitchforkCompiler(Compiler):
         verify_each: bool = False,
         lift_strategy: str = "greedy",
     ):
-        self.lifter = Lifter(
-            use_synthesized=use_synthesized,
-            exclude_sources=exclude_sources,
-            strategy=lift_strategy,
-        )
-        self.lowerer = Lowerer(
-            target,
-            use_synthesized=use_synthesized,
-            exclude_sources=exclude_sources,
-        )
+        rules = rulesets.pitchfork(target, use_synthesized, exclude_sources)
+        self.lifter = Lifter(rules.lift, strategy=lift_strategy)
+        self.lowerer = Lowerer(target, rules.lower)
         lift_pass = (
             EGraphLiftPass(self.lifter, scorer=self._cycle_scorer)
             if lift_strategy == "egraph"
@@ -257,7 +251,8 @@ class RakeCompiler(Compiler):
     name = "rake"
 
     def __init__(self, target: Target, verify_each: bool = False):
-        passes = [CanonicalizePass(), LiftPass(Lifter()), RakeSelector(target)]
+        lift = LiftPass(Lifter(rulesets.rake(target).lift))
+        passes = [CanonicalizePass(), lift, RakeSelector(target)]
         super().__init__(target, passes, verify_each)
 
 

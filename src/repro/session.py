@@ -161,8 +161,8 @@ class CompilerSession:
         memos and bounds caches are populated.  Idempotent; returns a
         summary dict (``seconds`` is 0.0 on repeat calls).
         """
+        from . import rulesets
         from . import targets as T
-        from .lifting import HAND_RULES, SYNTHESIZED_RULES
         from .pipeline import pitchfork_compile
         from .workloads import WORKLOADS, by_name
 
@@ -194,7 +194,7 @@ class CompilerSession:
             "seconds": seconds,
             "targets": names,
             "strategies": list(lift_strategies),
-            "rules": len(HAND_RULES) + len(SYNTHESIZED_RULES),
+            "rules": len(rulesets.pitchfork().lift),
             "warmed": False,
         }
 

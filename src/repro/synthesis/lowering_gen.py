@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from .. import rulesets
 from ..analysis import BoundsAnalyzer
 from ..ir import expr as E
 from ..ir.traversal import subexpressions
@@ -54,25 +55,19 @@ def generate_lowering_pairs(
     target: Target,
     max_size: int = MAX_LHS_SIZE,
     max_candidates: int = 64,
-    use_synthesized: bool = False,
 ) -> List[LoweringPair]:
     """Mine one benchmark for lowering rules the greedy TRS is missing.
 
-    ``use_synthesized=False`` compares the oracle against the *hand* rule
-    set — the paper's actual setting, since this machinery is what
-    produced the synthesized rules in the first place.
+    The oracle is compared against the *hand* rule set — the paper's
+    actual setting, since this machinery is what produced the
+    synthesized rules in the first place.
     """
-    if target.name == "x86-avx2":
-        raise ValueError(
-            "no lowering-rule generation for x86: Rake has no x86 backend"
-        )
+    oracle = RakeSelector(target)  # raises for x86: Rake has no backend
+    rules = rulesets.pitchfork(target, use_synthesized=False)
     analyzer = BoundsAnalyzer(workload.var_bounds)
-    lifted = Lifter(use_synthesized=use_synthesized).lift(
-        workload.expr, analyzer
-    ).expr
+    lifted = Lifter(rules.lift).lift(workload.expr, analyzer).expr
 
-    greedy = Lowerer(target, use_synthesized=use_synthesized)
-    oracle = RakeSelector(target)
+    greedy = Lowerer(target, rules.lower)
     pairs: List[LoweringPair] = []
     seen = set()
 

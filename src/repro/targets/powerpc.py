@@ -22,7 +22,7 @@ from ..trs.rule import Rule
 from .generic import GenericMapper
 from .isa import InstrSpec, TargetDesc, target_op
 
-__all__ = ["DESC", "GENERIC", "LOWERING_RULES", "RAKE_EXTRA_RULES"]
+__all__ = ["DESC", "GENERIC", "LOWERING_RULES"]
 
 DESC = TargetDesc(name="powerpc-vsx", register_bits=128, max_elem_bits=64)
 
@@ -220,4 +220,3 @@ def _rshr_add_safe(m, ctx) -> bool:
 
 
 LOWERING_RULES: List[Rule] = _rules()
-RAKE_EXTRA_RULES: List[Rule] = []

@@ -34,7 +34,7 @@ from ..trs.rule import Rule
 from .generic import GenericMapper
 from .isa import InstrSpec, TargetDesc, target_op
 
-__all__ = ["DESC", "GENERIC", "LOWERING_RULES", "RAKE_EXTRA_RULES"]
+__all__ = ["DESC", "GENERIC", "LOWERING_RULES"]
 
 DESC = TargetDesc(name="riscv-rvv", register_bits=512, max_elem_bits=64)
 
@@ -266,6 +266,3 @@ def _rules() -> List[Rule]:
 
 
 LOWERING_RULES: List[Rule] = _rules()
-
-#: Rake has no RISC-V backend.
-RAKE_EXTRA_RULES: List[Rule] = []

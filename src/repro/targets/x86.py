@@ -31,7 +31,7 @@ from ..trs.rule import Rule
 from .generic import GenericMapper
 from .isa import InstrSpec, TargetDesc, target_op
 
-__all__ = ["DESC", "GENERIC", "LOWERING_RULES", "RAKE_EXTRA_RULES"]
+__all__ = ["DESC", "GENERIC", "LOWERING_RULES"]
 
 DESC = TargetDesc(name="x86-avx2", register_bits=256, max_elem_bits=64)
 
@@ -366,6 +366,3 @@ def _rshr_add_safe(m, ctx) -> bool:
 
 
 LOWERING_RULES: List[Rule] = _rules()
-
-#: Rake does not support x86 (§5, footnote 3).
-RAKE_EXTRA_RULES: List[Rule] = []

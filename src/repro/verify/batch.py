@@ -17,7 +17,8 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from ..fabric import TaskSpec, run_tasks
-from ..fabric.jobs import VerifyParams, resolve_ruleset
+from ..fabric.jobs import VerifyParams
+from ..rulesets import rule_set
 from .rule_verifier import VerificationReport
 
 __all__ = ["batch_verify_rules"]
@@ -45,7 +46,7 @@ def batch_verify_rules(
     params = VerifyParams()
     specs: List[TaskSpec] = []
     for label in ruleset_labels:
-        for rule in resolve_ruleset(label):
+        for rule in rule_set(label).rules:
             specs.append(
                 TaskSpec(
                     "verify-rule",

@@ -26,10 +26,11 @@ from repro.fabric import (
     rule_fingerprint,
     rulebase_fingerprint,
     run_tasks,
+    task_key,
 )
 from repro.fabric import cache as cache_module
 from repro.fabric.fingerprint import (
-    cell_rules_fingerprint,
+    baseline_rules_fingerprint,
     workload_fingerprint,
 )
 from repro.fabric.jobs import (
@@ -566,35 +567,44 @@ class TestSchedulerIntegration:
 
 class TestKeyMemo:
     """The memoized key parts of compile-shaped cells (the workload
-    expression and the pipeline rulebase) against the unmemoized
+    expression and the flows' rulebases) against the unmemoized
     fingerprint functions, which stay the reference."""
 
     def _reference_parts(self, spec):
         from repro.workloads import by_name
 
+        pipeline = pipeline_rules_fingerprint.__wrapped__
         wl_name, target = spec.key
         expr_fp = expr_fingerprint(by_name(wl_name).expr)
         p = spec.params
         if spec.kind == "runtime":
             exclude = (f"synth:{wl_name}",) if p.leave_one_out else ()
+            baseline = baseline_rules_fingerprint.__wrapped__
+            rake = (
+                (baseline("rake", target),)
+                if p.with_rake and target in ("arm-neon", "hexagon-hvx")
+                else ()
+            )
             return (
                 expr_fp, target,
-                pipeline_rules_fingerprint(
+                pipeline(
                     target, True, exclude_sources=exclude,
                     lift_strategy=p.lift_strategy,
                 ),
+                baseline("llvm", target),
                 eval_backend_fingerprint(p.eval_backend),
+                *rake,
             )
         if spec.kind == "ablation":
             return (
                 expr_fp, target,
-                pipeline_rules_fingerprint(target, True),
-                pipeline_rules_fingerprint(target, False),
+                pipeline(target, True),
+                pipeline(target, False),
                 eval_backend_fingerprint(None),
             )
         return (
             expr_fp, target,
-            pipeline_rules_fingerprint(
+            pipeline(
                 target, p.use_synthesized, lift_strategy=p.lift_strategy
             ),
         )
@@ -635,12 +645,13 @@ class TestKeyMemo:
         assert workload_fingerprint.cache_info().currsize <= len(WORKLOADS)
 
     def test_rule_index_agrees_with_a_scan(self):
-        from repro.fabric.jobs import resolve_rule, resolve_ruleset
+        from repro.fabric.jobs import resolve_rule
+        from repro.rulesets import rule_set
         from repro.targets import ALL_TARGETS
 
         assert len(ALL_TARGETS) == 6
         for label in ("lifting-hand", "lifting-synth", *ALL_TARGETS):
-            rules = resolve_ruleset(label)
+            rules = rule_set(label).rules
             assert rules
             for rule in rules:
                 first = next(r for r in rules if r.name == rule.name)
@@ -657,7 +668,7 @@ class TestKeyMemo:
         lookup_task(compile_spec, cache)
         sizes = (
             workload_fingerprint.cache_info().currsize,
-            cell_rules_fingerprint.cache_info().currsize,
+            pipeline_rules_fingerprint.cache_info().currsize,
         )
         for seed in range(300):
             hit, ckey = lookup_task(TaskSpec(
@@ -668,5 +679,88 @@ class TestKeyMemo:
             lookup_task(compile_spec, cache)
         assert (
             workload_fingerprint.cache_info().currsize,
-            cell_rules_fingerprint.cache_info().currsize,
+            pipeline_rules_fingerprint.cache_info().currsize,
         ) == sizes
+
+
+class TestRuntimeKey:
+    """A Figure 5 cell reports PITCHFORK, LLVM and (with ``with_rake``)
+    Rake cycles, so its key hashes the rules of all three compilers, as
+    the registry gives them."""
+
+    SPEC = TaskSpec(
+        "runtime", ("sobel3x3", "arm-neon"),
+        RuntimeParams(with_rake=True, leave_one_out=True),
+    )
+
+    @pytest.fixture(autouse=True)
+    def _fresh_baseline_memo(self):
+        baseline_rules_fingerprint.cache_clear()
+        yield
+        baseline_rules_fingerprint.cache_clear()
+
+    def _swap_first(self, monkeypatch, flow, field, other):
+        """Serve ``flow`` from the registry with the first rule of its
+        ``field`` list replaced by ``other``."""
+        from repro import rulesets
+
+        real = getattr(rulesets, flow)
+
+        def swapped(*args, **kwargs):
+            rules = real(*args, **kwargs)
+            kept = getattr(rules, field)
+            return rules._replace(**{field: (other, *kept[1:])})
+
+        monkeypatch.setattr(rulesets, flow, swapped)
+        baseline_rules_fingerprint.cache_clear()
+
+    def test_swapping_an_llvm_pattern_or_a_rake_move_changes_the_key(
+        self, tmp_path, monkeypatch
+    ):
+        from repro import rulesets
+        from repro.pipeline import LLVMCompiler
+        from repro.targets import ARM
+
+        cache = ResultCache(root=str(tmp_path))
+        before = task_key(self.SPEC, cache)
+        other = rulesets.pitchfork(ARM).lower[0]
+
+        self._swap_first(monkeypatch, "llvm", "lower", other)
+        assert task_key(self.SPEC, cache) != before
+        select = LLVMCompiler(ARM).passes.passes[0]
+        assert select.plain.lowerer.engine.rules[0] is other
+        monkeypatch.undo()
+
+        self._swap_first(monkeypatch, "rake", "moves", other)
+        assert task_key(self.SPEC, cache) != before
+        monkeypatch.undo()
+
+        baseline_rules_fingerprint.cache_clear()
+        assert task_key(self.SPEC, cache) == before
+
+    def test_key_derivations_leave_the_rule_memo_unchanged(self, tmp_path):
+        from repro import rulesets
+        from repro.fabric.fingerprint import _RULE_FP_MEMO
+        from repro.targets import ARM, HVX
+
+        cache = ResultCache(root=str(tmp_path))
+        specs = [
+            TaskSpec("runtime", (wl, target), RuntimeParams(rake, loo))
+            for wl, target, rake, loo in itertools.product(
+                ("add", "sobel3x3"), ("x86-avx2", "arm-neon", "hexagon-hvx"),
+                (False, True), (False, True),
+            )
+        ]
+        for spec in specs:
+            task_key(spec, cache)
+        size = len(_RULE_FP_MEMO)
+        for i in range(1000):
+            task_key(specs[i % len(specs)], cache)
+        assert len(_RULE_FP_MEMO) == size
+        # the keys hashed the registry's own LLVM and Rake rule objects
+        for target in (ARM, HVX):
+            for rule in (
+                *rulesets.llvm(target, q31=True).lower,
+                *rulesets.rake(target).moves,
+            ):
+                assert _RULE_FP_MEMO[id(rule)][0] is rule

@@ -10,8 +10,9 @@ import pytest
 from repro.evaluation.ablation import run_ablation
 from repro.evaluation.coverage import run_coverage
 from repro.fabric import ResultCache, TaskSpec, run_tasks
-from repro.fabric.jobs import VerifyParams, resolve_ruleset
+from repro.fabric.jobs import VerifyParams
 from repro.observe import MetricsRegistry
+from repro.rulesets import rule_set
 from repro.synthesis.driver import synthesize_lifting_rules
 
 WORKLOADS = ["add", "mean", "softmax"]
@@ -57,7 +58,7 @@ def _verify_hand_rules(params, **fabric):
     """One ``verify-rule`` task per hand lifting rule, at ``params``."""
     specs = [
         TaskSpec("verify-rule", key=("lifting-hand", r.name), params=params)
-        for r in resolve_ruleset("lifting-hand")
+        for r in rule_set("lifting-hand").rules
     ]
     return run_tasks(specs, **fabric)
 

@@ -13,9 +13,10 @@ import time
 from repro.evaluation.ablation import run_ablation
 from repro.evaluation.coverage import run_coverage
 from repro.fabric import ResultCache, TaskSpec, run_tasks
-from repro.fabric.jobs import RuntimeParams, VerifyParams, resolve_ruleset
+from repro.fabric.jobs import RuntimeParams, VerifyParams
 from repro.fabric.scheduler import job_kind
 from repro.observe import MetricsRegistry, Tracer
+from repro.rulesets import rule_set
 from repro.targets import ARM
 
 WORKLOADS = ["add", "mean"]
@@ -122,7 +123,7 @@ class TestWorkerMetrics:
         )
         specs = [
             TaskSpec("verify-rule", ("lifting-hand", r.name), params)
-            for r in resolve_ruleset("lifting-hand")
+            for r in rule_set("lifting-hand").rules
         ]
         run_tasks(specs, jobs=1, metrics=serial)
         run_tasks(specs, jobs=4, metrics=parallel)

@@ -16,6 +16,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from repro import rulesets
 from repro.ir import expr as E
 from repro.ir.traversal import subexpressions
 from repro.ir.types import U8, U16
@@ -191,7 +192,8 @@ def _lower_chain_within_a_second(obs=None):
     got = {}
 
     def run():
-        got["lowered"], _ = Lowerer(ARM).lower_with_stats(t, obs=obs)
+        lowerer = Lowerer(ARM, rulesets.pitchfork(ARM).lower)
+        got["lowered"], _ = lowerer.lower_with_stats(t, obs=obs)
 
     worker = threading.Thread(target=run, daemon=True)
     worker.start()
@@ -218,7 +220,8 @@ def test_observed_lowering_of_a_self_shared_chain_is_linear():
 
 def test_generic_expansions_count_distinct_nodes():
     obs = Observation()
-    Lowerer(ARM).lower_with_stats(shared_chain(6), obs=obs)
+    lowerer = Lowerer(ARM, rulesets.pitchfork(ARM).lower)
+    lowerer.lower_with_stats(shared_chain(6), obs=obs)
     generic = {dict(c.labels)["op"]: c.value
                for c in obs.metrics.counters("expansion")
                if dict(c.labels)["kind"] == "generic"}

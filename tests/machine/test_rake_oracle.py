@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import rulesets
 from repro.analysis import BoundsAnalyzer
 from repro.ir import builders as h
 from repro.lifting import Lifter
@@ -24,7 +25,9 @@ class TestSearch:
                     wl.expr, BoundsAnalyzer(wl.var_bounds)
                 ).expr
                 selector = RakeSelector(target)
-                greedy = Lowerer(target).lower(
+                greedy = Lowerer(
+                    target, rulesets.pitchfork(target).lower
+                ).lower(
                     lifted, BoundsAnalyzer(wl.var_bounds)
                 )
                 greedy_cost = cost_cycles(

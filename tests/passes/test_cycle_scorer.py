@@ -12,6 +12,7 @@ import weakref
 
 import pytest
 
+from repro import rulesets
 from repro.analysis import BoundsAnalyzer
 from repro.machine.lowerer import Lowerer, LoweringError
 from repro.machine.simulator import cost_cycles
@@ -67,7 +68,7 @@ def _fresh(lowerer, term, var_bounds):
 @pytest.mark.parametrize("target", PAPER_TARGETS, ids=lambda t: t.name)
 def test_candidates_lower_as_if_fresh_and_context_dies(monkeypatch, target):
     seen = _spy_candidates(monkeypatch)
-    fresh = Lowerer(target)
+    fresh = Lowerer(target, rulesets.pitchfork(target).lower)
     for name in WORKLOADS:
         wl = by_name(name)
         del seen[:]

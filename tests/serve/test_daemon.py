@@ -604,6 +604,7 @@ class TestMetricsEndpoint:
 
     def test_metrics_scrape_is_prometheus_text(self, served, client):
         client.ping()
+        client.compile("add", "arm-neon")  # the op="compile" series
         resp = self._get(served, "/metrics")
         assert resp.status == 200
         assert resp.headers["Content-Type"].startswith("text/plain")

@@ -108,6 +108,7 @@ class TestFullLoweringLoop:
     """§4.2 + §4.3 end to end: mined pairs become usable TRS rules."""
 
     def test_learned_rule_recovers_fusion_in_hand_only_lowerer(self):
+        from repro import rulesets
         from repro.analysis import BoundsAnalyzer
         from repro.lifting import Lifter
         from repro.machine.lowerer import Lowerer
@@ -118,13 +119,12 @@ class TestFullLoweringLoop:
         learned = synthesize_lowering_rules(wl, ARM, max_candidates=24)
         assert learned, "no lowering rules learned from sobel/ARM"
 
-        lifted = Lifter(use_synthesized=False).lift(
+        hand = rulesets.pitchfork(ARM, use_synthesized=False)
+        lifted = Lifter(hand.lift).lift(
             wl.expr, BoundsAnalyzer(wl.var_bounds)
         ).expr
-        base = Lowerer(ARM, use_synthesized=False)
-        boosted = Lowerer(
-            ARM, use_synthesized=False, extra_rules=learned
-        )
+        base = Lowerer(ARM, hand.lower)
+        boosted = Lowerer(ARM, (*learned, *hand.lower))
         base_cost = cost_cycles(
             base.lower(lifted, BoundsAnalyzer(wl.var_bounds)), ARM
         ).total
@@ -145,6 +145,7 @@ class TestFullLoweringLoop:
             assert verify_rule(rule, max_type_combos=4).ok
 
     def test_learned_rule_lowered_programs_execute(self):
+        from repro import rulesets
         from repro.analysis import BoundsAnalyzer
         from repro.interp import evaluate
         from repro.lifting import Lifter
@@ -153,11 +154,12 @@ class TestFullLoweringLoop:
 
         wl = by_name("sobel3x3")
         learned = synthesize_lowering_rules(wl, ARM, max_candidates=16)
-        lifted = Lifter(use_synthesized=False).lift(
+        hand = rulesets.pitchfork(ARM, use_synthesized=False)
+        lifted = Lifter(hand.lift).lift(
             wl.expr, BoundsAnalyzer(wl.var_bounds)
         ).expr
-        prog = Lowerer(
-            ARM, use_synthesized=False, extra_rules=learned
-        ).lower(lifted, BoundsAnalyzer(wl.var_bounds))
+        prog = Lowerer(ARM, (*learned, *hand.lower)).lower(
+            lifted, BoundsAnalyzer(wl.var_bounds)
+        )
         env = wl.random_env(lanes=16, seed=55)
         assert evaluate(prog, env) == evaluate(wl.expr, env)

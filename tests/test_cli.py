@@ -116,6 +116,23 @@ class TestCompile:
         with pytest.raises(SystemExit):
             main(["compile", "not_a_benchmark"])
 
+    @pytest.mark.parametrize("argv", [
+        ["compile", "add"],
+        ["coverage"],
+        ["client", "--port", "1", "compile", "add"],
+    ], ids=["compile", "coverage", "client-compile"])
+    def test_unknown_target_exits_2_listing_the_valid_ones(
+        self, argv, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--target", "bogus"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "invalid choice: 'bogus'" in captured.err
+        for name in ("all", "every", "x86-avx2", "powerpc-vsx"):
+            assert f"'{name}'" in captured.err
+        assert captured.out == ""
+
 
 class TestOtherCommands:
     def test_workloads(self, capsys):

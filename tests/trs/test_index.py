@@ -16,6 +16,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from repro import fpir as F
+from repro import rulesets
 from repro.ir import builders as h
 from repro.ir import expr as E
 from repro.ir.types import I16, U8, U16
@@ -60,7 +61,10 @@ def _gen_u8(rng, depth):
 
 
 LIFT_INDEX = Lifter().engine.index
-LOWER_INDEXES = [Lowerer(t).engine.index for t in (X86, ARM, HVX)]
+LOWER_INDEXES = [
+    Lowerer(t, rulesets.pitchfork(t).lower).engine.index
+    for t in (X86, ARM, HVX)
+]
 
 
 def _assert_differential(index: RuleIndex, expr):
