@@ -49,6 +49,7 @@ import sys
 from . import targets as T
 from .fabric.jobs import CompileTimeParams
 from .lifting import LIFT_STRATEGIES
+from .machine.rake_oracle import RAKE_TARGETS
 from .passes import PassVerificationError
 from .pipeline import llvm_compile, rake_compile
 from .session import CompilerSession
@@ -188,7 +189,7 @@ def cmd_compile(args) -> int:
                 print(ll.assembly())
                 if args.stats:
                     _print_stats(ll)
-            if args.rake and target.name in ("arm-neon", "hexagon-hvx"):
+            if args.rake and target.name in RAKE_TARGETS:
                 rk = rake_compile(wl.expr, target, var_bounds=wl.var_bounds,
                                   verify_each=args.verify_each)
                 print(f"-- Rake oracle ({rk.cost().total:.1f} cycles/vec):")

@@ -22,13 +22,12 @@ from typing import Dict, List, Optional
 
 from ..fabric.jobs import RuntimeParams
 from ..interp import compile_for_backend
+from ..machine.rake_oracle import RAKE_TARGETS
 from ..pipeline import llvm_compile, pitchfork_compile, rake_compile
 from ..targets import ALL_TARGETS, ARM, HVX, X86, Target
 from ..workloads import Workload, all_workloads
 
 __all__ = ["BenchmarkResult", "RuntimeEvaluation", "run_runtime_evaluation"]
-
-RAKE_TARGETS = ("arm-neon", "hexagon-hvx")
 
 
 @dataclass

@@ -289,7 +289,7 @@ class RuntimeParams(JobParams):
 def _runtime_parts(spec: TaskSpec) -> Tuple[str, ...]:
     """A cell reports the cycles of up to three compilers, so its key
     hashes the rules of each one it runs."""
-    from ..evaluation.runtime import RAKE_TARGETS
+    from ..machine.rake_oracle import RAKE_TARGETS
 
     wl_name, target_name = spec.key
     p = spec.params

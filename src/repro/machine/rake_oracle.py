@@ -18,7 +18,8 @@ We model it faithfully to that description:
   expression, reproducing the compile-time gap (§5.2 notes Rake is
   ~10^5x slower; our factor is smaller but qualitatively the same).
 
-Rake supports ARM and HVX only (§5, footnote 3) — requesting x86 raises.
+Rake supports ARM and HVX only (§5, footnote 3): :data:`RAKE_TARGETS`
+names them, and requesting any other target raises.
 
 This module doubles as the *lowering-rule synthesis oracle* of §4.2: given
 a lifted expression, :meth:`RakeSelector.best_lowering` returns the optimal
@@ -40,7 +41,10 @@ from ..trs.rule import Rule
 from .lowerer import Lowerer, LoweringError
 from .simulator import cost_cycles
 
-__all__ = ["RakeSelector", "RAKE_SWIZZLE_DISCOUNT"]
+__all__ = ["RakeSelector", "RAKE_SWIZZLE_DISCOUNT", "RAKE_TARGETS"]
+
+#: The targets Rake has a backend for (§5, footnote 3).
+RAKE_TARGETS = ("arm-neon", "hexagon-hvx")
 
 #: Fraction of swizzle-instruction cost Rake's layout co-optimization
 #: removes on HVX (it restructures computations so packs/deals vanish).
@@ -60,8 +64,11 @@ class RakeSelector(Pass):
         max_steps: int = 24,
         moves_per_state: int = 12,
     ):
-        if target.name == "x86-avx2":
-            raise ValueError("Rake does not support x86 (§5, footnote 3)")
+        if target.name not in RAKE_TARGETS:
+            raise ValueError(
+                f"Rake has no {target.name} backend; it supports "
+                f"{', '.join(RAKE_TARGETS)} (§5, footnote 3)"
+            )
         self.target = target
         self.beam_width = beam_width
         self.max_steps = max_steps

@@ -62,7 +62,7 @@ def generate_lowering_pairs(
     actual setting, since this machinery is what produced the
     synthesized rules in the first place.
     """
-    oracle = RakeSelector(target)  # raises for x86: Rake has no backend
+    oracle = RakeSelector(target)  # raises outside RAKE_TARGETS
     rules = rulesets.pitchfork(target, use_synthesized=False)
     analyzer = BoundsAnalyzer(workload.var_bounds)
     lifted = Lifter(rules.lift).lift(workload.expr, analyzer).expr

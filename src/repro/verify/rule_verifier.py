@@ -479,24 +479,24 @@ def verify_rule(
             )
         # An interval is a function of the node and the hints alone, so
         # one context per hint level serves every constant choice.
-        contexts = [BoundsContext(BoundsAnalyzer(h)) for h in hint_sets]
+        contexts = [_CountingContext(BoundsAnalyzer(h)) for h in hint_sets]
         const_nodes: Dict[Tuple[str, int], Const] = {}
         # both sides as templates, built on the first choice a predicate
         # passes; () when either side does not build
         sides: Optional[Tuple[Expr, ...]] = None
         checks: Optional[_Checks] = None  # the templates' queued checks
         for const_env in const_choices:
-            full_env = dict(env)
-            for name, v in const_env.items():
-                node = const_nodes.get((name, v))
-                if node is None:
-                    node = const_nodes[name, v] = Const(cwild_types[name], v)
-                full_env[name] = node
-            m = _LazyRootMatch(rule.lhs, full_env, dict(tenv), dict(const_env))
+            m = _LazyRootMatch(rule.lhs, env, const_nodes, cwild_types,
+                               dict(tenv), dict(const_env))
             for hints, ctx in zip(hint_sets, contexts):
                 try:
+                    uses = ctx.uses
                     if (rule.predicate is not None
                             and not rule.predicate(m, ctx)):
+                        if ctx.uses == uses:
+                            # the levels differ only in their hints, so
+                            # each would answer this no the same way
+                            break
                         continue
                     if sides is None:
                         sides = templates.build(env, tenv, cwild_types)
@@ -629,16 +629,40 @@ class _LhsBuildFailed(Exception):
 class _LazyRootMatch(Match):
     """The match a rule's predicate sees during verification.
 
-    ``root`` is the rule's left-hand side, instantiated on first read and
-    kept: a predicate that rejects a constant choice from ``consts``,
-    ``tenv`` or ``env`` costs no tree build, and both hint levels share
-    one build.  A failed build raises :class:`_LhsBuildFailed`.
+    ``env`` and ``root`` are built on first read and kept.  ``env`` is
+    the type assignment's wildcard variables followed by the constant
+    choice's ``Const`` nodes, taken from ``const_nodes`` (one node per
+    name and value for the whole assignment, added on first use).
+    ``root`` is the rule's left-hand side instantiated over ``env``.  So
+    a predicate that rejects a constant choice from ``consts`` and
+    ``tenv`` builds neither, one that reads ``env`` builds no tree, and
+    both hint levels share one build.  A failed build of ``root`` raises
+    :class:`_LhsBuildFailed`.
     """
 
-    def __init__(self, lhs: Expr, env: Dict[str, Expr],
+    def __init__(self, lhs: Expr, wild_env: Dict[str, Expr],
+                 const_nodes: Dict[Tuple[str, int], Const],
+                 const_types: Dict[str, ScalarType],
                  tenv: Dict[str, ScalarType], consts: Dict[str, int]) -> None:
-        self._lhs = lhs
-        super().__init__(env=env, tenv=tenv, consts=consts)
+        self._lhs, self._wild_env = lhs, wild_env
+        self._const_nodes, self._const_types = const_nodes, const_types
+        super().__init__(env=None, tenv=tenv, consts=consts)
+
+    @property
+    def env(self) -> Dict[str, Expr]:
+        if self._env is None:
+            self._env = env = dict(self._wild_env)
+            for name, v in self.consts.items():
+                node = self._const_nodes.get((name, v))
+                if node is None:
+                    node = self._const_nodes[name, v] = Const(
+                        self._const_types[name], v)
+                env[name] = node
+        return self._env
+
+    @env.setter
+    def env(self, value: Optional[Dict[str, Expr]]) -> None:
+        self._env = value
 
     @property
     def root(self) -> Expr:
@@ -652,6 +676,29 @@ class _LazyRootMatch(Match):
     @root.setter
     def root(self, value: Optional[Expr]) -> None:
         self._root = value
+
+
+class _CountingContext(BoundsContext):
+    """The bounds context of one hint level, counting its ``uses``.
+
+    The hint levels' contexts differ only in their analyzer, and every
+    query reads it, so ``uses`` grows on each ``upper_bounded``,
+    ``lower_bounded`` and ``nonzero`` call and on each direct read of
+    ``analyzer`` (which predicates must not make, see
+    :class:`~repro.trs.rule.RuleContext`).  A predicate call that leaves
+    ``uses`` where it was cannot tell the levels apart.
+    """
+
+    uses = 0
+
+    @property
+    def analyzer(self) -> BoundsAnalyzer:
+        self.uses += 1
+        return self._analyzer
+
+    @analyzer.setter
+    def analyzer(self, value: BoundsAnalyzer) -> None:
+        self._analyzer = value
 
 
 def _restricted_hints(wild_types: Dict[str, ScalarType]) -> Dict[str, Interval]:

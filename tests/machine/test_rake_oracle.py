@@ -6,11 +6,15 @@ from repro import rulesets
 from repro.analysis import BoundsAnalyzer
 from repro.ir import builders as h
 from repro.lifting import Lifter
-from repro.machine.rake_oracle import RAKE_SWIZZLE_DISCOUNT, RakeSelector
+from repro.machine.rake_oracle import (
+    RAKE_SWIZZLE_DISCOUNT,
+    RAKE_TARGETS,
+    RakeSelector,
+)
 from repro.machine.simulator import cost_cycles
 from repro.machine.lowerer import Lowerer
 from repro.pipeline import pitchfork_compile, rake_compile
-from repro.targets import ARM, HVX, X86
+from repro.targets import ALL_TARGETS, ARM, HVX
 from repro.workloads import by_name
 
 
@@ -56,9 +60,14 @@ class TestSearch:
         assert RakeSelector(HVX).swizzle_discount == RAKE_SWIZZLE_DISCOUNT
         assert RakeSelector(ARM).swizzle_discount == 0.0
 
-    def test_x86_rejected(self):
-        with pytest.raises(ValueError):
-            RakeSelector(X86)
+    @pytest.mark.parametrize(
+        "name", ["x86-avx2", "wasm-simd128", "riscv-rvv", "powerpc-vsx"])
+    def test_targets_without_a_backend_rejected(self, name):
+        assert RAKE_TARGETS == ("arm-neon", "hexagon-hvx")
+        with pytest.raises(ValueError, match="arm-neon, hexagon-hvx"):
+            RakeSelector(ALL_TARGETS[name])
+        with pytest.raises(ValueError, match=f"no {name} backend"):
+            rake_compile(by_name("add").expr, ALL_TARGETS[name])
 
 
 class TestPaperShape:
