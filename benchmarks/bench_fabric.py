@@ -28,6 +28,7 @@ from conftest import register_lazy_report
 
 from repro.evaluation.coverage import run_coverage
 from repro.fabric import ResultCache
+from repro.session import CompilerSession
 from repro.verify import batch_verify_rules
 
 PARALLEL_JOBS = 4
@@ -45,11 +46,15 @@ def _median_time(fn, repeats=3):
 
 
 def _verify_batch(jobs, cache):
-    return batch_verify_rules(
-        ["lifting-hand", "lifting-synth"],
-        jobs=jobs,
-        cache=cache,
-    )
+    with CompilerSession(jobs=jobs, cache=cache) as session:
+        return batch_verify_rules(
+            ["lifting-hand", "lifting-synth"], session=session
+        )
+
+
+def _coverage(jobs, cache=None):
+    with CompilerSession(jobs=jobs, cache=cache) as session:
+        return run_coverage(session=session)
 
 
 def _verify_key(results):
@@ -92,15 +97,15 @@ def test_fabric_rule_verification():
 
 def test_fabric_coverage_sweep():
     """The 16-workload x 3-target coverage sweep, three ways."""
-    t_serial, base = _median_time(lambda: run_coverage(jobs=1), repeats=1)
+    t_serial, base = _median_time(lambda: _coverage(1), repeats=1)
     t_parallel, par = _median_time(
-        lambda: run_coverage(jobs=PARALLEL_JOBS), repeats=1
+        lambda: _coverage(PARALLEL_JOBS), repeats=1
     )
     assert base.to_json() == par.to_json()
     with tempfile.TemporaryDirectory() as d:
-        run_coverage(jobs=1, cache=ResultCache(root=d))  # populate
+        _coverage(1, ResultCache(root=d))  # populate
         cache = ResultCache(root=d)
-        t_warm, warm = _median_time(lambda: run_coverage(jobs=1, cache=cache))
+        t_warm, warm = _median_time(lambda: _coverage(1, cache))
         assert base.to_json() == warm.to_json()
         assert cache.misses == 0, "warm run must be pure hits"
     _RESULTS["coverage_sweep"] = {

@@ -114,18 +114,20 @@ def _write_fig6_json():
     ]
     if missing:
         from repro.evaluation.compile_time import CompileTimeResult
-        from repro.fabric import TaskSpec, run_tasks
+        from repro.fabric import TaskSpec
         from repro.fabric.jobs import CompileTimeParams
+        from repro.session import CompilerSession
 
         params = CompileTimeParams(repeats=3)
         specs = [
             TaskSpec("compile-time", key=cell, params=params)
             for cell in missing
         ]
-        results += [
-            CompileTimeResult.from_task(res)
-            for res in run_tasks(specs, jobs=jobs)
-        ]
+        with CompilerSession(jobs=jobs) as session:
+            results += [
+                CompileTimeResult.from_task(res)
+                for res in session.run_tasks(specs)
+            ]
     ev = CompileTimeEvaluation(results=results)
 
     registry = MetricsRegistry()

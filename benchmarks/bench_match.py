@@ -30,6 +30,7 @@ from repro.evaluation.coverage import run_coverage
 from repro.lifting import Lifter
 from repro.lifting.canonicalize import canonicalize
 from repro.observe import MetricsRegistry
+from repro.session import CompilerSession
 from repro.trs.rewriter import RewriteEngine
 from repro.workloads import WORKLOADS, by_name
 
@@ -49,7 +50,8 @@ def _median_time(fn, repeats=3):
 def test_match_attempts_avoided():
     """Count index hits/misses over the full coverage sweep."""
     metrics = MetricsRegistry()
-    report = run_coverage(metrics=metrics)
+    with CompilerSession(metrics=metrics) as session:
+        report = run_coverage(session=session)
     assert not report.failures
     hits = misses = 0
     for c in metrics.counters("match_index"):

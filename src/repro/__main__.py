@@ -25,13 +25,16 @@ serve       long-lived compile-as-a-service daemon: line-delimited
             answered from warm compiler state; Prometheus /metrics
 client      thin client for the serve daemon (scripting and CI)
 
-Sweep-shaped commands (evaluate, coverage, rules --verify, lint
---coverage, synthesize) run on the execution fabric: ``--jobs N`` fans
-cells out over worker processes, ``--cache`` persists content-addressed
-cell results under ``.repro-cache/`` (or ``--cache-dir``/$REPRO_CACHE_DIR).
-Reports are byte-identical whatever ``--jobs`` is, and caching never
-changes a result — keys include the expression, target, rulebase
-fingerprint, and repro version, so any semantic change is a miss.
+Every command runs in one :class:`~repro.session.CompilerSession`
+built from its shared options and closed when it ends.  Sweep-shaped
+commands (evaluate, coverage, rules --verify, lint --coverage/--machine,
+synthesize) run on the execution fabric: ``--jobs N`` fans cells out
+over the session's N worker processes, one pool for every sweep of the
+command, and ``--cache`` persists content-addressed cell results under
+``.repro-cache/`` (or ``--cache-dir``/$REPRO_CACHE_DIR).  Reports are
+byte-identical whatever ``--jobs`` is, and caching never changes a
+result — keys include the expression, target, rulebase fingerprint, and
+repro version, so any semantic change is a miss.
 
 Every command also takes ``--report out.json`` to emit a
 schema-versioned run report (environment + rulebase fingerprints, phase
@@ -86,10 +89,18 @@ def _repeats(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _jobs(text: str) -> int:
+    """``--jobs``, checked by the session before any worker starts."""
+    try:
+        return CompilerSession(jobs=int(text)).jobs
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _add_fabric_args(p) -> None:
     """``--jobs`` / ``--cache`` / ``--cache-dir`` for sweep commands
     and the daemon."""
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
+    p.add_argument("--jobs", type=_jobs, default=1, metavar="N",
                    help="worker processes for the sweep (serve: forked "
                         "after warm-up); default 1 runs in-process")
     p.add_argument("--cache", action="store_true",
@@ -134,18 +145,18 @@ def _print_stats(prog) -> None:
     print(f"   {prog.register_pressure().format_line()}")
 
 
-def cmd_compile(args) -> int:
+def cmd_compile(args, session) -> int:
     from .session import compile_listing
 
     wl = by_name(args.workload)
-    session = CompilerSession.from_args(args)
     registry = session.metrics
-    observing = bool(args.trace) or args.explain or registry is not None
-    tracer = None
-    if args.trace or registry is not None:
+    if session.tracer is None and registry is not None:
         from .observe import Tracer
 
-        tracer = Tracer()
+        # the report summarizes the compiles' spans
+        session.tracer = Tracer()
+    tracer = session.tracer
+    observing = tracer is not None or args.explain
     for target in _target_list(args.target):
         print(f"== {wl.name} on {target.name}")
         obs = None
@@ -201,20 +212,17 @@ def cmd_compile(args) -> int:
                   file=sys.stderr)
             return 1
         print()
-    if tracer is not None and args.trace:
+    if args.trace:
         tracer.write_chrome_trace(args.trace)
         print(f"wrote Chrome trace to {args.trace} "
               f"({len(tracer.spans)} spans, "
               f"{len(tracer.instants)} rule events); load it in "
               f"chrome://tracing or ui.perfetto.dev")
-    session.write_report(args.report, "compile", tracer=tracer)
+    session.write_report(args.report, "compile")
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    session = CompilerSession.from_args(args)
-    jobs, cache = session.jobs, session.cache
-    registry = session.metrics
+def cmd_evaluate(args, session) -> int:
     extra = {}
     if args.figure == "all":
         from .evaluation.report import build_full_report
@@ -222,7 +230,7 @@ def cmd_evaluate(args) -> int:
         with session.phase("evaluate:all"):
             report = build_full_report(
                 with_rake=not args.no_rake, compile_repeats=args.repeats,
-                jobs=jobs, cache=cache, metrics=registry,
+                lift_strategy=args.lift_strategy, session=session,
             )
         if args.write:
             with open(args.write, "w") as fh:
@@ -242,8 +250,8 @@ def cmd_evaluate(args) -> int:
 
         with session.phase("evaluate:fig5"):
             ev = run_runtime_evaluation(
-                with_rake=not args.no_rake, jobs=jobs, cache=cache,
-                lift_strategy=args.lift_strategy, metrics=registry,
+                with_rake=not args.no_rake,
+                lift_strategy=args.lift_strategy, session=session,
             )
         print(ev.format_table())
         extra["geomean_speedup"] = {
@@ -255,21 +263,21 @@ def cmd_evaluate(args) -> int:
 
         with session.phase("evaluate:fig6"):
             ev = run_compile_time_evaluation(
-                repeats=args.repeats, jobs=jobs,
-                lift_strategy=args.lift_strategy, metrics=registry,
+                repeats=args.repeats, lift_strategy=args.lift_strategy,
+                session=session,
             )
         print(ev.format_table())
     elif args.figure == "fig7":
         from .evaluation import run_ablation
 
         with session.phase("evaluate:fig7"):
-            ev = run_ablation(jobs=jobs, cache=cache, metrics=registry)
+            ev = run_ablation(session=session)
         print(ev.format_table())
     session.write_report(args.report, "evaluate", extra=extra)
     return 0
 
 
-def cmd_workloads(args) -> int:
+def cmd_workloads(args, session) -> int:
     for name in WORKLOADS:
         wl = by_name(name)
         print(f"{wl.name:<16} [{wl.category:<6}] {wl.expr.size:>3} nodes  "
@@ -277,7 +285,7 @@ def cmd_workloads(args) -> int:
     return 0
 
 
-def cmd_rules(args) -> int:
+def cmd_rules(args, session) -> int:
     from .rulesets import rule_set, rule_sets
 
     total = 0
@@ -289,7 +297,6 @@ def cmd_rules(args) -> int:
                 tag = "" if r.source == "hand" else f"   [{r.source}]"
                 print(f"   {r.name:<40} {r.lhs} -> {r.rhs}{tag}")
     print(f"total: {total} rules")
-    session = CompilerSession.from_args(args)
     if args.verify:
         from .fabric.jobs import VERIFY_RULESETS
         from .verify import batch_verify_rules
@@ -300,10 +307,7 @@ def cmd_rules(args) -> int:
         # rule) but reports in registry order, so this output is
         # byte-identical for any --jobs.
         with session.phase("verify-rules"):
-            results = batch_verify_rules(
-                VERIFY_RULESETS, jobs=session.jobs,
-                cache=session.cache, metrics=session.metrics,
-            )
+            results = batch_verify_rules(VERIFY_RULESETS, session=session)
         reports = iter(report for _, report in results)
         for name in VERIFY_RULESETS:
             rs = rule_set(name)
@@ -330,23 +334,16 @@ def cmd_rules(args) -> int:
     return 0
 
 
-def cmd_coverage(args) -> int:
+def cmd_coverage(args, session) -> int:
     from .evaluation.coverage import run_coverage
 
-    session = CompilerSession.from_args(args)
-    jobs, cache = session.jobs, session.cache
-    tracer = None
-    if args.trace:
-        from .observe import Tracer
-
-        tracer = Tracer()
     with session.phase("coverage-sweep"):
         report = run_coverage(
-            targets=_target_list(args.target), jobs=jobs, cache=cache,
-            metrics=session.metrics, tracer=tracer,
-            lift_strategy=args.lift_strategy,
+            targets=_target_list(args.target),
+            lift_strategy=args.lift_strategy, session=session,
         )
     print(report.format_table(verbose=args.verbose))
+    tracer = session.tracer
     if tracer is not None:
         tracer.write_chrome_trace(args.trace)
         lanes = {sp.pid or tracer.pid for sp in tracer.spans}
@@ -357,7 +354,7 @@ def cmd_coverage(args) -> int:
         with open(args.json, "w") as fh:
             fh.write(report.to_json())
         print(f"wrote {args.json}")
-    session.write_report(args.report, "coverage", tracer=tracer,
+    session.write_report(args.report, "coverage",
                          extra={"cell_failures": len(report.failures),
                                 "dead_rules": len(report.dead)})
     if report.failures:
@@ -389,7 +386,7 @@ def cmd_coverage(args) -> int:
     return 1 if dead_hand else 0
 
 
-def _lint_backend(args) -> int:
+def _lint_backend(args, session) -> int:
     """``lint --machine`` / ``lint --targets``: the post-lowering layer.
 
     ``--machine`` sweeps the workload x target matrix on the fabric —
@@ -400,16 +397,13 @@ def _lint_backend(args) -> int:
     """
     from .lint import apply_ratchet, lint_all_targets, run_machine_lint
 
-    session = CompilerSession.from_args(args)
     machine_report = None
     target_report = None
     diagnostics = []
     extra = {}
     if args.machine:
         with session.phase("machine-lint"):
-            machine_report = run_machine_lint(
-                jobs=session.jobs, cache=session.cache
-            )
+            machine_report = run_machine_lint(session=session)
         diagnostics.extend(machine_report.diagnostics)
         extra["machine_cells"] = len(machine_report.cells)
         extra["machine_cell_failures"] = len(machine_report.failures)
@@ -463,13 +457,12 @@ def _lint_backend(args) -> int:
     return 0
 
 
-def cmd_lint(args) -> int:
+def cmd_lint(args, session) -> int:
     from .lint import lint_all_rulebases
 
     if args.machine or args.targets:
-        return _lint_backend(args)
+        return _lint_backend(args, session)
 
-    session = CompilerSession.from_args(args)
     fires = None
     if args.coverage:
         # Cross-check L105 shadowing claims against reality: a rule that
@@ -477,10 +470,7 @@ def cmd_lint(args) -> int:
         from .evaluation.coverage import run_coverage
 
         with session.phase("coverage-sweep"):
-            cov = run_coverage(
-                targets=_target_list("all"), jobs=session.jobs,
-                cache=session.cache, metrics=session.metrics,
-            )
+            cov = run_coverage(targets=_target_list("all"), session=session)
         fires = {r.name: r.fires for r in cov.rows}
     with session.phase("lint"):
         report = lint_all_rulebases(coverage_fires=fires)
@@ -513,7 +503,7 @@ def cmd_lint(args) -> int:
     return 0
 
 
-def cmd_synthesize(args) -> int:
+def cmd_synthesize(args, session) -> int:
     from .synthesis import synthesize_lifting_rules
 
     names = list(args.benchmarks) or list(WORKLOADS[:4])
@@ -527,15 +517,12 @@ def cmd_synthesize(args) -> int:
         print("valid workloads: " + ", ".join(WORKLOADS), file=sys.stderr)
         return 2
     wls = [by_name(n) for n in names]
-    session = CompilerSession.from_args(args)
     with session.phase("synthesize"):
         run = synthesize_lifting_rules(
             workloads=wls,
             max_lhs_size=args.max_lhs_size,
             max_candidates=args.max_candidates,
-            jobs=session.jobs,
-            cache=session.cache,
-            metrics=session.metrics,
+            session=session,
         )
     print(run.summary())
     for rule in run.rules:
@@ -553,7 +540,7 @@ def cmd_synthesize(args) -> int:
     return 0
 
 
-def cmd_report_show(args) -> int:
+def cmd_report_show(args, session) -> int:
     """Print a human summary of one run-report JSON."""
     from .observe import load_report
 
@@ -589,7 +576,7 @@ def cmd_report_show(args) -> int:
     return 0
 
 
-def cmd_cache(args) -> int:
+def cmd_cache(args, session) -> int:
     from .fabric import ResultCache
 
     cache = ResultCache(root=args.cache_dir)
@@ -620,12 +607,11 @@ def cmd_cache(args) -> int:
     return 0
 
 
-def cmd_serve(args) -> int:
+def cmd_serve(args, session) -> int:
     import asyncio
 
     from .serve import ServeDaemon
 
-    session = CompilerSession.from_args(args)
     daemon = ServeDaemon(
         session=session,
         report_path=args.report,
@@ -644,7 +630,7 @@ def cmd_serve(args) -> int:
         return 0
 
 
-def cmd_client(args) -> int:
+def cmd_client(args, session) -> int:
     import json
 
     from .serve import ServeClient, ServeError
@@ -935,8 +921,9 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        status = args.fn(args)
-        sys.stdout.flush()  # a closed pipe must fail here, not at exit
+        with CompilerSession.from_args(args) as session:
+            status = args.fn(args, session)
+            sys.stdout.flush()  # a closed pipe must fail here, not at exit
         return status
     except BrokenPipeError:
         # Downstream closed stdout early (`repro ... | head`).  Point

@@ -14,10 +14,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..fabric.jobs import cell_specs
 from ..interp import evaluate
 from ..pipeline import pitchfork_compile
+from ..session import CompilerSession
 from ..targets import ARM, HVX, Target
-from ..workloads import Workload, all_workloads
+from ..workloads import Workload
 
 __all__ = ["AblationResult", "AblationEvaluation", "run_ablation"]
 
@@ -101,33 +103,19 @@ def ablate_one(
 def run_ablation(
     workload_names: Optional[List[str]] = None,
     targets: Optional[List[Target]] = None,
-    jobs: int = 1,
-    cache=None,
-    metrics=None,
-    tracer=None,
+    session: Optional[CompilerSession] = None,
 ) -> AblationEvaluation:
     """Run the Figure 7 ablation over the benchmark suite.
 
-    One fabric task per (workload, target) cell; modelled cycles are
-    deterministic, so cells cache against the workload expression plus
-    both rulebase fingerprints (full and hand-only).  ``metrics`` /
-    ``tracer`` opt the sweep into cross-process observability.
+    One fabric task per (workload, target) cell, run in the
+    ``session``'s context; modelled cycles are deterministic, so cells
+    cache against the workload expression plus both rulebase
+    fingerprints (full and hand-only).
     """
-    from ..fabric import TaskSpec, run_tasks
-
-    wls = all_workloads()
-    if workload_names is not None:
-        wls = [w for w in wls if w.name in set(workload_names)]
-    tgts = targets if targets is not None else [ARM, HVX]
-    specs = [
-        TaskSpec("ablation", key=(wl.name, tgt.name))
-        for wl in wls
-        for tgt in tgts
-    ]
+    specs = cell_specs("ablation", None, workload_names,
+                       targets if targets is not None else [ARM, HVX])
     ev = AblationEvaluation()
-    for res in run_tasks(
-        specs, jobs=jobs, cache=cache, metrics=metrics, tracer=tracer
-    ):
+    for res in (session or CompilerSession()).run_tasks(specs):
         if not res.ok:
             raise RuntimeError(
                 f"ablation cell {res.spec.key} failed: {res.error}"

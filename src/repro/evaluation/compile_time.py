@@ -14,11 +14,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..fabric.jobs import CompileTimeParams
+from ..fabric.jobs import CompileTimeParams, cell_specs
 from ..passes import CompileStats
 from ..pipeline import llvm_compile, pitchfork_compile
+from ..session import CompilerSession
 from ..targets import ARM, HVX, X86, Target
-from ..workloads import Workload, all_workloads
+from ..workloads import Workload
 
 __all__ = [
     "CompileTimeResult",
@@ -207,38 +208,24 @@ def run_compile_time_evaluation(
     workload_names: Optional[List[str]] = None,
     targets: Optional[List[Target]] = None,
     repeats: int = CompileTimeParams.repeats,
-    jobs: int = 1,
     lift_strategy: str = CompileTimeParams.lift_strategy,
-    metrics=None,
-    tracer=None,
+    session: Optional[CompilerSession] = None,
 ) -> CompileTimeEvaluation:
     """Run the Figure 6 compile-time sweep.
 
-    Each (workload, target) cell is one fabric task; with ``jobs > 1``
-    the cells time themselves in separate worker processes.  Timing
-    cells are never cached — a stale wall-clock number is worse than no
-    number — so there is no ``cache`` parameter here.  ``metrics`` /
-    ``tracer`` observe the sweep itself (per-flow ``compile_seconds``
-    histograms, task spans); the timed compiles stay uninstrumented.
-    A ``repeats`` below one raises ``ValueError`` before any cell runs.
+    Each (workload, target) cell is one fabric task; on a pooled
+    ``session`` the cells time themselves in its worker processes.
+    Timing cells are never cached — a stale wall-clock number is worse
+    than no number — because the kind declares no cache parts, whatever
+    cache the session holds.  The session's metrics and tracer observe
+    the sweep itself (per-flow ``compile_seconds`` histograms, task
+    spans); the timed compiles stay uninstrumented.  A ``repeats``
+    below one raises ``ValueError`` before any cell runs.
     """
-    from ..fabric import TaskSpec, run_tasks
-
     params = CompileTimeParams(repeats=repeats, lift_strategy=lift_strategy)
-    wls = all_workloads()
-    if workload_names is not None:
-        wls = [w for w in wls if w.name in set(workload_names)]
-    tgts = targets if targets is not None else [X86, ARM, HVX]
-    specs = [
-        TaskSpec(
-            "compile-time",
-            key=(wl.name, tgt.name),
-            params=params,
-        )
-        for wl in wls
-        for tgt in tgts
-    ]
+    specs = cell_specs("compile-time", params, workload_names,
+                       targets if targets is not None else [X86, ARM, HVX])
     return CompileTimeEvaluation(results=[
         CompileTimeResult.from_task(res)
-        for res in run_tasks(specs, jobs=jobs, metrics=metrics, tracer=tracer)
+        for res in (session or CompilerSession()).run_tasks(specs)
     ])

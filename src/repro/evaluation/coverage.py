@@ -11,11 +11,11 @@ prints this report and exits non-zero iff a hand-written rule is dead.
 
 The sweep runs on the execution fabric (:mod:`repro.fabric`): each
 (workload, target) cell is one task, so the whole grid can fan out over
-worker processes (``jobs=N``) and cache per-cell fire tables keyed by
-the cell's expression + rulebase fingerprint.  Fire counts are summed
-per rule, so the report is byte-identical whatever ``jobs`` is and
-whether cells ran or came from the cache.  The compiles' other
-telemetry reaches ``metrics=`` like any other sweep's.
+the session's worker pool and cache per-cell fire tables keyed by the
+cell's expression + rulebase fingerprint.  Fire counts are summed per
+rule, so the report is byte-identical whatever ``jobs`` is and whether
+cells ran or came from the cache.  The compiles' other telemetry
+reaches the session's metrics like any other sweep's.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..fabric import TaskSpec, run_tasks
-from ..fabric.jobs import CellParams
+from ..fabric.jobs import CellParams, cell_specs
+from ..session import CompilerSession
 from ..targets import PAPER_TARGETS, Target
-from ..workloads import all_workloads
 
 __all__ = ["CoverageReport", "RuleCoverage", "run_coverage"]
 
@@ -155,44 +154,26 @@ class CoverageReport:
 def run_coverage(
     workload_names: Optional[Sequence[str]] = None,
     targets: Optional[Sequence[Target]] = None,
-    jobs: int = 1,
-    cache=None,
-    metrics=None,
-    tracer=None,
     lift_strategy: str = CellParams.lift_strategy,
+    session: Optional[CompilerSession] = None,
 ) -> CoverageReport:
     """Compile the suite with rule telemetry on; tabulate per-rule fires.
 
     Each (workload, target) cell is one fabric task returning its
     ``[phase, rule, source, fires]`` rows; the rows are summed per rule,
-    so the totals are identical for any ``jobs``.  ``cache`` (a
-    :class:`~repro.fabric.ResultCache`) makes unchanged cells free.
-    ``metrics``/``tracer`` receive the executed compiles' telemetry
-    (a cache hit adds only its ``fabric_tasks`` count and span).
+    so the totals are identical for any ``jobs``.  The ``session``'s
+    cache makes unchanged cells free, and its metrics and tracer
+    receive the executed compiles' telemetry (a cache hit adds only its
+    ``fabric_tasks`` count and span).
     """
     from ..rulesets import pitchfork
 
-    wls = all_workloads()
-    if workload_names is not None:
-        keep = set(workload_names)
-        wls = [w for w in wls if w.name in keep]
     tgts = list(targets) if targets is not None else list(PAPER_TARGETS)
-
-    params = CellParams(lift_strategy=lift_strategy)
-    specs = [
-        TaskSpec(
-            "coverage",
-            key=(wl.name, t.name),
-            params=params,
-        )
-        for wl in wls
-        for t in tgts
-    ]
+    specs = cell_specs("coverage", CellParams(lift_strategy=lift_strategy),
+                       workload_names, tgts)
     fires: Counter = Counter()
     failures: List[str] = []
-    for res in run_tasks(
-        specs, jobs=jobs, cache=cache, metrics=metrics, tracer=tracer
-    ):
+    for res in (session or CompilerSession()).run_tasks(specs):
         if res.ok:
             for phase, rule, source, n in res.value:
                 fires[phase, rule, source] += n
@@ -216,7 +197,7 @@ def run_coverage(
     ]
     return CoverageReport(
         rows=rows,
-        workloads=[w.name for w in wls],
+        workloads=list(dict.fromkeys(s.key[0] for s in specs)),
         targets=[t.name for t in tgts],
         failures=failures,
     )

@@ -10,6 +10,7 @@ import time
 from typing import Optional
 
 from ..fabric.jobs import CompileTimeParams
+from ..session import CompilerSession
 from .ablation import run_ablation
 from .codegen_compare import run_codegen_comparison
 from .compile_time import run_compile_time_evaluation
@@ -30,17 +31,16 @@ Paper reference points:
 def build_full_report(
     with_rake: bool = True,
     compile_repeats: int = CompileTimeParams.repeats,
-    jobs: int = 1,
-    cache=None,
-    metrics=None,
+    lift_strategy: str = CompileTimeParams.lift_strategy,
+    session: Optional[CompilerSession] = None,
 ) -> str:
     """Run every harness and render a markdown report.
 
-    ``jobs``/``cache`` fan the Figure 5/6/7 sweeps out on the execution
-    fabric; the rendered numbers are identical either way (Figure 6 wall
-    times are measured fresh every run, never cached).  ``metrics``
-    receives the three sweeps' telemetry, as each sweep's own
-    ``metrics=`` does.
+    The Figure 5/6/7 sweeps all run in the one ``session``: its cache,
+    its metrics and its worker pool, shared by the three; the rendered
+    numbers are identical either way (Figure 6 wall times are measured
+    fresh every run, never cached).  ``lift_strategy`` reaches Figures
+    5 and 6, as it does from ``evaluate fig5`` and ``evaluate fig6``.
     """
     t0 = time.time()
     sections = []
@@ -56,19 +56,20 @@ def build_full_report(
 
     sections.append("## Figure 5 — runtime speedup over LLVM\n")
     ev5 = run_runtime_evaluation(
-        with_rake=with_rake, jobs=jobs, cache=cache, metrics=metrics
+        with_rake=with_rake, lift_strategy=lift_strategy, session=session
     )
     assert all(r.verified for r in ev5.results)
     sections.append("```\n" + ev5.format_table() + "\n```\n")
 
     sections.append("## Figure 6 — compile-time speedup over LLVM\n")
     ev6 = run_compile_time_evaluation(
-        repeats=compile_repeats, jobs=jobs, metrics=metrics
+        repeats=compile_repeats, lift_strategy=lift_strategy,
+        session=session,
     )
     sections.append("```\n" + ev6.format_table() + "\n```\n")
 
     sections.append("## Figure 7 — synthesized-rule ablation\n")
-    ev7 = run_ablation(jobs=jobs, cache=cache, metrics=metrics)
+    ev7 = run_ablation(session=session)
     assert all(r.verified for r in ev7.results)
     sections.append("```\n" + ev7.format_table() + "\n```\n")
 

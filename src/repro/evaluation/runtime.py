@@ -20,12 +20,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..fabric.jobs import RuntimeParams
+from ..fabric.jobs import RuntimeParams, cell_specs
 from ..interp import compile_for_backend
 from ..machine.rake_oracle import RAKE_TARGETS
 from ..pipeline import llvm_compile, pitchfork_compile, rake_compile
+from ..session import CompilerSession
 from ..targets import ALL_TARGETS, ARM, HVX, X86, Target
-from ..workloads import Workload, all_workloads
+from ..workloads import Workload
 
 __all__ = ["BenchmarkResult", "RuntimeEvaluation", "run_runtime_evaluation"]
 
@@ -189,11 +190,8 @@ def run_runtime_evaluation(
     workload_names: Optional[List[str]] = None,
     targets: Optional[List[Target]] = None,
     with_rake: bool = True,
-    jobs: int = 1,
-    cache=None,
     lift_strategy: str = RuntimeParams.lift_strategy,
-    metrics=None,
-    tracer=None,
+    session: Optional[CompilerSession] = None,
 ) -> RuntimeEvaluation:
     """Regenerate the full Figure 5 dataset.
 
@@ -201,32 +199,17 @@ def run_runtime_evaluation(
     target) cell.  Modelled cycles are deterministic, so cells are
     cacheable — keyed by the workload expression, the exact (filtered)
     rulebase fingerprint, the lift strategy, and the process-default
-    evaluation backend the lane-exact checks run under.
-    ``metrics``/``tracer`` opt the sweep into cross-process
-    observability (see :func:`repro.fabric.run_tasks`).
+    evaluation backend the lane-exact checks run under.  The
+    ``session`` supplies the cache, the worker pool and the
+    cross-process observability (see :func:`repro.fabric.run_tasks`).
     """
-    from ..fabric import TaskSpec, run_tasks
-
     params = RuntimeParams(
         with_rake=with_rake, leave_one_out=True, lift_strategy=lift_strategy
     )
-    wls = all_workloads()
-    if workload_names is not None:
-        wls = [w for w in wls if w.name in set(workload_names)]
-    tgts = targets if targets is not None else [X86, ARM, HVX]
-    specs = [
-        TaskSpec(
-            "runtime",
-            key=(wl.name, tgt.name),
-            params=params,
-        )
-        for wl in wls
-        for tgt in tgts
-    ]
+    specs = cell_specs("runtime", params, workload_names,
+                       targets if targets is not None else [X86, ARM, HVX])
     ev = RuntimeEvaluation()
-    for res in run_tasks(
-        specs, jobs=jobs, cache=cache, metrics=metrics, tracer=tracer
-    ):
+    for res in (session or CompilerSession()).run_tasks(specs):
         if not res.ok:
             raise RuntimeError(
                 f"runtime cell {res.spec.key} failed: {res.error}"

@@ -5,8 +5,9 @@ the 16-workload x 3-target coverage sweep, batch rule verification,
 synthesis fingerprinting — is a grid of independent cells.  This package
 gives them one execution layer:
 
-* :mod:`~repro.fabric.scheduler` — a deterministic fan-out scheduler
-  over ``concurrent.futures.ProcessPoolExecutor``.  Tasks are
+* :mod:`~repro.fabric.scheduler` — a deterministic scheduler whose one
+  fan-out is a :class:`WorkerPool`: given one, every task runs in its
+  workers; given none, every task runs inline.  Tasks are
   ``(kind, key, params)`` *descriptors*; workers rebuild the real inputs
   from process-local registries, results merge in input order, and a
   crashed worker fails only its own cell.
@@ -18,14 +19,18 @@ gives them one execution layer:
   cache keys (expressions via :mod:`repro.trs.serialize`, rules with
   predicate bytecode included).
 * :mod:`~repro.fabric.jobs` — the built-in job kinds (coverage cells,
-  rule verification, Figure 5/6/7 cells, SyGuS searches).
+  rule verification, Figure 5/6/7 cells, SyGuS searches) and
+  :func:`~repro.fabric.jobs.cell_specs`, the one builder of a
+  workload × target task list.
 
-Consumers thread ``jobs=``/``cache=`` through
+Consumers take a :class:`~repro.session.CompilerSession`
 (:func:`repro.evaluation.coverage.run_coverage`,
-:func:`repro.verify.batch_verify_rules`, ...); the CLI exposes
+:func:`repro.verify.batch_verify_rules`, ...) and run their tasks
+through :meth:`~repro.session.CompilerSession.run_tasks`, which brings
+the session's cache, metrics, tracer and pool; the CLI exposes
 ``--jobs N`` on the sweep subcommands and ``python -m repro cache
 {stats,clear,fingerprint}`` for cache maintenance.  ``jobs=1`` stays the
-default and is byte-identical to the pre-fabric serial code paths.
+default: no pool, every task inline.
 """
 
 from . import jobs  # noqa: F401  (job-kind registration side effects)

@@ -26,7 +26,7 @@ version is mixed into every key by the cache itself).
 from __future__ import annotations
 
 import functools
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..interp.backend import BACKENDS, get_default_backend
 from ..lifting.lifter import LIFT_STRATEGIES
@@ -43,7 +43,7 @@ from .scheduler import JobParams, TaskSpec, job_kind, param
 
 __all__ = [
     "CellParams", "CompileTimeParams", "RuntimeParams", "SynthParams",
-    "VerifyParams", "VERIFY_RULESETS", "resolve_rule",
+    "VerifyParams", "VERIFY_RULESETS", "cell_specs", "resolve_rule",
 ]
 
 
@@ -53,6 +53,28 @@ def _lift_strategy():
 
 def _eval_backend():
     return param(factory=get_default_backend, choices=BACKENDS)
+
+
+def cell_specs(kind: str, params, workload_names: Optional[Sequence[str]],
+               targets: Sequence) -> List[TaskSpec]:
+    """One ``kind`` task per workload × target cell, in figure order.
+
+    ``workload_names`` (``None``: the whole suite) are resolved through
+    :func:`repro.workloads.by_name`, so an unknown name raises its
+    ``ValueError``; whatever order they come in, the cells follow the
+    suite's, and each ``targets`` entry's in turn.
+    """
+    from ..workloads import WORKLOADS, by_name
+
+    wanted = (
+        set(WORKLOADS) if workload_names is None
+        else {by_name(name).name for name in workload_names}
+    )
+    return [
+        TaskSpec(kind, (name, target.name), params)
+        for name in WORKLOADS if name in wanted
+        for target in targets
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Deterministic fan-out scheduler over ``ProcessPoolExecutor``.
+"""Deterministic fan-out scheduler over a :class:`WorkerPool`.
 
 The unit of work is a :class:`TaskSpec` — a *descriptor*, not a payload:
 ``(job kind, key strings, parameters)``.  Workers look the kind up in
@@ -9,16 +9,19 @@ the process boundary.
 
 Guarantees:
 
+* **One fan-out** — given a :class:`WorkerPool`, every task runs in one
+  of its workers, however few tasks there are; without one, every task
+  runs inline in the calling process (no pickling).  The pool belongs
+  to the caller (a :class:`~repro.session.CompilerSession` owns the
+  CLI's and the daemon's), so several sweeps share its workers.
 * **Determinism** — results are merged in input order no matter which
-  worker finished first; a ``jobs=N`` sweep produces the same result
-  list as ``jobs=1``.
-* **Serial default** — ``jobs=1`` without a pool runs every task inline
-  in the calling process: no pickling, byte-identical to the pre-fabric
-  code paths.
+  worker finished first; a pooled sweep produces the same result list
+  as an inline one.
 * **Failure isolation** — a task that raises (or whose worker process
   dies) yields a failed :class:`TaskResult`; the sweep continues.  A
-  broken pool is rebuilt for the tasks it took down, so one poisoned
-  cell cannot fail its neighbours.
+  broken pool is rebuilt, and each task it took down is retried alone
+  in a one-worker pool, so one poisoned cell cannot fail its
+  neighbours.
 * **Caching** — when a :class:`~repro.fabric.cache.ResultCache` is
   attached, cacheable kinds are looked up before dispatch and stored
   after success; hits skip execution entirely, and each hit's value is
@@ -49,7 +52,6 @@ import time
 import typing
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -277,41 +279,29 @@ def _to_result(
 
 
 class WorkerPool:
-    """A persistent, reusable worker pool for repeated ``run_tasks`` calls.
+    """The worker processes every fanned-out task runs in.
 
-    ``run_tasks`` historically built (and tore down) a fresh
-    ``ProcessPoolExecutor`` per call — fine for one-shot sweeps, wasteful
-    for a long-lived service dispatching many small tasks.  A
-    ``WorkerPool`` owns one executor across calls; pass it as
+    A ``WorkerPool`` owns one executor across calls; pass it as
     ``run_tasks(..., pool=...)`` and the scheduler fans out over it
     without shutting it down afterwards; several threads may fan out
-    over it at once.  One-shot paths (no ``pool``) keep the per-call
-    executor, byte-identically.
+    over it at once.
 
-    **Warm fork**: ``warm_up`` (optional) runs in the parent *before* the
-    first worker exists.  On platforms with the ``fork`` start method
-    (which this pool requests explicitly when available) workers are
-    forked lazily on first submit, so they inherit whatever the warm-up
-    built — interned expression arenas, discrimination-tree rule
+    **Warm fork**: on platforms with the ``fork`` start method (which
+    this pool requests explicitly when available) workers are forked
+    lazily on first submit, so they inherit whatever the parent built
+    before then — interned expression arenas, discrimination-tree rule
     indexes, memoized programs — instead of rebuilding it per process.
+    A daemon warms up first and only then builds its pool.
 
     After a catastrophic worker death (``BrokenProcessPool``) the
-    executor is unusable; :meth:`rebuild` replaces it (re-running
-    ``warm_up`` is unnecessary — the parent stays warm, and fresh forks
-    re-inherit its state).
+    executor is unusable; :meth:`rebuild` replaces it (the parent stays
+    warm, and fresh forks re-inherit its state).
     """
 
-    def __init__(
-        self,
-        jobs: int,
-        warm_up: Optional[Callable[[], Any]] = None,
-    ):
+    def __init__(self, jobs: int):
         if jobs < 1:
             raise ValueError(f"pool needs at least one worker, got {jobs}")
         self.jobs = jobs
-        self._warm_up = warm_up
-        if warm_up is not None:
-            warm_up()
         self._lock = threading.Lock()
         self._executor: Optional[ProcessPoolExecutor] = None
         self._make_executor()
@@ -361,7 +351,6 @@ class WorkerPool:
 
 def run_tasks(
     specs: Sequence[TaskSpec],
-    jobs: int = 1,
     cache=None,
     metrics=None,
     tracer=None,
@@ -369,18 +358,15 @@ def run_tasks(
 ) -> List[TaskResult]:
     """Run every task and return results **in input order**.
 
-    ``jobs=1`` (default) executes inline; ``jobs>1`` fans the cache
-    misses out over a worker pool.  ``cache`` is an optional
+    Given a ``pool`` (a :class:`WorkerPool`, left running afterwards),
+    every cache miss runs in one of its workers; without one, every
+    miss runs inline.  ``cache`` is an optional
     :class:`~repro.fabric.cache.ResultCache`; ``metrics``/``tracer`` are
     optional observe-layer sinks — attaching either hands every executed
     task its own :class:`~repro.observe.Observation`, whose metric
     snapshot and span list are merged back here (see the module
-    docstring).
-
-    ``pool`` is an optional persistent :class:`WorkerPool`: when given,
-    every miss runs on its executor instead of a fresh one, which is
-    left running afterwards — the long-lived-service path.  Without a
-    pool the behaviour is exactly the historical per-call executor.
+    docstring).  :meth:`repro.session.CompilerSession.run_tasks` calls
+    this with the session's cache, sinks and pool.
 
     The three phases are public so a service can answer each request
     as soon as its own phase allows: :func:`lookup_task` (itself
@@ -407,7 +393,7 @@ def run_tasks(
         results[miss_index[j]] = res
 
     execute_tasks(
-        misses, collect, jobs=jobs, cache=cache,
+        misses, collect, cache=cache,
         observe_metrics=metrics is not None,
         observe_spans=tracer is not None and tracer.enabled,
         pool=pool,
@@ -475,7 +461,6 @@ def lookup_task(
 def execute_tasks(
     misses: Sequence[Tuple[TaskSpec, Optional[str]]],
     on_result: Callable[[int, TaskResult], None],
-    jobs: int = 1,
     cache=None,
     observe_metrics: bool = False,
     observe_spans: bool = False,
@@ -490,9 +475,9 @@ def execute_tasks(
     one task while the others still run, and a repeat sent after that
     answer is a hit.  Given a ``pool``, every task runs in one of its
     workers, however few there are, so a service never runs a task body
-    in its own process.  Without one, tasks run inline unless
-    ``jobs>1`` and there is more than one miss.  The ``observe_*``
-    flags hand each task its own :class:`~repro.observe.Observation`.
+    in its own process.  Without one, every task runs inline.  The
+    ``observe_*`` flags hand each task its own
+    :class:`~repro.observe.Observation`.
     """
 
     def finish(i: int, res: TaskResult) -> None:
@@ -502,14 +487,13 @@ def execute_tasks(
         on_result(i, res)
 
     specs = [spec for spec, _ckey in misses]
-    if pool is None and (jobs <= 1 or len(specs) <= 1):
+    if pool is None:
         for i, spec in enumerate(specs):
             finish(i, _to_result(
                 spec, _execute(spec, observe_metrics, observe_spans)
             ))
     else:
-        _run_pool(specs, jobs, finish, observe_metrics, observe_spans,
-                  pool=pool)
+        _run_pool(specs, pool, finish, observe_metrics, observe_spans)
 
 
 def account_result(res: TaskResult, metrics=None, tracer=None) -> None:
@@ -574,11 +558,10 @@ def _record_span(tracer, res: TaskResult) -> None:
 
 def _run_pool(
     specs: List[TaskSpec],
-    jobs: int,
+    pool: WorkerPool,
     finish: Callable[[int, TaskResult], None],
     observe_metrics: bool = False,
     observe_spans: bool = False,
-    pool: Optional[WorkerPool] = None,
 ) -> None:
     """Fan tasks out over a worker pool, isolating crashes.
 
@@ -587,49 +570,44 @@ def _run_pool(
     (``_execute`` catches them in the worker); only an abrupt worker
     death (segfault, ``os._exit``) breaks the pool.  When that happens
     every in-flight future fails collaterally, so each affected task is
-    retried once in a fresh single-worker pool — the genuinely poisonous
-    task fails again (and is reported failed), innocent neighbours
-    succeed.
+    retried once in a fresh one-worker :class:`WorkerPool` — the
+    genuinely poisonous task fails again (and is reported failed),
+    innocent neighbours succeed.
 
-    With a persistent ``pool`` the executor is borrowed, not owned: it
-    is left running on exit, and a breakage triggers
-    :meth:`WorkerPool.rebuild` so the *next* call gets a healthy pool
-    (the retry path below already covers this call's casualties).
-    Several threads may share the pool: one that submits to an executor
-    another's tasks just broke retries its tasks the same way.
+    The pool is borrowed, not owned: it is left running on exit, and a
+    breakage triggers :meth:`WorkerPool.rebuild` so the *next* call gets
+    a healthy pool (the retry path below already covers this call's
+    casualties).  Several threads may share the pool: one that submits
+    to an executor another's tasks just broke retries its tasks the
+    same way.
     """
     broken: List[int] = []
-    executor_cm = (
-        nullcontext(pool.executor)
-        if pool is not None
-        else ProcessPoolExecutor(max_workers=jobs)
-    )
-    with executor_cm as executor:
-        futures = {}
-        for i, spec in enumerate(specs):
+    executor = pool.executor
+    futures = {}
+    for i, spec in enumerate(specs):
+        try:
+            futures[executor.submit(
+                _execute, spec, observe_metrics, observe_spans
+            )] = i
+        except BrokenProcessPool:
+            broken.append(i)
+    not_done = set(futures)
+    while not_done:
+        done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
+        for fut in done:
+            i = futures[fut]
             try:
-                futures[executor.submit(
-                    _execute, spec, observe_metrics, observe_spans
-                )] = i
+                res = _to_result(specs[i], fut.result())
             except BrokenProcessPool:
                 broken.append(i)
-        not_done = set(futures)
-        while not_done:
-            done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-            for fut in done:
-                i = futures[fut]
-                try:
-                    res = _to_result(specs[i], fut.result())
-                except BrokenProcessPool:
-                    broken.append(i)
-                    continue
-                except Exception as exc:  # pragma: no cover - pickling
-                    res = TaskResult(
-                        specs[i], ok=False,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                finish(i, res)
-    if broken and pool is not None:
+                continue
+            except Exception as exc:  # pragma: no cover - pickling
+                res = TaskResult(
+                    specs[i], ok=False,
+                    error=f"{type(exc).__name__}: {exc}",
+                )
+            finish(i, res)
+    if broken:
         pool.rebuild(executor)
 
     rebuilds = 0
@@ -640,11 +618,11 @@ def _run_pool(
                 error="worker pool broken (retry budget exhausted)",
             ))
             continue
-        with ProcessPoolExecutor(max_workers=1) as retry_pool:
+        with WorkerPool(1) as retry_pool:
             try:
                 res = _to_result(
                     specs[i],
-                    retry_pool.submit(
+                    retry_pool.executor.submit(
                         _execute, specs[i], observe_metrics, observe_spans
                     ).result(),
                 )

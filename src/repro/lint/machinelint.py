@@ -51,6 +51,7 @@ from ..analysis.intervals import BoundsAnalyzer, Interval
 from ..ir import expr as E
 from ..ir.types import ScalarType
 from ..machine.program import describe_lineage
+from ..session import CompilerSession
 from ..targets.isa import TargetOp
 from .diagnostics import Diagnostic
 from .verifier import verify_expr
@@ -521,42 +522,25 @@ class MachineLintReport:
 def run_machine_lint(
     workload_names: Optional[Sequence[str]] = None,
     targets: Optional[Sequence[Any]] = None,
-    jobs: int = 1,
-    cache=None,
+    session: Optional[CompilerSession] = None,
 ) -> MachineLintReport:
     """Machine-lint the full workload × target matrix on the fabric.
 
     Each cell is one ``machinelint`` fabric task (cacheable on the same
-    expression + rulebase fingerprints as the coverage sweep); results
-    merge in input order, so the report is byte-identical whatever
-    ``jobs`` is.
+    expression + rulebase fingerprints as the coverage sweep), run in
+    the ``session``'s context; results merge in input order, so the
+    report is byte-identical whatever ``jobs`` is.
     """
-    from ..fabric import TaskSpec, run_tasks
-    from ..fabric.jobs import CellParams
+    from ..fabric.jobs import CellParams, cell_specs
     from ..targets import PAPER_TARGETS
-    from ..workloads import all_workloads
 
-    wls = all_workloads()
-    if workload_names is not None:
-        registry = {w.name: w for w in wls}
-        wls = [registry[n] for n in workload_names]
     tgts = list(targets) if targets is not None else list(PAPER_TARGETS)
-
-    params = CellParams()
-    specs = [
-        TaskSpec(
-            "machinelint",
-            key=(wl.name, t.name),
-            params=params,
-        )
-        for wl in wls
-        for t in tgts
-    ]
+    specs = cell_specs("machinelint", CellParams(), workload_names, tgts)
     report = MachineLintReport(
-        workloads=[w.name for w in wls],
+        workloads=list(dict.fromkeys(s.key[0] for s in specs)),
         targets=[t.name for t in tgts],
     )
-    for res in run_tasks(specs, jobs=jobs, cache=cache):
+    for res in (session or CompilerSession()).run_tasks(specs):
         key = "@".join(res.spec.key)
         if not res.ok:
             report.failures.append(f"({'/'.join(res.spec.key)}): {res.error}")

@@ -147,15 +147,17 @@ class ServeDaemon:
             self.session.metrics = MetricsRegistry()
         if report_path and self.session.phase_tracer is None:
             self.session.phase_tracer = Tracer()
+        if trace_path and self.session.tracer is None:
+            self.session.tracer = Tracer()
         self.metrics = self.session.metrics
-        self.tracer = Tracer() if trace_path else None
+        self.tracer = self.session.tracer
         self.report_path = report_path
         self.trace_path = trace_path
         self.warm_targets = warm_targets
 
         #: one pump thread per worker => up to ``jobs`` misses at once
         self._pump = ThreadPoolExecutor(
-            max_workers=max(1, self.session.jobs),
+            max_workers=self.session.jobs,
             thread_name_prefix="serve-miss",
         )
         self._server: Optional[asyncio.AbstractServer] = None
@@ -314,7 +316,6 @@ class ServeDaemon:
             self.session.write_report(
                 self.report_path,
                 "serve",
-                tracer=self.tracer,
                 extra={
                     "requests_served": self.requests_served,
                     "jobs": self.session.jobs,

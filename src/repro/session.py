@@ -1,4 +1,4 @@
-"""Reusable warm compiler session shared by the CLI and the daemon.
+"""Reusable warm compiler session: the one run context of a command.
 
 A :class:`CompilerSession` bundles what every ``python -m repro``
 command needs and what a fresh process otherwise pays for cold:
@@ -7,16 +7,24 @@ command needs and what a fresh process otherwise pays for cold:
   :class:`~repro.fabric.ResultCache`, an optional
   :class:`~repro.observe.MetricsRegistry` and phase
   :class:`~repro.observe.Tracer` (both present exactly when a
-  ``--report`` artifact was requested).  :meth:`CompilerSession.from_args`
-  builds it once from the shared CLI options for every command.
+  ``--report`` artifact was requested), and the ``--trace`` tracer
+  (present exactly when ``--trace`` was given).
+  :meth:`CompilerSession.from_args` builds it once from the shared CLI
+  options; ``main()`` hands it to the command and closes it when the
+  command ends.  Every sweep takes the session and runs its cells
+  through :meth:`CompilerSession.run_tasks`, so the cache, the sinks
+  and the worker pool reach each one the same way.
+* **one fan-out** — at ``jobs > 1`` the session owns one
+  :class:`~repro.fabric.WorkerPool`, forked on first use and shared by
+  every sweep of the command; at ``jobs=1`` every task runs inline.
 * **warm state** — :meth:`warm_up` pre-builds the compiler for each
   requested target (rule engines + discrimination-tree indexes, cached
   process-wide by :func:`repro.pipeline.pitchfork_compile`) and runs one
   small compile per target so the per-shape match memos and hash-cons
   arena are populated.  A long-lived process — the ``repro serve``
   daemon — does this once and serves every later request from the warm
-  caches; its fabric workers are forked *after* warm-up (see
-  :class:`~repro.fabric.WorkerPool`) so they inherit the same state.
+  caches; it builds its pool only *after* warm-up, so the forked
+  workers inherit the same state.
 
 The session is also where the CLI's ``compile`` listing text is
 produced (:func:`compile_listing`), so the daemon's ``compile`` replies
@@ -91,7 +99,10 @@ def compile_cell(
 
 
 class CompilerSession:
-    """Warm compiler state + the shared run context of one invocation."""
+    """Warm compiler state + the shared run context of one invocation.
+
+    A default session runs inline, uncached and unobserved.
+    """
 
     def __init__(
         self,
@@ -99,12 +110,17 @@ class CompilerSession:
         cache=None,
         metrics=None,
         phase_tracer=None,
+        tracer=None,
     ):
+        if jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {jobs}")
         self.jobs = jobs
         self.cache = cache
         self.metrics = metrics
         #: root spans are the report's phases; never handed to the fabric
         self.phase_tracer = phase_tracer
+        #: the ``--trace`` tracer, which every sweep's task spans join
+        self.tracer = tracer
         self._pool = None
         self._warmed = False
 
@@ -116,10 +132,10 @@ class CompilerSession:
         Covers the fabric options (``--jobs``/``--cache``/
         ``--cache-dir``/``--no-cache``), the eval backend
         (``--eval-backend``, applied process-wide so job params and
-        incidental ``evaluate()`` calls see it), and the report tools (phase
+        incidental ``evaluate()`` calls see it), the report tools (phase
         tracer + registry exist exactly when ``--report`` was given —
-        the disabled-path-pays-nothing contract).  Options a command
-        does not define simply default.
+        the disabled-path-pays-nothing contract) and the ``--trace``
+        tracer.  Options a command does not define simply default.
         """
         cache = None
         if (
@@ -134,16 +150,15 @@ class CompilerSession:
             from .interp import set_default_backend
 
             set_default_backend(backend)
-        phase_tracer = metrics = None
-        if getattr(args, "report", None):
-            from .observe import MetricsRegistry, Tracer
+        from .observe import MetricsRegistry, Tracer
 
-            phase_tracer, metrics = Tracer(), MetricsRegistry()
+        report = getattr(args, "report", None)
         return cls(
             jobs=getattr(args, "jobs", 1),
             cache=cache,
-            metrics=metrics,
-            phase_tracer=phase_tracer,
+            metrics=MetricsRegistry() if report else None,
+            phase_tracer=Tracer() if report else None,
+            tracer=Tracer() if getattr(args, "trace", None) else None,
         )
 
     # -- warm state ----------------------------------------------------
@@ -228,18 +243,27 @@ class CompilerSession:
     def ensure_pool(self):
         """The session's persistent :class:`~repro.fabric.WorkerPool`.
 
-        Created on first use (``jobs > 1`` only), warm-forked: the
-        warm-up runs first in this process, so forked workers inherit
-        the built indexes instead of rebuilding them.  ``None`` when
-        the session runs inline (``jobs <= 1``).
+        Created on first use (``jobs > 1`` only); its workers fork from
+        this process as it stands then, so a daemon warms up first.
+        ``None`` when the session runs inline (``jobs=1``).
         """
-        if self.jobs <= 1:
+        if self.jobs == 1:
             return None
         if self._pool is None:
             from .fabric import WorkerPool
 
-            self._pool = WorkerPool(self.jobs, warm_up=self.warm_up)
+            self._pool = WorkerPool(self.jobs)
         return self._pool
+
+    def run_tasks(self, specs):
+        """Run a sweep's tasks in this run context: the session's cache,
+        metrics and tracer, and its pool (inline at ``jobs=1``).
+        Results come back in input order (:func:`repro.fabric.run_tasks`).
+        """
+        from .fabric import run_tasks
+
+        return run_tasks(specs, cache=self.cache, metrics=self.metrics,
+                         tracer=self.tracer, pool=self.ensure_pool())
 
     # -- observability -------------------------------------------------
     def phase(self, name: str):
@@ -252,8 +276,9 @@ class CompilerSession:
         )
 
     def write_report(self, path: Optional[str], command: str,
-                     tracer=None, extra=None) -> None:
-        """Emit the ``--report`` artifact if one was requested."""
+                     extra=None) -> None:
+        """Emit the ``--report`` artifact if one was requested; its span
+        summary is the session tracer's."""
         if not path:
             return
         from .observe import RunReport
@@ -262,7 +287,7 @@ class CompilerSession:
             command,
             phases=self.phase_tracer,
             metrics=self.metrics,
-            tracer=tracer,
+            tracer=self.tracer,
             cache=self.cache,
             extra=extra,
         ).write(path)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional
 
+from ..session import CompilerSession
 from ..trs.rule import Rule
 from ..workloads import Workload, all_workloads
 from .corpus import CorpusEntry, extract_corpus
@@ -50,12 +51,10 @@ def _search_corpus(
     corpus: List[CorpusEntry],
     max_lhs_size: int,
     max_rhs_size: int,
-    jobs: int,
-    cache,
-    metrics=None,
-    tracer=None,
+    session: CompilerSession,
 ) -> List[Optional[SynthesisResult]]:
-    """Run the per-entry SyGuS search, on the fabric when possible.
+    """Run the per-entry SyGuS search, on the fabric when the
+    ``session`` fans out or caches.
 
     Only the search itself (the expensive, embarrassingly-parallel part)
     fans out; generalization and rule naming stay serial in the caller so
@@ -70,7 +69,7 @@ def _search_corpus(
     def inline(entry: CorpusEntry) -> Optional[SynthesisResult]:
         return synthesize_lift(entry.expr, max_size=max_rhs_size)
 
-    usable = jobs > 1 or cache is not None
+    usable = session.jobs > 1 or session.cache is not None
     if usable:
         from ..workloads import by_name
 
@@ -82,7 +81,7 @@ def _search_corpus(
     if not usable:  # unnamed/ad-hoc workloads: workers can't rebuild them
         return [inline(entry) for entry in corpus]
 
-    from ..fabric import TaskSpec, run_tasks
+    from ..fabric import TaskSpec
     from ..fabric.jobs import SynthParams
     from ..trs.costs import cost
     from ..trs.serialize import load_expr
@@ -98,9 +97,7 @@ def _search_corpus(
         for i in range(len(corpus))
     ]
     out: List[Optional[SynthesisResult]] = []
-    fabric_results = run_tasks(
-        specs, jobs=jobs, cache=cache, metrics=metrics, tracer=tracer
-    )
+    fabric_results = session.run_tasks(specs)
     for res, entry in zip(fabric_results, corpus):
         if not res.ok:
             out.append(inline(entry))
@@ -128,19 +125,16 @@ def synthesize_lifting_rules(
     max_rhs_size: int = 4,
     max_candidates: Optional[int] = None,
     generalize: bool = True,
-    jobs: int = 1,
-    cache=None,
-    metrics=None,
-    tracer=None,
+    session: Optional[CompilerSession] = None,
 ) -> SynthesisRun:
     """Run the §4.1 + §4.3 pipeline and return verified lifting rules.
 
     ``max_lhs_size`` is kept below the paper's 10 by default to bound the
-    demo's running time; the full setting works, just slower.  With
-    ``jobs``/``cache`` the per-entry SyGuS searches run on the execution
-    fabric (see :func:`_search_corpus`); the produced rules are identical
-    either way.  ``metrics``/``tracer`` opt the fabric sweep into
-    cross-process observability (search outcome counters, task spans).
+    demo's running time; the full setting works, just slower.  On a
+    ``session`` with a worker pool or a cache the per-entry SyGuS
+    searches run on the execution fabric (see :func:`_search_corpus`),
+    observed by its metrics and tracer; the produced rules are
+    identical either way.
     """
     run = SynthesisRun()
     wl_list = (
@@ -152,8 +146,8 @@ def synthesize_lifting_rules(
         corpus = corpus[:max_candidates]
 
     results = _search_corpus(
-        wl_list, corpus, max_lhs_size, max_rhs_size, jobs, cache,
-        metrics=metrics, tracer=tracer,
+        wl_list, corpus, max_lhs_size, max_rhs_size,
+        session or CompilerSession(),
     )
     seen_rule_shapes = set()
     for entry, result in zip(corpus, results):

@@ -1,11 +1,10 @@
 """Batch rule verification on the execution fabric.
 
-``python -m repro rules --verify`` historically looped over every
-lifting rule in-process.  This module lifts that loop onto
-:mod:`repro.fabric`: one ``verify-rule`` task per rule, so the batch can
-fan out over worker processes (``jobs=N``) and cache verdicts
-content-addressed by each rule's fingerprint — re-verifying an unchanged
-rulebase is pure cache hits.
+``python -m repro rules --verify`` runs on :mod:`repro.fabric`: one
+``verify-rule`` task per rule, so the batch can fan out over the
+session's worker pool and cache verdicts content-addressed by each
+rule's fingerprint — re-verifying an unchanged rulebase is pure cache
+hits.
 
 Determinism contract: results come back in rule order regardless of
 ``jobs``, so the printed report is byte-identical between serial and
@@ -14,11 +13,12 @@ parallel runs.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from ..fabric import TaskSpec, run_tasks
+from ..fabric import TaskSpec
 from ..fabric.jobs import VerifyParams
 from ..rulesets import rule_set
+from ..session import CompilerSession
 from .rule_verifier import VerificationReport
 
 __all__ = ["batch_verify_rules"]
@@ -26,10 +26,7 @@ __all__ = ["batch_verify_rules"]
 
 def batch_verify_rules(
     ruleset_labels: Sequence[str],
-    jobs: int = 1,
-    cache=None,
-    metrics=None,
-    tracer=None,
+    session: Optional[CompilerSession] = None,
 ) -> List[Tuple[str, VerificationReport]]:
     """Verify every rule of the named rulesets; ordered, fail-safe.
 
@@ -41,7 +38,8 @@ def batch_verify_rules(
     Every task runs on the default ``VerifyParams``: the budgets of
     ``repro rules --verify`` on the process-default evaluation backend,
     which is part of the cache key, so closure- and numpy-produced
-    verdicts never share cache entries.
+    verdicts never share cache entries.  The batch runs in the
+    ``session``'s context (cache, sinks, worker pool).
     """
     params = VerifyParams()
     specs: List[TaskSpec] = []
@@ -54,9 +52,7 @@ def batch_verify_rules(
                     params=params,
                 )
             )
-    results = run_tasks(
-        specs, jobs=jobs, cache=cache, metrics=metrics, tracer=tracer
-    )
+    results = (session or CompilerSession()).run_tasks(specs)
     out: List[Tuple[str, VerificationReport]] = []
     for res in results:
         label, rule_name = res.spec.key

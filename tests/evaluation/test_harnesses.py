@@ -15,7 +15,9 @@ from repro.evaluation.compile_time import (
     run_compile_time_evaluation,
     split_seconds,
 )
+from repro.evaluation.coverage import run_coverage
 from repro.evaluation.runtime import run_one, run_runtime_evaluation
+from repro.lint.machinelint import run_machine_lint
 from repro.targets import ARM, HVX, X86
 from repro.workloads import WORKLOADS, by_name
 
@@ -158,3 +160,24 @@ class TestFig3Harness:
         assert "PITCHFORK:" in out and "LLVM:" in out
         assert "umlal" in out
         assert "speedup" in out
+
+
+@pytest.mark.parametrize("harness", [
+    run_runtime_evaluation,
+    run_ablation,
+    run_compile_time_evaluation,
+    run_coverage,
+    run_machine_lint,
+], ids=["fig5", "fig7", "fig6", "coverage", "machinelint"])
+def test_unknown_workload_name_is_refused(harness, monkeypatch):
+    # An unknown name is an error naming the suite, never an empty
+    # sweep (which coverage would report as every rule dead).
+    from repro import fabric
+
+    ran = []
+    monkeypatch.setattr(
+        fabric, "run_tasks", lambda specs, **kw: ran.extend(specs) or []
+    )
+    with pytest.raises(ValueError, match="unknown workload 'bogus'.*sobel3x3"):
+        harness(workload_names=["add", "bogus"])
+    assert ran == []

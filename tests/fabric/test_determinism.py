@@ -1,5 +1,8 @@
 """The fabric's headline guarantee: ``jobs=N`` output == ``jobs=1``.
 
+Each sweep runs in a :class:`~repro.session.CompilerSession` (``jobs``,
+cache, metrics); a bare task list runs on a ``WorkerPool`` or inline.
+
 Reports are compared as rendered bytes (JSON / tables), not just as
 semantically-equal objects — CI diffs artifacts across runs, so byte
 identity is the contract.
@@ -9,10 +12,11 @@ import pytest
 
 from repro.evaluation.ablation import run_ablation
 from repro.evaluation.coverage import run_coverage
-from repro.fabric import ResultCache, TaskSpec, run_tasks
+from repro.fabric import ResultCache, TaskSpec, WorkerPool, run_tasks
 from repro.fabric.jobs import VerifyParams
 from repro.observe import MetricsRegistry
 from repro.rulesets import rule_set
+from repro.session import CompilerSession
 from repro.synthesis.driver import synthesize_lifting_rules
 
 WORKLOADS = ["add", "mean", "softmax"]
@@ -20,18 +24,21 @@ WORKLOADS = ["add", "mean", "softmax"]
 
 class TestCoverage:
     def test_parallel_coverage_is_byte_identical(self):
-        serial = run_coverage(workload_names=WORKLOADS, jobs=1)
-        parallel = run_coverage(workload_names=WORKLOADS, jobs=4)
+        serial = run_coverage(workload_names=WORKLOADS)
+        with CompilerSession(jobs=4) as session:
+            parallel = run_coverage(workload_names=WORKLOADS,
+                                    session=session)
         assert serial.to_json() == parallel.to_json()
         assert serial.format_table(verbose=True) == parallel.format_table(
             verbose=True
         )
 
     def test_cached_coverage_is_byte_identical(self, tmp_path):
-        serial = run_coverage(workload_names=WORKLOADS, jobs=1)
+        serial = run_coverage(workload_names=WORKLOADS)
         cache = ResultCache(root=str(tmp_path))
-        cold = run_coverage(workload_names=WORKLOADS, cache=cache)
-        warm = run_coverage(workload_names=WORKLOADS, cache=cache)
+        with CompilerSession(cache=cache) as session:
+            cold = run_coverage(workload_names=WORKLOADS, session=session)
+            warm = run_coverage(workload_names=WORKLOADS, session=session)
         assert serial.to_json() == cold.to_json() == warm.to_json()
         assert cache.hits > 0
 
@@ -39,8 +46,10 @@ class TestCoverage:
         # Per-cell registries merged in input order must sum to exactly
         # what the old shared-registry sweep accumulated.
         serial, parallel = MetricsRegistry(), MetricsRegistry()
-        run_coverage(workload_names=WORKLOADS, jobs=1, metrics=serial)
-        run_coverage(workload_names=WORKLOADS, jobs=4, metrics=parallel)
+        with CompilerSession(metrics=serial) as session:
+            run_coverage(workload_names=WORKLOADS, session=session)
+        with CompilerSession(jobs=4, metrics=parallel) as session:
+            run_coverage(workload_names=WORKLOADS, session=session)
         for counter in serial.counters("rule_fired"):
             assert parallel.counter_value(
                 "rule_fired", **dict(counter.labels)
@@ -66,13 +75,14 @@ def _verify_hand_rules(params, **fabric):
 class TestVerification:
     @pytest.fixture(scope="class")
     def serial(self):
-        return _verify_hand_rules(_small(), jobs=1)
+        return _verify_hand_rules(_small())
 
     def _key(self, results):
         return [(r.spec.key, r.ok, r.value) for r in results]
 
     def test_parallel_verification_matches(self, serial):
-        parallel = _verify_hand_rules(_small(), jobs=4)
+        with WorkerPool(4) as pool:
+            parallel = _verify_hand_rules(_small(), pool=pool)
         assert self._key(serial) == self._key(parallel)
 
     def test_cached_verification_matches(self, serial, tmp_path):
@@ -99,15 +109,18 @@ class TestVerification:
 class TestEvaluationAndSynthesis:
     def test_parallel_ablation_matches(self):
         serial = run_ablation(workload_names=WORKLOADS)
-        parallel = run_ablation(workload_names=WORKLOADS, jobs=4)
+        with CompilerSession(jobs=4) as session:
+            parallel = run_ablation(workload_names=WORKLOADS,
+                                    session=session)
         assert serial.format_table() == parallel.format_table()
 
     def test_fabric_synthesis_produces_identical_rules(self, tmp_path):
         serial = synthesize_lifting_rules(max_candidates=10)
-        fab = synthesize_lifting_rules(
-            max_candidates=10, jobs=4,
-            cache=ResultCache(root=str(tmp_path)),
-        )
+        with CompilerSession(
+            jobs=4, cache=ResultCache(root=str(tmp_path))
+        ) as session:
+            fab = synthesize_lifting_rules(max_candidates=10,
+                                           session=session)
         assert serial.summary() == fab.summary()
         assert [
             (r.name, r.source, repr(r.lhs), repr(r.rhs))

@@ -12,11 +12,12 @@ import time
 
 from repro.evaluation.ablation import run_ablation
 from repro.evaluation.coverage import run_coverage
-from repro.fabric import ResultCache, TaskSpec, run_tasks
+from repro.fabric import ResultCache, TaskSpec, WorkerPool, run_tasks
 from repro.fabric.jobs import RuntimeParams, VerifyParams
 from repro.fabric.scheduler import job_kind
 from repro.observe import MetricsRegistry, Tracer
 from repro.rulesets import rule_set
+from repro.session import CompilerSession
 from repro.targets import ARM
 
 WORKLOADS = ["add", "mean"]
@@ -49,7 +50,8 @@ class TestWorkerSpans:
     def test_pool_spans_land_on_worker_pid_lanes(self):
         tracer = Tracer()
         specs = [TaskSpec("t-obs", (str(i),)) for i in range(4)]
-        run_tasks(specs, jobs=2, tracer=tracer)
+        with WorkerPool(2) as pool:
+            run_tasks(specs, tracer=tracer, pool=pool)
         task_spans = [s for s in tracer.spans if s.name == "task:t-obs"]
         assert len(task_spans) == 4
         worker_pids = {s.pid for s in task_spans}
@@ -64,7 +66,8 @@ class TestWorkerSpans:
     def test_chrome_export_names_worker_lanes(self):
         tracer = Tracer()
         specs = [TaskSpec("t-obs", (str(i),)) for i in range(4)]
-        run_tasks(specs, jobs=2, tracer=tracer)
+        with WorkerPool(2) as pool:
+            run_tasks(specs, tracer=tracer, pool=pool)
         events = tracer.to_chrome_trace()
         lane_names = {
             e["args"]["name"] for e in events if e["ph"] == "M"
@@ -79,7 +82,7 @@ class TestWorkerSpans:
         tracer = Tracer()
         t_before = tracer._now_us()
         specs = [TaskSpec("t-obs-slow", (str(i),)) for i in range(3)]
-        run_tasks(specs, jobs=1, tracer=tracer)
+        run_tasks(specs, tracer=tracer)
         spans = [s for s in tracer.spans if s.name.startswith("task:")]
         assert len(spans) == 3
         # Serial tasks run back to back: each span must start at (or
@@ -91,10 +94,10 @@ class TestWorkerSpans:
     def test_cache_hit_spans_are_anchored_not_backdated(self, tmp_path):
         cache = ResultCache(root=str(tmp_path))
         specs = [TaskSpec("t-obs-slow", (str(i),)) for i in range(2)]
-        run_tasks(specs, jobs=1, cache=cache)  # warm
+        run_tasks(specs, cache=cache)  # warm
         tracer = Tracer()
         sweep_start = tracer._now_us()
-        run_tasks(specs, jobs=1, cache=cache, tracer=tracer)
+        run_tasks(specs, cache=cache, tracer=tracer)
         assert cache.hits == 2
         spans = [s for s in tracer.spans if s.name.startswith("task:")]
         assert len(spans) == 2
@@ -110,7 +113,8 @@ class TestWorkerMetrics:
         for jobs in (1, 3):
             metrics = MetricsRegistry()
             specs = [TaskSpec("t-obs", (str(i),)) for i in range(3)]
-            run_tasks(specs, jobs=jobs, metrics=metrics)
+            with CompilerSession(jobs=jobs, metrics=metrics) as session:
+                session.run_tasks(specs)
             for i in range(3):
                 assert metrics.counter_value(
                     "t_obs_runs", key=str(i)
@@ -125,8 +129,9 @@ class TestWorkerMetrics:
             TaskSpec("verify-rule", ("lifting-hand", r.name), params)
             for r in rule_set("lifting-hand").rules
         ]
-        run_tasks(specs, jobs=1, metrics=serial)
-        run_tasks(specs, jobs=4, metrics=parallel)
+        run_tasks(specs, metrics=serial)
+        with WorkerPool(4) as pool:
+            run_tasks(specs, metrics=parallel, pool=pool)
         ok = serial.counter_value(
             "verify_rules", ruleset="lifting-hand", outcome="ok"
         )
@@ -135,8 +140,10 @@ class TestWorkerMetrics:
 
     def test_ablation_kind_reports_pipeline_metrics(self):
         serial, parallel = MetricsRegistry(), MetricsRegistry()
-        run_ablation(workload_names=WORKLOADS, metrics=serial)
-        run_ablation(workload_names=WORKLOADS, jobs=3, metrics=parallel)
+        with CompilerSession(metrics=serial) as session:
+            run_ablation(workload_names=WORKLOADS, session=session)
+        with CompilerSession(jobs=3, metrics=parallel) as session:
+            run_ablation(workload_names=WORKLOADS, session=session)
         assert any(c.name == "rule_fired" for c in serial.counters())
         assert _counter_snapshot(serial) == _counter_snapshot(parallel)
 
@@ -146,12 +153,13 @@ class TestCoverageAcceptance:
         """The headline check: --jobs 4 --trace coverage produces worker
         lanes with nesting AND a merged snapshot equal to --jobs 1."""
         serial, parallel = MetricsRegistry(), MetricsRegistry()
-        run_coverage(workload_names=WORKLOADS, jobs=1, metrics=serial)
+        with CompilerSession(metrics=serial) as session:
+            run_coverage(workload_names=WORKLOADS, session=session)
         tracer = Tracer()
-        run_coverage(
-            workload_names=WORKLOADS, jobs=4, metrics=parallel,
-            tracer=tracer,
-        )
+        with CompilerSession(
+            jobs=4, metrics=parallel, tracer=tracer
+        ) as session:
+            run_coverage(workload_names=WORKLOADS, session=session)
         # Deterministic counters merge to exactly the serial totals.
         assert _counter_snapshot(serial) == _counter_snapshot(parallel)
         # The trace shows distinct worker lanes with preserved nesting:
@@ -190,10 +198,10 @@ class TestCacheHitsCarryNoTelemetry:
     ]
 
     def _sweep(self, cache, metrics):
-        coverage = run_coverage(
-            workload_names=["sobel3x3"], targets=[ARM], cache=cache,
-            metrics=metrics,
-        )
+        with CompilerSession(cache=cache, metrics=metrics) as session:
+            coverage = run_coverage(
+                workload_names=["sobel3x3"], targets=[ARM], session=session,
+            )
         return coverage, run_tasks(
             self.OTHER_SPECS, cache=cache, metrics=metrics
         )

@@ -7,9 +7,10 @@ import time
 
 import pytest
 
-from repro.fabric import TaskSpec, run_tasks
+from repro.fabric import TaskSpec, WorkerPool, run_tasks
 from repro.fabric.scheduler import job_kind
 from repro.observe import MetricsRegistry, Tracer
+from repro.session import CompilerSession
 
 
 # Test-only job kinds.  Registered at import time, so fork-started
@@ -49,24 +50,22 @@ def _t_crash(spec, obs):
 class TestOrderingAndSerialDefault:
     def test_results_merge_in_input_order(self):
         specs = [TaskSpec("t-jitter", (str(i),)) for i in range(6)]
-        results = run_tasks(specs, jobs=3)
+        with WorkerPool(3) as pool:
+            results = run_tasks(specs, pool=pool)
         assert [r.value for r in results] == [str(i) for i in range(6)]
         assert all(r.ok for r in results)
 
     def test_jobs_one_runs_inline(self):
-        results = run_tasks([TaskSpec("t-echo", ("a", "b"))], jobs=1)
+        # No pool (a session at jobs=1 has none): the task runs here.
+        results = run_tasks([TaskSpec("t-echo", ("a", "b"))])
         assert results[0].value == ["a", "b"]
-        assert results[0].pid == os.getpid()
-
-    def test_single_pending_task_never_pays_for_a_pool(self):
-        # jobs>1 with one task still runs inline (same pid).
-        results = run_tasks([TaskSpec("t-echo", ("x",))], jobs=4)
         assert results[0].pid == os.getpid()
 
     def test_parallel_equals_serial(self):
         specs = [TaskSpec("t-jitter", (str(i),)) for i in range(5)]
-        serial = run_tasks(specs, jobs=1)
-        parallel = run_tasks(specs, jobs=4)
+        serial = run_tasks(specs)
+        with WorkerPool(4) as pool:
+            parallel = run_tasks(specs, pool=pool)
         assert [(r.ok, r.value) for r in serial] == [
             (r.ok, r.value) for r in parallel
         ]
@@ -83,7 +82,7 @@ class TestFailureIsolation:
             TaskSpec("t-fail", ("bad",)),
             TaskSpec("t-fail", ("ok2",)),
         ]
-        results = run_tasks(specs, jobs=1)
+        results = run_tasks(specs)
         assert [r.ok for r in results] == [True, False, True]
         assert "poisoned cell" in results[1].error
         assert results[0].value == "ok1" and results[2].value == "ok2"
@@ -94,20 +93,23 @@ class TestFailureIsolation:
             TaskSpec("t-fail", ("bad",)),
             TaskSpec("t-fail", ("ok2",)),
         ]
-        results = run_tasks(specs, jobs=2)
+        with WorkerPool(2) as pool:
+            results = run_tasks(specs, pool=pool)
         assert [r.ok for r in results] == [True, False, True]
         assert "ValueError" in results[1].error
 
     def test_worker_crash_fails_only_its_cell(self):
         # os._exit kills the worker abruptly; the pool breaks, collateral
-        # tasks are retried in fresh pools, only the crasher stays failed.
+        # tasks are retried in one-worker pools, only the crasher stays
+        # failed.
         specs = [
             TaskSpec("t-crash", ("a",)),
             TaskSpec("t-crash", ("crash",)),
             TaskSpec("t-crash", ("b",)),
             TaskSpec("t-crash", ("c",)),
         ]
-        results = run_tasks(specs, jobs=2)
+        with WorkerPool(2) as pool:
+            results = run_tasks(specs, pool=pool)
         by_key = {r.spec.key[0]: r for r in results}
         assert not by_key["crash"].ok
         assert all(by_key[k].ok for k in ("a", "b", "c"))
@@ -121,7 +123,7 @@ class TestTelemetry:
             TaskSpec("t-fail", ("ok1",)),
             TaskSpec("t-fail", ("bad",)),
         ]
-        run_tasks(specs, jobs=1, metrics=metrics)
+        run_tasks(specs, metrics=metrics)
         assert metrics.counter_value(
             "fabric_tasks", kind="t-fail", outcome="ok"
         ) == 1
@@ -134,7 +136,7 @@ class TestTelemetry:
     def test_tracer_gets_one_span_per_task(self):
         tracer = Tracer()
         specs = [TaskSpec("t-echo", (str(i),)) for i in range(3)]
-        run_tasks(specs, jobs=1, tracer=tracer)
+        run_tasks(specs, tracer=tracer)
         spans = [s for s in tracer.spans if s.name == "task:t-echo"]
         assert len(spans) == 3
         assert all(s.args["outcome"] == "ok" for s in spans)
@@ -146,8 +148,10 @@ class TestTelemetry:
         # task:<kind> span's, exactly as the merged trace shows them.
         tracer = Tracer()
         keys = ["a", "bad", "b", "c", "d"]
-        results = run_tasks([TaskSpec("t-fail", (k,)) for k in keys],
-                            jobs=jobs, tracer=tracer)
+        with CompilerSession(jobs=jobs, tracer=tracer) as session:
+            results = session.run_tasks(
+                [TaskSpec("t-fail", (k,)) for k in keys]
+            )
         spans = {s.args["key"]: s for s in tracer.spans
                  if s.name == "task:t-fail"}
         assert sorted(spans) == sorted(keys)
@@ -169,8 +173,6 @@ class TestWorkerPool:
     """The persistent pool behind ``run_tasks(..., pool=...)``."""
 
     def test_pool_is_reused_across_calls(self):
-        from repro.fabric import WorkerPool
-
         specs = [TaskSpec("t-echo", (str(i),)) for i in range(4)]
         with WorkerPool(2) as pool:
             first_executor = pool.executor
@@ -182,36 +184,15 @@ class TestWorkerPool:
         assert all(r.ok for r in r1 + r2)
 
     def test_pooled_results_equal_one_shot(self):
-        from repro.fabric import WorkerPool
-
         specs = [TaskSpec("t-jitter", (str(i),)) for i in range(6)]
-        oneshot = run_tasks(specs, jobs=2)
+        oneshot = run_tasks(specs)
         with WorkerPool(2) as pool:
             pooled = run_tasks(specs, pool=pool)
         assert [(r.ok, r.value) for r in pooled] == [
             (r.ok, r.value) for r in oneshot
         ]
 
-    def test_pool_size_overrides_the_jobs_argument(self):
-        from repro.fabric import WorkerPool
-
-        specs = [TaskSpec("t-echo", (str(i),)) for i in range(4)]
-        with WorkerPool(2) as pool:
-            results = run_tasks(specs, jobs=1, pool=pool)
-        # jobs=1 would have run inline; the pool's size wins.
-        assert any(r.pid != os.getpid() for r in results)
-
-    def test_warm_up_runs_once_in_the_parent(self):
-        from repro.fabric import WorkerPool
-
-        calls = []
-        with WorkerPool(2, warm_up=lambda: calls.append(os.getpid())):
-            pass
-        assert calls == [os.getpid()]
-
     def test_pool_survives_a_worker_crash(self):
-        from repro.fabric import WorkerPool
-
         with WorkerPool(2) as pool:
             crashed = run_tasks(
                 [TaskSpec("t-crash", ("crash",)),
@@ -232,8 +213,6 @@ class TestWorkerPool:
     def test_lone_task_runs_in_a_worker(self):
         # A pool means no task body runs in the caller's process, even
         # one alone (a service's event loop stays free).
-        from repro.fabric import WorkerPool
-
         with WorkerPool(2) as pool:
             (res,) = run_tasks([TaskSpec("t-echo", ("x",))], pool=pool)
         assert res.ok and res.pid != os.getpid()
@@ -242,8 +221,6 @@ class TestWorkerPool:
         # Threads sharing a pool all see the same breakage; only the
         # first rebuild may replace the executor, or a later one would
         # cancel work already submitted to the first's replacement.
-        from repro.fabric import WorkerPool
-
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -282,8 +259,6 @@ class TestWorkerPool:
         # its task and leaves a rebuilt pool behind.
         from concurrent.futures.process import BrokenProcessPool
 
-        from repro.fabric import WorkerPool
-
         with WorkerPool(2) as pool:
             broken = pool.executor
             with pytest.raises(BrokenProcessPool):
@@ -292,15 +267,11 @@ class TestWorkerPool:
             assert res.ok and pool.executor is not broken
 
     def test_shut_down_pool_refuses_use(self):
-        from repro.fabric import WorkerPool
-
         pool = WorkerPool(2)
         pool.shutdown()
         with pytest.raises(RuntimeError, match="shut down"):
             pool.executor
 
     def test_pool_needs_at_least_one_worker(self):
-        from repro.fabric import WorkerPool
-
         with pytest.raises(ValueError):
             WorkerPool(0)

@@ -105,9 +105,11 @@ def test_match_index_avoids_5x_attempts():
     scan would have attempted — is at least 5x the admitted count."""
     from repro.evaluation.coverage import run_coverage
     from repro.observe import MetricsRegistry
+    from repro.session import CompilerSession
 
     metrics = MetricsRegistry()
-    report = run_coverage(metrics=metrics)
+    with CompilerSession(metrics=metrics) as session:
+        report = run_coverage(session=session)
     assert not report.failures
     hits = misses = 0
     for c in metrics.counters("match_index"):

@@ -369,6 +369,24 @@ class TestPerRequestReplies:
         workers = _task_pids(trace, "verify-rule")
         assert len(workers) == 1 and os.getpid() not in workers
 
+    def test_pool_forks_only_after_warm_up(self, monkeypatch):
+        # The workers inherit the warm indexes only if the pool is built
+        # after the session has warmed up.
+        from repro.fabric import WorkerPool
+
+        session = CompilerSession(jobs=2)
+        warm_at_fork = []
+        init = WorkerPool.__init__
+
+        def spy(pool, jobs):
+            warm_at_fork.append(session._warmed)
+            init(pool, jobs)
+
+        monkeypatch.setattr(WorkerPool, "__init__", spy)
+        holder = _start_daemon(session=session)
+        _stop_daemon(holder)
+        assert warm_at_fork == [True]
+
     def test_pooled_miss_never_waits_behind_another(self, slow_verify):
         # A fast miss sent while a slow one runs takes the idle worker
         # and is answered first.

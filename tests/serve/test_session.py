@@ -1,10 +1,16 @@
-"""CompilerSession contract: from_args, warm-up, the compile job kind."""
+"""CompilerSession contract: from_args, warm-up, the run context of
+every sweep, the compile job kind."""
 
 import argparse
 
-from repro.fabric import ResultCache, TaskSpec, run_tasks
+import pytest
+
+from repro.evaluation.ablation import run_ablation
+from repro.evaluation.coverage import run_coverage
+from repro.fabric import ResultCache, TaskSpec, WorkerPool, run_tasks
 from repro.fabric.jobs import CellParams
 from repro.session import CompilerSession, compile_cell, compile_listing
+from repro.targets import ARM
 
 
 def _args(**kw):
@@ -19,6 +25,12 @@ class TestFromArgs:
         s = CompilerSession.from_args(_args())
         assert s.jobs == 1 and s.cache is None
         assert s.metrics is None and s.phase_tracer is None
+
+    def test_trace_arg_creates_the_sweep_tracer(self):
+        s = CompilerSession.from_args(_args(trace="t.json"))
+        assert s.tracer is not None and s.metrics is None
+        for args in (_args(), _args(trace=None)):
+            assert CompilerSession.from_args(args).tracer is None
 
     def test_cache_flag_opens_a_cache(self, tmp_path):
         s = CompilerSession.from_args(
@@ -53,6 +65,38 @@ class TestWarmUp:
         s = CompilerSession(jobs=1)
         assert s.ensure_pool() is None
         s.close()  # must be safe without a pool
+
+
+class TestRunContext:
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_is_refused(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            CompilerSession(jobs=jobs)
+
+    def test_two_sweeps_share_one_pool(self, monkeypatch):
+        built = []
+        init = WorkerPool.__init__
+
+        def counted(pool, jobs):
+            built.append(jobs)
+            init(pool, jobs)
+
+        monkeypatch.setattr(WorkerPool, "__init__", counted)
+
+        def sweeps(session):
+            coverage = run_coverage(workload_names=["add", "mean"],
+                                    targets=[ARM], session=session)
+            ablation = run_ablation(workload_names=["add", "mean"],
+                                    session=session)
+            return coverage.to_json(), ablation.format_table()
+
+        with CompilerSession() as inline:
+            serial = sweeps(inline)
+        assert built == []
+        with CompilerSession(jobs=2) as pooled:
+            parallel = sweeps(pooled)
+        assert built == [2]
+        assert parallel == serial
 
 
 class TestCompileCell:

@@ -165,6 +165,32 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "Figure 3(a)" in out or "(a)" in out
 
+    def test_evaluate_all_passes_the_lift_strategy(self, tmp_path,
+                                                   monkeypatch, capsys):
+        # Figures 5 and 6 of the full report run under the strategy
+        # asked for, as `evaluate fig5`/`fig6` do (each spy still runs
+        # its real sweep, on one workload).
+        from repro.evaluation import report
+
+        seen = {}
+        for name in ("run_runtime_evaluation",
+                     "run_compile_time_evaluation", "run_ablation"):
+            def spy(_real=getattr(report, name), _name=name, **kw):
+                seen[_name] = kw
+                return _real(workload_names=["add"], **kw)
+
+            monkeypatch.setattr(report, name, spy)
+        assert main(["evaluate", "all", "--lift-strategy", "egraph",
+                     "--no-rake", "--repeats", "1",
+                     "--write", str(tmp_path / "all.md")]) == 0
+        capsys.readouterr()
+        assert seen["run_runtime_evaluation"]["lift_strategy"] == "egraph"
+        assert (seen["run_compile_time_evaluation"]["lift_strategy"]
+                == "egraph")
+        # the three sweeps share the command's one session
+        sessions = {id(kw["session"]) for kw in seen.values()}
+        assert len(sessions) == 1
+
     @pytest.mark.parametrize("figure", ["fig6", "all"])
     def test_evaluate_rejects_zero_repeats(self, figure, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -265,6 +291,29 @@ class TestFabricOptions:
         assert capsys.readouterr().out.strip() == first
         assert len(first) == 64 and int(first, 16) >= 0
 
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "fig7"],
+        ["rules"],
+        ["coverage"],
+        ["lint"],
+        ["synthesize", "add"],
+        ["serve"],
+    ], ids=["evaluate", "rules", "coverage", "lint", "synthesize", "serve"])
+    def test_jobs_below_one_exits_2(self, argv, capsys, monkeypatch):
+        def never_served(**kw):
+            raise AssertionError("serve started despite a bad --jobs")
+
+        # a daemon that did start would block the test run
+        monkeypatch.setattr("repro.serve.ServeDaemon", never_served)
+        for jobs in ("0", "-3"):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--jobs", jobs])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert "argument --jobs" in captured.err
+            assert f"at least 1, got {jobs}" in captured.err
+            assert captured.out == ""
+
     def test_rules_verify_jobs_output_is_identical(self, capsys):
         main(["rules", "--verify"])
         serial = capsys.readouterr().out
@@ -340,6 +389,18 @@ class TestRunReports:
         assert [p["name"] for p in doc["phases"]] == phases
         assert all(p["seconds"] > 0 for p in doc["phases"])
         assert sorted(doc["extra"]) == extra
+
+    def test_machine_lint_report_counts_every_cell(self, tmp_path, capsys):
+        # The machine-lint sweep reports through the session like every
+        # other sweep: one fabric_tasks count per cell of the 16 x 3.
+        path = tmp_path / "r.json"
+        assert main(["lint", "--machine", "--no-cache",
+                     "--report", str(path)]) == 0
+        capsys.readouterr()
+        counters = json.loads(path.read_text())["metrics"]["counters"]
+        cells = [c for c in counters if c["name"] == "fabric_tasks"]
+        assert {c["labels"]["kind"] for c in cells} == {"machinelint"}
+        assert sum(c["value"] for c in cells) == 48
 
     def test_report_show(self, tmp_path, capsys):
         path = self._emit(tmp_path)
