@@ -32,6 +32,7 @@ from .compiled import (  # noqa: F401
 from .backend import (  # noqa: F401
     AUTO_LANES_THRESHOLD,
     BACKENDS,
+    auto_program,
     compile_for_backend,
     effective_backend,
     get_default_backend,

@@ -82,30 +82,34 @@ def _range_fits_i64(lo: int, hi: int) -> bool:
 # ----------------------------------------------------------------------
 # Specialized whole-array primitives (precomputed type constants)
 # ----------------------------------------------------------------------
+_NP_WRAPS: Dict[ScalarType, Callable] = {}
+
+
 def _np_wrap(t: ScalarType):
-    """Whole-array two's-complement wrap to ``t``.
+    """Whole-array two's-complement wrap to ``t``, one per type.
 
     Only called for types whose range fits int64.  At 64 bits the int64
     lane *is* the wrapped value (numpy arithmetic is modular in the
     machine word), so wrap is the identity; below that it is one mask
     plus, for signed types, one sign-adjusting select.
     """
+    wrap = _NP_WRAPS.get(t)
+    if wrap is not None:
+        return wrap
     if t.bits >= 64:
-        return lambda a: a
-    mask = np.int64(t.mask)
-    if t.signed:
+        def wrap(a):
+            return a
+    elif t.signed:
         # ((a + half) mod 2**bits) - half, branch-free: int64 overflow
         # of the bias add is itself modular, so the low bits stay right.
-        half = np.int64(1 << (t.bits - 1))
+        mask, half = np.int64(t.mask), np.int64(1 << (t.bits - 1))
 
         def wrap(a, _m=mask, _h=half):
             return ((a + _h) & _m) - _h
-
-        return wrap
-
-    def wrap(a, _m=mask):
-        return a & _m
-
+    else:
+        def wrap(a, _m=np.int64(t.mask)):
+            return a & _m
+    _NP_WRAPS[t] = wrap
     return wrap
 
 
@@ -376,15 +380,17 @@ def _var_step_obj(dst: int, name: str, t: ScalarType):
 
 
 def _const_step(dst: int, value: int, dtype):
-    # The broadcast array is cached per lane count: every step allocates
-    # a fresh output (no ufunc writes through ``out=``), so sharing the
-    # operand across calls is safe.
+    # A read-only view of one 0-d array, broadcast to the lane count and
+    # cached per lane count: every step allocates a fresh output (no
+    # ufunc writes through ``out=``), so sharing the operand across calls
+    # is safe, and a kept program holds one value, not a lane array.
+    scalar = np.array(value, dtype=dtype)
     cache: List[Optional["np.ndarray"]] = [None]
 
-    def step(regs, env, lanes, _d=dst, _v=value, _t=dtype, _c=cache):
+    def step(regs, env, lanes, _d=dst, _s=scalar, _c=cache):
         arr = _c[0]
         if arr is None or len(arr) != lanes:
-            arr = np.full(lanes, _v, dtype=_t)
+            arr = np.broadcast_to(_s, (lanes,))
             _c[0] = arr
         regs[_d] = arr
 

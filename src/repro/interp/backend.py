@@ -34,6 +34,7 @@ __all__ = [
     "set_default_backend",
     "effective_backend",
     "compile_for_backend",
+    "auto_program",
 ]
 
 #: Recognised backend names.
@@ -80,21 +81,20 @@ def effective_backend(backend: Optional[str] = None) -> str:
 class _AutoCompiled:
     """Per-call dispatch between the closure and ndarray programs.
 
-    The closure program is compiled eagerly (it also provides lane
-    inference); the ndarray program is compiled on the first call that
-    is wide enough to want it.  Both compiles are globally memoized on
-    the hash-consed node, so the extra compile is paid once per
-    expression per process.
+    Built from an expression, the closure program is compiled eagerly
+    (it also provides lane inference) and the ndarray program on the
+    first call that is wide enough to want it.  Both compiles are
+    globally memoized on the hash-consed node, so the extra compile is
+    paid once per expression per process.  Built by
+    :func:`auto_program` from both programs, it holds no expression.
     """
 
     __slots__ = ("_expr", "_closure", "_array")
 
-    def __init__(self, expr: E.Expr):
-        from .compiled import compile_expr
-
+    def __init__(self, expr: Optional[E.Expr], closure, array=None):
         self._expr = expr
-        self._closure = compile_expr(expr)
-        self._array = None
+        self._closure = closure
+        self._array = array
 
     def infer_lanes(self, env: Mapping[str, Sequence[int]]) -> int:
         return self._closure.infer_lanes(env)
@@ -149,12 +149,18 @@ def compile_for_backend(expr: E.Expr, backend: Optional[str] = None):
     the hash-consed root, so repeated calls are cheap.
     """
     name = effective_backend(backend)
-    if name == "closure":
-        from .compiled import compile_expr
-
-        return compile_expr(expr)
     if name == "numpy":
         from .array_backend import compile_expr_array
 
         return compile_expr_array(expr)
-    return _AutoCompiled(expr)
+    from .compiled import compile_expr
+
+    program = compile_expr(expr)
+    return program if name == "closure" else _AutoCompiled(expr, program)
+
+
+def auto_program(closure, array):
+    """``auto``'s per-call dispatch over a closure and an ndarray program
+    compiled from one expression.  It keeps no reference to the
+    expression, so a cache of programs does not keep theirs alive."""
+    return _AutoCompiled(None, closure, array)

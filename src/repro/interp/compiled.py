@@ -210,7 +210,8 @@ _KERNELS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _PROGRAMS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-#: other evaluation backends register their cache clears here, so that
+#: other evaluation backends, and caches that keep compiled programs
+#: (the rule verifier's), register their cache clears here, so that
 #: clear_compile_cache() means "no compiled artifact survives" no matter
 #: which backend produced it
 _BACKEND_CLEAR_HOOKS: list = []

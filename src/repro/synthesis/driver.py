@@ -16,7 +16,7 @@ The checked-in rule set in :mod:`repro.lifting.synthesized` and the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 from ..session import CompilerSession
 from ..trs.rule import Rule
@@ -46,39 +46,45 @@ class SynthesisRun:
         )
 
 
+def _registry_names(wl_list: List[Workload]) -> Optional[Tuple[str, ...]]:
+    """The names that rebuild ``wl_list`` from the workload registry, or
+    None when a workload is not the registry's own (an ad-hoc one)."""
+    from ..workloads import by_name
+
+    names = tuple(w.name for w in wl_list)
+    try:
+        if all(by_name(n) is w for n, w in zip(names, wl_list)):
+            return names
+    except ValueError:
+        pass
+    return None
+
+
 def _search_corpus(
-    wl_list: List[Workload],
+    names: Optional[Tuple[str, ...]],
     corpus: List[CorpusEntry],
     max_lhs_size: int,
     max_rhs_size: int,
     session: CompilerSession,
 ) -> List[Optional[SynthesisResult]]:
-    """Run the per-entry SyGuS search, on the fabric when the
-    ``session`` fans out or caches.
+    """Run the per-entry SyGuS search, as the ``session``'s fabric tasks
+    when the workloads are the registry's ``names`` (inline at
+    ``jobs=1``), so its cache, metrics and tracer see every search.
 
     Only the search itself (the expensive, embarrassingly-parallel part)
-    fans out; generalization and rule naming stay serial in the caller so
-    the produced rules are identical to the all-inline pipeline.  Workers
-    ship each found RHS back as s-expression text; the caller re-derives
-    costs (deterministic).  Entries whose RHS the serializer cannot
-    express — and any infrastructure failure — are redone inline, so a
-    degraded fabric degrades to the serial pipeline, never to a gap.
-    Both paths evaluate on the process-default backend.
+    is a task; generalization and rule naming stay serial in the caller
+    so the produced rules are identical to the all-inline pipeline.
+    Tasks return each found RHS as s-expression text; the caller
+    re-derives costs (deterministic).  Entries whose RHS the serializer
+    cannot express — and any infrastructure failure — are redone inline,
+    so a degraded fabric degrades to the serial pipeline, never to a
+    gap.  Both paths evaluate on the process-default backend.
     """
 
     def inline(entry: CorpusEntry) -> Optional[SynthesisResult]:
         return synthesize_lift(entry.expr, max_size=max_rhs_size)
 
-    usable = session.jobs > 1 or session.cache is not None
-    if usable:
-        from ..workloads import by_name
-
-        try:
-            names = tuple(w.name for w in wl_list)
-            usable = all(by_name(n) is w for n, w in zip(names, wl_list))
-        except ValueError:
-            usable = False
-    if not usable:  # unnamed/ad-hoc workloads: workers can't rebuild them
+    if names is None:  # ad-hoc workloads: a task cannot rebuild them
         return [inline(entry) for entry in corpus]
 
     from ..fabric import TaskSpec
@@ -130,23 +136,29 @@ def synthesize_lifting_rules(
     """Run the §4.1 + §4.3 pipeline and return verified lifting rules.
 
     ``max_lhs_size`` is kept below the paper's 10 by default to bound the
-    demo's running time; the full setting works, just slower.  On a
-    ``session`` with a worker pool or a cache the per-entry SyGuS
-    searches run on the execution fabric (see :func:`_search_corpus`),
-    observed by its metrics and tracer; the produced rules are
-    identical either way.
+    demo's running time; the full setting works, just slower.  When the
+    workloads are the registry's, the per-entry SyGuS searches run as
+    the ``session``'s fabric tasks (see :func:`_search_corpus`), in its
+    worker pool if it has one, observed by its metrics and tracer; the
+    produced rules are identical either way.
     """
     run = SynthesisRun()
     wl_list = (
         list(workloads) if workloads is not None else list(all_workloads())
     )
-    corpus = extract_corpus(wl_list, max_size=max_lhs_size)
+    names = _registry_names(wl_list)
+    if names is None:
+        corpus = extract_corpus(wl_list, max_size=max_lhs_size)
+    else:  # the corpus the tasks read, extracted once per process
+        from ..fabric.jobs import corpus_for
+
+        corpus = corpus_for(names, max_lhs_size)
     run.corpus_size = len(corpus)
     if max_candidates is not None:
         corpus = corpus[:max_candidates]
 
     results = _search_corpus(
-        wl_list, corpus, max_lhs_size, max_rhs_size,
+        names, corpus, max_lhs_size, max_rhs_size,
         session or CompilerSession(),
     )
     seen_rule_shapes = set()

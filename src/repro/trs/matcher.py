@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from ..ir.expr import Const, Expr
+from ..ir.expr import Const, Expr, TypeError_
 from ..ir.types import ScalarType
 from .pattern import (
     ConstWild,
@@ -17,7 +17,7 @@ from .pattern import (
     unify_type,
 )
 
-__all__ = ["Match", "match", "instantiate"]
+__all__ = ["Match", "match", "instantiate", "pconst_value"]
 
 
 @dataclass
@@ -98,6 +98,30 @@ def _match(pattern: Expr, expr: Expr, m: Match) -> bool:
     return True
 
 
+def pconst_value(p: PConst, m: Match) -> int:
+    """The value of ``p`` for a match, wrapped to its resolved type as
+    the ``Const`` that :func:`instantiate` builds holds it.
+
+    A callable value with one *required* positional parameter gets the
+    matched constants; one with two also gets the type bindings (for
+    type-dependent constants like sign-bit masks).  Defaulted parameters
+    (closure captures) don't count.
+    """
+    t = resolve_type(p.type_pattern, m.tenv)
+    v = p.value
+    if callable(v):
+        code = getattr(v, "__code__", None)
+        required = (
+            code.co_argcount - len(v.__defaults__ or ())
+            if code is not None
+            else 1
+        )
+        v = v(m.consts, m.tenv) if required >= 2 else v(m.consts)
+    if not isinstance(v, int):
+        raise TypeError_(f"Const value must be int, got {v!r}")
+    return t.wrap(v)
+
+
 def instantiate(rhs: Expr, m: Match) -> Expr:
     """Build the concrete right-hand side for a successful match."""
     if isinstance(rhs, ConstWild) or (
@@ -111,21 +135,8 @@ def instantiate(rhs: Expr, m: Match) -> Expr:
             ) from None
 
     if isinstance(rhs, PConst):
-        t = resolve_type(rhs.type_pattern, m.tenv)
-        v = rhs.value
-        if callable(v):
-            # Callables with one *required* positional arg get the matched
-            # constants; those with two also get the type bindings (for
-            # type-dependent constants like sign-bit masks).  Defaulted
-            # parameters (closure captures) don't count.
-            code = getattr(v, "__code__", None)
-            required = (
-                code.co_argcount - len(v.__defaults__ or ())
-                if code is not None
-                else 1
-            )
-            v = v(m.consts, m.tenv) if required >= 2 else v(m.consts)
-        return Const(t, v)
+        return Const(resolve_type(rhs.type_pattern, m.tenv),
+                     pconst_value(rhs, m))
 
     args = []
     for f in rhs._fields:

@@ -7,9 +7,11 @@ A rule ``lhs -> rhs [predicate]`` is *verified* by:
    at most ``max_type_combos`` of them;
 2. for each assignment, instantiating both sides once as *templates*
    over input variables, with every constant (a constant wildcard or a
-   computed right-hand-side constant) turned into a variable too, then
-   walking sampled constant choices (boundary values, powers of two, and
-   random values — a choice failing the predicate is skipped, since a
+   computed right-hand-side constant) turned into a variable too, and
+   compiling them (the compiled pair is kept for the life of the
+   process, so verifying the rule again compiles nothing), then walking
+   sampled constant choices (boundary values, powers of two, and random
+   values — a choice failing the predicate is skipped, since a
    predicated rule only claims correctness when the predicate holds);
 3. checking each remaining choice, lane by lane, on a boundary-biased
    input grid (full cross product of per-variable sample sets) with the
@@ -30,14 +32,34 @@ from __future__ import annotations
 
 import itertools
 import random
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..analysis import BoundsAnalyzer, BoundsContext, Interval
-from ..interp import EvalError, compile_for_backend, maybe_prepare_env
+from ..interp import (
+    EvalError,
+    auto_program,
+    compile_for_backend,
+    effective_backend,
+    maybe_prepare_env,
+)
+from ..interp import compiled as _compiled
 from ..ir.expr import Const, Expr, Var
 from ..ir.types import ARITH_TYPES, ScalarType
-from ..trs.matcher import Match, instantiate
+from ..trs.matcher import Match, instantiate, pconst_value
 from ..trs.pattern import (
     ConstWild,
     PConst,
@@ -224,6 +246,14 @@ def _const_samples(t: ScalarType, rng: random.Random) -> List[int]:
 #: and 4,096 or 8,192 lanes no more speed at +3.5%.
 LANE_BUDGET = 1024
 
+#: Most compiled program pairs :func:`verify_rule` keeps, least recently
+#: used evicted first.  An entry holds a type assignment's two programs,
+#: not the templates they were compiled from: one round of the
+#: ``verify-rules`` benchmark (67 rules at 6/4/400) fills 307 entries,
+#: which hold 1.31 MB traced under numpy (4.3 KB each), 1.06 MB under
+#: closure and 2.26 MB under ``auto`` (both programs per side).
+PROGRAM_CACHE_ENTRIES = 512
+
 
 def verify_equivalence(
     lhs: Expr,
@@ -255,7 +285,9 @@ def verify_equivalence(
     """
     if max_points < 1:
         raise ValueError(f"max_points must be at least 1, got {max_points}")
-    checks = _Checks(lhs, rhs, (), backend, bit_exact_type)
+    backend = effective_backend(backend)
+    checks = _Checks(_compile_pair(lhs, rhs, backend), (), backend,
+                     bit_exact_type)
     failure = checks.add(
         None, {}, rng if rng is not None else random.Random(0),
         var_bounds, max_points, n_random,
@@ -263,8 +295,85 @@ def verify_equivalence(
     return None if failure is None else failure[1]
 
 
+class _Programs(NamedTuple):
+    """A pair of expressions as :class:`_Checks` runs them: both sides'
+    types, the variables either side reads (sorted by name), and each
+    side's compiled program.  It holds neither expression, only their
+    ``Var`` leaves."""
+
+    types: Tuple[ScalarType, ScalarType]
+    variables: Tuple[Var, ...]
+    run: Tuple[Callable, Callable]
+
+
+def _compile_pair(lhs: Expr, rhs: Expr, backend: str) -> _Programs:
+    """``lhs`` and ``rhs`` compiled under ``backend`` (a name
+    :func:`~repro.interp.effective_backend` resolved)."""
+    variables = sorted(
+        {n for n in lhs.walk() if isinstance(n, Var)}
+        | {n for n in rhs.walk() if isinstance(n, Var)},
+        key=lambda v: v.name,
+    )
+    return _Programs((lhs.type, rhs.type), tuple(variables),
+                     (_program(lhs, backend), _program(rhs, backend)))
+
+
+def _program(side: Expr, backend: str) -> Callable:
+    """``side`` compiled under ``backend``.  ``auto`` compiles both of
+    its programs now, so it keeps no reference to ``side``.  A side that
+    does not compile becomes a program that raises the compile error, so
+    the error is reported at the check that first runs it."""
+    if backend == "auto":
+        return auto_program(_program(side, "closure"),
+                            _program(side, "numpy"))
+    try:
+        return compile_for_backend(side, backend)
+    except EvalError as exc:
+        error = str(exc)
+
+        def fails(env, lanes=None):
+            raise EvalError(error)
+
+        return fails
+
+
+#: (lhs, rhs, type assignment, wildcard types, backend) -> the compiled
+#: pair of a rule's templates, or () where they do not build; least
+#: recently used first.  The lock covers it: the daemon verifies on
+#: several threads.
+_PROGRAMS: "OrderedDict[tuple, Union[_Programs, Tuple[()]]]" = OrderedDict()
+_PROGRAMS_LOCK = threading.Lock()
+
+
+def _cached_programs(
+    key: tuple, build: Callable[[], Union[_Programs, Tuple[()]]]
+) -> Union[_Programs, Tuple[()]]:
+    """The pair cached under ``key``, built and kept on a miss."""
+    with _PROGRAMS_LOCK:
+        hit = _PROGRAMS.get(key)
+        if hit is not None:
+            _PROGRAMS.move_to_end(key)
+            return hit
+    programs = build()
+    with _PROGRAMS_LOCK:
+        _PROGRAMS[key] = programs
+        while len(_PROGRAMS) > PROGRAM_CACHE_ENTRIES:
+            _PROGRAMS.popitem(last=False)
+    return programs
+
+
+def _clear_programs() -> None:
+    with _PROGRAMS_LOCK:
+        _PROGRAMS.clear()
+
+
+# registering a handler changes what a compiled program means, so
+# clear_compile_cache() empties this cache too
+_compiled._BACKEND_CLEAR_HOOKS.append(_clear_programs)
+
+
 class _Checks:
-    """Equivalence checks of one pair of expressions, evaluated together.
+    """Equivalence checks of one compiled pair, evaluated together.
 
     A check is a sampled grid with the held variables at one value on
     each of its lanes.  :meth:`add` draws a check's grid and queues it;
@@ -280,22 +389,17 @@ class _Checks:
     check reports the mismatch at once.
     """
 
-    def __init__(self, lhs: Expr, rhs: Expr, held: Iterable[str],
-                 backend: Optional[str], bit_exact_type: bool = True) -> None:
-        tl, tr = lhs.type, rhs.type
+    def __init__(self, programs: _Programs, held: Iterable[str],
+                 backend: str, bit_exact_type: bool = True) -> None:
+        tl, tr = programs.types
         self.mismatch: Optional[str] = None
         if bit_exact_type and tl != tr:
             self.mismatch = f"type mismatch: {tl} vs {tr}"
         elif tl.bits != tr.bits:
             self.mismatch = f"width mismatch: {tl} vs {tr}"
-        self.lhs, self.rhs, self.backend = lhs, rhs, backend
-        self.variables = sorted(
-            {n for n in lhs.walk() if isinstance(n, Var)}
-            | {n for n in rhs.walk() if isinstance(n, Var)},
-            key=lambda v: v.name,
-        )
+        self.programs, self.backend = programs, backend
         held = set(held)
-        self.sampled = [v for v in self.variables if v.name not in held]
+        self.sampled = [v for v in programs.variables if v.name not in held]
         self.queue: List[Tuple[object, List[tuple], Mapping[str, int]]] = []
         self.lanes = 0
 
@@ -357,11 +461,13 @@ class _Checks:
             column = env[name] = []
             for _, grid, held in queue:
                 column += [held[name]] * len(grid)
-        env = maybe_prepare_env(env, self.variables, lanes, self.backend)
-        lv = compile_for_backend(self.lhs, self.backend)(env, lanes)
-        rv = compile_for_backend(self.rhs, self.backend)(env, lanes)
-        tl = self.lhs.type
-        if tl != self.rhs.type:
+        env = maybe_prepare_env(env, self.programs.variables, lanes,
+                                self.backend)
+        run_lhs, run_rhs = self.programs.run
+        lv = run_lhs(env, lanes)
+        rv = run_rhs(env, lanes)
+        tl, tr = self.programs.types
+        if tl != tr:
             mask = tl.mask
             rv = [tl.wrap(v & mask) for v in rv]
         if lv == rv:
@@ -400,7 +506,11 @@ def verify_rule(
     ``forced_consts`` pins the constant wildcards to specific values
     (used by the §4.3 generalizer's binary search over constant ranges).
     ``backend`` selects the evaluation backend for the sample grids
-    (None = process default).
+    (None = process default).  Each type assignment's compiled pair is
+    kept in a process-wide cache of :data:`PROGRAM_CACHE_ENTRIES`
+    entries, keyed on both sides, the assignment and the backend, so the
+    rule's next verification (another seed, another budget) compiles
+    nothing; :func:`repro.interp.clear_compile_cache` empties it.
 
     Raises ValueError if ``max_type_combos``, ``max_const_samples`` or
     ``max_points`` is below 1: the first would check no type assignment
@@ -414,6 +524,7 @@ def verify_rule(
         if budget < 1:
             raise ValueError(f"{name} must be at least 1, got {budget}")
     rng = random.Random(seed)
+    backend = effective_backend(backend)
     tvars = _collect_tvars(rule.lhs)
     wilds, cwilds = _collect_wilds(rule.lhs)
     templates = _Templates(rule, cwilds)
@@ -481,10 +592,12 @@ def verify_rule(
         # one context per hint level serves every constant choice.
         contexts = [_CountingContext(BoundsAnalyzer(h)) for h in hint_sets]
         const_nodes: Dict[Tuple[str, int], Const] = {}
-        # both sides as templates, built on the first choice a predicate
-        # passes; () when either side does not build
-        sides: Optional[Tuple[Expr, ...]] = None
-        checks: Optional[_Checks] = None  # the templates' queued checks
+        # both sides' templates compiled, looked up on the first choice a
+        # predicate passes; () when either side does not build.  A
+        # wildcard compares by name alone, so each one's resolved type
+        # (its Var in env, or its constant type) is in the key too.
+        programs: Union[None, _Programs, Tuple[()]] = None
+        checks: Optional[_Checks] = None  # the programs' queued checks
         for const_env in const_choices:
             m = _LazyRootMatch(rule.lhs, env, const_nodes, cwild_types,
                                dict(tenv), dict(const_env))
@@ -498,9 +611,15 @@ def verify_rule(
                             # each would answer this no the same way
                             break
                         continue
-                    if sides is None:
-                        sides = templates.build(env, tenv, cwild_types)
-                    held = templates.held(m) if sides else None
+                    if programs is None:
+                        programs = _cached_programs(
+                            (rule.lhs, rule.rhs, tuple(sorted(tenv.items())),
+                             tuple(env.values()), tuple(cwild_types.items()),
+                             backend),
+                            lambda: templates.compile(env, tenv, cwild_types,
+                                                      backend),
+                        )
+                    held = templates.held(m) if programs else None
                     if held is None:
                         # the queued choices come first in the report
                         failure = checks.flush() if checks else None
@@ -525,7 +644,7 @@ def verify_rule(
                                                         cex)
                 else:
                     if checks is None:
-                        checks = _Checks(*sides, held, backend)
+                        checks = _Checks(programs, held, backend)
                     points += 1
                     failure = checks.add((points, const_env), held, rng,
                                          hints, max_points)
@@ -558,11 +677,11 @@ class _Templates:
     Each constant wildcard, and each computed constant (a ``PConst``
     whose value is callable), becomes a ``Var`` of its resolved type,
     named so that no wildcard of the rule on either side shares the
-    name.  :meth:`build` instantiates both sides once per type
-    assignment, and every constant choice of that assignment is checked
-    by holding the variables at its values (:meth:`held`), so the
-    choices share one compiled program per side.  A ``Const`` leaf and
-    a ``Var`` of its type holding its value on every lane evaluate
+    name.  :meth:`compile` instantiates and compiles both sides once per
+    type assignment, and every constant choice of that assignment is
+    checked by holding the variables at its values (:meth:`held`), so
+    the choices share one compiled program per side.  A ``Const`` leaf
+    and a ``Var`` of its type holding its value on every lane evaluate
     alike.  Literal ``PConst`` values stay ``Const``.
     """
 
@@ -581,10 +700,11 @@ class _Templates:
         self.lhs, self.rhs = (_computed_as_wilds(side, self.computed)
                               for side in (rule.lhs, rule.rhs))
 
-    def build(self, env: Dict[str, Expr], tenv: Dict[str, ScalarType],
-              cwild_types: Dict[str, ScalarType]) -> Tuple[Expr, ...]:
-        """Both sides at one type assignment, or () if either does not
-        build."""
+    def compile(self, env: Dict[str, Expr], tenv: Dict[str, ScalarType],
+                cwild_types: Dict[str, ScalarType],
+                backend: str) -> Union[_Programs, Tuple[()]]:
+        """Both sides at one type assignment, compiled, or () if either
+        does not build."""
         env = dict(env)
         try:
             for name, var in self.const_vars.items():
@@ -592,19 +712,21 @@ class _Templates:
             for node, var in self.computed.items():
                 env[var] = Var(resolve_type(node.type_pattern, tenv), var)
             m = Match(env=env, tenv=dict(tenv))
-            return instantiate(self.lhs, m), instantiate(self.rhs, m)
+            lhs, rhs = instantiate(self.lhs, m), instantiate(self.rhs, m)
         except Exception:  # the per-choice path skips or reports it
             return ()
+        return _compile_pair(lhs, rhs, backend)
 
     def held(self, m: Match) -> Optional[Dict[str, int]]:
         """The variables' values at the constant choice of ``m``, each
-        computed constant evaluated as :func:`instantiate` does, or None
-        if one raises."""
-        held = {var: m.env[name].value
-                for name, var in self.const_vars.items()}
+        computed constant's as :func:`instantiate` gives it, or None if
+        one raises.  The sampled and forced constants are in their
+        types' ranges already, so ``m.consts`` holds what their ``Const``
+        nodes would: ``m.env`` is not read, and no tree is built."""
+        held = {var: m.consts[name] for name, var in self.const_vars.items()}
         try:
             for node, var in self.computed.items():
-                held[var] = instantiate(node, m).value
+                held[var] = pconst_value(node, m)
         except Exception:  # the per-choice path reports it
             return None
         return held
@@ -634,9 +756,10 @@ class _LazyRootMatch(Match):
     choice's ``Const`` nodes, taken from ``const_nodes`` (one node per
     name and value for the whole assignment, added on first use).
     ``root`` is the rule's left-hand side instantiated over ``env``.  So
-    a predicate that rejects a constant choice from ``consts`` and
-    ``tenv`` builds neither, one that reads ``env`` builds no tree, and
-    both hint levels share one build.  A failed build of ``root`` raises
+    a predicate that decides a constant choice from ``consts`` and
+    ``tenv`` builds neither (:meth:`_Templates.held` reads ``consts``
+    too), one that reads ``env`` builds no tree, and both hint levels
+    share one build.  A failed build of ``root`` raises
     :class:`_LhsBuildFailed`.
     """
 

@@ -1,6 +1,8 @@
 """Tests for the corpus extractor, the synthesis driver, and §4.2
 lowering-rule generation against the Rake oracle."""
 
+import dataclasses
+
 import pytest
 
 from repro import fpir as F
@@ -55,6 +57,23 @@ class TestDriver:
         # every returned rule carries synth provenance
         for rule in run.rules:
             assert rule.is_synthesized
+
+    def test_registry_workloads_search_like_ad_hoc_ones(self):
+        # Registry workloads search as fabric tasks (inline without a
+        # pool); a copy of one is ad hoc, so its searches run in the
+        # driver.  Both find the same pairs and rules.
+        wls = [by_name("add")]
+        tasks = synthesize_lifting_rules(workloads=wls, max_candidates=5)
+        inline = synthesize_lifting_rules(
+            workloads=[dataclasses.replace(w) for w in wls],
+            max_candidates=5,
+        )
+        assert tasks.summary() == inline.summary()
+        assert ([(p.lhs, p.rhs, p.candidates_explored) for p in tasks.pairs]
+                == [(p.lhs, p.rhs, p.candidates_explored)
+                    for p in inline.pairs])
+        assert ([(r.name, str(r.lhs), str(r.rhs)) for r in tasks.rules]
+                == [(r.name, str(r.lhs), str(r.rhs)) for r in inline.rules])
 
     def test_driver_rules_apply_to_their_source(self):
         run = synthesize_lifting_rules(

@@ -402,6 +402,30 @@ class TestRunReports:
         assert {c["labels"]["kind"] for c in cells} == {"machinelint"}
         assert sum(c["value"] for c in cells) == 48
 
+    def test_synthesize_report_is_the_same_at_any_jobs(self, tmp_path,
+                                                       capsys):
+        # The SyGuS searches run as the session's tasks at --jobs 1 too
+        # (inline), so both reports record the same metrics, and stdout
+        # is the same apart from the report's path.
+        names, outs = [], []
+        for jobs in ("1", "2"):
+            path = tmp_path / f"r{jobs}.json"
+            assert main(["synthesize", "add", "--max-candidates", "5",
+                         "--no-cache", "--jobs", jobs,
+                         "--report", str(path)]) == 0
+            outs.append(capsys.readouterr().out.replace(str(path), "r"))
+            metrics = json.loads(path.read_text())["metrics"]
+            names.append({(kind, m["name"])
+                          for kind in ("counters", "histograms")
+                          for m in metrics[kind]})
+        assert names[0] == names[1]
+        assert {("counters", "fabric_tasks"),
+                ("counters", "synth_searches")} <= names[0]
+        assert outs[0] == outs[1]
+        assert main(["synthesize", "add", "--max-candidates", "5",
+                     "--no-cache"]) == 0
+        assert outs[0] == capsys.readouterr().out + "wrote run report to r\n"
+
     def test_report_show(self, tmp_path, capsys):
         path = self._emit(tmp_path)
         capsys.readouterr()

@@ -39,6 +39,15 @@ class TestEquivalence:
         cex = verify_equivalence(h.u16(a), h.i16(a))
         assert cex is not None and "type mismatch" in cex["reason"]
 
+    @pytest.mark.parametrize("backend", ["closure", "numpy", "auto"])
+    def test_side_that_does_not_compile_is_reported(self, backend):
+        # a pattern leaf has no semantics: its side does not compile, and
+        # the error is the report, as when it was met at the first run
+        cex = verify_equivalence(E.Add(a, b), E.Add(a, Wild("w", U8)),
+                                 backend=backend)
+        assert cex == {"reason": "evaluation error: cannot evaluate "
+                                 "node: Wild"}
+
     def test_boundary_bias_finds_edge_bugs(self):
         # wrong only at the signed minimum: abs vs identity-on-negatives
         x = h.var("x", h.I8)
@@ -207,6 +216,16 @@ def _hand_rule(name):
     return next(r for r in HAND_RULES if r.name == name)
 
 
+@pytest.fixture
+def cold_programs():
+    """An empty program cache before and after the test: a test that
+    spies on the verifier's compiles sees each one, and leaves no
+    program it wrapped behind for later tests."""
+    rule_verifier._clear_programs()
+    yield
+    rule_verifier._clear_programs()
+
+
 class TestLhsBuiltOnDemand:
     """A constant choice the predicate rejects costs no left-hand-side
     build, and a predicate that reads ``m.root`` still gets the
@@ -266,6 +285,7 @@ class TestTemplates:
     """Each type assignment instantiates and compiles the rule's two
     sides once; constants are variables held at each choice's values."""
 
+    @pytest.mark.usefixtures("cold_programs")
     def test_one_program_pair_per_type_assignment(self, monkeypatch):
         roots = set()
         real = rule_verifier.compile_for_backend
@@ -321,6 +341,8 @@ def record_calls(monkeypatch, rule, budget=None):
         patch.setattr(rule_verifier, "compile_for_backend", recording)
         if budget is not None:
             patch.setattr(rule_verifier, "LANE_BUDGET", budget)
+        # compile afresh: a test may record two runs of one rule
+        rule_verifier._clear_programs()
         report = verify_rule(rule, seed=0, **BUDGET)
     return report, calls
 
@@ -337,6 +359,7 @@ def pack(sizes, budget):
     return chunks
 
 
+@pytest.mark.usefixtures("cold_programs")
 class TestChunks:
     """A type assignment's constant choices are queued as checks and
     evaluated together: each side's program runs once per chunk of
