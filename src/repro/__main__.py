@@ -301,9 +301,8 @@ def cmd_rules(args, session) -> int:
         from .fabric.jobs import VERIFY_RULESETS
         from .verify import batch_verify_rules
 
-        # Only lifting rules have full executable semantics on both
-        # sides (lowering RHS are target ops); say so rather than
-        # silently skipping.  The batch runs on the fabric (one task per
+        # Sample-verifies the lifting sets (VERIFY_RULESETS), as the
+        # note below says.  The batch runs on the fabric (one task per
         # rule) but reports in registry order, so this output is
         # byte-identical for any --jobs.
         with session.phase("verify-rules"):
@@ -319,9 +318,8 @@ def cmd_rules(args, session) -> int:
                     print(f"     counterexample: {report.counterexample}")
         checked = len(results)
         failures = sum(not report.ok for _, report in results)
-        print(f"(lowering rule sets are not sample-verified: their "
-              f"right-hand sides are target instructions; "
-              f"see 'python -m repro lint' for the static checks)")
+        print("(this command sample-verifies the lifting rule sets; "
+              "'python -m repro lint' checks every rule set statically)")
         print(f"verification: {checked} rules checked, "
               + ("all OK" if not failures
                  else f"{failures} FAILED"))

@@ -48,6 +48,7 @@ property-tested in ``tests/interp/test_array_backend.py``.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -80,22 +81,19 @@ def _range_fits_i64(lo: int, hi: int) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Specialized whole-array primitives (precomputed type constants)
+# Specialized whole-array primitives (precomputed type constants), one
+# kernel per type: compiled programs hold them, so a cached program
+# costs no kernel of its own
 # ----------------------------------------------------------------------
-_NP_WRAPS: Dict[ScalarType, Callable] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _np_wrap(t: ScalarType):
-    """Whole-array two's-complement wrap to ``t``, one per type.
+    """Whole-array two's-complement wrap to ``t``.
 
     Only called for types whose range fits int64.  At 64 bits the int64
     lane *is* the wrapped value (numpy arithmetic is modular in the
     machine word), so wrap is the identity; below that it is one mask
     plus, for signed types, one sign-adjusting select.
     """
-    wrap = _NP_WRAPS.get(t)
-    if wrap is not None:
-        return wrap
     if t.bits >= 64:
         def wrap(a):
             return a
@@ -109,10 +107,10 @@ def _np_wrap(t: ScalarType):
     else:
         def wrap(a, _m=np.int64(t.mask)):
             return a & _m
-    _NP_WRAPS[t] = wrap
     return wrap
 
 
+@functools.lru_cache(maxsize=None)
 def _np_saturate(t: ScalarType):
     # minimum/maximum are the raw ufuncs; np.clip adds a Python wrapper
     # (including two np.iinfo lookups per call) that dominates at the

@@ -58,6 +58,7 @@ from ..verify.rule_verifier import (
     _resolvable,
     _restricted_hints,
     _type_assignments,
+    _wildcard_types,
 )
 from .diagnostics import Diagnostic
 
@@ -198,27 +199,9 @@ def _sample_instantiations(
     max_consts: int = 8,
     cap: int = 24,
 ) -> List[_Sample]:
-    wilds, cwilds = _collect_wilds(rule.lhs)
     samples: List[_Sample] = []
-    for tenv in tenvs:
-        wild_types = {}
-        ok = True
-        for name, w in wilds.items():
-            t = _resolvable(w.type_pattern, tenv)
-            if t is None or t.is_bool:
-                ok = False
-                break
-            wild_types[name] = t
-        cwild_types = {}
-        if ok:
-            for name, w in cwilds.items():
-                t = _resolvable(w.type_pattern, tenv)
-                if t is None:
-                    ok = False
-                    break
-                cwild_types[name] = t
-        if not ok:
-            continue
+    for tenv, wild_types, cwild_types in _wildcard_types(
+            *_collect_wilds(rule.lhs), tenvs):
         env = {name: Var(t, name) for name, t in wild_types.items()}
         choices = _enumerate_const_choices(cwild_types, rng, max_consts)
         for const_env in choices[: max_consts]:

@@ -29,8 +29,9 @@ from ..trs.pattern import (
     Wild,
 )
 from ..trs.rule import Rule
+from . import shared
 from .generic import GenericMapper
-from .isa import InstrSpec, TargetDesc, target_op
+from .isa import TargetDesc, target_op
 
 __all__ = ["DESC", "GENERIC", "LOWERING_RULES", "RAKE_EXTRA_RULES"]
 
@@ -106,54 +107,50 @@ GENERIC = GenericMapper(DESC, _GENERIC_COSTS, _mnemonic)
 # ----------------------------------------------------------------------
 # Instruction specs
 # ----------------------------------------------------------------------
-def _spec(name: str, cost: float, semantics, elem_bits=None) -> InstrSpec:
-    return InstrSpec(name, DESC.name, cost, semantics, elem_bits)
-
-
 # Direct FPIR implementations: the instruction means the FPIR op itself.
-UADDL = _spec("uaddl", 1.0, lambda a, b: F.WideningAdd(a, b))
-SADDL = _spec("saddl", 1.0, lambda a, b: F.WideningAdd(a, b))
-UADDW = _spec("uaddw", 1.0, lambda a, b: F.ExtendingAdd(a, b))
-SADDW = _spec("saddw", 1.0, lambda a, b: F.ExtendingAdd(a, b))
-USUBL = _spec("usubl", 1.0, lambda a, b: F.WideningSub(a, b))
-SSUBL = _spec("ssubl", 1.0, lambda a, b: F.WideningSub(a, b))
-USUBW = _spec("usubw", 1.0, lambda a, b: F.ExtendingSub(a, b))
-UMULL = _spec("umull", 1.0, lambda a, b: F.WideningMul(a, b))
-SMULL = _spec("smull", 1.0, lambda a, b: F.WideningMul(a, b))
-USHLL = _spec("ushll", 1.0, lambda a, b: F.WideningShl(a, b))
-SSHLL = _spec("sshll", 1.0, lambda a, b: F.WideningShl(a, b))
-ABS = _spec("abs", 1.0, lambda a: F.Abs(a))
-UABD = _spec("uabd", 1.0, lambda a, b: F.Absd(a, b))
-SABD = _spec("sabd", 1.0, lambda a, b: F.Absd(a, b))
-UQADD = _spec("uqadd", 1.0, lambda a, b: F.SaturatingAdd(a, b))
-SQADD = _spec("sqadd", 1.0, lambda a, b: F.SaturatingAdd(a, b))
-UQSUB = _spec("uqsub", 1.0, lambda a, b: F.SaturatingSub(a, b))
-SQSUB = _spec("sqsub", 1.0, lambda a, b: F.SaturatingSub(a, b))
-UHADD = _spec("uhadd", 1.0, lambda a, b: F.HalvingAdd(a, b))
-SHADD = _spec("shadd", 1.0, lambda a, b: F.HalvingAdd(a, b))
-UHSUB = _spec("uhsub", 1.0, lambda a, b: F.HalvingSub(a, b))
-SHSUB = _spec("shsub", 1.0, lambda a, b: F.HalvingSub(a, b))
-URHADD = _spec("urhadd", 1.0, lambda a, b: F.RoundingHalvingAdd(a, b))
-SRHADD = _spec("srhadd", 1.0, lambda a, b: F.RoundingHalvingAdd(a, b))
-UQXTN = _spec(
+UADDL = DESC.spec("uaddl", 1.0, lambda a, b: F.WideningAdd(a, b))
+SADDL = DESC.spec("saddl", 1.0, lambda a, b: F.WideningAdd(a, b))
+UADDW = DESC.spec("uaddw", 1.0, lambda a, b: F.ExtendingAdd(a, b))
+SADDW = DESC.spec("saddw", 1.0, lambda a, b: F.ExtendingAdd(a, b))
+USUBL = DESC.spec("usubl", 1.0, lambda a, b: F.WideningSub(a, b))
+SSUBL = DESC.spec("ssubl", 1.0, lambda a, b: F.WideningSub(a, b))
+USUBW = DESC.spec("usubw", 1.0, lambda a, b: F.ExtendingSub(a, b))
+UMULL = DESC.spec("umull", 1.0, lambda a, b: F.WideningMul(a, b))
+SMULL = DESC.spec("smull", 1.0, lambda a, b: F.WideningMul(a, b))
+USHLL = DESC.spec("ushll", 1.0, lambda a, b: F.WideningShl(a, b))
+SSHLL = DESC.spec("sshll", 1.0, lambda a, b: F.WideningShl(a, b))
+ABS = DESC.spec("abs", 1.0, lambda a: F.Abs(a))
+UABD = DESC.spec("uabd", 1.0, lambda a, b: F.Absd(a, b))
+SABD = DESC.spec("sabd", 1.0, lambda a, b: F.Absd(a, b))
+UQADD = DESC.spec("uqadd", 1.0, lambda a, b: F.SaturatingAdd(a, b))
+SQADD = DESC.spec("sqadd", 1.0, lambda a, b: F.SaturatingAdd(a, b))
+UQSUB = DESC.spec("uqsub", 1.0, lambda a, b: F.SaturatingSub(a, b))
+SQSUB = DESC.spec("sqsub", 1.0, lambda a, b: F.SaturatingSub(a, b))
+UHADD = DESC.spec("uhadd", 1.0, lambda a, b: F.HalvingAdd(a, b))
+SHADD = DESC.spec("shadd", 1.0, lambda a, b: F.HalvingAdd(a, b))
+UHSUB = DESC.spec("uhsub", 1.0, lambda a, b: F.HalvingSub(a, b))
+SHSUB = DESC.spec("shsub", 1.0, lambda a, b: F.HalvingSub(a, b))
+URHADD = DESC.spec("urhadd", 1.0, lambda a, b: F.RoundingHalvingAdd(a, b))
+SRHADD = DESC.spec("srhadd", 1.0, lambda a, b: F.RoundingHalvingAdd(a, b))
+UQXTN = DESC.spec(
     "uqxtn", 1.0, lambda a: F.SaturatingNarrow(a), elem_bits=8
 )
-SQXTN = _spec(
+SQXTN = DESC.spec(
     "sqxtn", 1.0, lambda a: F.SaturatingNarrow(a), elem_bits=8
 )
-SQXTUN = _spec(
+SQXTUN = DESC.spec(
     "sqxtun",
     1.0,
     lambda a: F.SaturatingCast(a.type.narrow().with_signed(False), a),
     elem_bits=8,
 )
-URSHL = _spec("urshl", 1.0, lambda a, b: F.RoundingShl(a, b))
-SRSHL = _spec("srshl", 1.0, lambda a, b: F.RoundingShl(a, b))
-URSHR = _spec("urshr", 1.0, lambda a, b: F.RoundingShr(a, b))
-SRSHR = _spec("srshr", 1.0, lambda a, b: F.RoundingShr(a, b))
-UQSHL = _spec("uqshl", 1.0, lambda a, b: F.SaturatingShl(a, b))
-SQSHL = _spec("sqshl", 1.0, lambda a, b: F.SaturatingShl(a, b))
-SQRDMULH = _spec(
+URSHL = DESC.spec("urshl", 1.0, lambda a, b: F.RoundingShl(a, b))
+SRSHL = DESC.spec("srshl", 1.0, lambda a, b: F.RoundingShl(a, b))
+URSHR = DESC.spec("urshr", 1.0, lambda a, b: F.RoundingShr(a, b))
+SRSHR = DESC.spec("srshr", 1.0, lambda a, b: F.RoundingShr(a, b))
+UQSHL = DESC.spec("uqshl", 1.0, lambda a, b: F.SaturatingShl(a, b))
+SQSHL = DESC.spec("sqshl", 1.0, lambda a, b: F.SaturatingShl(a, b))
+SQRDMULH = DESC.spec(
     "sqrdmulh",
     1.0,
     lambda a, b: F.RoundingMulShr(
@@ -162,32 +159,32 @@ SQRDMULH = _spec(
 )
 
 # Fused instructions
-UMLAL = _spec(
+UMLAL = DESC.spec(
     "umlal", 1.0, lambda acc, a, b: E.Add(acc, F.WideningMul(a, b))
 )
-SMLAL = _spec(
+SMLAL = DESC.spec(
     "smlal", 1.0, lambda acc, a, b: E.Add(acc, F.WideningMul(a, b))
 )
-UMLSL = _spec(
+UMLSL = DESC.spec(
     "umlsl", 1.0, lambda acc, a, b: E.Sub(acc, F.WideningMul(a, b))
 )
-UDOT = _spec(
+UDOT = DESC.spec(
     "udot",
     1.0,
     lambda acc, a, b: F.ExtendingAdd(acc, F.WideningMul(a, b)),
 )
-SDOT = _spec(
+SDOT = DESC.spec(
     "sdot",
     1.0,
     lambda acc, a, b: F.ExtendingAdd(acc, F.WideningMul(a, b)),
 )
-RSHRN = _spec(
+RSHRN = DESC.spec(
     "rshrn",
     1.0,
     lambda a, b: E.Cast(a.type.narrow(), F.RoundingShr(a, b)),
     elem_bits=8,
 )
-UQRSHRN = _spec(
+UQRSHRN = DESC.spec(
     "uqrshrn",
     1.0,
     lambda a, b: F.SaturatingNarrow(F.RoundingShr(a, b)),
@@ -309,16 +306,7 @@ def _rules() -> List[Rule]:
 
     # rounding_mul_shr(x, y, bits-1) -> sqrdmulh   (specific constants)
     for t_bits in (16, 32):
-        T = TVar("T", signed=True, min_bits=t_bits, max_bits=t_bits)
-        S = TVar("S", min_bits=t_bits, max_bits=t_bits)
-        add(Rule(
-            f"arm-sqrdmulh-{t_bits}",
-            F.RoundingMulShr(
-                Wild("x", T), Wild("y", T), ConstWild("c0", S)
-            ),
-            target_op(SQRDMULH, TVar("T"), Wild("x", T), Wild("y", T)),
-            predicate=lambda m, ctx, _b=t_bits: m.consts["c0"] == _b - 1,
-        ))
+        add(shared.q_format_mul(f"arm-sqrdmulh-{t_bits}", SQRDMULH, t_bits))
 
     # ---------------- direct mappings ---------------------------------
     # widening adds / subs / muls

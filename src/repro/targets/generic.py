@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Tuple
 
 from ..ir import expr as E
-from ..ir.types import BOOL, ScalarType
+from ..ir.types import ScalarType
 from .isa import InstrSpec, TargetDesc, TargetOp, target_op
 
 __all__ = ["GenericMapper", "UnsupportedType", "CostTable"]
@@ -115,9 +115,8 @@ class GenericMapper:
         key = (kind, data_type, type(node).__name__)
         spec = self._cache.get(key)
         if spec is None:
-            spec = InstrSpec(
+            spec = self.desc.spec(
                 name=self.mnemonic(kind, data_type),
-                isa=self.desc.name,
                 cost=self._cost(kind, data_type.bits),
                 semantics=_semantics_for(node),
             )
@@ -142,10 +141,9 @@ class GenericMapper:
         key = ("cast", src, dst)
         spec = self._cache.get(key)
         if spec is None:
-            spec = InstrSpec(
+            spec = self.desc.spec(
                 name=self.mnemonic(kind, dst)
                 + f".{src.code}_{dst.code}",
-                isa=self.desc.name,
                 cost=self._cost(kind, max(src.bits, dst.bits)),
                 semantics=lambda a, _d=dst: E.Cast(_d, a),
                 elem_bits=dst.bits if kind == "narrow" else None,
@@ -157,9 +155,8 @@ class GenericMapper:
         key = ("reinterpret", src, dst)
         spec = self._cache.get(key)
         if spec is None:
-            spec = InstrSpec(
+            spec = self.desc.spec(
                 name=f"bitcast.{src.code}_{dst.code}",
-                isa=self.desc.name,
                 cost=0.0,
                 semantics=lambda a, _d=dst: E.Reinterpret(_d, a),
             )

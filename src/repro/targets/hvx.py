@@ -30,8 +30,9 @@ from ..trs.pattern import (
     Wild,
 )
 from ..trs.rule import Rule
+from . import shared
 from .generic import GenericMapper
-from .isa import InstrSpec, TargetDesc, target_op
+from .isa import TargetDesc, target_op
 
 __all__ = ["DESC", "GENERIC", "LOWERING_RULES", "RAKE_EXTRA_RULES"]
 
@@ -96,26 +97,22 @@ def _mnemonic(kind: str, t: ScalarType) -> str:
 GENERIC = GenericMapper(DESC, _GENERIC_COSTS, _mnemonic)
 
 
-def _spec(name, cost, semantics, elem_bits=None, swizzle=False) -> InstrSpec:
-    return InstrSpec(name, DESC.name, cost, semantics, elem_bits, swizzle)
-
-
 # ----------------------------------------------------------------------
 # Instruction specs
 # ----------------------------------------------------------------------
-VADD_W = _spec("vadd:w", 1.0, lambda a, b: F.WideningAdd(a, b))
-VSUB_W = _spec("vsub:w", 1.0, lambda a, b: F.WideningSub(a, b))
-VMPY = _spec("vmpy", 1.0, lambda a, b: F.WideningMul(a, b),
+VADD_W = DESC.spec("vadd:w", 1.0, lambda a, b: F.WideningAdd(a, b))
+VSUB_W = DESC.spec("vsub:w", 1.0, lambda a, b: F.WideningSub(a, b))
+VMPY = DESC.spec("vmpy", 1.0, lambda a, b: F.WideningMul(a, b),
              swizzle=True)
-VMPY_CONST = _spec("vmpy:c", 1.0, lambda a, b: F.WideningMul(a, b),
+VMPY_CONST = DESC.spec("vmpy:c", 1.0, lambda a, b: F.WideningMul(a, b),
                    swizzle=True)
-VABSDIFF = _spec("vabsdiff", 1.0, lambda a, b: F.Absd(a, b))
-VADD_SAT = _spec("vadd:sat", 1.0, lambda a, b: F.SaturatingAdd(a, b))
-VSUB_SAT = _spec("vsub:sat", 1.0, lambda a, b: F.SaturatingSub(a, b))
-VAVG = _spec("vavg", 1.0, lambda a, b: F.HalvingAdd(a, b))
-VAVG_RND = _spec("vavg:rnd", 1.0, lambda a, b: F.RoundingHalvingAdd(a, b))
-VNAVG = _spec("vnavg", 1.0, lambda a, b: F.HalvingSub(a, b))
-VASL_SAT = _spec("vasl:sat", 1.0, lambda a, b: F.SaturatingShl(a, b))
+VABSDIFF = DESC.spec("vabsdiff", 1.0, lambda a, b: F.Absd(a, b))
+VADD_SAT = DESC.spec("vadd:sat", 1.0, lambda a, b: F.SaturatingAdd(a, b))
+VSUB_SAT = DESC.spec("vsub:sat", 1.0, lambda a, b: F.SaturatingSub(a, b))
+VAVG = DESC.spec("vavg", 1.0, lambda a, b: F.HalvingAdd(a, b))
+VAVG_RND = DESC.spec("vavg:rnd", 1.0, lambda a, b: F.RoundingHalvingAdd(a, b))
+VNAVG = DESC.spec("vnavg", 1.0, lambda a, b: F.HalvingSub(a, b))
+VASL_SAT = DESC.spec("vasl:sat", 1.0, lambda a, b: F.SaturatingShl(a, b))
 
 
 def _vsat_semantics(a: E.Expr) -> E.Expr:
@@ -126,47 +123,47 @@ def _vsat_semantics(a: E.Expr) -> E.Expr:
     return F.SaturatingCast(t.narrow().with_signed(False), as_signed)
 
 
-VSAT = _spec("vsat", 1.0, _vsat_semantics, elem_bits=8, swizzle=True)
-VPACK_SAT = _spec(
+VSAT = DESC.spec("vsat", 1.0, _vsat_semantics, elem_bits=8, swizzle=True)
+VPACK_SAT = DESC.spec(
     "vpack:sat", 1.0, lambda a: F.SaturatingNarrow(a), elem_bits=8,
     swizzle=True,
 )
-VASR_RND = _spec("vasr:rnd", 1.0, lambda a, b: F.RoundingShr(a, b))
-VASR_RND_SAT = _spec(
+VASR_RND = DESC.spec("vasr:rnd", 1.0, lambda a, b: F.RoundingShr(a, b))
+VASR_RND_SAT = DESC.spec(
     "vasr:rnd:sat",
     1.0,
     lambda a, b: F.SaturatingNarrow(F.RoundingShr(a, b)),
     elem_bits=8,
     swizzle=True,
 )
-VMPYH_RS = _spec(
+VMPYH_RS = DESC.spec(
     "vmpy:rnd:sat", 1.0,
     lambda a, b: F.RoundingMulShr(a, b, E.Const(a.type, a.type.bits - 1)),
     swizzle=True,  # odd-lane results need a deal before lane-order use
 )
-VMPA = _spec(
+VMPA = DESC.spec(
     "vmpa",
     1.0,
     lambda a, b, m1, m2: E.Add(
         F.WideningMul(a, m1), F.WideningMul(b, m2)
     ),
 )
-VMPA_ACC = _spec(
+VMPA_ACC = DESC.spec(
     "vmpa.acc",
     1.0,
     lambda acc, a, b, m1, m2: E.Add(
         acc, E.Add(F.WideningMul(a, m1), F.WideningMul(b, m2))
     ),
 )
-VMPY_ACC = _spec(
+VMPY_ACC = DESC.spec(
     "vmpy.acc", 1.0, lambda acc, a, b: E.Add(acc, F.WideningMul(a, b))
 )
-VZXT = _spec("vzxt", 1.0, lambda a: E.Cast(a.type.widen(), a))
-VRMPY = _spec(
+VZXT = DESC.spec("vzxt", 1.0, lambda a: E.Cast(a.type.widen(), a))
+VRMPY = DESC.spec(
     "vrmpy", 1.0,
     lambda acc, a, b: F.ExtendingAdd(acc, F.WideningMul(a, b)),
 )
-VDMPY = _spec(
+VDMPY = DESC.spec(
     "vdmpy", 1.0,
     lambda a, b, c, d: E.Add(F.WideningMul(a, b), F.WideningMul(c, d)),
 )
@@ -323,33 +320,12 @@ def _rules() -> List[Rule]:
     # hand fallback for rounding_shr: bias-add + shift when bounds allow
     # (keeps the hand-only configuration from widening, like the paper's
     # baseline lowerings [17])
-    T = TVar("T", max_bits=32)
-    S = TVar("S", max_bits=32)
-    add(Rule(
-        "hvx-rounding-shr-addshift",
-        F.RoundingShr(Wild("x", T), ConstWild("c0", S)),
-        E.Shr(
-            E.Add(
-                Wild("x", T),
-                PConst(TVar("T"), lambda c: 1 << (c["c0"] - 1)),
-            ),
-            PConst(TVar("T"), lambda c: c["c0"]),
-        ),
-        predicate=_rshr_add_safe,
-    ))
+    add(shared.rounding_shr_addshift("hvx", max_bits=32))
 
     # -------- specific constants ---------------------------------------
     for t_bits in (16, 32):
-        T = TVar("T", signed=True, min_bits=t_bits, max_bits=t_bits)
-        S = TVar("S", min_bits=t_bits, max_bits=t_bits)
-        add(Rule(
-            f"hvx-vmpy-rnd-sat-{t_bits}",
-            F.RoundingMulShr(
-                Wild("x", T), Wild("y", T), ConstWild("c0", S)
-            ),
-            target_op(VMPYH_RS, TVar("T"), Wild("x", T), Wild("y", T)),
-            predicate=lambda m, ctx, _b=t_bits: m.consts["c0"] == _b - 1,
-        ))
+        add(shared.q_format_mul(f"hvx-vmpy-rnd-sat-{t_bits}", VMPYH_RS,
+                                t_bits))
 
     # widening_mul by a broadcast constant -> vmpy:c, which needs its
     # operand swizzled into pair order (the §5.3.2 gaussian7x7 story).
@@ -430,15 +406,7 @@ def _rules() -> List[Rule]:
     ))
     # PREDICATED (§3.3 / Fig. 3c): sat_cast<u8>(x_u16) -> vsat(x)
     #   [upper_bounded(x, INT16_MAX)]
-    T = TVar("T", signed=False, min_bits=16, max_bits=32)
-    add(Rule(
-        "hvx-vsat-predicated",
-        F.SaturatingNarrow(Wild("a", T)),
-        target_op(VSAT, TNarrow(T), Wild("a", T)),
-        predicate=lambda m, ctx: ctx.upper_bounded(
-            m.env["a"], m.tenv["T"].with_signed(True).max_value
-        ),
-    ))
+    add(shared.predicated_narrow("hvx-vsat-predicated", VSAT))
 
     return rules
 
@@ -455,14 +423,6 @@ def _trunc_narrow_exact(m, ctx) -> bool:
     )
 
 
-def _rshr_add_safe(m, ctx) -> bool:
-    c = m.consts["c0"]
-    t = m.tenv["T"]
-    if not (0 < c < t.bits) or t.bits != m.tenv["S"].bits:
-        return False
-    return ctx.upper_bounded(m.env["x"], t.max_value - (1 << (c - 1)))
-
-
 LOWERING_RULES: List[Rule] = _rules()
 
 
@@ -470,8 +430,8 @@ def _rake_extra() -> List[Rule]:
     """Swizzle co-optimization stand-ins: Rake restructures data layout so
     narrowing packs do not need separate shuffles (§5.3.2, §6)."""
     rules: List[Rule] = []
-    vsat_ns = _spec("vsat~", 1.0, _vsat_semantics, elem_bits=8)
-    vpack_ns = _spec(
+    vsat_ns = DESC.spec("vsat~", 1.0, _vsat_semantics, elem_bits=8)
+    vpack_ns = DESC.spec(
         "vpack:sat~", 1.0, lambda a: F.SaturatingNarrow(a), elem_bits=8
     )
     T = TVar("T", signed=True, min_bits=16, max_bits=32)
@@ -481,15 +441,8 @@ def _rake_extra() -> List[Rule]:
         target_op(vpack_ns, TNarrow(T), Wild("a", T)),
         source="rake",
     ))
-    T = TVar("T", signed=False, min_bits=16, max_bits=32)
-    rules.append(Rule(
-        "rake-hvx-vsat-noswizzle",
-        F.SaturatingNarrow(Wild("a", T)),
-        target_op(vsat_ns, TNarrow(T), Wild("a", T)),
-        predicate=lambda m, ctx: ctx.upper_bounded(
-            m.env["a"], m.tenv["T"].with_signed(True).max_value
-        ),
-        source="rake",
+    rules.append(shared.predicated_narrow(
+        "rake-hvx-vsat-noswizzle", vsat_ns, source="rake",
     ))
     return rules
 

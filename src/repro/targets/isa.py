@@ -19,7 +19,7 @@ throughput cost model lives in :mod:`repro.machine.simulator`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 from ..ir.expr import Expr
 from ..ir.traversal import subexpressions
@@ -51,6 +51,13 @@ class TargetDesc:
     @property
     def natural_lanes(self) -> int:
         return self.register_bits // 8
+
+    def spec(self, name: str, cost: float, semantics: Callable[..., Expr],
+             elem_bits: Optional[int] = None,
+             swizzle: bool = False) -> InstrSpec:
+        """One instruction of this backend."""
+        return InstrSpec(name, self.name, cost, semantics, elem_bits,
+                         swizzle)
 
 
 @dataclass(frozen=True)

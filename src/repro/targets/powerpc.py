@@ -6,8 +6,9 @@ averages, min/max everywhere) but no halving add, no absolute difference
 and no rounding shifts, so it shares the x86/WebAssembly compound
 bit-trick lowerings (§3.1.1: "x86, WebAssembly, and PowerPC do not support
 halving_add, and therefore share PITCHFORK's fast non-widening
-implementation").  Bringing it up required, as the paper says of the real
-port, no FPIR extensions — only this rule file.
+implementation"): it calls their builders in :mod:`repro.targets.shared`.
+Bringing it up required, as the paper says of the real port, no FPIR
+extensions — only this rule file.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ from typing import List
 from ..fpir import ops as F
 from ..ir import expr as E
 from ..ir.types import ScalarType
-from ..trs.pattern import ConstWild, PConst, TNarrow, TVar, TWiden, TWithSign, Wild
+from ..trs.pattern import TNarrow, TVar, TWiden, TWithSign, Wild
 from ..trs.rule import Rule
+from . import shared
 from .generic import GenericMapper
-from .isa import InstrSpec, TargetDesc, target_op
+from .isa import TargetDesc, target_op
 
 __all__ = ["DESC", "GENERIC", "LOWERING_RULES"]
 
@@ -73,14 +75,10 @@ def _mnemonic(kind: str, t: ScalarType) -> str:
 GENERIC = GenericMapper(DESC, _GENERIC_COSTS, _mnemonic)
 
 
-def _spec(name, cost, semantics, elem_bits=None, swizzle=False) -> InstrSpec:
-    return InstrSpec(name, DESC.name, cost, semantics, elem_bits, swizzle)
-
-
-VADDS = _spec("vaddsbs", 1.0, lambda a, b: F.SaturatingAdd(a, b))
-VSUBS = _spec("vsubsbs", 1.0, lambda a, b: F.SaturatingSub(a, b))
-VAVG = _spec("vavgub", 1.0, lambda a, b: F.RoundingHalvingAdd(a, b))
-VPKS = _spec(
+VADDS = DESC.spec("vaddsbs", 1.0, lambda a, b: F.SaturatingAdd(a, b))
+VSUBS = DESC.spec("vsubsbs", 1.0, lambda a, b: F.SaturatingSub(a, b))
+VAVG = DESC.spec("vavgub", 1.0, lambda a, b: F.RoundingHalvingAdd(a, b))
+VPKS = DESC.spec(
     "vpks", 1.0, lambda a: F.SaturatingNarrow(a), elem_bits=8,
     swizzle=True,
 )
@@ -92,8 +90,8 @@ def _vpksus_semantics(a: E.Expr) -> E.Expr:
     return F.SaturatingCast(t.narrow().with_signed(False), as_signed)
 
 
-VPKSUS = _spec("vpksus", 1.0, _vpksus_semantics, elem_bits=8, swizzle=True)
-VMSUMU = _spec(
+VPKSUS = DESC.spec("vpksus", 1.0, _vpksus_semantics, elem_bits=8, swizzle=True)
+VMSUMU = DESC.spec(
     "vmsumubm", 1.0,
     lambda acc, a, b: F.ExtendingAdd(acc, F.WideningMul(a, b)),
 )
@@ -147,76 +145,15 @@ def _rules() -> List[Rule]:
         F.SaturatingCast(TWithSign(TNarrow(T), False), Wild("a", T)),
         target_op(VPKSUS, TWithSign(TNarrow(T), False), Wild("a", T)),
     ))
-    T = TVar("T", signed=False, min_bits=16, max_bits=32)
-    add(Rule(
-        "ppc-vpksus-predicated",
-        F.SaturatingNarrow(Wild("a", T)),
-        target_op(VPKSUS, TNarrow(T), Wild("a", T)),
-        predicate=lambda m, ctx: ctx.upper_bounded(
-            m.env["a"], m.tenv["T"].with_signed(True).max_value
-        ),
-    ))
+    add(shared.predicated_narrow("ppc-vpksus-predicated", VPKSUS))
 
     # compound lowerings shared with x86/WASM (§3.1.1)
-    T = TVar("T", max_bits=64)
-    x, y = Wild("x", T), Wild("y", T)
-    add(Rule(
-        "ppc-halving-add-magic",
-        F.HalvingAdd(x, y),
-        E.Add(
-            E.BitAnd(x, y),
-            E.Shr(E.BitXor(x, y), PConst(TVar("T"), 1)),
-        ),
-    ))
-    T = TVar("T", max_bits=64)
-    x, y = Wild("x", T), Wild("y", T)
-    add(Rule(
-        "ppc-absd-maxmin",
-        F.Absd(x, y),
-        E.Reinterpret(
-            TWithSign(TVar("T"), False), E.Sub(E.Max(x, y), E.Min(x, y))
-        ),
-    ))
-    T = TVar("T", max_bits=64)
-    x = Wild("x", T)
-    add(Rule(
-        "ppc-rounding-shr-addshift",
-        F.RoundingShr(x, ConstWild("c0", TVar("S", max_bits=64))),
-        E.Shr(
-            E.Add(
-                Wild("x", T),
-                PConst(TVar("T"), lambda c: 1 << (c["c0"] - 1)),
-            ),
-            PConst(TVar("T"), lambda c: c["c0"]),
-        ),
-        predicate=_rshr_add_safe,
-    ))
-    add(Rule(
-        "ppc-rounding-shr-magic",
-        F.RoundingShr(Wild("x", TVar("T", max_bits=64)),
-                      ConstWild("c0", TVar("S", max_bits=64))),
-        E.Add(
-            E.Shr(Wild("x", TVar("T", max_bits=64)),
-                  PConst(TVar("T"), lambda c: c["c0"])),
-            E.BitAnd(
-                E.Shr(Wild("x", TVar("T", max_bits=64)),
-                      PConst(TVar("T"), lambda c: c["c0"] - 1)),
-                PConst(TVar("T"), 1),
-            ),
-        ),
-        predicate=lambda m, ctx: 0 < m.consts["c0"] < m.tenv["T"].bits
-        and m.tenv["T"].bits == m.tenv["S"].bits,
-    ))
+    add(shared.halving_add_magic("ppc"))
+    add(shared.absd_maxmin("ppc"))
+    add(shared.rounding_shr_addshift("ppc"))
+    add(shared.rounding_shr_magic("ppc"))
 
     return rules
-
-
-def _rshr_add_safe(m, ctx) -> bool:
-    c = m.consts["c0"]
-    t = m.tenv["T"]
-    if not (0 < c < t.bits) or t.bits != m.tenv["S"].bits:
-        return False
-    return ctx.upper_bounded(m.env["x"], t.max_value - (1 << (c - 1)))
 
 
 LOWERING_RULES: List[Rule] = _rules()

@@ -31,8 +31,9 @@ from ..ir import expr as E
 from ..ir.types import ScalarType
 from ..trs.pattern import ConstWild, TNarrow, TVar, TWiden, TWithSign, Wild
 from ..trs.rule import Rule
+from . import shared
 from .generic import GenericMapper
-from .isa import InstrSpec, TargetDesc, target_op
+from .isa import TargetDesc, target_op
 
 __all__ = ["DESC", "GENERIC", "LOWERING_RULES"]
 
@@ -83,37 +84,33 @@ def _mnemonic(kind: str, t: ScalarType) -> str:
 GENERIC = GenericMapper(DESC, _GENERIC_COSTS, _mnemonic)
 
 
-def _spec(name, cost, semantics, elem_bits=None, swizzle=False) -> InstrSpec:
-    return InstrSpec(name, DESC.name, cost, semantics, elem_bits, swizzle)
-
-
 # ----------------------------------------------------------------------
 # Instruction specs
 # ----------------------------------------------------------------------
 #: averaging adds: one instruction, two FPIR ops, selected by vxrm
-VAADD_RDN = _spec("vaadd[rdn]", 1.0, lambda a, b: F.HalvingAdd(a, b))
-VAADD_RNU = _spec(
+VAADD_RDN = DESC.spec("vaadd[rdn]", 1.0, lambda a, b: F.HalvingAdd(a, b))
+VAADD_RNU = DESC.spec(
     "vaadd[rnu]", 1.0, lambda a, b: F.RoundingHalvingAdd(a, b)
 )
-VASUB_RDN = _spec("vasub[rdn]", 1.0, lambda a, b: F.HalvingSub(a, b))
-VSADD = _spec("vsadd", 1.0, lambda a, b: F.SaturatingAdd(a, b))
-VSSUB = _spec("vssub", 1.0, lambda a, b: F.SaturatingSub(a, b))
-VSMUL = _spec(
+VASUB_RDN = DESC.spec("vasub[rdn]", 1.0, lambda a, b: F.HalvingSub(a, b))
+VSADD = DESC.spec("vsadd", 1.0, lambda a, b: F.SaturatingAdd(a, b))
+VSSUB = DESC.spec("vssub", 1.0, lambda a, b: F.SaturatingSub(a, b))
+VSMUL = DESC.spec(
     "vsmul", 1.0,
     lambda a, b: F.RoundingMulShr(a, b, E.Const(a.type, a.type.bits - 1)),
 )
-VSSRX_RNU = _spec("vssr[rnu]", 1.0, lambda a, b: F.RoundingShr(a, b))
-VNCLIP = _spec(
+VSSRX_RNU = DESC.spec("vssr[rnu]", 1.0, lambda a, b: F.RoundingShr(a, b))
+VNCLIP = DESC.spec(
     "vnclip[rnu]", 1.0,
     lambda a, b: F.SaturatingNarrow(F.RoundingShr(a, b)),
     elem_bits=8,
 )
-VWADD = _spec("vwadd", 1.0, lambda a, b: F.WideningAdd(a, b))
-VWSUB = _spec("vwsub", 1.0, lambda a, b: F.WideningSub(a, b))
-VWMUL = _spec("vwmul", 1.0, lambda a, b: F.WideningMul(a, b))
-VWADD_W = _spec("vwadd.w", 1.0, lambda a, b: F.ExtendingAdd(a, b))
-VWSUB_W = _spec("vwsub.w", 1.0, lambda a, b: F.ExtendingSub(a, b))
-VWMACC = _spec(
+VWADD = DESC.spec("vwadd", 1.0, lambda a, b: F.WideningAdd(a, b))
+VWSUB = DESC.spec("vwsub", 1.0, lambda a, b: F.WideningSub(a, b))
+VWMUL = DESC.spec("vwmul", 1.0, lambda a, b: F.WideningMul(a, b))
+VWADD_W = DESC.spec("vwadd.w", 1.0, lambda a, b: F.ExtendingAdd(a, b))
+VWSUB_W = DESC.spec("vwsub.w", 1.0, lambda a, b: F.ExtendingSub(a, b))
+VWMACC = DESC.spec(
     "vwmacc", 1.0, lambda acc, a, b: E.Add(acc, F.WideningMul(a, b))
 )
 
@@ -159,16 +156,7 @@ def _rules() -> List[Rule]:
 
     # vsmul: rounding_mul_shr(x, y, bits-1), signed only
     for t_bits in (8, 16, 32):
-        T = TVar("T", signed=True, min_bits=t_bits, max_bits=t_bits)
-        S = TVar("S", min_bits=t_bits, max_bits=t_bits)
-        add(Rule(
-            f"rvv-vsmul-{t_bits}",
-            F.RoundingMulShr(
-                Wild("x", T), Wild("y", T), ConstWild("c0", S)
-            ),
-            target_op(VSMUL, TVar("T"), Wild("x", T), Wild("y", T)),
-            predicate=lambda m, ctx, _b=t_bits: m.consts["c0"] == _b - 1,
-        ))
+        add(shared.q_format_mul(f"rvv-vsmul-{t_bits}", VSMUL, t_bits))
 
     # averaging adds/subs — BOTH rounding modes are native (§8.2)
     for fpir_cls, spec in (
@@ -252,15 +240,7 @@ def _rules() -> List[Rule]:
     ))
 
     # absd: no single instruction; max-min compound (like x86)
-    T = TVar("T", max_bits=64)
-    x, y = Wild("x", T), Wild("y", T)
-    add(Rule(
-        "rvv-absd-maxmin",
-        F.Absd(x, y),
-        E.Reinterpret(
-            TWithSign(TVar("T"), False), E.Sub(E.Max(x, y), E.Min(x, y))
-        ),
-    ))
+    add(shared.absd_maxmin("rvv"))
 
     return rules
 

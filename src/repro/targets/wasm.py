@@ -8,7 +8,9 @@ The baseline 128-bit packed SIMD set has the MMX-heritage fixed-point
 instructions (saturating add/sub, ``avgr_u``) but, like x86, lacks
 halving adds and absolute differences — it shares PITCHFORK's compound
 bit-trick lowerings (§3.1.1: "x86, WebAssembly, and PowerPC ... share
-PITCHFORK's fast non-widening implementation").
+PITCHFORK's fast non-widening implementation"), which, like the
+predicated ``narrow_u``, this module takes from
+:mod:`repro.targets.shared`.
 
 §8.3's **Relaxed SIMD** is also modelled: ``i16x8.relaxed_q15mulr_s`` is
 non-deterministic at INT16_MIN x INT16_MIN, so its lowering rule fires
@@ -25,10 +27,11 @@ from typing import List
 from ..fpir import ops as F
 from ..ir import expr as E
 from ..ir.types import ScalarType
-from ..trs.pattern import ConstWild, PConst, TNarrow, TVar, TWiden, TWithSign, Wild
+from ..trs.pattern import ConstWild, TNarrow, TVar, TWiden, TWithSign, Wild
 from ..trs.rule import Rule
+from . import shared
 from .generic import GenericMapper
-from .isa import InstrSpec, TargetDesc, target_op
+from .isa import TargetDesc, target_op
 
 __all__ = ["DESC", "GENERIC", "LOWERING_RULES"]
 
@@ -82,19 +85,15 @@ def _mnemonic(kind: str, t: ScalarType) -> str:
 GENERIC = GenericMapper(DESC, _GENERIC_COSTS, _mnemonic)
 
 
-def _spec(name, cost, semantics, elem_bits=None, swizzle=False) -> InstrSpec:
-    return InstrSpec(name, DESC.name, cost, semantics, elem_bits, swizzle)
-
-
 # ----------------------------------------------------------------------
 # Instruction specs (WebAssembly 128-bit packed SIMD + Relaxed SIMD)
 # ----------------------------------------------------------------------
-ADD_SAT = _spec("add_sat", 1.0, lambda a, b: F.SaturatingAdd(a, b))
-SUB_SAT = _spec("sub_sat", 1.0, lambda a, b: F.SaturatingSub(a, b))
-AVGR_U = _spec("avgr_u", 1.0, lambda a, b: F.RoundingHalvingAdd(a, b))
-ABS = _spec("abs", 1.0, lambda a: F.Abs(a))
-EXTMUL = _spec("extmul_low", 1.0, lambda a, b: F.WideningMul(a, b))
-NARROW_SAT_S = _spec(
+ADD_SAT = DESC.spec("add_sat", 1.0, lambda a, b: F.SaturatingAdd(a, b))
+SUB_SAT = DESC.spec("sub_sat", 1.0, lambda a, b: F.SaturatingSub(a, b))
+AVGR_U = DESC.spec("avgr_u", 1.0, lambda a, b: F.RoundingHalvingAdd(a, b))
+ABS = DESC.spec("abs", 1.0, lambda a: F.Abs(a))
+EXTMUL = DESC.spec("extmul_low", 1.0, lambda a, b: F.WideningMul(a, b))
+NARROW_SAT_S = DESC.spec(
     "narrow_s", 1.0, lambda a: F.SaturatingNarrow(a), elem_bits=8,
     swizzle=True,
 )
@@ -107,20 +106,20 @@ def _narrow_u_semantics(a: E.Expr) -> E.Expr:
     return F.SaturatingCast(t.narrow().with_signed(False), as_signed)
 
 
-NARROW_SAT_U = _spec(
+NARROW_SAT_U = DESC.spec(
     "narrow_u", 1.0, _narrow_u_semantics, elem_bits=8, swizzle=True
 )
-Q15MULR_SAT = _spec(
+Q15MULR_SAT = DESC.spec(
     "q15mulr_sat_s", 1.0,
     lambda a, b: F.RoundingMulShr(a, b, E.Const(a.type, 15)),
 )
 #: §8.3: the relaxed form is cheaper (engines map it to pmulhrsw /
 #: sqrdmulh without fixup) but only deterministic under a bounds proof.
-RELAXED_Q15MULR = _spec(
+RELAXED_Q15MULR = DESC.spec(
     "relaxed_q15mulr_s", 0.5,
     lambda a, b: F.RoundingMulShr(a, b, E.Const(a.type, 15)),
 )
-DOT_I16X8 = _spec(
+DOT_I16X8 = DESC.spec(
     "dot_i16x8_s", 1.0,
     lambda a, b, c, d: E.Add(F.WideningMul(a, b), F.WideningMul(c, d)),
 )
@@ -221,83 +220,16 @@ def _rules() -> List[Rule]:
         target_op(NARROW_SAT_U, TWithSign(TNarrow(T), False), Wild("a", T)),
     ))
     # predicated unsigned use (the input is interpreted as signed)
-    T = TVar("T", signed=False, min_bits=16, max_bits=32)
-    add(Rule(
-        "wasm-narrow-u-predicated",
-        F.SaturatingNarrow(Wild("a", T)),
-        target_op(NARROW_SAT_U, TNarrow(T), Wild("a", T)),
-        predicate=lambda m, ctx: ctx.upper_bounded(
-            m.env["a"], m.tenv["T"].with_signed(True).max_value
-        ),
-    ))
+    add(shared.predicated_narrow("wasm-narrow-u-predicated", NARROW_SAT_U))
 
     # -------- compound lowerings (shared with x86, §3.1.1) --------------
-    T = TVar("T", max_bits=64)
-    x, y = Wild("x", T), Wild("y", T)
-    add(Rule(
-        "wasm-halving-add-magic",
-        F.HalvingAdd(x, y),
-        E.Add(
-            E.BitAnd(x, y),
-            E.Shr(E.BitXor(x, y), PConst(TVar("T"), 1)),
-        ),
-    ))
-    T = TVar("T", signed=False, max_bits=16)
-    x, y = Wild("x", T), Wild("y", T)
-    add(Rule(
-        "wasm-absd-unsigned",
-        F.Absd(x, y),
-        E.BitOr(F.SaturatingSub(x, y), F.SaturatingSub(y, x)),
-    ))
-    T = TVar("T", max_bits=64)
-    x, y = Wild("x", T), Wild("y", T)
-    add(Rule(
-        "wasm-absd-maxmin",
-        F.Absd(x, y),
-        E.Reinterpret(
-            TWithSign(TVar("T"), False), E.Sub(E.Max(x, y), E.Min(x, y))
-        ),
-    ))
-    T = TVar("T", max_bits=64)
-    x = Wild("x", T)
-    add(Rule(
-        "wasm-rounding-shr-addshift",
-        F.RoundingShr(x, ConstWild("c0", TVar("S", max_bits=64))),
-        E.Shr(
-            E.Add(
-                Wild("x", T),
-                PConst(TVar("T"), lambda c: 1 << (c["c0"] - 1)),
-            ),
-            PConst(TVar("T"), lambda c: c["c0"]),
-        ),
-        predicate=_rshr_add_safe,
-    ))
-    add(Rule(
-        "wasm-rounding-shr-magic",
-        F.RoundingShr(Wild("x", TVar("T", max_bits=64)),
-                      ConstWild("c0", TVar("S", max_bits=64))),
-        E.Add(
-            E.Shr(Wild("x", TVar("T", max_bits=64)),
-                  PConst(TVar("T"), lambda c: c["c0"])),
-            E.BitAnd(
-                E.Shr(Wild("x", TVar("T", max_bits=64)),
-                      PConst(TVar("T"), lambda c: c["c0"] - 1)),
-                PConst(TVar("T"), 1),
-            ),
-        ),
-        predicate=lambda m, ctx: 0 < m.consts["c0"] < m.tenv["T"].bits
-        and m.tenv["T"].bits == m.tenv["S"].bits,
-    ))
+    add(shared.halving_add_magic("wasm"))
+    add(shared.absd_unsigned("wasm"))
+    add(shared.absd_maxmin("wasm"))
+    add(shared.rounding_shr_addshift("wasm"))
+    add(shared.rounding_shr_magic("wasm"))
 
     return rules
-
-
-def _rshr_add_safe(m, ctx) -> bool:
-    c = m.consts["c0"]
-    t = m.tenv["T"]
-    if not (0 < c < t.bits) or t.bits != m.tenv["S"].bits:
-        return False
-    return ctx.upper_bounded(m.env["x"], t.max_value - (1 << (c - 1)))
 
 
 LOWERING_RULES: List[Rule] = _rules()

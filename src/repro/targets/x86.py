@@ -6,6 +6,8 @@ multi-instruction lowerings of FPIR ops the ISA lacks, several of them the
 classic bit-tricks of Dietz's Aggregate Magic Algorithms (the paper's [17]):
 ``halving_add`` as ``(x & y) + ((x ^ y) >> 1)``, unsigned ``absd`` as
 ``por(psubus(x, y), psubus(y, x))``, ``rounding_shr`` as shift + carry bit.
+Those that WebAssembly and PowerPC share are written once, in
+:mod:`repro.targets.shared`; so is the predicated ``vpackus`` rule.
 
 Costs are reciprocal throughputs per the Intel intrinsics guide for
 Skylake-class server cores (the paper measured a Xeon 8275CL).
@@ -28,8 +30,9 @@ from ..trs.pattern import (
     Wild,
 )
 from ..trs.rule import Rule
+from . import shared
 from .generic import GenericMapper
-from .isa import InstrSpec, TargetDesc, target_op
+from .isa import TargetDesc, target_op
 
 __all__ = ["DESC", "GENERIC", "LOWERING_RULES"]
 
@@ -99,33 +102,28 @@ def _mnemonic(kind: str, t: ScalarType) -> str:
 GENERIC = GenericMapper(DESC, _GENERIC_COSTS, _mnemonic)
 
 
-def _spec(name: str, cost: float, semantics, elem_bits=None,
-          swizzle=False) -> InstrSpec:
-    return InstrSpec(name, DESC.name, cost, semantics, elem_bits, swizzle)
-
-
 # ----------------------------------------------------------------------
 # Native fixed-point instructions (8/16-bit only, the MMX heritage)
 # ----------------------------------------------------------------------
-VPADDUS = _spec("vpaddus", 0.5, lambda a, b: F.SaturatingAdd(a, b))
-VPADDS = _spec("vpadds", 0.5, lambda a, b: F.SaturatingAdd(a, b))
-VPSUBUS = _spec("vpsubus", 0.5, lambda a, b: F.SaturatingSub(a, b))
-VPSUBS = _spec("vpsubs", 0.5, lambda a, b: F.SaturatingSub(a, b))
-VPAVG = _spec("vpavg", 0.5, lambda a, b: F.RoundingHalvingAdd(a, b))
-VPABS = _spec("vpabs", 0.5, lambda a: F.Abs(a))
-VPMULHW = _spec(
+VPADDUS = DESC.spec("vpaddus", 0.5, lambda a, b: F.SaturatingAdd(a, b))
+VPADDS = DESC.spec("vpadds", 0.5, lambda a, b: F.SaturatingAdd(a, b))
+VPSUBUS = DESC.spec("vpsubus", 0.5, lambda a, b: F.SaturatingSub(a, b))
+VPSUBS = DESC.spec("vpsubs", 0.5, lambda a, b: F.SaturatingSub(a, b))
+VPAVG = DESC.spec("vpavg", 0.5, lambda a, b: F.RoundingHalvingAdd(a, b))
+VPABS = DESC.spec("vpabs", 0.5, lambda a: F.Abs(a))
+VPMULHW = DESC.spec(
     "vpmulhw", 1.0,
     lambda a, b: F.MulShr(a, b, E.Const(a.type, a.type.bits)),
 )
-VPMULHUW = _spec(
+VPMULHUW = DESC.spec(
     "vpmulhuw", 1.0,
     lambda a, b: F.MulShr(a, b, E.Const(a.type, a.type.bits)),
 )
-VPMULHRSW = _spec(
+VPMULHRSW = DESC.spec(
     "vpmulhrsw", 1.0,
     lambda a, b: F.RoundingMulShr(a, b, E.Const(a.type, a.type.bits - 1)),
 )
-VPACKSS = _spec(
+VPACKSS = DESC.spec(
     "vpackss", 1.0, lambda a: F.SaturatingNarrow(a), elem_bits=8,
     swizzle=True,
 )
@@ -138,14 +136,14 @@ def _vpackus_semantics(a: E.Expr) -> E.Expr:
     return F.SaturatingCast(t.narrow().with_signed(False), as_signed)
 
 
-VPACKUS = _spec(
+VPACKUS = DESC.spec(
     "vpackus", 1.0, _vpackus_semantics, elem_bits=8, swizzle=True,
 )
-Q31_MULR_SEQ = _spec(
+Q31_MULR_SEQ = DESC.spec(
     "q31_mulr_seq", 6.0,
     lambda a, b: F.RoundingMulShr(a, b, E.Const(a.type, 31)),
 )
-VPMADDWD = _spec(
+VPMADDWD = DESC.spec(
     "vpmaddwd",
     1.0,
     lambda a, b, c, d: E.Add(F.WideningMul(a, b), F.WideningMul(c, d)),
@@ -250,32 +248,11 @@ def _rules() -> List[Rule]:
     ))
     # PREDICATED (§3.3): unsigned input usable iff provably <= INTn_MAX,
     # because the pack interprets its input as signed.
-    T = TVar("T", signed=False, min_bits=16, max_bits=32)
-    add(Rule(
-        "x86-vpackus-predicated",
-        F.SaturatingNarrow(Wild("a", T)),
-        target_op(
-            VPACKUS,
-            TNarrow(T),
-            Wild("a", T),
-        ),
-        predicate=lambda m, ctx: ctx.upper_bounded(
-            m.env["a"], m.tenv["T"].with_signed(True).max_value
-        ),
-    ))
+    add(shared.predicated_narrow("x86-vpackus-predicated", VPACKUS))
 
     # -------- compound lowerings (the [17] bit-tricks) -----------------
-    # halving_add: (x & y) + ((x ^ y) >> 1) — no widening needed.
-    T = TVar("T", max_bits=64)
-    x, y = Wild("x", T), Wild("y", T)
-    add(Rule(
-        "x86-halving-add-magic",
-        F.HalvingAdd(x, y),
-        E.Add(
-            E.BitAnd(x, y),
-            E.Shr(E.BitXor(x, y), PConst(TVar("T"), 1)),
-        ),
-    ))
+    # shared.py holds the ones WASM and PowerPC use too (§3.1.1)
+    add(shared.halving_add_magic("x86"))
 
     # halving_sub: (x >> 1) - (y >> 1) - (~x & y & 1)
     T = TVar("T", max_bits=64)
@@ -292,60 +269,11 @@ def _rules() -> List[Rule]:
         ),
     ))
 
-    # unsigned absd: por(psubus(x, y), psubus(y, x))  (Fig. 3b)
-    T = TVar("T", signed=False, max_bits=16)
-    x, y = Wild("x", T), Wild("y", T)
-    add(Rule(
-        "x86-absd-unsigned",
-        F.Absd(x, y),
-        E.BitOr(F.SaturatingSub(x, y), F.SaturatingSub(y, x)),
-    ))
-    # signed (or wide unsigned) absd: max - min, reinterpreted unsigned
-    T = TVar("T", max_bits=64)
-    x, y = Wild("x", T), Wild("y", T)
-    add(Rule(
-        "x86-absd-maxmin",
-        F.Absd(x, y),
-        E.Reinterpret(
-            TWithSign(TVar("T"), False), E.Sub(E.Max(x, y), E.Min(x, y))
-        ),
-    ))
+    add(shared.absd_unsigned("x86"))
+    add(shared.absd_maxmin("x86"))
+    add(shared.rounding_shr_addshift("x86"))
+    add(shared.rounding_shr_magic("x86"))
 
-    # rounding_shr: when bounds prove the bias add cannot overflow, the
-    # two-instruction (x + 2**(c-1)) >> c form is best — this mirrors the
-    # original source, so lifting never pessimizes targets without native
-    # rounding shifts.
-    T = TVar("T", max_bits=64)
-    x = Wild("x", T)
-    add(Rule(
-        "x86-rounding-shr-addshift",
-        F.RoundingShr(x, ConstWild("c0", TVar("S", max_bits=64))),
-        E.Shr(
-            E.Add(
-                Wild("x", T),
-                PConst(TVar("T"), lambda c: 1 << (c["c0"] - 1)),
-            ),
-            PConst(TVar("T"), lambda c: c["c0"]),
-        ),
-        predicate=_rshr_add_safe,
-    ))
-
-    # rounding_shr by a positive constant: (x >> c) + ((x >> (c-1)) & 1)
-    T = TVar("T", max_bits=64)
-    x = Wild("x", T)
-    add(Rule(
-        "x86-rounding-shr-magic",
-        F.RoundingShr(x, ConstWild("c0", TVar("S", max_bits=64))),
-        E.Add(
-            E.Shr(x, PConst(TVar("T"), lambda c: c["c0"])),
-            E.BitAnd(
-                E.Shr(x, PConst(TVar("T"), lambda c: c["c0"] - 1)),
-                PConst(TVar("T"), 1),
-            ),
-        ),
-        predicate=lambda m, ctx: 0 < m.consts["c0"] < m.tenv["T"].bits
-        and m.tenv["T"].bits == m.tenv["S"].bits,
-    ))
     # rounding_shr by zero is the identity.
     T = TVar("T", max_bits=64)
     add(Rule(
@@ -355,14 +283,6 @@ def _rules() -> List[Rule]:
     ))
 
     return rules
-
-
-def _rshr_add_safe(m, ctx) -> bool:
-    c = m.consts["c0"]
-    t = m.tenv["T"]
-    if not (0 < c < t.bits) or t.bits != m.tenv["S"].bits:
-        return False
-    return ctx.upper_bounded(m.env["x"], t.max_value - (1 << (c - 1)))
 
 
 LOWERING_RULES: List[Rule] = _rules()

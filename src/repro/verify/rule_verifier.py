@@ -181,6 +181,23 @@ def _resolvable(tp, tenv) -> Optional[ScalarType]:
         return None
 
 
+def _wildcard_types(wilds: Dict[str, Wild], cwilds: Dict[str, ConstWild],
+                    tenvs: Iterable[Dict[str, ScalarType]]) -> Iterable[tuple]:
+    """``(tenv, wild_types, cwild_types)`` for each type assignment of
+    ``tenvs`` that resolves every wildcard's type, and no input
+    wildcard's to bool (not e.g. narrow of an 8-bit type)."""
+    for tenv in tenvs:
+        wild_types = {name: _resolvable(w.type_pattern, tenv)
+                      for name, w in wilds.items()}
+        if any(t is None or t.is_bool for t in wild_types.values()):
+            continue
+        cwild_types = {name: _resolvable(w.type_pattern, tenv)
+                       for name, w in cwilds.items()}
+        if None in cwild_types.values():
+            continue
+        yield tenv, wild_types, cwild_types
+
+
 # ----------------------------------------------------------------------
 # Sampling
 # ----------------------------------------------------------------------
@@ -338,16 +355,17 @@ def _program(side: Expr, backend: str) -> Callable:
 
 
 #: (lhs, rhs, type assignment, wildcard types, backend) -> the compiled
-#: pair of a rule's templates, or () where they do not build; least
-#: recently used first.  The lock covers it: the daemon verifies on
-#: several threads.
-_PROGRAMS: "OrderedDict[tuple, Union[_Programs, Tuple[()]]]" = OrderedDict()
+#: pair of a rule's templates, or the message of the side that does not
+#: build (never the exception, whose traceback would pin the frames that
+#: raised it); least recently used first.  The lock covers it: the
+#: daemon verifies on several threads.
+_PROGRAMS: "OrderedDict[tuple, Union[_Programs, str]]" = OrderedDict()
 _PROGRAMS_LOCK = threading.Lock()
 
 
 def _cached_programs(
-    key: tuple, build: Callable[[], Union[_Programs, Tuple[()]]]
-) -> Union[_Programs, Tuple[()]]:
+    key: tuple, build: Callable[[], Union[_Programs, str]]
+) -> Union[_Programs, str]:
     """The pair cached under ``key``, built and kept on a miss."""
     with _PROGRAMS_LOCK:
         hit = _PROGRAMS.get(key)
@@ -543,29 +561,8 @@ def verify_rule(
         return VerificationReport(rule.name, False, combos, at,
                                   counterexample=cex)
 
-    for tenv in _type_assignments(tvars, max_type_combos):
-        # Resolve the types of all wildcards; skip assignments that make
-        # some pattern type unresolvable (e.g. narrow of an 8-bit type).
-        wild_types = {}
-        ok = True
-        for name, w in wilds.items():
-            t = _resolvable(w.type_pattern, tenv)
-            if t is None or t.is_bool:
-                ok = False
-                break
-            wild_types[name] = t
-        if not ok:
-            continue
-        cwild_types = {}
-        for name, w in cwilds.items():
-            t = _resolvable(w.type_pattern, tenv)
-            if t is None:
-                ok = False
-                break
-            cwild_types[name] = t
-        if not ok:
-            continue
-
+    for tenv, wild_types, cwild_types in _wildcard_types(
+            wilds, cwilds, _type_assignments(tvars, max_type_combos)):
         env = {name: Var(t, name) for name, t in wild_types.items()}
 
         # Predicated rules may need provable bounds on inputs; offer a
@@ -592,13 +589,16 @@ def verify_rule(
         # one context per hint level serves every constant choice.
         contexts = [_CountingContext(BoundsAnalyzer(h)) for h in hint_sets]
         const_nodes: Dict[Tuple[str, int], Const] = {}
-        # both sides' templates compiled, looked up on the first choice a
-        # predicate passes; () when either side does not build.  A
-        # wildcard compares by name alone, so each one's resolved type
-        # (its Var in env, or its constant type) is in the key too.
-        programs: Union[None, _Programs, Tuple[()]] = None
+        # both sides' templates compiled, or the message of the side that
+        # does not build, looked up on the first choice a predicate
+        # passes.  A wildcard compares by name alone, so each one's
+        # resolved type (its Var in env, or its constant type) is in the
+        # key too.
+        programs: Union[None, _Programs, str] = None
         checks: Optional[_Checks] = None  # the programs' queued checks
         for const_env in const_choices:
+            if isinstance(programs, str):
+                break  # the left-hand side builds at no choice here
             m = _LazyRootMatch(rule.lhs, env, const_nodes, cwild_types,
                                dict(tenv), dict(const_env))
             for hints, ctx in zip(hint_sets, contexts):
@@ -611,43 +611,34 @@ def verify_rule(
                             # each would answer this no the same way
                             break
                         continue
-                    if programs is None:
-                        programs = _cached_programs(
-                            (rule.lhs, rule.rhs, tuple(sorted(tenv.items())),
-                             tuple(env.values()), tuple(cwild_types.items()),
-                             backend),
-                            lambda: templates.compile(env, tenv, cwild_types,
-                                                      backend),
-                        )
-                    held = templates.held(m) if programs else None
-                    if held is None:
-                        # the queued choices come first in the report
-                        failure = checks.flush() if checks else None
-                        if failure is not None:
-                            return failed(*failure)
-                        lhs_c = m.root
                 except _LhsBuildFailed:
                     break  # ill-typed combination; skip this const set
-                any_predicate_pass = True
-                if held is None:
-                    try:
-                        rhs_c = instantiate(rule.rhs, m)
-                    except Exception as exc:
-                        return failed((points, const_env),
-                                      {"reason": f"rhs build failed: {exc}"})
-                    points += 1
-                    cex = verify_equivalence(
-                        lhs_c, rhs_c, rng=rng, var_bounds=hints,
-                        max_points=max_points, backend=backend,
+                if programs is None:
+                    programs = _cached_programs(
+                        (rule.lhs, rule.rhs, tuple(sorted(tenv.items())),
+                         tuple(env.values()), tuple(cwild_types.items()),
+                         backend),
+                        lambda: templates.compile(env, tenv, cwild_types,
+                                                  backend),
                     )
-                    failure = None if cex is None else ((points, const_env),
-                                                        cex)
-                else:
-                    if checks is None:
-                        checks = _Checks(programs, held, backend)
-                    points += 1
-                    failure = checks.add((points, const_env), held, rng,
-                                         hints, max_points)
+                if isinstance(programs, str):
+                    if programs.startswith("lhs"):
+                        break
+                    return failed((points, const_env), {"reason": programs})
+                try:
+                    held = templates.held(m)
+                except Exception as exc:
+                    # the queued choices come first in the report
+                    failure = checks.flush() if checks else None
+                    return failed(*failure) if failure else failed(
+                        (points, const_env),
+                        {"reason": f"rhs build failed: {exc}"})
+                any_predicate_pass = True
+                if checks is None:
+                    checks = _Checks(programs, held, backend)
+                points += 1
+                failure = checks.add((points, const_env), held, rng,
+                                     hints, max_points)
                 if failure is not None:
                     return failed(*failure)
                 break  # verified with this hint level; next const set
@@ -702,33 +693,38 @@ class _Templates:
 
     def compile(self, env: Dict[str, Expr], tenv: Dict[str, ScalarType],
                 cwild_types: Dict[str, ScalarType],
-                backend: str) -> Union[_Programs, Tuple[()]]:
-        """Both sides at one type assignment, compiled, or () if either
-        does not build."""
+                backend: str) -> Union[_Programs, str]:
+        """Both sides at one type assignment, compiled, or ``"lhs build
+        failed: <message>"`` or ``"rhs build failed: <message>"`` for the
+        first side that does not build.  Constructors check types only,
+        so such a side builds at no constant choice: the rule does not
+        apply at this assignment (lhs), or it is wrong (rhs)."""
         env = dict(env)
+        for name, var in self.const_vars.items():
+            env[name] = Var(cwild_types[name], var)
+        m = Match(env=env, tenv=dict(tenv))
         try:
-            for name, var in self.const_vars.items():
-                env[name] = Var(cwild_types[name], var)
+            lhs = instantiate(self.lhs, m)
+        except Exception as exc:
+            return f"lhs build failed: {exc}"
+        try:  # computed constants are right-hand-side only
             for node, var in self.computed.items():
                 env[var] = Var(resolve_type(node.type_pattern, tenv), var)
-            m = Match(env=env, tenv=dict(tenv))
-            lhs, rhs = instantiate(self.lhs, m), instantiate(self.rhs, m)
-        except Exception:  # the per-choice path skips or reports it
-            return ()
+            rhs = instantiate(self.rhs, m)
+        except Exception as exc:
+            return f"rhs build failed: {exc}"
         return _compile_pair(lhs, rhs, backend)
 
-    def held(self, m: Match) -> Optional[Dict[str, int]]:
+    def held(self, m: Match) -> Dict[str, int]:
         """The variables' values at the constant choice of ``m``, each
-        computed constant's as :func:`instantiate` gives it, or None if
-        one raises.  The sampled and forced constants are in their
-        types' ranges already, so ``m.consts`` holds what their ``Const``
-        nodes would: ``m.env`` is not read, and no tree is built."""
+        computed constant's as :func:`instantiate` gives it (so a
+        computed constant that raises raises here).  The sampled and
+        forced constants are in their types' ranges already, so
+        ``m.consts`` holds what their ``Const`` nodes would: ``m.env`` is
+        not read, and no tree is built."""
         held = {var: m.consts[name] for name, var in self.const_vars.items()}
-        try:
-            for node, var in self.computed.items():
-                held[var] = pconst_value(node, m)
-        except Exception:  # the per-choice path reports it
-            return None
+        for node, var in self.computed.items():
+            held[var] = pconst_value(node, m)
         return held
 
 

@@ -29,6 +29,7 @@ from repro.interp import (
     get_default_backend,
     set_default_backend,
 )
+from repro.interp import array_backend
 from repro.interp import evaluator as _ev
 from repro.interp.array_backend import (
     clear_array_compile_cache,
@@ -312,6 +313,18 @@ class TestCallContract:
     def test_compile_is_memoized_on_the_interned_node(self):
         x = h.var("x", I16)
         assert compile_expr_array(x + 1) is compile_expr_array(x + 1)
+
+    @pytest.mark.parametrize("kernel", ["_np_wrap", "_np_saturate"])
+    def test_one_kernel_per_type(self, kernel):
+        # programs hold these kernels, so one per program would grow
+        # with the program cache
+        make = getattr(array_backend, kernel)
+        made = {t: make(t) for t in (U8, I8, I16, U32, I32, I64)}
+        assert all(make(t) is k for t, k in made.items())
+        assert len({id(k) for k in made.values()}) == len(made)
+        arr = np.array([-300, 5, 300], dtype=np.int64)
+        assert made[U8](arr).tolist() == (
+            [212, 5, 44] if kernel == "_np_wrap" else [0, 5, 255])
 
     def test_register_handler_invalidates_array_programs(self):
         x = h.var("x", U8)

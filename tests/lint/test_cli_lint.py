@@ -165,7 +165,8 @@ class TestRulesVerify:
         assert "-- verifying lifting (hand)" in out
         assert "ok  " in out and "[hand]" in out
         assert "all OK" in out
-        assert "lowering rule sets are not sample-verified" in out
+        assert "sample-verifies the lifting rule sets" in out
+        assert "not sample-verified" not in out
 
     def test_failing_rule_exits_nonzero(self, capsys, monkeypatch):
         import repro.verify as verify_mod

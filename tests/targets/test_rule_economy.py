@@ -10,8 +10,37 @@ this operation."
 """
 
 from repro import fpir as F
+from repro.fabric.fingerprint import rule_fingerprint
 from repro.lifting import HAND_RULES, SYNTHESIZED_RULES
-from repro.targets import ALL_TARGETS
+from repro.targets import ALL_TARGETS, TargetOp, shared
+from repro.trs.pattern import PConst
+
+#: every rule a builder of ``repro.targets.shared`` writes, by target
+SHARED = {
+    "x86-avx2": [
+        "x86-vpackus-predicated", "x86-halving-add-magic",
+        "x86-absd-unsigned", "x86-absd-maxmin",
+        "x86-rounding-shr-addshift", "x86-rounding-shr-magic",
+    ],
+    "arm-neon": ["arm-sqrdmulh-16", "arm-sqrdmulh-32"],
+    "hexagon-hvx": [
+        "hvx-rounding-shr-addshift", "hvx-vmpy-rnd-sat-16",
+        "hvx-vmpy-rnd-sat-32", "hvx-vsat-predicated",
+        "rake-hvx-vsat-noswizzle",
+    ],
+    "wasm-simd128": [
+        "wasm-narrow-u-predicated", "wasm-halving-add-magic",
+        "wasm-absd-unsigned", "wasm-absd-maxmin",
+        "wasm-rounding-shr-addshift", "wasm-rounding-shr-magic",
+    ],
+    "riscv-rvv": [
+        "rvv-vsmul-8", "rvv-vsmul-16", "rvv-vsmul-32", "rvv-absd-maxmin",
+    ],
+    "powerpc-vsx": [
+        "ppc-vpksus-predicated", "ppc-halving-add-magic", "ppc-absd-maxmin",
+        "ppc-rounding-shr-addshift", "ppc-rounding-shr-magic",
+    ],
+}
 
 
 def _rules_producing(cls):
@@ -85,3 +114,48 @@ class TestRuleEconomy:
             for target in ALL_TARGETS.values():
                 prog = pitchfork_compile(node, target)
                 assert prog.run(env) == ref, (cls.name, target.name)
+
+
+def _builds(rule):
+    """What each builder of ``shared`` gives for ``rule``'s name, prefix
+    and instruction: a rule with the same shape is a copy of one."""
+    prefix = rule.name.split("-")[0]
+    yield shared.halving_add_magic(prefix)
+    yield shared.absd_unsigned(prefix)
+    yield shared.absd_maxmin(prefix)
+    yield shared.rounding_shr_magic(prefix)
+    for bits in (32, 64):
+        yield shared.rounding_shr_addshift(prefix, max_bits=bits)
+    if isinstance(rule.rhs, TargetOp):
+        yield shared.predicated_narrow(rule.name, rule.rhs.spec, rule.source)
+        for bits in (8, 16, 32, 64):
+            yield shared.q_format_mul(rule.name, rule.rhs.spec, bits)
+
+
+def _code(rule):
+    """The code objects of a rule's predicate and computed constants."""
+    fns = [rule.predicate] if rule.predicate is not None else []
+    fns += [n.value for side in (rule.lhs, rule.rhs) for n in side.walk()
+            if isinstance(n, PConst) and callable(n.value)]
+    return [fn.__code__ for fn in fns]
+
+
+class TestSharedRules:
+    """§3.1.1's "one efficient lowering for targets that don't support
+    this operation": each rule shape several targets use is written once,
+    in ``repro.targets.shared``."""
+
+    def test_every_copy_is_built_by_its_builder(self):
+        built = {}
+        for name, target in ALL_TARGETS.items():
+            for rule in target.lowering_rules + target.rake_extra_rules:
+                same = [b for b in _builds(rule)
+                        if rule_fingerprint(b) == rule_fingerprint(rule)]
+                if same:
+                    built.setdefault(name, []).append(rule.name)
+                # a pasted copy hashes the same but has its own code
+                for b in same:
+                    assert len(_code(rule)) == len(_code(b))
+                    assert all(c is d for c, d in
+                               zip(_code(rule), _code(b))), rule.name
+        assert built == SHARED

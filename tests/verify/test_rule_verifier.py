@@ -321,6 +321,87 @@ class TestTemplates:
         assert report.counterexample["consts"] == {"c0": 0}
 
 
+def widen_twice(name, predicate=None):
+    """x + c0, rebuilt through a doubly widened add: sound wherever it
+    builds, but the right-hand side has no type at 64 bits (nothing is
+    wider than 128), while the left-hand side builds there."""
+    T = TVar("T", min_bits=32, max_bits=64)
+    x, c0 = Wild("x", T), ConstWild("c0", T)
+    wide = TWiden(TWiden(T))
+    return Rule(name, E.Add(x, c0),
+                E.Cast(TVar("T"), E.Add(E.Cast(wide, x), E.Cast(wide, c0))),
+                predicate=predicate)
+
+
+def rhs_failure(combos, points, c0):
+    return {
+        "ok": False, "checked_combos": combos, "checked_points": points,
+        "counterexample": {"reason": "rhs build failed: cannot widen u128",
+                           "tenv": {"T": "u64"}, "consts": {"c0": c0}},
+        "notes": [],
+    }
+
+
+class TestOneCheckPath:
+    """Every constant choice is checked through its type assignment's
+    compiled templates.  A side that does not build is found when they
+    are built: an unbuilt left-hand side ends the assignment's choices,
+    an unbuilt right-hand side fails the rule."""
+
+    # recorded when a choice whose template did not build built its own
+    # sides, and never regenerated
+    @pytest.mark.parametrize("backend", ["closure", "numpy", "auto"])
+    @pytest.mark.parametrize("rule,seed,expected", [
+        (widen_twice("rhs-widen-fails-at-64"), 0,
+         rhs_failure(2, 91, 0)),
+        (widen_twice("rhs-widen-fails-at-64"), 1,
+         rhs_failure(2, 91, 0)),
+        (widen_twice("rhs-odd", lambda m, ctx: m.consts["c0"] % 2 == 1), 0,
+         rhs_failure(2, 20, 1)),
+        (widen_twice("rhs-odd", lambda m, ctx: m.consts["c0"] % 2 == 1), 1,
+         rhs_failure(2, 19, 1)),
+    ], ids=["unpredicated-0", "unpredicated-1", "odd-0", "odd-1"])
+    def test_rhs_that_does_not_build_is_reported(self, rule, seed,
+                                                 expected, backend):
+        report = verify_rule(rule, seed=seed, backend=backend, **BUDGET)
+        assert report.to_dict() == dict(expected, rule_name=rule.name)
+
+    def test_lhs_that_does_not_build_ends_the_assignment(self):
+        # x + c0 does not build when x and c0 differ in type
+        calls = {}
+
+        def pred(m, ctx):
+            key = (m.tenv["T"], m.tenv["S"])
+            calls[key] = calls.get(key, 0) + 1
+            return True
+
+        T, S = TVar("T", max_bits=16), TVar("S", max_bits=16)
+        x, c0 = Wild("x", T), ConstWild("c0", S)
+        report = verify_rule(Rule("add-commutes", E.Add(x, c0),
+                                  E.Add(c0, x), predicate=pred), **BUDGET)
+        assert report.ok and report.checked_combos == 6
+        assert {key for key, n in calls.items() if n > 1} == {
+            (t, s) for t, s in calls if t == s}
+        assert all(n == 1 for (t, s), n in calls.items() if t != s)
+
+    def test_no_choice_is_checked_on_its_own(self, monkeypatch):
+        def alone(*args, **kwargs):
+            raise AssertionError("verify_rule checked one choice alone")
+
+        monkeypatch.setattr(rule_verifier, "verify_equivalence", alone)
+        T = TVar("T", max_bits=32)
+        x, c0 = Wild("x", T), ConstWild("c0", T)
+        raises_at_2 = Rule(
+            "raises-at-2", E.Add(x, c0),
+            E.Add(x, PConst(T, lambda c: c["c0"] + 0 // (c["c0"] - 2))))
+        for rule in (_hand_rule("lift-mul-shr-uu"), raises_at_2,
+                     widen_twice("rhs-widen-fails-at-64")):
+            verify_rule(rule, **BUDGET)
+        report = verify_rule(raises_at_2, **BUDGET)
+        assert report.counterexample["reason"] == (
+            "rhs build failed: integer division or modulo by zero")
+
+
 def record_calls(monkeypatch, rule, budget=None):
     """Verify ``rule`` at seed 0 and the bench budgets (at lane budget
     ``budget`` if given); return the report and ``(root, lanes)`` of
