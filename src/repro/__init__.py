@@ -22,25 +22,21 @@ paper-figure reproductions.
 
 __version__ = "1.4.0"
 
-from . import analysis  # noqa: F401
-from . import fabric  # noqa: F401
-from . import fpir  # noqa: F401
-from . import interp  # noqa: F401
-from . import ir  # noqa: F401
-from . import lifting  # noqa: F401
-from . import machine  # noqa: F401
-from . import observe  # noqa: F401
-from . import targets  # noqa: F401
-from . import trs  # noqa: F401
-from . import verify  # noqa: F401
-from .pipeline import (  # noqa: F401
-    CompiledProgram,
-    LLVMCompileError,
-    PitchforkCompiler,
-    llvm_compile,
-    pitchfork_compile,
-    rake_compile,
-)
+from ._lazy import lazy_exports
+
+# Nothing is imported until it is used: a process that compiles loads
+# the compile path alone, not the fabric, the daemon or the evaluation.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    **{name: f".{name}" for name in (
+        "analysis", "fabric", "fpir", "interp", "ir", "lifting",
+        "machine", "observe", "passes", "pipeline", "rulesets", "session",
+        "targets", "trs", "verify",
+    )},
+    **{name: ".pipeline" for name in (
+        "CompiledProgram", "LLVMCompileError", "PitchforkCompiler",
+        "llvm_compile", "pitchfork_compile", "rake_compile",
+    )},
+})
 
 __all__ = [
     "CompiledProgram",

@@ -49,12 +49,10 @@ import argparse
 import os
 import sys
 
+# What building the parser needs; each command imports the rest of what
+# it runs inside its ``cmd_*``, so a command loads only its own modules.
 from . import targets as T
-from .fabric.jobs import CompileTimeParams
 from .lifting import LIFT_STRATEGIES
-from .machine.rake_oracle import RAKE_TARGETS
-from .passes import PassVerificationError
-from .pipeline import llvm_compile, rake_compile
 from .session import CompilerSession
 from .workloads import WORKLOADS, by_name
 
@@ -83,6 +81,8 @@ def _add_eval_backend_arg(p) -> None:
 
 def _repeats(text: str) -> int:
     """``--repeats``, checked by Figure 6's params before any cell runs."""
+    from .fabric.jobs import CompileTimeParams
+
     try:
         return CompileTimeParams(repeats=int(text)).repeats
     except ValueError as exc:
@@ -146,8 +146,13 @@ def _print_stats(prog) -> None:
 
 
 def cmd_compile(args, session) -> int:
+    from .passes import PassVerificationError
     from .session import compile_listing
 
+    rake_targets = ()
+    if args.rake:
+        from .machine.rake_oracle import RAKE_TARGETS as rake_targets
+        from .pipeline import rake_compile
     wl = by_name(args.workload)
     registry = session.metrics
     if session.tracer is None and registry is not None:
@@ -189,6 +194,8 @@ def cmd_compile(args, session) -> int:
             if args.stats:
                 _print_stats(pf)
             if args.compare:
+                from .pipeline import llvm_compile
+
                 ll = llvm_compile(wl.expr, target, var_bounds=wl.var_bounds,
                                   verify_each=args.verify_each)
                 if ll.q31_retry is not None:
@@ -200,7 +207,7 @@ def cmd_compile(args, session) -> int:
                 print(ll.assembly())
                 if args.stats:
                     _print_stats(ll)
-            if args.rake and target.name in RAKE_TARGETS:
+            if target.name in rake_targets:
                 rk = rake_compile(wl.expr, target, var_bounds=wl.var_bounds,
                                   verify_each=args.verify_each)
                 print(f"-- Rake oracle ({rk.cost().total:.1f} cycles/vec):")
@@ -223,13 +230,17 @@ def cmd_compile(args, session) -> int:
 
 
 def cmd_evaluate(args, session) -> int:
+    from .fabric.jobs import CompileTimeParams
+
+    repeats = (CompileTimeParams.repeats if args.repeats is None
+               else args.repeats)
     extra = {}
     if args.figure == "all":
         from .evaluation.report import build_full_report
 
         with session.phase("evaluate:all"):
             report = build_full_report(
-                with_rake=not args.no_rake, compile_repeats=args.repeats,
+                with_rake=not args.no_rake, compile_repeats=repeats,
                 lift_strategy=args.lift_strategy, session=session,
             )
         if args.write:
@@ -263,7 +274,7 @@ def cmd_evaluate(args, session) -> int:
 
         with session.phase("evaluate:fig6"):
             ev = run_compile_time_evaluation(
-                repeats=args.repeats, lift_strategy=args.lift_strategy,
+                repeats=repeats, lift_strategy=args.lift_strategy,
                 session=session,
             )
         print(ev.format_table())
@@ -301,9 +312,9 @@ def cmd_rules(args, session) -> int:
         from .fabric.jobs import VERIFY_RULESETS
         from .verify import batch_verify_rules
 
-        # Sample-verifies the lifting sets (VERIFY_RULESETS), as the
-        # note below says.  The batch runs on the fabric (one task per
-        # rule) but reports in registry order, so this output is
+        # Sample-verifies every rule set (VERIFY_RULESETS), as the note
+        # below says.  The batch runs on the fabric (one task per rule)
+        # but reports in registry order, so this output is
         # byte-identical for any --jobs.
         with session.phase("verify-rules"):
             results = batch_verify_rules(VERIFY_RULESETS, session=session)
@@ -318,8 +329,8 @@ def cmd_rules(args, session) -> int:
                     print(f"     counterexample: {report.counterexample}")
         checked = len(results)
         failures = sum(not report.ok for _, report in results)
-        print("(this command sample-verifies the lifting rule sets; "
-              "'python -m repro lint' checks every rule set statically)")
+        print("(this command sample-verifies every lifting and lowering "
+              "rule set; 'python -m repro lint' checks them statically)")
         print(f"verification: {checked} rules checked, "
               + ("all OK" if not failures
                  else f"{failures} FAILED"))
@@ -748,8 +759,8 @@ def main(argv=None) -> int:
     p.add_argument("figure",
                    choices=["fig3", "fig5", "fig6", "fig7", "all"])
     p.add_argument("--no-rake", action="store_true")
-    p.add_argument("--repeats", type=_repeats,
-                   default=CompileTimeParams.repeats)
+    # None: Figure 6's params default (cmd_evaluate reads it)
+    p.add_argument("--repeats", type=_repeats, default=None)
     p.add_argument("--write", help="write the report to a file")
     _add_lift_strategy_arg(p)
     _add_eval_backend_arg(p)

@@ -90,18 +90,26 @@ def expr_fingerprint(e: Expr) -> str:
 
 
 def _callable_fingerprint(fn, _depth: int = 0) -> str:
-    """Hash a callable's bytecode, constants, names and closure cells.
+    """Hash a callable's bytecode, constants, names, default arguments
+    and closure cells.
 
     ``repr`` of code objects and functions embeds memory addresses,
     which would make fingerprints unstable across processes (and defeat
-    the on-disk cache); nested code objects and closed-over functions
-    are therefore hashed structurally instead of via ``repr``.
+    the on-disk cache); nested code objects (a lambda inside a
+    predicate), closed-over functions and callable defaults are
+    therefore hashed structurally instead of via ``repr``.  A callable
+    without defaults adds no part for them.
     """
+    def value(v) -> str:
+        if callable(v) and _depth < 4:
+            return _callable_fingerprint(v, _depth + 1)
+        return repr(v)
+
     parts = ["code"]
     code = getattr(fn, "__code__", None)
     if code is not None:
         consts = tuple(
-            c.co_code.hex() if hasattr(c, "co_code") else repr(c)
+            _nested_code_fingerprint(c) if hasattr(c, "co_code") else repr(c)
             for c in code.co_consts
         )
         parts += [
@@ -112,17 +120,32 @@ def _callable_fingerprint(fn, _depth: int = 0) -> str:
         ]
     else:  # pragma: no cover - exotic callables (partial, C functions)
         parts.append(repr(fn))
+    defaults = getattr(fn, "__defaults__", None) or ()
+    kwdefaults = getattr(fn, "__kwdefaults__", None) or {}
+    if defaults or kwdefaults:
+        parts.append("defaults")
+        parts += [value(v) for v in defaults]
+        parts += [f"{k}={value(v)}" for k, v in sorted(kwdefaults.items())]
     for cell in getattr(fn, "__closure__", None) or ():
         try:
             contents = cell.cell_contents
         except ValueError:  # pragma: no cover - empty cell
             parts.append("<empty>")
             continue
-        if callable(contents) and _depth < 4:
-            parts.append(_callable_fingerprint(contents, _depth + 1))
-        else:
-            parts.append(repr(contents))
+        parts.append(value(contents))
     return digest(*parts)
+
+
+def _nested_code_fingerprint(code) -> str:
+    """A nested code object's bytecode, constants (recursively) and
+    names, so a constant changed inside a nested lambda moves its
+    enclosing callable's fingerprint."""
+    consts = tuple(
+        _nested_code_fingerprint(c) if hasattr(c, "co_code") else repr(c)
+        for c in code.co_consts
+    )
+    return digest("nested-code", code.co_code.hex(), repr(consts),
+                  repr(code.co_names), repr(code.co_varnames))
 
 
 def predicate_fingerprint(predicate) -> str:

@@ -80,8 +80,10 @@ def cell_specs(kind: str, params, workload_names: Optional[Sequence[str]],
 # ----------------------------------------------------------------------
 # Rule resolution (shared by verification jobs and their cache parts)
 # ----------------------------------------------------------------------
-#: the rule sets batch verification addresses: the lifting sets
-VERIFY_RULESETS = tuple(rs.name for rs in rule_sets() if rs.phase == "lift")
+#: the rule sets batch verification addresses: every shipped set, the
+#: lifting sets and each target's lowering set (a target op evaluates
+#: through its spec's semantics)
+VERIFY_RULESETS = tuple(rs.name for rs in rule_sets())
 
 
 @functools.lru_cache(maxsize=None)

@@ -12,7 +12,6 @@ from typing import Iterable, Optional
 from ..analysis import BoundsAnalyzer, BoundsContext
 from ..ir.expr import Expr
 from ..passes import Pass, PassContext
-from ..trs.egraph import EGraphLifter
 from ..trs.rewriter import RewriteEngine, RewriteResult
 from ..trs.rule import Rule
 from .canonicalize import canonicalize
@@ -55,9 +54,11 @@ class Lifter:
         self.engine = RewriteEngine(
             rules, require_cost_decrease=True, name="lift"
         )
-        self._egraph = (
-            EGraphLifter(self.engine) if strategy == "egraph" else None
-        )
+        self._egraph = None
+        if strategy == "egraph":
+            from ..trs.egraph import EGraphLifter
+
+            self._egraph = EGraphLifter(self.engine)
 
     def rewrite(
         self,

@@ -29,56 +29,19 @@ import math
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence
 
-from ..interp.evaluator import Value, _eval_node, evaluate
+from ..interp.evaluator import Value, evaluate
 from ..ir import expr as E
 from ..ir.traversal import subexpressions
 from ..ir.types import ScalarType
 from ..targets import Target, TargetOp
-from ..interp import register_handler
-from ..targets.isa import (
-    TargetOp1,
-    TargetOp2,
-    TargetOp3,
-    TargetOp4,
-    TargetOp5,
-)
 
 __all__ = ["simulate", "cost_cycles", "instruction_count", "CostBreakdown"]
 
 
 # ----------------------------------------------------------------------
-# Execution: register a handler so the interpreter can run TargetOps.
+# Execution: the interpreter runs TargetOps through the handler
+# repro.targets.isa registers beside the node classes.
 # ----------------------------------------------------------------------
-def _eval_target_op(node: TargetOp, kids: Sequence[Value]) -> Value:
-    lanes = len(kids[0]) if kids else 1
-    names = [f"__t{i}" for i in range(len(kids))]
-    surrogates = [
-        E.Var(child.type, name)
-        for child, name in zip(node.children, names)
-    ]
-    # Constants must stay constants: several spec semantics (vpmulhrsw,
-    # umlal-with-immediate) embed operand values in their meaning.
-    args = [
-        child if isinstance(child, E.Const) else surr
-        for child, surr in zip(node.children, surrogates)
-    ]
-    semantics = node.spec.semantics(*args)
-    env = {
-        name: values
-        for child, name, values in zip(node.children, names, kids)
-        if not isinstance(child, E.Const)
-    }
-    result = evaluate(semantics, env, lanes=lanes)
-    out = node.out
-    if isinstance(out, ScalarType) and semantics.type != out:
-        result = [out.wrap(v & semantics.type.mask) for v in result]
-    return result
-
-
-for _cls in (TargetOp1, TargetOp2, TargetOp3, TargetOp4, TargetOp5):
-    register_handler(_cls, _eval_target_op)
-
-
 def simulate(
     program: E.Expr, env: Mapping[str, Sequence[int]], lanes: Optional[int] = None
 ) -> Value:

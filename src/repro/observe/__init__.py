@@ -28,6 +28,7 @@ by its span either way — on the observation's tracer, or on a private
 one when there is none to record into.
 """
 
+from .._lazy import lazy_exports
 from .metrics import (
     Counter,
     Gauge,
@@ -37,12 +38,12 @@ from .metrics import (
 )
 from .observation import Observation
 from .provenance import Provenance, ProvenanceEntry
-from .report import (
-    RunReport,
-    load_report,
-    span_summary,
-)
 from .tracer import NullTracer, Tracer
+
+# the report writer runs only under --report and ``report show``
+__getattr__, __dir__ = lazy_exports(globals(), {
+    name: ".report" for name in ("RunReport", "load_report", "span_summary")
+})
 
 __all__ = [
     "Counter",

@@ -20,15 +20,14 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from . import rulesets
+from ._lazy import lazy_exports
 from .analysis import BoundsAnalyzer, Interval
 from .ir.expr import Expr
 from .lifting.canonicalize import CanonicalizePass
 from .lifting.lifter import EGraphLiftPass, LIFT_STRATEGIES, Lifter, LiftPass
-from .machine.llvm_baseline import LLVMCompileError, LLVMSelectPass
 from .machine.lowerer import LowerMemos, Lowerer, LoweringError, LowerPass
 from .machine.backend_passes import BackendPass
 from .machine.program import AsmLine, format_explained, linearize
-from .machine.rake_oracle import RakeSelector
 from .machine.simulator import CostBreakdown, cost_cycles, simulate
 from .observe import Observation
 from .passes import CompileStats, Pass, PassContext, PassManager
@@ -46,6 +45,11 @@ __all__ = [
     "rake_compile",
     "LLVMCompileError",
 ]
+
+# the baselines load with the first compiler that runs them
+__getattr__, __dir__ = lazy_exports(
+    globals(), {"LLVMCompileError": ".machine.llvm_baseline"}
+)
 
 
 @dataclass
@@ -239,6 +243,8 @@ class LLVMCompiler(Compiler):
     name = "llvm"
 
     def __init__(self, target: Target, verify_each: bool = False):
+        from .machine.llvm_baseline import LLVMSelectPass
+
         super().__init__(
             target, [LLVMSelectPass(target), BackendPass()], verify_each
         )
@@ -251,6 +257,8 @@ class RakeCompiler(Compiler):
     name = "rake"
 
     def __init__(self, target: Target, verify_each: bool = False):
+        from .machine.rake_oracle import RakeSelector
+
         lift = LiftPass(Lifter(rulesets.rake(target).lift))
         passes = [CanonicalizePass(), lift, RakeSelector(target)]
         super().__init__(target, passes, verify_each)

@@ -19,9 +19,10 @@ throughput cost model lives in :mod:`repro.machine.simulator`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
-from ..ir.expr import Expr
+from ..interp.evaluator import Value, evaluate, register_handler
+from ..ir.expr import Const, Expr, Var
 from ..ir.traversal import subexpressions
 from ..ir.types import ScalarType
 
@@ -197,8 +198,6 @@ def target_op(spec: InstrSpec, out, *args: Expr) -> TargetOp:
 
 def is_lowered(expr: Expr) -> bool:
     """True if the tree contains only target ops, constants and inputs."""
-    from ..ir.expr import Const, Var
-
     return all(
         isinstance(n, (TargetOp, Const, Var)) for n in subexpressions(expr)
     )
@@ -217,3 +216,35 @@ def _install_printers() -> None:
 
 
 _install_printers()
+
+
+# -- evaluation --------------------------------------------------------
+def _eval_target_op(node: TargetOp, kids: Sequence[Value]) -> Value:
+    """The interpreter's handler for target ops: the spec's semantics
+    over the operands, evaluated lane by lane."""
+    lanes = len(kids[0]) if kids else 1
+    names = [f"__t{i}" for i in range(len(kids))]
+    # Constants must stay constants: several spec semantics (vpmulhrsw,
+    # umlal-with-immediate) embed operand values in their meaning.
+    args = [
+        child if isinstance(child, Const) else Var(child.type, name)
+        for child, name in zip(node.children, names)
+    ]
+    semantics = node.spec.semantics(*args)
+    env = {
+        name: values
+        for child, name, values in zip(node.children, names, kids)
+        if not isinstance(child, Const)
+    }
+    result = evaluate(semantics, env, lanes=lanes)
+    out = node.out
+    if isinstance(out, ScalarType) and semantics.type != out:
+        result = [out.wrap(v & semantics.type.mask) for v in result]
+    return result
+
+
+# Registered where the node classes are defined, so target ops evaluate
+# in any process that can build one, and at the import that creates the
+# classes, before any compiled program can hold one.
+for _cls in _ARITY.values():
+    register_handler(_cls, _eval_target_op)

@@ -148,14 +148,7 @@ def _rules() -> List[Rule]:
         ),
     ))
     # deterministic fallback: plain q15mulr_sat_s
-    T = TVar("T", signed=True, min_bits=16, max_bits=16)
-    S = TVar("S", min_bits=16, max_bits=16)
-    add(Rule(
-        "wasm-q15mulr-sat",
-        F.RoundingMulShr(Wild("x", T), Wild("y", T), ConstWild("c0", S)),
-        target_op(Q15MULR_SAT, TVar("T"), Wild("x", T), Wild("y", T)),
-        predicate=lambda m, ctx: m.consts["c0"] == 15,
-    ))
+    add(shared.q_format_mul("wasm-q15mulr-sat", Q15MULR_SAT, 16))
 
     # -------- fused: i32x4.dot_i16x8_s ----------------------------------
     T = TVar("T", signed=True, min_bits=16, max_bits=16)

@@ -181,26 +181,12 @@ def _rules() -> List[Rule]:
             target_op(spec, TVar("T"), Wild("x", T), Wild("y", T)),
             predicate=lambda m, ctx: m.consts["c0"] == 16,
         ))
-    T = TVar("T", signed=True, min_bits=16, max_bits=16)
-    S = TVar("S", min_bits=16, max_bits=16)
-    add(Rule(
-        "x86-vpmulhrsw",
-        F.RoundingMulShr(Wild("x", T), Wild("y", T), ConstWild("c0", S)),
-        target_op(VPMULHRSW, TVar("T"), Wild("x", T), Wild("y", T)),
-        predicate=lambda m, ctx: m.consts["c0"] == 15,
-    ))
+    add(shared.q_format_mul("x86-vpmulhrsw", VPMULHRSW, 16))
     # Q31 rounding doubling multiply within 32-bit arithmetic: the x86
     # compound sequence the paper lends to the LLVM baseline for the
     # 64-bit benchmarks (§5.1).  Modelled as one pseudo-spec whose cost is
     # the length of the real sequence (pmuldq pairs + shifts + blend).
-    T = TVar("T", signed=True, min_bits=32, max_bits=32)
-    S = TVar("S", min_bits=32, max_bits=32)
-    add(Rule(
-        "x86-q31-mulr-seq",
-        F.RoundingMulShr(Wild("x", T), Wild("y", T), ConstWild("c0", S)),
-        target_op(Q31_MULR_SEQ, TVar("T"), Wild("x", T), Wild("y", T)),
-        predicate=lambda m, ctx: m.consts["c0"] == 31,
-    ))
+    add(shared.q_format_mul("x86-q31-mulr-seq", Q31_MULR_SEQ, 32))
 
     # -------- direct: saturating arithmetic (8/16-bit) ----------------
     for fpir_cls, spec_u, spec_s in (

@@ -1,8 +1,8 @@
 """Term-rewriting engine: patterns, matching, rules, costs, rewriter,
 rule index, and the e-graph lift strategy."""
 
+from .._lazy import lazy_exports
 from .costs import Cost, OP_RANK, cost  # noqa: F401
-from .egraph import EGraph, EGraphLifter, SaturationStats  # noqa: F401
 from .index import RuleIndex  # noqa: F401
 from .matcher import Match, instantiate, match  # noqa: F401
 from .pattern import (  # noqa: F401
@@ -19,3 +19,8 @@ from .pattern import (  # noqa: F401
 )
 from .rewriter import RewriteEngine, RewriteError, RewriteResult  # noqa: F401
 from .rule import Rule, RuleContext  # noqa: F401
+
+# only the e-graph lift strategy saturates
+__getattr__, __dir__ = lazy_exports(globals(), {
+    name: ".egraph" for name in ("EGraph", "EGraphLifter", "SaturationStats")
+})

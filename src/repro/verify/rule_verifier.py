@@ -523,6 +523,11 @@ def verify_rule(
 
     ``forced_consts`` pins the constant wildcards to specific values
     (used by the §4.3 generalizer's binary search over constant ranges).
+    Otherwise, when no sampled constant choice passes the predicate at
+    any type assignment, the assignments are walked once more with each
+    constant wildcard at its type's edge value (:func:`_edge_consts`);
+    that walk's choices are fixed, not drawn, and it runs only after a
+    walk in which nothing passed, so it moves no passing report.
     ``backend`` selects the evaluation backend for the sample grids
     (None = process default).  Each type assignment's compiled pair is
     kept in a process-wide cache of :data:`PROGRAM_CACHE_ENTRIES`
@@ -547,6 +552,61 @@ def verify_rule(
     wilds, cwilds = _collect_wilds(rule.lhs)
     templates = _Templates(rule, cwilds)
 
+    assignments = list(_wildcard_types(
+        wilds, cwilds, _type_assignments(tvars, max_type_combos)))
+
+    def sampled(cwild_types) -> Optional[List[Dict[str, int]]]:
+        if forced_consts is None:
+            return _enumerate_const_choices(
+                cwild_types, rng, max_const_samples
+            )
+        wanted = {
+            n: forced_consts[n]
+            for n in cwild_types
+            if n in forced_consts
+        }
+        if any(not cwild_types[n].contains(v) for n, v in wanted.items()):
+            return None  # not representable at this type assignment
+        return [wanted] if len(wanted) == len(cwild_types) else []
+
+    def walk(choices) -> Union[VerificationReport, Tuple[int, int, bool]]:
+        return _walk(rule, templates, assignments, choices, rng,
+                     max_points, backend)
+
+    result = walk(sampled)
+    if isinstance(result, VerificationReport):
+        return result
+    combos, points, any_predicate_pass = result
+    if combos == 0:
+        return VerificationReport(
+            rule.name, False, 0, 0,
+            counterexample={"reason": "no admissible type assignment"},
+        )
+    if not any_predicate_pass and rule.predicate is not None:
+        if forced_consts is None and cwilds:
+            edge = walk(_edge_consts)
+            if isinstance(edge, VerificationReport):
+                return edge
+            if edge[2]:
+                return VerificationReport(
+                    rule.name, True, edge[0], edge[1],
+                    notes=["predicate satisfied only at edge constants"])
+        reason = "predicate never satisfied by sampled constants"
+        return VerificationReport(rule.name, False, combos, points,
+                                  counterexample={"reason": reason})
+    return VerificationReport(rule.name, True, combos, points)
+
+
+def _walk(rule: Rule, templates: "_Templates", assignments: List[tuple],
+          choices: Callable[[Dict[str, ScalarType]],
+                            Optional[List[Dict[str, int]]]],
+          rng: random.Random, max_points: int,
+          backend: str) -> Union[VerificationReport, Tuple[int, int, bool]]:
+    """Check ``rule`` at each type assignment of ``assignments`` (as
+    :func:`_wildcard_types` yields them) with the constant choices
+    ``choices(cwild_types)`` gives it (``None`` skips the assignment).
+    Returns the report of the first failing check, else ``(combos,
+    points, whether any choice passed the predicate)``."""
     combos = 0
     points = 0
     any_predicate_pass = False
@@ -561,8 +621,7 @@ def verify_rule(
         return VerificationReport(rule.name, False, combos, at,
                                   counterexample=cex)
 
-    for tenv, wild_types, cwild_types in _wildcard_types(
-            wilds, cwilds, _type_assignments(tvars, max_type_combos)):
+    for tenv, wild_types, cwild_types in assignments:
         env = {name: Var(t, name) for name, t in wild_types.items()}
 
         # Predicated rules may need provable bounds on inputs; offer a
@@ -570,21 +629,9 @@ def verify_rule(
         # range for unpredicated rules.
         hint_sets = [None, _restricted_hints(wild_types)]
 
-        if forced_consts is not None:
-            wanted = {
-                n: forced_consts[n]
-                for n in cwild_types
-                if n in forced_consts
-            }
-            if any(
-                not cwild_types[n].contains(v) for n, v in wanted.items()
-            ):
-                continue  # not representable at this type assignment
-            const_choices = [wanted] if len(wanted) == len(cwild_types) else []
-        else:
-            const_choices = _enumerate_const_choices(
-                cwild_types, rng, max_const_samples
-            )
+        const_choices = choices(cwild_types)
+        if const_choices is None:
+            continue
         # An interval is a function of the node and the hints alone, so
         # one context per hint level serves every constant choice.
         contexts = [_CountingContext(BoundsAnalyzer(h)) for h in hint_sets]
@@ -646,20 +693,7 @@ def verify_rule(
         if failure is not None:
             return failed(*failure)
         combos += 1
-
-    notes = []
-    if combos == 0:
-        return VerificationReport(
-            rule.name, False, 0, 0,
-            counterexample={"reason": "no admissible type assignment"},
-        )
-    if not any_predicate_pass and rule.predicate is not None:
-        notes.append("predicate never satisfied by sampled constants")
-        return VerificationReport(
-            rule.name, False, combos, points,
-            counterexample={"reason": notes[0]},
-        )
-    return VerificationReport(rule.name, True, combos, points, notes=notes)
+    return combos, points, any_predicate_pass
 
 
 class _Templates:
@@ -828,6 +862,17 @@ def _restricted_hints(wild_types: Dict[str, ScalarType]) -> Dict[str, Interval]:
         lo = 0 if not t.signed else -(span // 2)
         hints[name] = Interval(lo, lo + span)
     return hints
+
+
+def _edge_consts(
+    cwild_types: Dict[str, ScalarType]
+) -> List[Dict[str, int]]:
+    """The one constant choice of the edge-value walk: each constant
+    wildcard at ``bits - 1`` of its type, the shift of a Q(bits-1)
+    multiply.  :func:`_const_samples` holds every in-range power of two
+    (``bits`` and ``bits / 2`` among them) and ``2**4 - 1``, so of the
+    ``bits - 1`` values it is sure to offer only 15."""
+    return [{name: t.bits - 1 for name, t in cwild_types.items()}]
 
 
 def _enumerate_const_choices(

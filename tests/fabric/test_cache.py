@@ -160,6 +160,35 @@ class TestInvalidation:
             pred_b
         )
 
+    def test_default_argument_changes_fingerprint(self):
+        # arm-sqrdmulh-16 and -32 differ only in their predicates'
+        # default ``_b``; a key that missed it would share verdicts.
+        def pred(m, ctx, _b=16):
+            return m.consts["c0"] == _b - 1
+
+        def kw_pred(m, ctx, *, _b=16):
+            return m.consts["c0"] == _b - 1
+
+        before = predicate_fingerprint(pred), predicate_fingerprint(kw_pred)
+        pred.__defaults__ = (32,)
+        kw_pred.__kwdefaults__ = {"_b": 32}
+        after = predicate_fingerprint(pred), predicate_fingerprint(kw_pred)
+        assert before[0] != after[0] and before[1] != after[1]
+        # the same default hashes the same in every process
+        pred.__defaults__ = (16,)
+        assert predicate_fingerprint(pred) == before[0]
+
+    def test_nested_code_constant_changes_fingerprint(self):
+        def pred_15(m, ctx):
+            return any(map(lambda c: c == 15, m.consts.values()))
+
+        def pred_31(m, ctx):
+            return any(map(lambda c: c == 31, m.consts.values()))
+
+        assert predicate_fingerprint(pred_15) != predicate_fingerprint(
+            pred_31
+        )
+
     def test_lift_strategy_is_a_semantic_input(self):
         # Greedy and e-graph lifts can produce different programs from
         # identical rules, so their fingerprints must never collide.

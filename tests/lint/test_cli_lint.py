@@ -165,7 +165,8 @@ class TestRulesVerify:
         assert "-- verifying lifting (hand)" in out
         assert "ok  " in out and "[hand]" in out
         assert "all OK" in out
-        assert "sample-verifies the lifting rule sets" in out
+        assert "sample-verifies every lifting and lowering rule set" in out
+        assert "-- verifying lowering (arm-neon)" in out
         assert "not sample-verified" not in out
 
     def test_failing_rule_exits_nonzero(self, capsys, monkeypatch):

@@ -153,6 +153,15 @@ class TestRequestReply:
         })
         assert reply["ok"] is True
 
+    def test_verify_rule_op_takes_lowering_sets(self, client):
+        # verified only at its edge constant, c0 = 31
+        reply = client.request("verify-rule", {
+            "ruleset": "arm-neon", "rule": "arm-sqrdmulh-32", "seed": 1,
+        })
+        assert reply["ok"] is True and reply["result"]["ok"] is True
+        assert reply["result"]["notes"] == [
+            "predicate satisfied only at edge constants"]
+
     def test_coverage_reply_is_the_fire_table(self, client):
         params = {"workload": "sobel3x3", "target": "arm-neon"}
         first = client.request("coverage", dict(params))

@@ -18,6 +18,7 @@ from repro.trs.pattern import PConst
 #: every rule a builder of ``repro.targets.shared`` writes, by target
 SHARED = {
     "x86-avx2": [
+        "x86-vpmulhrsw", "x86-q31-mulr-seq",
         "x86-vpackus-predicated", "x86-halving-add-magic",
         "x86-absd-unsigned", "x86-absd-maxmin",
         "x86-rounding-shr-addshift", "x86-rounding-shr-magic",
@@ -29,7 +30,8 @@ SHARED = {
         "rake-hvx-vsat-noswizzle",
     ],
     "wasm-simd128": [
-        "wasm-narrow-u-predicated", "wasm-halving-add-magic",
+        "wasm-q15mulr-sat", "wasm-narrow-u-predicated",
+        "wasm-halving-add-magic",
         "wasm-absd-unsigned", "wasm-absd-maxmin",
         "wasm-rounding-shr-addshift", "wasm-rounding-shr-magic",
     ],
